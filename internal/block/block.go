@@ -62,16 +62,32 @@ func NewBuilder(tag byte) *Builder {
 	return &Builder{tag: tag}
 }
 
-// Append adds a tuple to the block under construction.
-func (b *Builder) Append(t Tuple) {
+// TupleOverhead is the encoded size of a tuple beyond its payload.
+const TupleOverhead = 8 + 2
+
+// AppendTuple appends t's encoding — key, payload length, payload — to
+// dst: the body format of a block, shared with the join's staging log.
+func AppendTuple(dst []byte, t Tuple) []byte {
 	if len(t.Payload) > maxPayload {
 		panic(fmt.Sprintf("block: payload %d bytes exceeds max %d", len(t.Payload), maxPayload))
 	}
-	var kb [10]byte
+	var kb [TupleOverhead]byte
 	binary.LittleEndian.PutUint64(kb[0:8], t.Key)
 	binary.LittleEndian.PutUint16(kb[8:10], uint16(len(t.Payload)))
-	b.body = append(b.body, kb[:]...)
-	b.body = append(b.body, t.Payload...)
+	return append(append(dst, kb[:]...), t.Payload...)
+}
+
+// TupleAt decodes the tuple that AppendTuple encoded at off and returns
+// the offset just past it. The payload aliases body. The caller vouches
+// for the framing (a validated block body, a staging-log chunk).
+func TupleAt(body []byte, off int) (Tuple, int) {
+	end := off + TupleOverhead + int(binary.LittleEndian.Uint16(body[off+8:off+10]))
+	return Tuple{Key: binary.LittleEndian.Uint64(body[off : off+8]), Payload: body[off+TupleOverhead : end]}, end
+}
+
+// Append adds a tuple to the block under construction.
+func (b *Builder) Append(t Tuple) {
+	b.body = AppendTuple(b.body, t)
 	b.n++
 }
 
@@ -110,45 +126,80 @@ func (blk Block) Tag() (byte, error) {
 	return blk[3], nil
 }
 
+// check validates the header and the body checksum, returning the
+// relation tag, the declared tuple count and the body.
+func (blk Block) check() (tag byte, n uint32, body []byte, err error) {
+	if len(blk) < headerSize {
+		return 0, 0, nil, ErrTruncated
+	}
+	if blk[0] != magic0 || blk[1] != magic1 {
+		return 0, 0, nil, ErrBadMagic
+	}
+	if blk[2] != version {
+		return 0, 0, nil, fmt.Errorf("%w: %d", ErrBadVersion, blk[2])
+	}
+	body = blk[headerSize:]
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(blk[8:12]) {
+		return 0, 0, nil, ErrBadChecksum
+	}
+	return blk[3], binary.LittleEndian.Uint32(blk[4:8]), body, nil
+}
+
+// validate is check plus a walk of the tuple framing: the body must
+// hold exactly the declared number of well-formed tuples. It is the
+// one validation routine behind Decode and Each.
+func (blk Block) validate() (tag byte, n uint32, body []byte, err error) {
+	tag, n, body, err = blk.check()
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	off := 0
+	for i := uint32(0); i < n; i++ {
+		if off+TupleOverhead > len(body) {
+			return 0, 0, nil, ErrTruncated
+		}
+		off += TupleOverhead + int(binary.LittleEndian.Uint16(body[off+8:off+10]))
+		if off > len(body) {
+			return 0, 0, nil, ErrTruncated
+		}
+	}
+	if off != len(body) {
+		return 0, 0, nil, fmt.Errorf("%w: %d trailing bytes", ErrTruncated, len(body)-off)
+	}
+	return tag, n, body, nil
+}
+
 // Decode unpacks a block into its tuples, verifying the checksum.
 // Payload slices alias the block's storage; callers that retain tuples
 // past the block's lifetime must copy.
 func (blk Block) Decode() (tag byte, tuples []Tuple, err error) {
-	if len(blk) < headerSize {
-		return 0, nil, ErrTruncated
+	tag, n, body, err := blk.validate()
+	if err != nil {
+		return 0, nil, err
 	}
-	if blk[0] != magic0 || blk[1] != magic1 {
-		return 0, nil, ErrBadMagic
-	}
-	if blk[2] != version {
-		return 0, nil, fmt.Errorf("%w: %d", ErrBadVersion, blk[2])
-	}
-	tag = blk[3]
-	n := binary.LittleEndian.Uint32(blk[4:8])
-	sum := binary.LittleEndian.Uint32(blk[8:12])
-	body := blk[headerSize:]
-	if crc32.ChecksumIEEE(body) != sum {
-		return 0, nil, ErrBadChecksum
-	}
-	tuples = make([]Tuple, 0, n)
+	tuples = make([]Tuple, n)
 	off := 0
-	for i := uint32(0); i < n; i++ {
-		if off+10 > len(body) {
-			return 0, nil, ErrTruncated
-		}
-		key := binary.LittleEndian.Uint64(body[off : off+8])
-		plen := int(binary.LittleEndian.Uint16(body[off+8 : off+10]))
-		off += 10
-		if off+plen > len(body) {
-			return 0, nil, ErrTruncated
-		}
-		tuples = append(tuples, Tuple{Key: key, Payload: body[off : off+plen]})
-		off += plen
-	}
-	if off != len(body) {
-		return 0, nil, fmt.Errorf("%w: %d trailing bytes", ErrTruncated, len(body)-off)
+	for i := range tuples {
+		tuples[i], off = TupleAt(body, off)
 	}
 	return tag, tuples, nil
+}
+
+// Each calls fn for every tuple of the block in storage order without
+// materialising a slice. The block is validated exactly as by Decode —
+// header, checksum and tuple framing — before the first call, so on
+// any error fn has not run. Payload slices alias the block's storage.
+func (blk Block) Each(fn func(Tuple)) error {
+	_, _, body, err := blk.validate()
+	if err != nil {
+		return err
+	}
+	for off := 0; off < len(body); {
+		var t Tuple
+		t, off = TupleAt(body, off)
+		fn(t)
+	}
+	return nil
 }
 
 // Verify checks the header and body checksum without building tuples.
@@ -156,25 +207,13 @@ func (blk Block) Decode() (tag byte, tuples []Tuple, err error) {
 // error at the point of transfer — cheap enough to run on every block
 // read back from disk or tape.
 func (blk Block) Verify() error {
-	if len(blk) < headerSize {
-		return ErrTruncated
-	}
-	if blk[0] != magic0 || blk[1] != magic1 {
-		return ErrBadMagic
-	}
-	if blk[2] != version {
-		return fmt.Errorf("%w: %d", ErrBadVersion, blk[2])
-	}
-	sum := binary.LittleEndian.Uint32(blk[8:12])
-	if crc32.ChecksumIEEE(blk[headerSize:]) != sum {
-		return ErrBadChecksum
-	}
-	return nil
+	_, _, _, err := blk.check()
+	return err
 }
 
-// MustDecode decodes and panics on corruption. Used internally by join
-// operators where a decode failure indicates a simulator bug, not an
-// input condition.
+// MustDecode decodes and panics on corruption: a convenience for tests
+// that built the block themselves. Join operators never call it; to
+// them a corrupt block is an input condition with a typed error.
 func (blk Block) MustDecode() (byte, []Tuple) {
 	tag, tuples, err := blk.Decode()
 	if err != nil {

@@ -2,6 +2,9 @@ package block
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"testing"
 	"testing/quick"
 )
@@ -154,5 +157,104 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEachMatchesDecode: on a valid block Each yields exactly Decode's
+// tuples in order; on every kind of invalid block both fail with the
+// same error and Each has made no callback.
+func TestEachMatchesDecode(t *testing.T) {
+	b := NewBuilder(3)
+	for i := 0; i < 50; i++ {
+		b.Append(Tuple{Key: uint64(i * i), Payload: bytes.Repeat([]byte{byte(i)}, i%7)})
+	}
+	good := b.Finish()
+	mutate := func(f func(Block) Block) Block { return f(append(Block(nil), good...)) }
+	// reseal recomputes the checksum, so only the framing is wrong.
+	reseal := func(blk Block) Block {
+		binary.LittleEndian.PutUint32(blk[8:12], crc32.ChecksumIEEE(blk[headerSize:]))
+		return blk
+	}
+	for _, tc := range []struct {
+		name string
+		blk  Block
+		want error // nil = valid
+	}{
+		{"valid", good, nil},
+		{"empty", NewBuilder(1).Finish(), nil},
+		{"truncated header", good[:headerSize-1], ErrTruncated},
+		{"bad magic", mutate(func(b Block) Block { b[1] = 'X'; return b }), ErrBadMagic},
+		{"bad version", mutate(func(b Block) Block { b[2] = 9; return b }), ErrBadVersion},
+		{"bad crc", mutate(func(b Block) Block { b[len(b)-1] ^= 1; return b }), ErrBadChecksum},
+		{"truncated body", mutate(func(b Block) Block { return b[:len(b)-3] }), ErrBadChecksum},
+		{"truncated body, checksum valid", mutate(func(b Block) Block { return reseal(b[:len(b)-3]) }), ErrTruncated},
+		{"truncated mid-header of a tuple", mutate(func(b Block) Block { return reseal(b[:headerSize+5]) }), ErrTruncated},
+		{"trailing bytes", mutate(func(b Block) Block { return reseal(append(b, 0, 0, 0)) }), ErrTruncated},
+		{"count too small", mutate(func(b Block) Block { b[4]--; return b }), ErrTruncated},
+		{"count too large", mutate(func(b Block) Block { b[4]++; return b }), ErrTruncated},
+	} {
+		_, want, decErr := tc.blk.Decode()
+		var got []Tuple
+		eachErr := tc.blk.Each(func(t Tuple) { got = append(got, t) })
+		if tc.want == nil {
+			if decErr != nil || eachErr != nil {
+				t.Fatalf("%s: Decode err %v, Each err %v", tc.name, decErr, eachErr)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s: Each yielded %d tuples, Decode %d", tc.name, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].Key != want[i].Key || !bytes.Equal(got[i].Payload, want[i].Payload) {
+					t.Fatalf("%s: tuple %d differs", tc.name, i)
+				}
+			}
+			continue
+		}
+		if !errors.Is(decErr, tc.want) || !errors.Is(eachErr, tc.want) {
+			t.Fatalf("%s: Decode err %v, Each err %v, want %v", tc.name, decErr, eachErr, tc.want)
+		}
+		if len(got) != 0 {
+			t.Fatalf("%s: Each made %d callbacks before failing", tc.name, len(got))
+		}
+	}
+}
+
+// benchBlock is a dense block like the benchmark's match workload:
+// 2048 tuples of 8 payload bytes.
+func benchBlock() Block {
+	b := NewBuilder(1)
+	for i := 0; i < 2048; i++ {
+		b.Append(Tuple{Key: uint64(i) * 2654435761, Payload: []byte("payload8")})
+	}
+	return b.Finish()
+}
+
+var benchKeySum uint64
+
+func BenchmarkBlockDecode(b *testing.B) {
+	blk := benchBlock()
+	b.ReportAllocs()
+	b.SetBytes(int64(len(blk)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, tuples, err := blk.Decode()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, t := range tuples {
+			benchKeySum += t.Key
+		}
+	}
+}
+
+func BenchmarkBlockEach(b *testing.B) {
+	blk := benchBlock()
+	b.ReportAllocs()
+	b.SetBytes(int64(len(blk)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := blk.Each(func(t Tuple) { benchKeySum += t.Key }); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

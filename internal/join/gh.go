@@ -84,8 +84,8 @@ func joinBucketPair(e *env, p *sim.Proc, r, s bucketSource, maxLoad, scanBuf int
 			if err != nil {
 				return err
 			}
-			table := newHashTable()
-			if err := table.addBlocks(rBlks); err != nil {
+			table := newHashTable(n, e.spec.R.TuplesPerBlock)
+			if err := table.addBlocks(rBlks, nil); err != nil {
 				return err
 			}
 

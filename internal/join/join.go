@@ -360,11 +360,15 @@ type env struct {
 	retryBackoff *obs.Histogram
 	unitRestarts *obs.Counter
 
-	// Recovery state. outer stages the whole run's output so a
-	// drive-loss re-plan can discard and restart it; abort asks
-	// concurrent producer procs to wind down; retired devices keep
-	// contributing to final stats after a degrade swaps them out.
-	outer         *stagedSink
+	// Recovery state. log stages output that may yet be discarded:
+	// always under wholeRun (so a drive-loss re-plan can rewind to
+	// zero), else only inside a staged unit; staging says whether emit
+	// stages right now. abort asks concurrent producer procs to wind
+	// down; retired devices keep contributing to final stats after a
+	// degrade swaps them out.
+	log           stageLog
+	wholeRun      bool
+	staging       bool
 	abort         bool
 	retiredDrives []device.Drive
 	retiredArrays []device.Store
@@ -394,31 +398,25 @@ func (e *env) emit(p *sim.Proc, r, s block.Tuple) {
 		// poll unwinds the run. Delivered output is min(n, |R ⋈ S|).
 		return
 	}
-	e.sink.Emit(p, r, s)
+	if e.staging {
+		e.log.emit(r, s)
+	} else {
+		e.deliver(p, r, s)
+	}
 	e.emitted++
 }
 
-// firstTupleSink sits at the bottom of the run's sink stack — beneath
-// any staging — and stamps Stats.FirstTuple when the first pair
-// actually reaches the caller's sink. Staged runs therefore report the
-// commit time, streaming runs the live emission time: honest delivery
-// either way.
-type firstTupleSink struct {
-	e     *env
-	inner Sink
-}
-
-// Emit implements Sink.
-func (f *firstTupleSink) Emit(p *sim.Proc, r, s block.Tuple) {
-	if !f.e.firstEmitSet {
-		f.e.firstEmitSet = true
-		f.e.stats.FirstTuple = sim.Duration(p.Now() - f.e.t0)
+// deliver hands one pair to the caller's sink — live from emit or
+// replayed from the staging log — and stamps Stats.FirstTuple on the
+// first. Staged runs therefore report the commit time, streaming runs
+// the live emission time: honest delivery either way.
+func (e *env) deliver(p *sim.Proc, r, s block.Tuple) {
+	if !e.firstEmitSet {
+		e.firstEmitSet = true
+		e.stats.FirstTuple = sim.Duration(p.Now() - e.t0)
 	}
-	f.inner.Emit(p, r, s)
+	e.sink.Emit(p, r, s)
 }
-
-// Count implements Sink.
-func (f *firstTupleSink) Count() int64 { return f.inner.Count() }
 
 // ErrStopped is the internal control signal for a satisfied run: a
 // method returns it (via checkStop) when the output cut-off is reached,

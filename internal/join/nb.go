@@ -130,8 +130,8 @@ func nbJoinChunks(e *env, p *sim.Proc, fR *device.File, ensureR func(*sim.Proc) 
 			if err != nil {
 				return err
 			}
-			table := newHashTable()
-			if err := table.addBlocksFiltered(blks, e.filterS()); err != nil {
+			table := newHashTable(n, e.spec.S.TuplesPerBlock)
+			if err := table.addBlocks(blks, e.filterS()); err != nil {
 				return err
 			}
 			return e.staged(up, func() error {
@@ -270,8 +270,8 @@ func (CDTNBMB) run(e *env, p *sim.Proc) error {
 			continue
 		}
 		sp := e.span(p, "join-chunk", obs.AInt("off", c.off))
-		table := newHashTable()
-		err := table.addBlocksFiltered(c.blks, e.filterS())
+		table := newHashTable(c.n, e.spec.S.TuplesPerBlock)
+		err := table.addBlocks(c.blks, e.filterS())
 		if err == nil {
 			err = e.staged(p, func() error { return scanRAndProbe(e, p, fR, mr, table) })
 		}
@@ -419,7 +419,7 @@ func (CDTNBDB) run(e *env, p *sim.Proc) error {
 		err := func() error {
 			e.mem.acquire(c.n)
 			defer e.mem.release(c.n)
-			table := newHashTable()
+			table := newHashTable(c.n, e.spec.S.TuplesPerBlock)
 			keepS := e.filterS()
 			for sub := int64(0); sub < c.n; sub += e.res.IOChunk {
 				g := min64(e.res.IOChunk, c.n-sub)
@@ -429,7 +429,7 @@ func (CDTNBDB) run(e *env, p *sim.Proc) error {
 					c.file.Free()
 					return err
 				}
-				if err := table.addBlocksFiltered(blks, keepS); err != nil {
+				if err := table.addBlocks(blks, keepS); err != nil {
 					dbuf.Release(p, c.iter, c.n-sub)
 					c.file.Free()
 					return err

@@ -173,56 +173,33 @@ func (e *env) readSrc(p *sim.Proc, src bucketSource, off, n int64) ([]block.Bloc
 	})
 }
 
-// stagedSink buffers emissions until commit, so a retried unit of work
-// never double-delivers output. reset discards the uncommitted pairs.
-type stagedSink struct {
-	inner     Sink
-	pairs     [][2]block.Tuple
-	committed int64
-}
-
-// Emit implements Sink.
-func (s *stagedSink) Emit(_ *sim.Proc, r, t block.Tuple) {
-	s.pairs = append(s.pairs, [2]block.Tuple{r, t})
-}
-
-// Count implements Sink.
-func (s *stagedSink) Count() int64 { return s.committed + int64(len(s.pairs)) }
-
-// commit replays the staged pairs into the inner sink.
-func (s *stagedSink) commit(p *sim.Proc) {
-	for _, pr := range s.pairs {
-		s.inner.Emit(p, pr[0], pr[1])
-	}
-	s.committed += int64(len(s.pairs))
-	s.pairs = nil
-}
-
-// reset discards uncommitted pairs.
-func (s *stagedSink) reset() { s.pairs = nil }
-
-// staged runs work with output staged: committed on success, discarded
-// on failure. A unit stopped by the output cut-off commits what it
-// emitted — those pairs are delivered, the stop just cut the unit
-// short — while a real failure also rolls the emission count back so
-// the restarted unit re-counts from the committed baseline. With
-// recovery disabled it runs work directly.
+// staged runs work with its output staged in the run's log: kept on
+// success — flushed at once by a streaming run, left for Exec's final
+// flush by a whole-run-staged one — and rewound to the savepoint on
+// failure, so a retried unit never double-delivers. A unit stopped by
+// the output cut-off commits what it emitted — those pairs are
+// delivered, the stop just cut the unit short — while a real failure
+// also rolls the emission count back so the restarted unit re-counts
+// from the committed baseline. Units do not nest. With recovery
+// disabled it runs work directly.
 func (e *env) staged(p *sim.Proc, work func() error) error {
 	if e.res.Recovery.Disabled {
 		return work()
 	}
-	outer := e.sink
-	st := &stagedSink{inner: outer}
-	e.sink = st
+	mark := e.log.savepoint()
 	before := e.emitted
+	e.staging = true
 	err := work()
-	e.sink = outer
+	e.staging = e.wholeRun
 	if err == nil || errors.Is(err, ErrStopped) {
-		sp := e.span(p, "stage-commit", obs.AInt("pairs", int64(len(st.pairs))))
-		st.commit(p)
+		sp := e.span(p, "stage-commit", obs.AInt("pairs", e.log.pairs-mark.pairs))
+		if !e.wholeRun {
+			e.log.flush(p, e.deliver)
+		}
 		sp.Close(p)
 		return err
 	}
+	e.log.rewind(mark)
 	e.emitted = before
 	return err
 }
@@ -294,9 +271,7 @@ func (e *env) degradeRerun(p *sim.Proc, cause error) error {
 	// count and first-tuple stamp restart with the rerun — nothing the
 	// failed attempt produced was delivered (Exec only degrades when
 	// the whole run is staged or nothing streamed out yet).
-	if e.outer != nil {
-		e.outer.reset()
-	}
+	e.log.rewind(logMark{})
 	e.emitted = 0
 	e.firstEmitSet = false
 	e.stats.FirstTuple = 0

@@ -3,10 +3,12 @@ package join
 import (
 	"errors"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"repro/internal/block"
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -341,5 +343,134 @@ func TestFaultStatsZeroOnCleanRuns(t *testing.T) {
 			st.RecoveryTime != 0 || st.DisksLost != 0 || st.DriveLost || st.DegradedTo != "" {
 			t.Fatalf("%s: clean run has recovery stats: %+v", m.Symbol(), st)
 		}
+	}
+}
+
+// commitPairs returns the pairs attribute of every stage-commit span of
+// a run, in commit order.
+func commitPairs(t *testing.T, tr *obs.Tracker) []string {
+	t.Helper()
+	var out []string
+	for _, sp := range tr.Spans() {
+		if sp.Name != "stage-commit" {
+			continue
+		}
+		for _, a := range sp.Attrs {
+			if a.Key == "pairs" {
+				out = append(out, a.Value)
+			}
+		}
+	}
+	return out
+}
+
+// TestUnitRestartDeliversExactlyOnce: a disk read fault that outlives
+// the read-retry budget fails an S-chunk unit after it has already
+// emitted pairs; the unit rewinds the staging log to its savepoint and
+// restarts. Under whole-run staging and under streaming alike the sink
+// must receive every pair exactly once, and each unit's stage-commit
+// span must report the unit's own pairs — the same sequence as the
+// fault-free run, not the log's running total.
+func TestUnitRestartDeliversExactlyOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		sink func() (Sink, *CountSink)
+	}{
+		{"whole-run staging", func() (Sink, *CountSink) { c := &CountSink{}; return c, c }},
+		// A StreamSink that is never satisfied: streaming delivery,
+		// full output.
+		{"streaming", func() (Sink, *CountSink) { c := &CountSink{}; return &StopSink{Inner: c}, c }},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(sched *fault.Schedule) (*Result, *CountSink, []string) {
+				res := fastRes(10, 64)
+				res.Faults = sched
+				res.Spans = obs.NewTracker()
+				sink, count := tc.sink()
+				result, err := Run(mustMethod(t, "DT-NB"), testSpec(t), res, sink)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return result, count, commitPairs(t, res.Spans)
+			}
+			clean, cleanSink, cleanCommits := run(nil)
+			if len(cleanCommits) < 2 || cleanCommits[0] == "0" {
+				t.Fatalf("clean run commits %v: need several non-empty units", cleanCommits)
+			}
+			// Block 12 of the disk copy of R sits mid-scan, so the first
+			// chunk's unit has emitted pairs when its read budget (1 + 4
+			// retries) runs out; the restarted unit absorbs the sixth.
+			sched := &fault.Schedule{}
+			sched.AddTransient("disk", 12, 6)
+			faulted, sink, commits := run(sched)
+			if faulted.Stats.UnitRestarts != 1 {
+				t.Fatalf("UnitRestarts = %d, want 1", faulted.Stats.UnitRestarts)
+			}
+			if *sink != *cleanSink {
+				t.Fatalf("faulted sink %+v, clean %+v", *sink, *cleanSink)
+			}
+			if faulted.Stats.OutputTuples != clean.Stats.OutputTuples {
+				t.Fatalf("OutputTuples = %d, clean %d", faulted.Stats.OutputTuples, clean.Stats.OutputTuples)
+			}
+			if !reflect.DeepEqual(commits, cleanCommits) {
+				t.Fatalf("stage-commit pairs %v, clean run %v", commits, cleanCommits)
+			}
+		})
+	}
+}
+
+// TestDriveLossReplanDeliversExactlyOnce: a drive dies after units of
+// the first plan have committed into the whole-run log; the re-plan
+// rewinds the log to zero and the fallback method's output is the only
+// one delivered — byte for byte the fault-free multiset — with the
+// fallback's stage-commit spans adding up to it.
+func TestDriveLossReplanDeliversExactlyOnce(t *testing.T) {
+	res := fastRes(20, 500)
+	cleanSink := &CountSink{}
+	clean, err := Run(mustMethod(t, "CDT-GH"), specWithSizes(t, 320, 640, 4), res, cleanSink)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	res.Faults = (&fault.Schedule{}).AddDriveFail("tape:S", sim.Time(clean.Stats.Response*2/3))
+	res.Spans = obs.NewTracker()
+	sink := &CountSink{}
+	faulted, err := Run(mustMethod(t, "CDT-GH"), specWithSizes(t, 320, 640, 4), res, sink)
+	if err != nil {
+		t.Fatalf("degraded run: %v", err)
+	}
+	if faulted.Stats.DegradedTo == "" {
+		t.Fatal("no re-plan happened")
+	}
+	if *sink != *cleanSink {
+		t.Fatalf("degraded sink %+v, clean %+v", *sink, *cleanSink)
+	}
+	// Span IDs grow in creation order.
+	var replanID, before, after int64
+	for _, sp := range res.Spans.Spans() {
+		if sp.Name == "degrade-replan" {
+			replanID = sp.ID
+		}
+	}
+	for _, sp := range res.Spans.Spans() {
+		if sp.Name != "stage-commit" {
+			continue
+		}
+		n, err := strconv.ParseInt(sp.Attrs[0].Value, 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sp.ID < replanID {
+			before += n
+		} else {
+			after += n
+		}
+	}
+	if before == 0 {
+		t.Fatal("no unit committed before the drive died; the test does not exercise the rewind")
+	}
+	if after != cleanSink.Matches {
+		t.Fatalf("fallback committed %d pairs, want %d", after, cleanSink.Matches)
 	}
 }

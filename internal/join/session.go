@@ -260,19 +260,14 @@ func (s *Session) Exec(p *sim.Proc, m Method, spec Spec, sink Sink, opts ExecOpt
 		e.streamSink = ss
 	}
 	streaming := e.stopAfter > 0 || e.streamSink != nil
-	// The first-tuple stamp sits beneath any staging, so it records
-	// when a pair actually reached the caller's sink.
-	e.sink = &firstTupleSink{e: e, inner: sink}
 	// Stage the run's output so a drive-loss re-plan can discard the
 	// failed attempt's emissions and start over without
 	// double-delivering. Streaming runs skip the whole-run staging —
 	// the point is that pairs reach the sink as units commit — and
 	// give up the transparent re-plan in exchange (see
 	// ExecOptions.StopAfter).
-	if !res.Recovery.Disabled && !streaming {
-		e.outer = &stagedSink{inner: e.sink}
-		e.sink = e.outer
-	}
+	e.wholeRun = !res.Recovery.Disabled && !streaming
+	e.staging = e.wholeRun
 
 	runErr := m.run(e, p)
 	if errors.Is(runErr, ErrStopped) {
@@ -305,9 +300,7 @@ func (s *Session) Exec(p *sim.Proc, m Method, spec Spec, sink Sink, opts ExecOpt
 	if runErr != nil {
 		return nil, fmt.Errorf("%s: %w", m.Symbol(), runErr)
 	}
-	if e.outer != nil {
-		e.outer.commit(p)
-	}
+	e.log.flush(p, e.deliver)
 
 	s.finishStats(e, p.Now(), snap)
 	result := &Result{Method: m.Symbol(), Stats: *e.stats}

@@ -1,7 +1,6 @@
 package join
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/block"
@@ -25,6 +24,8 @@ type SharedQuery struct {
 	// only — the other riders still see them.
 	FilterS func(block.Tuple) bool
 	// Sink receives the rider's output pairs; nil counts matches only.
+	// Pairs are held until the pass has succeeded: a failed pass
+	// reaches no sink, so its riders can be re-served without doubles.
 	Sink Sink
 	// MrBlocks is the rider's R-scan buffer (admission control's
 	// per-query memory partition). Minimum 1.
@@ -47,7 +48,9 @@ type SharedResult struct {
 // reader proc ahead of the join); for each chunk one shared hash
 // table is built, and every rider's disk-resident R scans against it
 // in turn. Compared to running the riders back to back, S's tape cost
-// is paid once instead of len(queries) times.
+// is paid once instead of len(queries) times. Each rider's output is
+// held in a staging log and reaches its Sink only when the pass has
+// succeeded.
 //
 // memBlocks is the memory budget for the pass (0 = the session's M):
 // each rider reserves MrBlocks for its R scan and the remainder splits
@@ -102,6 +105,7 @@ func (s *Session) ExecShared(p *sim.Proc, bigS *relation.Relation, queries []Sha
 		n    int64
 		err  error
 	}
+	held := make([]stageLog, len(queries))
 	bufs := sim.NewContainer(e.k, "shared-bufs", 2, 2)
 	q := sim.NewQueue[chunk](e.k, "shared-chunks", 1)
 
@@ -140,16 +144,9 @@ func (s *Session) ExecShared(p *sim.Proc, bigS *relation.Relation, queries []Sha
 			}
 			continue
 		}
-		err := sharedJoinChunk(e, p, c.blks, c.off, queries)
+		err := sharedJoinChunk(e, p, c.blks, c.off, queries, held)
 		e.mem.release(c.n)
 		bufs.Put(p, 1)
-		if errors.Is(err, ErrStopped) {
-			// Every rider satisfied: stop the scan but keep draining the
-			// queue so the reader can finish its Send and exit.
-			e.stats.Stopped = true
-			e.abort = true
-			continue
-		}
 		if err != nil {
 			pipeErr = err
 			e.abort = true
@@ -171,8 +168,9 @@ func (s *Session) ExecShared(p *sim.Proc, bigS *relation.Relation, queries []Sha
 	out := &SharedResult{Stats: *e.stats}
 	out.Stats.OutputTuples = 0
 	for i := range queries {
-		out.Matches = append(out.Matches, queries[i].Sink.Count())
-		out.Stats.OutputTuples += queries[i].Sink.Count()
+		n := held[i].flush(p, queries[i].Sink.Emit)
+		out.Matches = append(out.Matches, n)
+		out.Stats.OutputTuples += n
 	}
 	return out, nil
 }
@@ -180,28 +178,22 @@ func (s *Session) ExecShared(p *sim.Proc, bigS *relation.Relation, queries []Sha
 // sharedJoinChunk builds one hash table over an S chunk and probes
 // every rider's disk-resident R against it. Riders run sequentially —
 // the disk array is the shared resource and its contention is what the
-// simulation accounts — with per-rider S filters applied at emission.
-// Riders whose StreamSink is already satisfied skip their probe scan;
-// once every rider is satisfied the chunk returns ErrStopped so the
-// pass can stop pulling S from tape.
-func sharedJoinChunk(e *env, p *sim.Proc, blks []block.Block, off int64, queries []SharedQuery) error {
+// simulation accounts — with per-rider S filters applied at emission,
+// into the rider's held log. A rider's sink sees nothing before the
+// pass ends, so no sink-driven stop can cut a pass short.
+func sharedJoinChunk(e *env, p *sim.Proc, blks []block.Block, off int64, queries []SharedQuery, held []stageLog) error {
 	if err := e.checkStop(); err != nil {
 		return err
 	}
-	if allRidersSatisfied(queries) {
-		return ErrStopped
-	}
 	sp := e.span(p, "join-chunk", obs.AInt("off", off))
 	defer sp.Close(p)
-	table := newHashTable()
-	if err := table.addBlocks(blks); err != nil {
+	table := newHashTable(int64(len(blks)), e.spec.S.TuplesPerBlock)
+	if err := table.addBlocks(blks, nil); err != nil {
 		return err
 	}
 	for i := range queries {
 		q := &queries[i]
-		if ss, ok := q.Sink.(StreamSink); ok && ss.Satisfied() {
-			continue
-		}
+		log := &held[i]
 		psp := e.span(p, "probe", obs.AInt("rider", int64(i)))
 		e.mem.acquire(q.MrBlocks)
 		err := func() error {
@@ -213,11 +205,10 @@ func sharedJoinChunk(e *env, p *sim.Proc, blks []block.Block, off int64, queries
 					return err
 				}
 				err = forEachTuple(rBlks, func(rt block.Tuple) {
-					for _, st := range table.m[rt.Key] {
-						if q.FilterS != nil && !q.FilterS(st) {
-							continue
+					for j := table.first(rt.Key); j != 0; j = table.next[j] {
+						if st := table.tuples[j]; q.FilterS == nil || q.FilterS(st) {
+							log.emit(rt, st)
 						}
-						q.Sink.Emit(p, rt, st)
 					}
 				})
 				if err != nil {
@@ -233,16 +224,4 @@ func sharedJoinChunk(e *env, p *sim.Proc, blks []block.Block, off int64, queries
 		}
 	}
 	return nil
-}
-
-// allRidersSatisfied reports whether every rider's sink is a satisfied
-// StreamSink — the shared pass has nothing left to produce.
-func allRidersSatisfied(queries []SharedQuery) bool {
-	for i := range queries {
-		ss, ok := queries[i].Sink.(StreamSink)
-		if !ok || !ss.Satisfied() {
-			return false
-		}
-	}
-	return true
 }

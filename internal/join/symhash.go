@@ -168,8 +168,8 @@ func (SymHash) run(e *env, p *sim.Proc) error {
 	rTabs := make([]*hashTable, pl.k)
 	sTabs := make([]*hashTable, pl.k)
 	for i := 0; i < pl.k; i++ {
-		rTabs[i] = newHashTable()
-		sTabs[i] = newHashTable()
+		rTabs[i] = newHashTable(pl.perPartR, e.spec.R.TuplesPerBlock)
+		sTabs[i] = newHashTable(pl.perPartS, e.spec.S.TuplesPerBlock)
 	}
 
 	// Spill files for partitions k..p-1, created lazily on first flush
@@ -264,10 +264,10 @@ func (SymHash) run(e *env, p *sim.Proc) error {
 		if bkt < pl.k {
 			if fromR {
 				sTabs[bkt].probeWithR(e, p, t)
-				rTabs[bkt].m[t.Key] = append(rTabs[bkt].m[t.Key], t)
+				rTabs[bkt].insert(t)
 			} else {
 				rTabs[bkt].probeWithS(e, p, t)
-				sTabs[bkt].m[t.Key] = append(sTabs[bkt].m[t.Key], t)
+				sTabs[bkt].insert(t)
 			}
 			return nil
 		}

@@ -2,6 +2,7 @@ package join
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/block"
 	"repro/internal/device"
@@ -12,73 +13,119 @@ import (
 // hashTable is the in-memory build side of a join phase. CPU cost is
 // outside the paper's cost model, so building and probing consume no
 // virtual time.
+//
+// The layout is flat: tuples sit contiguously in insertion order, an
+// open-addressing slot array (linear probing, at most half full) maps a
+// key to its first tuple, and next chains a key's tuples in insertion
+// order, so a probe emits duplicates in the order they were built.
+// Index 0 of the parallel arrays is a sentinel: link 0 means "none".
 type hashTable struct {
-	m map[uint64][]block.Tuple
+	tuples []block.Tuple
+	next   []int32 // next[i]: the tuple after i with the same key
+	tail   []int32 // tail[i]: for the first tuple of a key, the last one
+	slots  []int32 // first tuple of the key hashed here; 0 = empty
+	shift  uint    // 64 - log2(len(slots))
 }
 
-func newHashTable() *hashTable {
-	return &hashTable{m: make(map[uint64][]block.Tuple)}
+// newHashTable sizes a table for the build side it is about to hold,
+// blocks of tuplesPerBlock tuples; a build that exceeds the plan grows
+// by doubling.
+func newHashTable(blocks int64, tuplesPerBlock int) *hashTable {
+	n := int(blocks) * tuplesPerBlock
+	h := &hashTable{
+		tuples: make([]block.Tuple, 1, n+1),
+		next:   make([]int32, 1, n+1),
+		tail:   make([]int32, 1, n+1),
+	}
+	size := 8
+	for size < 2*n {
+		size *= 2
+	}
+	h.setSlots(size)
+	return h
 }
 
-// addBlocks inserts every tuple of blks. Corrupt blocks surface as the
-// decoder's typed error, never a panic: the blocks come from device
-// reads, and delivered-copy corruption is an input condition here.
-func (h *hashTable) addBlocks(blks []block.Block) error {
-	return h.addBlocksFiltered(blks, nil)
+func (h *hashTable) setSlots(size int) {
+	h.slots = make([]int32, size)
+	h.shift = uint(64 - bits.TrailingZeros(uint(size)))
 }
 
-// addBlocksFiltered inserts tuples surviving keep (nil keeps all).
-func (h *hashTable) addBlocksFiltered(blks []block.Block, keep keepFn) error {
-	for _, blk := range blks {
-		_, tuples, err := blk.Decode()
-		if err != nil {
-			return fmt.Errorf("join: build side: %w", err)
-		}
-		for _, t := range tuples {
-			if keep != nil && !keep(t) {
-				continue
-			}
-			h.m[t.Key] = append(h.m[t.Key], t)
+// slotFor returns the slot holding key, or the empty slot where key
+// belongs. The multiplicative hash is independent of hashutil.Bucket,
+// so it stays well mixed within one Grace bucket.
+func (h *hashTable) slotFor(key uint64) *int32 {
+	mask := uint64(len(h.slots) - 1)
+	for i := (key * 0x9E3779B97F4A7C15) >> h.shift; ; i = (i + 1) & mask {
+		sl := &h.slots[i]
+		if *sl == 0 || h.tuples[*sl].Key == key {
+			return sl
 		}
 	}
-	return nil
+}
+
+// insert appends t, after any earlier tuple with the same key.
+func (h *hashTable) insert(t block.Tuple) {
+	if 2*len(h.tuples) > len(h.slots) {
+		old := h.slots
+		h.setSlots(2 * len(old))
+		for _, head := range old {
+			if head != 0 {
+				*h.slotFor(h.tuples[head].Key) = head
+			}
+		}
+	}
+	i := int32(len(h.tuples))
+	h.tuples = append(h.tuples, t)
+	h.next = append(h.next, 0)
+	h.tail = append(h.tail, i)
+	if sl := h.slotFor(t.Key); *sl == 0 {
+		*sl = i
+	} else {
+		h.next[h.tail[*sl]] = i
+		h.tail[*sl] = i
+	}
+}
+
+// first returns the index of the first tuple with key, 0 when there is
+// none; h.next[i] continues the chain.
+func (h *hashTable) first(key uint64) int32 { return *h.slotFor(key) }
+
+// addBlocks inserts the tuples of blks that survive keep (nil keeps
+// all), block by block; see forEachTuple for corrupt blocks.
+func (h *hashTable) addBlocks(blks []block.Block, keep keepFn) error {
+	return forEachTuple(blks, func(t block.Tuple) {
+		if keep == nil || keep(t) {
+			h.insert(t)
+		}
+	})
 }
 
 // probeWithR probes with an R tuple against a table built on S tuples,
 // emitting (r, s) pairs through the env's emission funnel.
 func (h *hashTable) probeWithR(e *env, p *sim.Proc, r block.Tuple) {
-	for _, s := range h.m[r.Key] {
-		e.emit(p, r, s)
+	for i := h.first(r.Key); i != 0; i = h.next[i] {
+		e.emit(p, r, h.tuples[i])
 	}
 }
 
 // probeWithS probes with an S tuple against a table built on R tuples,
 // emitting (r, s) pairs through the env's emission funnel.
 func (h *hashTable) probeWithS(e *env, p *sim.Proc, s block.Tuple) {
-	for _, r := range h.m[s.Key] {
-		e.emit(p, r, s)
+	for i := h.first(s.Key); i != 0; i = h.next[i] {
+		e.emit(p, h.tuples[i], s)
 	}
 }
 
-func (h *hashTable) len() int {
-	n := 0
-	for _, v := range h.m {
-		n += len(v)
-	}
-	return n
-}
+func (h *hashTable) len() int { return len(h.tuples) - 1 }
 
-// forEachTuple decodes blocks and applies fn to every tuple. A corrupt
-// block stops the walk with the decoder's typed error — device-read
-// corruption must never panic a join.
+// forEachTuple applies fn to every tuple of blks, block by block. A
+// corrupt block stops the walk, before any of its tuples reaches fn,
+// with the decoder's typed error: the blocks come from device reads,
+// and corruption there is an input condition, never a panic.
 func forEachTuple(blks []block.Block, fn func(block.Tuple)) error {
 	for _, blk := range blks {
-		_, tuples, err := blk.Decode()
-		if err != nil {
+		if err := blk.Each(fn); err != nil {
 			return fmt.Errorf("join: decode: %w", err)
-		}
-		for _, t := range tuples {
-			fn(t)
 		}
 	}
 	return nil

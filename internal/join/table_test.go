@@ -1,0 +1,200 @@
+package join
+
+import (
+	"bytes"
+	"encoding/binary"
+	"hash/fnv"
+	"math/rand"
+	"testing"
+
+	"repro/internal/block"
+)
+
+// mapTable is the build side as it was before the flat table: a map
+// from key to the tuples carrying it, in insertion order. It is the
+// reference the flat table is tested against.
+type mapTable map[uint64][]block.Tuple
+
+func (m mapTable) addBlocks(blks []block.Block, keep keepFn) {
+	for _, blk := range blks {
+		_, tuples := blk.MustDecode()
+		for _, t := range tuples {
+			if keep == nil || keep(t) {
+				m[t.Key] = append(m[t.Key], t)
+			}
+		}
+	}
+}
+
+// chain returns the flat table's tuples for key, in probe order.
+func (h *hashTable) chain(key uint64) []block.Tuple {
+	var out []block.Tuple
+	for i := h.first(key); i != 0; i = h.next[i] {
+		out = append(out, h.tuples[i])
+	}
+	return out
+}
+
+// randomBlocks packs n tuples with keys drawn from [0, keySpace) and
+// payloads that identify the tuple, so order within a key is checkable.
+func randomBlocks(rng *rand.Rand, n, perBlock int, keySpace uint64) []block.Block {
+	var blks []block.Block
+	bld := block.NewBuilder(1)
+	for i := 0; i < n; i++ {
+		var p [4]byte
+		binary.LittleEndian.PutUint32(p[:], uint32(i))
+		bld.Append(block.Tuple{Key: rng.Uint64() % keySpace, Payload: p[:rng.Intn(5)]})
+		if bld.Len() == perBlock {
+			blks = append(blks, bld.Finish())
+		}
+	}
+	if bld.Len() > 0 {
+		blks = append(blks, bld.Finish())
+	}
+	return blks
+}
+
+// TestFlatTableMatchesMapSemantics is the differential test of the
+// flat table against the old map: same tuples per key in the same
+// (insertion) order, same misses, same len — with heavy duplication,
+// with unique keys, with a filtered build, when the sizing hint is
+// exact, and when the build grows far past a zero or too-small hint.
+func TestFlatTableMatchesMapSemantics(t *testing.T) {
+	evenKeys := func(t block.Tuple) bool { return t.Key%2 == 0 }
+	for _, tc := range []struct {
+		name     string
+		n        int
+		keySpace uint64
+		hint     int64 // blocks passed to newHashTable
+		keep     keepFn
+	}{
+		{"duplicates, exact hint", 5000, 37, 50, nil},
+		{"unique-ish keys, exact hint", 5000, 1 << 40, 50, nil},
+		{"growth from a zero hint", 5000, 600, 0, nil},
+		{"growth past a small hint", 20000, 3000, 2, nil},
+		{"filtered build", 5000, 200, 50, evenKeys},
+		{"sequential keys collide in linear probing", 4096, 4096, 41, nil},
+		{"empty build", 0, 10, 0, nil},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(tc.n) + int64(tc.keySpace)))
+			blks := randomBlocks(rng, tc.n, 100, tc.keySpace)
+			ref := mapTable{}
+			ref.addBlocks(blks, tc.keep)
+			h := newHashTable(tc.hint, 100)
+			// Build in two calls, as CDT-NB/DB does.
+			half := len(blks) / 2
+			if err := h.addBlocks(blks[:half], tc.keep); err != nil {
+				t.Fatal(err)
+			}
+			if err := h.addBlocks(blks[half:], tc.keep); err != nil {
+				t.Fatal(err)
+			}
+			total := 0
+			for key, want := range ref {
+				total += len(want)
+				got := h.chain(key)
+				if len(got) != len(want) {
+					t.Fatalf("key %d: %d tuples, want %d", key, len(got), len(want))
+				}
+				for i := range want {
+					if got[i].Key != key || !bytes.Equal(got[i].Payload, want[i].Payload) {
+						t.Fatalf("key %d: tuple %d out of insertion order", key, i)
+					}
+				}
+			}
+			if h.len() != total {
+				t.Fatalf("len() = %d, want %d", h.len(), total)
+			}
+			for i := 0; i < 2000; i++ {
+				key := rng.Uint64()
+				if _, ok := ref[key]; !ok && h.first(key) != 0 {
+					t.Fatalf("key %d absent from the build but found", key)
+				}
+			}
+			if 2*len(h.tuples) > len(h.slots)+2 {
+				t.Fatalf("%d tuples in %d slots: more than half full", h.len(), len(h.slots))
+			}
+		})
+	}
+}
+
+// TestFlatTableCorruptBlockAddsNothing: a corrupt block fails the build
+// with the decoder's typed error before any of its tuples is inserted.
+func TestFlatTableCorruptBlockAddsNothing(t *testing.T) {
+	blks := randomBlocks(rand.New(rand.NewSource(1)), 200, 100, 50)
+	bad := append(block.Block(nil), blks[1]...)
+	bad[len(bad)-1] ^= 0xff
+	h := newHashTable(2, 100)
+	if err := h.addBlocks([]block.Block{blks[0], bad}, nil); err == nil {
+		t.Fatal("corrupt block accepted")
+	}
+	if h.len() != 100 {
+		t.Fatalf("len() = %d after a good and a corrupt block, want 100", h.len())
+	}
+}
+
+// TestPairHashIsFNV1a pins the inlined digest to hash/fnv fed the same
+// bytes, over random keys and payloads (empty ones included), so
+// OutputHash cannot drift between versions.
+func TestPairHashIsFNV1a(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	ref := func(r, s block.Tuple) uint64 {
+		h := fnv.New64a()
+		var k [8]byte
+		binary.LittleEndian.PutUint64(k[:], r.Key)
+		h.Write(k[:])
+		h.Write(r.Payload)
+		binary.LittleEndian.PutUint64(k[:], s.Key)
+		h.Write(k[:])
+		h.Write(s.Payload)
+		return h.Sum64()
+	}
+	for i := 0; i < 5000; i++ {
+		rp, sp := make([]byte, rng.Intn(40)), make([]byte, rng.Intn(40))
+		if i%7 == 0 {
+			rp = nil
+		}
+		if i%11 == 0 {
+			sp = []byte{}
+		}
+		rng.Read(rp)
+		rng.Read(sp)
+		r, s := block.Tuple{Key: rng.Uint64(), Payload: rp}, block.Tuple{Key: rng.Uint64(), Payload: sp}
+		if got, want := pairHash(r, s), ref(r, s); got != want {
+			t.Fatalf("pairHash(%v, %v) = %016x, hash/fnv says %016x", r, s, got, want)
+		}
+	}
+}
+
+// BenchmarkHashTableBuildProbe builds a table over one memory load of
+// dense blocks (16 blocks of 2048 tuples) and probes it once per key of
+// a relation four times as large, a quarter of the probes hitting.
+func BenchmarkHashTableBuildProbe(b *testing.B) {
+	const blocks, perBlock = 16, 2048
+	rng := rand.New(rand.NewSource(1))
+	blks := randomBlocks(rng, blocks*perBlock, perBlock, 4*blocks*perBlock)
+	probes := make([]uint64, 4*blocks*perBlock)
+	for i := range probes {
+		probes[i] = rng.Uint64() % (4 * blocks * perBlock)
+	}
+	var bytesIn int64
+	for _, blk := range blks {
+		bytesIn += int64(len(blk))
+	}
+	b.ReportAllocs()
+	b.SetBytes(bytesIn)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h := newHashTable(blocks, perBlock)
+		if err := h.addBlocks(blks, nil); err != nil {
+			b.Fatal(err)
+		}
+		for _, key := range probes {
+			for j := h.first(key); j != 0; j = h.next[j] {
+				benchPairs++
+			}
+		}
+	}
+}

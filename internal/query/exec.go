@@ -319,8 +319,9 @@ func (q *Query) specFilters(c *compiled, reportErr func(error)) (fr, fs func(blo
 	return fr, fs
 }
 
-// runAggregate executes the query with a grouped-aggregate sink.
-func (q *Query) runAggregate(res join.Resources, method join.Method, c *compiled) (*Result, error) {
+// newAggSink checks and binds the query's grouping and aggregate
+// expressions into a grouped-aggregate sink.
+func (q *Query) newAggSink(c *compiled) (*aggSink, error) {
 	if len(q.Select) > 0 {
 		return nil, fmt.Errorf("query: Select and Aggregates are mutually exclusive")
 	}
@@ -355,7 +356,15 @@ func (q *Query) runAggregate(res join.Resources, method join.Method, c *compiled
 		}
 		sink.aggs = append(sink.aggs, a)
 	}
+	return sink, nil
+}
 
+// runAggregate executes the query with a grouped-aggregate sink.
+func (q *Query) runAggregate(res join.Resources, method join.Method, c *compiled) (*Result, error) {
+	sink, err := q.newAggSink(c)
+	if err != nil {
+		return nil, err
+	}
 	spec := join.Spec{R: q.R.Rel, S: q.S.Rel}
 	spec.FilterR, spec.FilterS = q.specFilters(c, func(err error) {
 		if sink.err == nil {

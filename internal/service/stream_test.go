@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/block"
 	"repro/internal/join"
 	"repro/internal/relation"
 	"repro/internal/tape"
@@ -190,5 +191,45 @@ func TestServiceClientCancelStopsDeviceWork(t *testing.T) {
 	// The daemon is still healthy for the next tenant.
 	if code, _, res := postJoin(t, base, Request{ID: "after", R: "R1", S: "S1"}); code != 200 || res.Failed {
 		t.Fatalf("post-cancel query: %d %v", code, res)
+	}
+}
+
+// TestStreamSinkKeepsNothingFromEmit enforces the join.Sink lifetime
+// rule on the service's sink: pairs delivered from scratch memory that
+// is overwritten right after each Emit leave the same digest, counts
+// and streamed keys as pairs delivered from stable memory.
+func TestStreamSinkKeepsNothingFromEmit(t *testing.T) {
+	feed := func(transient bool) (join.CountSink, [][2]uint64, int64) {
+		s := &streamSink{ch: make(chan [2]uint64, 8)}
+		for i := 0; i < 12; i++ {
+			rp, sp := []byte{byte(i), 1, 2}, []byte{byte(i), 9}
+			if transient {
+				buf := append(append([]byte(nil), rp...), sp...)
+				rp, sp = buf[:len(rp)], buf[len(rp):]
+				s.Emit(nil, block.Tuple{Key: uint64(i), Payload: rp}, block.Tuple{Key: uint64(i), Payload: sp})
+				for j := range buf {
+					buf[j] = 0xA5
+				}
+				continue
+			}
+			s.Emit(nil, block.Tuple{Key: uint64(i), Payload: rp}, block.Tuple{Key: uint64(i), Payload: sp})
+		}
+		close(s.ch)
+		var keys [][2]uint64
+		for k := range s.ch {
+			keys = append(keys, k)
+		}
+		return s.CountSink, keys, s.dropped
+	}
+	wantSink, wantKeys, wantDropped := feed(false)
+	gotSink, gotKeys, gotDropped := feed(true)
+	if gotSink != wantSink || gotDropped != wantDropped || len(gotKeys) != len(wantKeys) {
+		t.Fatalf("transient feed: %+v, %d streamed, %d dropped; stable feed: %+v, %d, %d",
+			gotSink, len(gotKeys), gotDropped, wantSink, len(wantKeys), wantDropped)
+	}
+	for i := range wantKeys {
+		if gotKeys[i] != wantKeys[i] {
+			t.Fatalf("streamed pair %d = %v, want %v", i, gotKeys[i], wantKeys[i])
+		}
 	}
 }

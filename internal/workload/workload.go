@@ -655,34 +655,10 @@ func sinkHash(s join.Sink) uint64 {
 	return 0
 }
 
-// holdSink buffers a shared rider's output until the pass commits, so
-// a failed pass can demote its riders to solo service without
-// double-delivering pairs already emitted mid-scan.
-type holdSink struct {
-	inner join.Sink
-	pairs [][2]block.Tuple
-}
-
-// Emit implements join.Sink.
-func (s *holdSink) Emit(_ *sim.Proc, r, t block.Tuple) {
-	s.pairs = append(s.pairs, [2]block.Tuple{r, t})
-}
-
-// Count implements join.Sink.
-func (s *holdSink) Count() int64 { return int64(len(s.pairs)) }
-
-// commit replays the held pairs into the rider's real sink.
-func (s *holdSink) commit(p *sim.Proc) {
-	for _, pr := range s.pairs {
-		s.inner.Emit(p, pr[0], pr[1])
-	}
-	s.pairs = nil
-}
-
 // demote falls back from a failed shared pass to solo service: each
 // rider re-enters as a single query — with its own requeue budget — on
-// the surviving devices. The pass's held output was discarded with it,
-// so no pair is double-delivered.
+// the surviving devices. A failed pass delivers nothing to its riders'
+// sinks (join.SharedQuery.Sink), so no pair is double-delivered.
 func (en *engine) demote(p *sim.Proc, indices []int, cause error) error {
 	en.logf(p, "shared pass failed (%v); demoting %d riders to singles", cause, len(indices))
 	en.out.Demotions += len(indices)
@@ -709,7 +685,6 @@ func (en *engine) runShared(p *sim.Proc, indices []int) error {
 	mShare := res.MemoryBlocks / int64(len(indices))
 	riders := make([]join.SharedQuery, 0, len(indices))
 	handles := make([]*staged, 0, len(indices))
-	held := make([]*holdSink, 0, len(indices))
 	for _, qi := range indices {
 		q := en.queries[qi]
 		en.queueWait.Observe(start.Seconds())
@@ -729,9 +704,6 @@ func (en *engine) runShared(p *sim.Proc, indices []int) error {
 		if sink == nil {
 			sink = &join.CountSink{}
 		}
-		hs := &holdSink{inner: sink}
-		held = append(held, hs)
-		sink = hs
 		// The rider's R-scan buffer: IOChunk-sized when the share
 		// allows, so per-chunk R re-scans amortize the disk's
 		// per-request positioning overhead; at most half the share, so
@@ -763,9 +735,6 @@ func (en *engine) runShared(p *sim.Proc, indices []int) error {
 		}
 		return fmt.Errorf("workload: shared pass over %s: %w", bigS.Name, err)
 	}
-	for _, hs := range held {
-		hs.commit(p)
-	}
 	en.out.SharedPasses++
 	en.sharedC.Inc()
 	end := sim.Duration(p.Now())
@@ -777,7 +746,7 @@ func (en *engine) runShared(p *sim.Proc, indices []int) error {
 			CacheHit: handles[i].hit,
 			Start:    start, End: end, Wait: start,
 			Matches:    shared.Matches[i],
-			OutputHash: sinkHash(held[i].inner),
+			OutputHash: sinkHash(riders[i].Sink),
 		}
 	}
 	return nil

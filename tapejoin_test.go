@@ -1,8 +1,11 @@
 package tapejoin
 
 import (
+	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/block"
 )
 
 // quickSystem returns a small ideal-model system.
@@ -233,5 +236,32 @@ func TestMBConversion(t *testing.T) {
 	}
 	if MB(3) != 48 {
 		t.Fatalf("MB(3) = %d", MB(3))
+	}
+}
+
+// TestSampleSinkKeepsNothingFromEmit enforces the join.Sink lifetime
+// rule on the facade's sink: pairs delivered from scratch memory that
+// is overwritten right after each Emit leave the same digest and the
+// same sample as pairs delivered from stable memory.
+func TestSampleSinkKeepsNothingFromEmit(t *testing.T) {
+	feed := func(transient bool) *sampleSink {
+		s := &sampleSink{cap: 5}
+		for i := 0; i < 12; i++ {
+			rp, sp := []byte{byte(i), 1, 2}, []byte{byte(i), 9}
+			if transient {
+				buf := append(append([]byte(nil), rp...), sp...)
+				rp, sp = buf[:len(rp)], buf[len(rp):]
+				s.Emit(nil, block.Tuple{Key: uint64(i), Payload: rp}, block.Tuple{Key: uint64(i) + 100, Payload: sp})
+				for j := range buf {
+					buf[j] = 0xA5
+				}
+				continue
+			}
+			s.Emit(nil, block.Tuple{Key: uint64(i), Payload: rp}, block.Tuple{Key: uint64(i) + 100, Payload: sp})
+		}
+		return s
+	}
+	if want, got := feed(false), feed(true); !reflect.DeepEqual(got, want) {
+		t.Fatalf("transient feed left %+v, stable feed %+v", got, want)
 	}
 }
