@@ -126,9 +126,9 @@ func (blk Block) Tag() (byte, error) {
 	return blk[3], nil
 }
 
-// check validates the header and the body checksum, returning the
-// relation tag, the declared tuple count and the body.
-func (blk Block) check() (tag byte, n uint32, body []byte, err error) {
+// header validates magic, version and length, returning the relation
+// tag, the declared tuple count and the body.
+func (blk Block) header() (tag byte, n uint32, body []byte, err error) {
 	if len(blk) < headerSize {
 		return 0, 0, nil, ErrTruncated
 	}
@@ -138,18 +138,31 @@ func (blk Block) check() (tag byte, n uint32, body []byte, err error) {
 	if blk[2] != version {
 		return 0, 0, nil, fmt.Errorf("%w: %d", ErrBadVersion, blk[2])
 	}
-	body = blk[headerSize:]
+	return blk[3], binary.LittleEndian.Uint32(blk[4:8]), blk[headerSize:], nil
+}
+
+// check is header plus the body checksum.
+func (blk Block) check() (tag byte, n uint32, body []byte, err error) {
+	tag, n, body, err = blk.header()
+	if err != nil {
+		return 0, 0, nil, err
+	}
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(blk[8:12]) {
 		return 0, 0, nil, ErrBadChecksum
 	}
-	return blk[3], binary.LittleEndian.Uint32(blk[4:8]), body, nil
+	return tag, n, body, nil
 }
 
-// validate is check plus a walk of the tuple framing: the body must
-// hold exactly the declared number of well-formed tuples. It is the
-// one validation routine behind Decode and Each.
-func (blk Block) validate() (tag byte, n uint32, body []byte, err error) {
-	tag, n, body, err = blk.check()
+// validate is check — or, with sum false, header alone — plus a walk
+// of the tuple framing: the body must hold exactly the declared number
+// of well-formed tuples. It is the one validation routine behind
+// Decode, Each and EachVerified.
+func (blk Block) validate(sum bool) (tag byte, n uint32, body []byte, err error) {
+	if sum {
+		tag, n, body, err = blk.check()
+	} else {
+		tag, n, body, err = blk.header()
+	}
 	if err != nil {
 		return 0, 0, nil, err
 	}
@@ -173,7 +186,7 @@ func (blk Block) validate() (tag byte, n uint32, body []byte, err error) {
 // Payload slices alias the block's storage; callers that retain tuples
 // past the block's lifetime must copy.
 func (blk Block) Decode() (tag byte, tuples []Tuple, err error) {
-	tag, n, body, err := blk.validate()
+	tag, n, body, err := blk.validate(true)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -189,8 +202,16 @@ func (blk Block) Decode() (tag byte, tuples []Tuple, err error) {
 // materialising a slice. The block is validated exactly as by Decode —
 // header, checksum and tuple framing — before the first call, so on
 // any error fn has not run. Payload slices alias the block's storage.
-func (blk Block) Each(fn func(Tuple)) error {
-	_, _, body, err := blk.validate()
+func (blk Block) Each(fn func(Tuple)) error { return blk.each(true, fn) }
+
+// EachVerified is Each for a block whose checksum is already vouched
+// for — checked by Verify on delivery, or just encoded by a Builder. It
+// validates the header and tuple framing, before the first call, but
+// skips the checksum.
+func (blk Block) EachVerified(fn func(Tuple)) error { return blk.each(false, fn) }
+
+func (blk Block) each(sum bool, fn func(Tuple)) error {
+	_, _, body, err := blk.validate(sum)
 	if err != nil {
 		return err
 	}

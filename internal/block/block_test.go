@@ -219,6 +219,49 @@ func TestEachMatchesDecode(t *testing.T) {
 	}
 }
 
+// TestEachVerifiedSkipsOnlyTheChecksum: EachVerified accepts a block
+// whose body no longer matches its checksum, but still rejects bad
+// headers and broken framing — including under a valid checksum —
+// before the first callback.
+func TestEachVerifiedSkipsOnlyTheChecksum(t *testing.T) {
+	b := NewBuilder(3)
+	for i := 0; i < 20; i++ {
+		b.Append(Tuple{Key: uint64(i), Payload: bytes.Repeat([]byte{byte(i)}, i%5)})
+	}
+	good := b.Finish()
+	mutate := func(f func(Block) Block) Block { return f(append(Block(nil), good...)) }
+	reseal := func(blk Block) Block {
+		binary.LittleEndian.PutUint32(blk[8:12], crc32.ChecksumIEEE(blk[headerSize:]))
+		return blk
+	}
+	for _, tc := range []struct {
+		name string
+		blk  Block
+		want error // nil = iterates
+	}{
+		{"valid", good, nil},
+		{"bad crc, framing intact", mutate(func(b Block) Block { b[len(b)-1] ^= 1; return b }), nil},
+		{"truncated header", good[:headerSize-1], ErrTruncated},
+		{"bad magic", mutate(func(b Block) Block { b[0] = 'X'; return b }), ErrBadMagic},
+		{"bad version", mutate(func(b Block) Block { b[2] = 9; return b }), ErrBadVersion},
+		{"truncated body, checksum valid", mutate(func(b Block) Block { return reseal(b[:len(b)-3]) }), ErrTruncated},
+		{"trailing bytes, checksum valid", mutate(func(b Block) Block { return reseal(append(b, 0, 0)) }), ErrTruncated},
+		{"count too large, checksum valid", mutate(func(b Block) Block { b[4]++; return b }), ErrTruncated},
+	} {
+		calls := 0
+		err := tc.blk.EachVerified(func(Tuple) { calls++ })
+		if !errors.Is(err, tc.want) || (tc.want == nil) != (err == nil) {
+			t.Fatalf("%s: err %v, want %v", tc.name, err, tc.want)
+		}
+		if tc.want == nil && calls != 20 {
+			t.Fatalf("%s: %d callbacks, want 20", tc.name, calls)
+		}
+		if tc.want != nil && calls != 0 {
+			t.Fatalf("%s: %d callbacks before failing", tc.name, calls)
+		}
+	}
+}
+
 // benchBlock is a dense block like the benchmark's match workload:
 // 2048 tuples of 8 payload bytes.
 func benchBlock() Block {

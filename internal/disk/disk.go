@@ -96,6 +96,7 @@ type Stats struct {
 
 type dev struct {
 	id   int
+	name string // "disk<id>", the resource, trace and fault-op name
 	res  *sim.Resource
 	used int64
 	dead bool // permanently failed; extents on it are lost
@@ -134,7 +135,8 @@ func NewArray(k *sim.Kernel, cfg Config) (*Array, error) {
 	}
 	a := &Array{k: k, cfg: cfg}
 	for i := 0; i < cfg.NumDisks; i++ {
-		a.disks = append(a.disks, &dev{id: i, res: sim.NewResource(k, fmt.Sprintf("disk%d", i), 1)})
+		name := fmt.Sprintf("disk%d", i)
+		a.disks = append(a.disks, &dev{id: i, name: name, res: sim.NewResource(k, name, 1)})
 	}
 	return a, nil
 }
@@ -188,15 +190,15 @@ func (a *Array) LiveDisks() int {
 }
 
 // record emits a per-drive trace event stamped with span — captured by
-// the caller, because striped transfers run on helper processes that
-// carry no span stack of their own.
-func (a *Array) record(p *sim.Proc, id int, write bool, from sim.Time, blocks, span int64) {
+// the caller, because striped transfers run on helper tasks that carry
+// no span stack of their own.
+func (a *Array) record(p *sim.Proc, d *dev, write bool, from sim.Time, blocks, span int64) {
 	kind := trace.DiskRead
 	if write {
 		kind = trace.DiskWrite
 	}
 	a.rec.AddFor(p, trace.Event{
-		Device: fmt.Sprintf("disk%d", id), Kind: kind,
+		Device: d.name, Kind: kind,
 		Start: from, End: p.Now(), Blocks: blocks, Span: span,
 	})
 }
@@ -250,6 +252,10 @@ type File struct {
 	blocks  []block.Block
 	perDisk []int64 // blocks charged to each placement drive
 	freed   bool
+
+	// shareBuf and liveBuf back the result of shares.
+	shareBuf []int64
+	liveBuf  []int
 }
 
 // Create makes an empty file placed on the given drives (nil = all
@@ -292,10 +298,17 @@ func (f *File) Name() string { return f.name }
 func (f *File) Len() int64 { return int64(len(f.blocks)) }
 
 // shares splits an n-block transfer round-robin over the file's
-// surviving drives, starting at the drive owning block offset off.
+// surviving drives, starting at the drive owning block offset off. The
+// result is a per-file buffer, valid until the next call: read it
+// before the caller next yields the control token.
 func (f *File) shares(off, n int64) []int64 {
-	out := make([]int64, len(f.disks))
-	live := make([]int, 0, len(f.disks))
+	if f.shareBuf == nil {
+		f.shareBuf = make([]int64, len(f.disks))
+		f.liveBuf = make([]int, 0, len(f.disks))
+	}
+	out := f.shareBuf
+	clear(out)
+	live := f.liveBuf[:0]
 	for i, d := range f.disks {
 		if !d.dead {
 			live = append(live, i)
@@ -343,7 +356,7 @@ func (a *Array) markDead(p *sim.Proc, id int) {
 	}
 	d.dead = true
 	a.rec.AddFor(p, trace.Event{
-		Device: fmt.Sprintf("disk%d", id), Kind: trace.Fault,
+		Device: d.name, Kind: trace.Fault,
 		Start: p.Now(), End: p.Now(), Note: "disk lost",
 	})
 }
@@ -391,7 +404,7 @@ func (f *File) checkFaults(p *sim.Proc, off, n int64, write bool) (corrupt bool,
 			continue
 		}
 		pd := fault.Decide(f.a.inj, fault.Op{
-			Device: fmt.Sprintf("disk%d", d.id), Write: write,
+			Device: d.name, Write: write,
 			Addr: off, N: sh[i], Now: p.Now(),
 		})
 		if pd.Err == nil {
@@ -425,7 +438,7 @@ func (f *File) doIO(p *sim.Proc, off, n int64, write bool) {
 	}
 	span := f.a.rec.SpanAt(p)
 	if singles == 1 {
-		// Fast path: one drive involved, no helper process needed.
+		// Fast path: one drive involved, no helper task needed.
 		t := f.a.transferTime(n)
 		f.a.Stats.Requests++
 		f.a.Stats.OverheadTime += f.a.cfg.RequestOverhead
@@ -433,34 +446,26 @@ func (f *File) doIO(p *sim.Proc, off, n int64, write bool) {
 		single.res.Acquire(p)
 		t0 := p.Now()
 		p.Hold(t)
-		f.a.record(p, single.id, write, t0, n, span)
+		f.a.record(p, single, write, t0, n, span)
 		f.a.met.latency.Observe(sim.Duration(p.Now() - t0).Seconds())
 		single.res.Release(p)
 	} else {
-		active := make([]*sim.Proc, 0, singles)
+		// One helper task per participating drive, queued in drive
+		// order; the last share to finish wakes p.
+		s := &stripe{f: f, parent: p, write: write, span: span, pending: singles,
+			parts: make([]drivePart, 0, singles)}
 		for i, d := range f.disks {
-			cnt := sh[i]
-			if cnt == 0 {
+			if sh[i] == 0 {
 				continue
 			}
-			d, cnt := d, cnt
-			t := f.a.transferTime(cnt)
+			t := f.a.transferTime(sh[i])
 			f.a.Stats.Requests++
 			f.a.Stats.OverheadTime += f.a.cfg.RequestOverhead
 			f.a.Stats.TransferTime += t - f.a.cfg.RequestOverhead
-			child := p.Kernel().Spawn(f.name+"-io", func(c *sim.Proc) {
-				d.res.Acquire(c)
-				t0 := c.Now()
-				c.Hold(t)
-				f.a.record(c, d.id, write, t0, cnt, span)
-				f.a.met.latency.Observe(sim.Duration(c.Now() - t0).Seconds())
-				d.res.Release(c)
-			})
-			active = append(active, child)
+			s.parts = append(s.parts, drivePart{s: s, d: d, n: sh[i], t: t})
+			p.Kernel().SpawnTask(f.name, &s.parts[len(s.parts)-1])
 		}
-		if err := p.WaitAll(active...); err != nil {
-			panic(err) // children cannot fail
-		}
+		p.Park("disk-io")
 	}
 	if write {
 		f.a.Stats.BlocksWritten += n
@@ -469,6 +474,56 @@ func (f *File) doIO(p *sim.Proc, off, n int64, write bool) {
 		f.a.Stats.BlocksRead += n
 		f.a.met.blocksRead.Add(float64(n))
 	}
+}
+
+// stripe is one striped request in flight: its per-drive parts and the
+// proc waiting for them.
+type stripe struct {
+	f       *File
+	parent  *sim.Proc
+	write   bool
+	span    int64
+	pending int // parts not yet finished
+	parts   []drivePart
+}
+
+// drivePart is one drive's share of a striped request, run as a sim
+// task: acquire the drive, hold for the transfer, then record and
+// release it — the steps a helper process would block through, taking
+// the same resource and event slots.
+type drivePart struct {
+	s     *stripe
+	d     *dev
+	n     int64
+	t     sim.Duration
+	t0    sim.Time
+	phase int // 0: acquire, 1: transfer, 2: done
+}
+
+// Step implements sim.Task.
+func (dp *drivePart) Step(c *sim.Proc) bool {
+	switch dp.phase {
+	case 0:
+		dp.phase = 1
+		if !dp.d.res.AcquireOrQueue(c) {
+			return false // dispatched again holding the drive
+		}
+		fallthrough
+	case 1:
+		dp.phase = 2
+		dp.t0 = c.Now()
+		c.WakeAfter(dp.t)
+		return false
+	}
+	s := dp.s
+	a := s.f.a
+	a.record(c, dp.d, s.write, dp.t0, dp.n, s.span)
+	a.met.latency.Observe(sim.Duration(c.Now() - dp.t0).Seconds())
+	dp.d.res.Release(c)
+	if s.pending--; s.pending == 0 {
+		s.parent.Unpark()
+	}
+	return true
 }
 
 // Append writes blocks at the end of the file, blocking for the

@@ -119,12 +119,19 @@ func (h *hashTable) probeWithS(e *env, p *sim.Proc, s block.Tuple) {
 func (h *hashTable) len() int { return len(h.tuples) - 1 }
 
 // forEachTuple applies fn to every tuple of blks, block by block. A
-// corrupt block stops the walk, before any of its tuples reaches fn,
-// with the decoder's typed error: the blocks come from device reads,
-// and corruption there is an input condition, never a panic.
+// malformed block stops the walk, before any of its tuples reaches fn,
+// with the decoder's typed error: corruption is an input condition,
+// never a panic.
+//
+// Each block is checksummed once, where it is delivered: blks must come
+// from readDev (directly, or via readTape, tapeRead, diskRead or
+// readSrc — including through a reader proc's queue or a spool
+// transform), whose verifyBlocks already checked every CRC, or from a
+// Builder. So forEachTuple checks only header and framing. Blocks of
+// any other provenance go through block.Each, which checks everything.
 func forEachTuple(blks []block.Block, fn func(block.Tuple)) error {
 	for _, blk := range blks {
-		if err := blk.Each(fn); err != nil {
+		if err := blk.EachVerified(fn); err != nil {
 			return fmt.Errorf("join: decode: %w", err)
 		}
 	}

@@ -3,6 +3,8 @@ package join
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"hash/fnv"
 	"math/rand"
 	"testing"
@@ -120,15 +122,21 @@ func TestFlatTableMatchesMapSemantics(t *testing.T) {
 	}
 }
 
-// TestFlatTableCorruptBlockAddsNothing: a corrupt block fails the build
-// with the decoder's typed error before any of its tuples is inserted.
+// TestFlatTableCorruptBlockAddsNothing: a block with broken framing
+// fails the build with the decoder's typed error before any of its
+// tuples is inserted — even under a valid checksum, because the build
+// checks framing itself and leaves only the CRC to delivery
+// (verifyBlocks).
 func TestFlatTableCorruptBlockAddsNothing(t *testing.T) {
 	blks := randomBlocks(rand.New(rand.NewSource(1)), 200, 100, 50)
-	bad := append(block.Block(nil), blks[1]...)
-	bad[len(bad)-1] ^= 0xff
+	bad := append(append(block.Block(nil), blks[1]...), 0, 0) // trailing bytes
+	binary.LittleEndian.PutUint32(bad[8:12], crc32.ChecksumIEEE(bad[12:]))
+	if err := bad.Verify(); err != nil {
+		t.Fatalf("resealed block fails its checksum: %v", err)
+	}
 	h := newHashTable(2, 100)
-	if err := h.addBlocks([]block.Block{blks[0], bad}, nil); err == nil {
-		t.Fatal("corrupt block accepted")
+	if err := h.addBlocks([]block.Block{blks[0], bad}, nil); !errors.Is(err, block.ErrTruncated) {
+		t.Fatalf("broken framing: err %v, want ErrTruncated", err)
 	}
 	if h.len() != 100 {
 		t.Fatalf("len() = %d after a good and a corrupt block, want 100", h.len())

@@ -23,11 +23,12 @@ import (
 //     loop has integrated the posted result, then charges the
 //     operation's virtual time and returns.
 //
-// Integration happens only on the kernel goroutine: the Run loop
-// drains the inbox before every scheduling decision, and blocks on the
-// inbox (in wall-clock time) when no process is runnable, no event is
-// pending, and completions are outstanding — that wall-clock wait is
-// exactly where independent device workers overlap.
+// Integration happens only with the control token held: pick drains
+// the inbox before every scheduling decision, on whichever goroutine
+// makes it, and Run blocks on the inbox (in wall-clock time) when no
+// process is runnable, no event is pending, and completions are
+// outstanding — that wall-clock wait is exactly where independent
+// device workers overlap.
 //
 // Determinism: a simulation that never calls StartIO (the simdev
 // backend) takes none of these paths, so its schedule is byte-
@@ -47,7 +48,7 @@ type Completion struct {
 	desc  string
 	start Time // virtual time of StartIO; the op occupies [start, start+d]
 
-	// Written by the kernel goroutine when the posted result is
+	// Written by the token holder when the posted result is
 	// integrated; read by the proc after Await unblocks. The kernel's
 	// token handoff orders these accesses.
 	posted bool
@@ -120,9 +121,7 @@ func (p *Proc) Await(c *Completion) (Duration, error) {
 	}
 	if !c.posted {
 		c.waiter = p
-		p.state = stateBlocked
-		p.blockedOn = "io:" + c.desc
-		p.block()
+		p.blockOn(stateBlocked, "io", c.desc)
 		if !c.posted {
 			panic("sim: proc resumed before completion was integrated")
 		}
@@ -150,7 +149,7 @@ type asyncState struct {
 
 	// Cancellation plumbing (see cancel.go). cancelPending and
 	// cancelReq carry the cross-goroutine request; cancelCause is the
-	// integrated cause, written only on the kernel goroutine.
+	// integrated cause, written only with the control token held.
 	cancelPending atomic.Bool
 	cancelMu      sync.Mutex
 	cancelReq     error
@@ -159,7 +158,7 @@ type asyncState struct {
 
 // drainIO integrates every posted completion: record the result, count
 // the operation done, and make any awaiting process ready. Returns the
-// number integrated. Runs only on the kernel goroutine.
+// number integrated. Runs only with the control token held.
 func (k *Kernel) drainIO() int {
 	k.ioMu.Lock()
 	posts := k.ioInbox
@@ -188,7 +187,7 @@ func (k *Kernel) drainIO() int {
 
 // waitIO blocks in wall-clock time until at least one posted
 // completion has been integrated, or a cancellation request arrives.
-// Runs only on the kernel goroutine, and only while ioPending > 0 (so
+// Runs only in Run, and only while ioPending > 0 (so
 // a Post — or the cancel that aborts it — is guaranteed to arrive).
 func (k *Kernel) waitIO() {
 	for k.drainIO() == 0 {

@@ -3,7 +3,7 @@ package sim
 import "errors"
 
 // This file adds cooperative cancellation to the kernel. Cancel may be
-// called from any goroutine (like Completion.Post); the Run loop
+// called from any goroutine (like Completion.Post); the kernel
 // integrates the request before its next scheduling decision. From
 // that point on:
 //
@@ -49,15 +49,15 @@ func (k *Kernel) Cancel(cause error) {
 
 // CancelCause returns the integrated cancellation cause, or nil while
 // the kernel has not (yet) observed a Cancel. Call only with the
-// control token held (from a running proc) or from the kernel
-// goroutine — the token handoff orders the access.
+// control token held (from a running proc, or before or after Run) —
+// the token handoff orders the access.
 func (k *Kernel) CancelCause() error { return k.cancelCause }
 
 // CancelCause returns the kernel's cancellation cause, or nil. Must be
 // called from p while it holds the control token.
 func (p *Proc) CancelCause() error { return p.k.cancelCause }
 
-// integrateCancel runs on the kernel goroutine: it publishes the cause
+// integrateCancel runs with the control token held: it publishes the cause
 // and aborts every outstanding external completion so io-blocked procs
 // wake with the cause instead of waiting for workers.
 func (k *Kernel) integrateCancel() {

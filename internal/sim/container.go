@@ -60,9 +60,7 @@ func (c *Container) Get(p *Proc, n int64) {
 		return
 	}
 	c.getters = append(c.getters, contWait{p, n})
-	p.state = stateBlocked
-	p.blockedOn = "container-get:" + c.name
-	p.block()
+	p.blockOn(stateBlocked, "container-get", c.name)
 	// The waking side already applied our transaction.
 }
 
@@ -80,9 +78,7 @@ func (c *Container) Put(p *Proc, n int64) {
 		return
 	}
 	c.putters = append(c.putters, contWait{p, n})
-	p.state = stateBlocked
-	p.blockedOn = "container-put:" + c.name
-	p.block()
+	p.blockOn(stateBlocked, "container-put", c.name)
 }
 
 // TryGet removes n units if immediately available and reports whether

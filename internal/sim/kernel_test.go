@@ -226,9 +226,61 @@ func TestProcName(t *testing.T) {
 	}
 }
 
+// poolUser is one unit of work of TestDeterminism, run either as a
+// task or as the body of a goroutine proc: take units from a pool,
+// hold a device for d, give both back.
+type poolUser struct {
+	name  string
+	d     time.Duration
+	r     *Resource
+	pool  *Container
+	trace *[]string
+	phase int
+}
+
+// Step implements Task. The pool is polled: TryGet stands in for a
+// blocking Get, which a task cannot make.
+func (u *poolUser) Step(p *Proc) bool {
+	switch u.phase {
+	case 0:
+		if !u.pool.TryGet(p, 30) {
+			p.WakeAfter(time.Second)
+			return false
+		}
+		u.phase = 1
+		if !u.r.AcquireOrQueue(p) {
+			return false
+		}
+		fallthrough
+	case 1:
+		u.phase = 2
+		p.WakeAfter(u.d)
+		return false
+	}
+	*u.trace = append(*u.trace, u.name+"@"+p.Now().String())
+	u.r.Release(p)
+	u.pool.Put(p, 30)
+	return true
+}
+
+// run is Step's blocking twin, for a goroutine proc.
+func (u *poolUser) run(p *Proc) {
+	for !u.pool.TryGet(p, 30) {
+		p.Hold(time.Second)
+	}
+	u.r.Acquire(p)
+	p.Hold(u.d)
+	*u.trace = append(*u.trace, u.name+"@"+p.Now().String())
+	u.r.Release(p)
+	u.pool.Put(p, 30)
+}
+
 func TestDeterminism(t *testing.T) {
-	// The same program produces the same event trace on every run.
-	run := func() ([]string, int64) {
+	// The same program produces the same event trace on every run —
+	// with goroutine procs and tasks sharing one resource and one
+	// container — and a task makes exactly the scheduling decisions of
+	// the goroutine proc it stands in for.
+	run := func(tasks bool) ([]string, int64) {
 		k := NewKernel()
 		var trace []string
 		r := NewResource(k, "dev", 1)
@@ -244,6 +296,14 @@ func TestDeterminism(t *testing.T) {
 					trace = append(trace, name+"@"+p.Now().String())
 					r.Release(p)
 					c.Put(p, 30)
+					// Each round also starts a helper on the same
+					// resource and pool, as a task or a proc.
+					u := &poolUser{name: name + "'", d: d / 2, r: r, pool: c, trace: &trace}
+					if tasks {
+						k.SpawnTask(u.name, u)
+					} else {
+						k.Spawn(u.name, u.run)
+					}
 				}
 			})
 		}
@@ -252,13 +312,20 @@ func TestDeterminism(t *testing.T) {
 		}
 		return trace, k.EventsProcessed
 	}
-	t1, e1 := run()
-	t2, e2 := run()
+	t1, e1 := run(true)
+	t2, e2 := run(true)
 	if e1 != e2 {
 		t.Fatalf("event counts differ: %d vs %d", e1, e2)
 	}
 	if strings.Join(t1, " ") != strings.Join(t2, " ") {
 		t.Fatalf("traces differ:\n%v\n%v", t1, t2)
+	}
+	t3, e3 := run(false)
+	if e1 != e3 || strings.Join(t1, " ") != strings.Join(t3, " ") {
+		t.Fatalf("tasks and procs schedule differently (%d vs %d events):\n%v\n%v", e1, e3, t1, t3)
+	}
+	if len(t1) != 30 {
+		t.Fatalf("trace has %d entries, want 30", len(t1))
 	}
 }
 

@@ -39,9 +39,7 @@ func (q *Queue[T]) Send(p *Proc, v T) {
 			panic(fmt.Sprintf("sim: send on closed queue %q", q.name))
 		}
 		q.sendWait = append(q.sendWait, p)
-		p.state = stateBlocked
-		p.blockedOn = "queue-send:" + q.name
-		p.block()
+		p.blockOn(stateBlocked, "queue-send", q.name)
 	}
 	if q.closed {
 		panic(fmt.Sprintf("sim: send on closed queue %q", q.name))
@@ -59,9 +57,7 @@ func (q *Queue[T]) Recv(p *Proc) (v T, ok bool) {
 			return zero, false
 		}
 		q.recvWait = append(q.recvWait, p)
-		p.state = stateBlocked
-		p.blockedOn = "queue-recv:" + q.name
-		p.block()
+		p.blockOn(stateBlocked, "queue-recv", q.name)
 	}
 	v = q.items[0]
 	var zero T

@@ -47,17 +47,27 @@ func (r *Resource) accrue() {
 // Acquire obtains one unit of the resource, blocking FIFO until one is
 // available.
 func (r *Resource) Acquire(p *Proc) {
+	if !r.AcquireOrQueue(p) {
+		p.block()
+		// The releasing process already transferred the unit to us.
+	}
+}
+
+// AcquireOrQueue is the task form of Acquire. It takes a free unit and
+// reports true, or queues p FIFO exactly as Acquire would and reports
+// false; a queued task is dispatched again already holding the unit.
+// Acquisitions counts the request either way.
+func (r *Resource) AcquireOrQueue(p *Proc) bool {
 	r.Acquisitions++
 	if r.inUse < r.capacity && len(r.waiters) == 0 {
 		r.accrue()
 		r.inUse++
-		return
+		return true
 	}
 	r.waiters = append(r.waiters, p)
 	p.state = stateBlocked
-	p.blockedOn = "resource:" + r.name
-	p.block()
-	// The releasing process already transferred the unit to us.
+	p.waitKind, p.waitOn = "resource", r.name
+	return false
 }
 
 // TryAcquire obtains a unit if one is immediately available and reports
