@@ -72,7 +72,7 @@ func appendFileToTape(e *env, p *sim.Proc, f device.File, dst device.Drive, pipe
 
 	if !pipelined {
 		for off := int64(0); off < f.Len(); off += e.res.IOChunk {
-			g := min64(e.res.IOChunk, f.Len()-off)
+			g := min(e.res.IOChunk, f.Len()-off)
 			blks, err := e.diskRead(p, f, off, g)
 			if err != nil {
 				return device.Region{}, err
@@ -99,7 +99,7 @@ func appendFileToTape(e *env, p *sim.Proc, f device.File, dst device.Drive, pipe
 	q := sim.NewQueue[readMsg](e.k, "append-pipe", 2)
 	reader := e.k.Spawn("bucket-reader", func(rp *sim.Proc) {
 		for off := int64(0); off < f.Len(); off += e.res.IOChunk {
-			g := min64(e.res.IOChunk, f.Len()-off)
+			g := min(e.res.IOChunk, f.Len()-off)
 			blks, err := e.diskRead(rp, f, off, g)
 			if err == nil && xform != nil {
 				blks, err = xform(blks, off+g >= f.Len())
@@ -407,8 +407,6 @@ func (CTTGH) run(e *env, p *sim.Proc) error {
 	}
 	e.markStepI(p)
 
-	scanBuf := scanBufFor(plan, e.res.MemoryBlocks)
-	maxLoad := e.res.MemoryBlocks - scanBuf
 	sLay := probeLayout(plan, skp, e.res.MemoryBlocks)
 
 	// Step II: all of the (surviving) disk space double-buffers the S
@@ -419,76 +417,23 @@ func (CTTGH) run(e *env, p *sim.Proc) error {
 		return fmt.Errorf("%w: D=%d cannot buffer S over %d buckets", ErrNeedDisk, e.effectiveD(), sLay.parts)
 	}
 
-	q := sim.NewQueue[ghChunk](e.k, "ctt-chunks", 1)
-	hasher := spawnChunkHasher(e, q, sLay, chunkCap, dbuf)
-
 	// With a bi-directional drive, alternate the bucket scan direction
 	// each iteration: the head finishes iteration i exactly where
 	// iteration i+1 begins, eliminating the long seek back across the
 	// hashed-R run (the paper's footnote-2 observation that the
 	// algorithms are independent of scan direction).
-	biDir := e.driveR.Config().BiDirectional
-	var pipeErr error
-	nextOff := int64(0)
-	for {
-		c, ok := q.Recv(p)
-		if !ok {
-			break
-		}
-		if c.err != nil || pipeErr != nil {
-			drainChunk(e, p, dbuf, c, &pipeErr)
-			continue
-		}
-		backward := biDir && c.iter%2 == 1
-		sp := e.span(p, "join-chunk", obs.AInt("off", c.off))
-		err := e.staged(p, func() error {
-			for b := 0; b < sLay.parts; b++ {
-				idx := b
-				if backward {
-					idx = sLay.parts - 1 - b
-				}
-				rSrc := tapeBucket{drive: e.driveR, region: rRegions[idx], reverse: backward}
-				if err := joinBucketPair(e, p, rSrc, diskBucket{c.files[idx]}, maxLoad, scanBuf); err != nil {
-					for ; b < sLay.parts; b++ {
-						idx := b
-						if backward {
-							idx = sLay.parts - 1 - b
-						}
-						dbuf.Release(p, c.iter, c.files[idx].Len())
-						c.files[idx].Free()
-					}
-					return err
-				}
-				dbuf.Release(p, c.iter, c.files[idx].Len())
-				c.files[idx].Free()
-			}
-			return nil
+	//
+	// The sequential tail's hashed R buckets live on tape, untouched by
+	// any disk loss, so its ensureR is a no-op and chunk sizing gets the
+	// whole surviving disk.
+	return ghJoinPipeline(e, p, plan, sLay, chunkCap, dbuf, e.driveR.Config().BiDirectional,
+		func(b int, backward bool) bucketSource {
+			return tapeBucket{drive: e.driveR, region: rRegions[b], reverse: backward}
+		},
+		func(next int64) error {
+			return ghStepIISeq(e, p, plan, sLay, next,
+				func(*sim.Proc) error { return nil },
+				func(b int) bucketSource { return tapeBucket{drive: e.driveR, region: rRegions[b]} },
+				func() int64 { return 0 })
 		})
-		sp.Close(p)
-		if err != nil {
-			pipeErr = err
-			e.abort = true
-			continue
-		}
-		e.stats.Iterations++
-		e.stats.RScans++
-		nextOff = c.off + c.n
-	}
-	if err := p.Wait(hasher); err != nil {
-		return err
-	}
-	e.abort = false
-	if pipeErr != nil {
-		if e.res.Recovery.Disabled || !e.unitRecoverable(pipeErr) {
-			return pipeErr
-		}
-		// Sequential tail for the rest of S. The hashed R buckets live
-		// on tape, untouched by any disk loss, so ensureR is a no-op
-		// and chunk sizing gets the whole surviving disk.
-		return ghStepIISeq(e, p, plan, sLay, nextOff,
-			func(*sim.Proc) error { return nil },
-			func(b int) bucketSource { return tapeBucket{drive: e.driveR, region: rRegions[b]} },
-			func() int64 { return 0 })
-	}
-	return nil
 }

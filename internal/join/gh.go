@@ -76,7 +76,7 @@ func joinBucketPair(e *env, p *sim.Proc, r, s bucketSource, maxLoad, scanBuf int
 		obs.AInt("r_blocks", r.blocks()), obs.AInt("s_blocks", s.blocks()))
 	defer sp.Close(p)
 	for roff := int64(0); roff < r.blocks(); roff += maxLoad {
-		n := min64(maxLoad, r.blocks()-roff)
+		n := min(maxLoad, r.blocks()-roff)
 		err := func() error {
 			e.mem.acquire(n)
 			defer e.mem.release(n)
@@ -92,7 +92,7 @@ func joinBucketPair(e *env, p *sim.Proc, r, s bucketSource, maxLoad, scanBuf int
 			e.mem.acquire(scanBuf)
 			defer e.mem.release(scanBuf)
 			for soff := int64(0); soff < s.blocks(); soff += scanBuf {
-				g := min64(scanBuf, s.blocks()-soff)
+				g := min(scanBuf, s.blocks()-soff)
 				sBlks, err := e.readSrc(p, s, soff, g)
 				if err != nil {
 					return err
@@ -278,7 +278,7 @@ func ghStepIISeq(e *env, p *sim.Proc, plan hashutil.Plan, sLay layout, startOff 
 				if chunk < 1 {
 					return fmt.Errorf("%w: %d blocks left to buffer S over %d buckets", ErrNeedDisk, d, sLay.parts)
 				}
-				n = min64(chunk, s.N-off)
+				n = min(chunk, s.N-off)
 			}
 			if fSB != nil {
 				freeAll(fSB)
@@ -392,8 +392,6 @@ func (CDTGH) run(e *env, p *sim.Proc) error {
 	e.markStepI(p)
 
 	d := e.res.DiskBlocks - totalLen(fRB)
-	scanBuf := scanBufFor(plan, e.res.MemoryBlocks)
-	maxLoad := e.res.MemoryBlocks - scanBuf
 	sLay := probeLayout(plan, skp, e.res.MemoryBlocks)
 
 	dbuf := e.newDoubleBuffer("s-buckets", d)
@@ -403,122 +401,91 @@ func (CDTGH) run(e *env, p *sim.Proc) error {
 		return fmt.Errorf("%w: %d blocks left to buffer S over %d buckets", ErrNeedDisk, d, sLay.parts)
 	}
 
-	q := sim.NewQueue[ghChunk](e.k, "gh-chunks", 1)
-	hasher := spawnChunkHasher(e, q, sLay, chunkCap, dbuf)
-
-	// Joiner: output is staged per chunk, so a mid-chunk fault leaves no
-	// partial deliveries behind; the sequential tail redoes the chunk.
-	var pipeErr error
-	nextOff := int64(0)
-	for {
-		c, ok := q.Recv(p)
-		if !ok {
-			break
-		}
-		if c.err != nil || pipeErr != nil {
-			drainChunk(e, p, dbuf, c, &pipeErr)
-			continue
-		}
-		sp := e.span(p, "join-chunk", obs.AInt("off", c.off))
-		err := e.staged(p, func() error {
-			for b := 0; b < sLay.parts; b++ {
-				if err := joinBucketPair(e, p, diskBucket{fRB[b]}, diskBucket{c.files[b]}, maxLoad, scanBuf); err != nil {
-					for ; b < sLay.parts; b++ {
-						dbuf.Release(p, c.iter, c.files[b].Len())
-						c.files[b].Free()
-					}
-					return err
-				}
-				dbuf.Release(p, c.iter, c.files[b].Len())
-				c.files[b].Free()
-			}
-			return nil
+	// Degrade to the sequential Step II for the rest of S: same chunks
+	// and buckets, no pipeline, checkpoints per bucket.
+	rSrc := func(b int) bucketSource { return diskBucket{fRB[b]} }
+	err = ghJoinPipeline(e, p, plan, sLay, chunkCap, dbuf, false,
+		func(b int, _ bool) bucketSource { return rSrc(b) },
+		func(next int64) error {
+			return ghStepIISeq(e, p, plan, sLay, next, ensure, rSrc, func() int64 { return totalLen(fRB) })
 		})
-		sp.Close(p)
-		if err != nil {
-			pipeErr = err
-			e.abort = true
-			continue
-		}
-		e.stats.Iterations++
-		e.stats.RScans++
-		nextOff = c.off + c.n
-	}
-	if err := p.Wait(hasher); err != nil {
+	if err != nil {
 		return err
-	}
-	e.abort = false
-	if pipeErr != nil {
-		if e.res.Recovery.Disabled || !e.unitRecoverable(pipeErr) {
-			return pipeErr
-		}
-		// Degrade to the sequential Step II for the rest of S: same
-		// chunks and buckets, no pipeline, checkpoints per bucket.
-		err := ghStepIISeq(e, p, plan, sLay, nextOff, ensure,
-			func(b int) bucketSource { return diskBucket{fRB[b]} },
-			func() int64 { return totalLen(fRB) })
-		if err != nil {
-			return err
-		}
 	}
 	freeAll(fRB)
 	return nil
 }
 
-// ghChunk is one hashed chunk of S handed from the hasher to the
-// joiner; a chunk with err set poisons the pipeline.
-type ghChunk struct {
-	iter  int64
-	off   int64
-	n     int64
-	files []device.File
-	err   error
-}
+// ghJoinPipeline is the concurrent Step II of CDT-GH and CTT-GH: a
+// hasher proc partitions successive chunks of S into double-buffered
+// disk bucket files while the caller joins the previous chunk bucket by
+// bucket against rSrc, with output staged per chunk so a mid-chunk
+// fault leaves no partial deliveries; tail redoes the failed chunk and
+// the rest of S sequentially. With biDir, odd iterations visit the
+// buckets in reverse order and rSrc reads them backward.
+func ghJoinPipeline(e *env, p *sim.Proc, plan hashutil.Plan, sLay layout, chunkCap int64,
+	dbuf buffer.DoubleBuffer, biDir bool,
+	rSrc func(b int, backward bool) bucketSource, tail func(next int64) error) error {
 
-// spawnChunkHasher starts the producer side of the concurrent Grace
-// Hash Step II: partition successive chunks of S into double-buffered
-// disk bucket files. On a fault it returns the chunk's buffer space,
-// poisons the queue and stops; the joiner's sequential tail takes over.
-func spawnChunkHasher(e *env, q *sim.Queue[ghChunk], sLay layout,
-	chunkCap int64, dbuf buffer.DoubleBuffer) *sim.Proc {
-
+	scanBuf := scanBufFor(plan, e.res.MemoryBlocks)
+	maxLoad := e.res.MemoryBlocks - scanBuf
 	s := e.spec.S.Region
-	return e.k.Spawn("s-hasher", func(hp *sim.Proc) {
-		iter := int64(0)
-		for off := int64(0); off < s.N && !e.abort; off += chunkCap {
-			n := min64(chunkCap, s.N-off)
-			it := iter // capture for the reserve closure
+	hash := func(hp *sim.Proc, q *sim.Queue[chunk], stop *bool) {
+		for off, iter := int64(0), int64(0); off < s.N && !*stop; off, iter = off+chunkCap, iter+1 {
+			n := min(chunkCap, s.N-off)
 			var acq int64
 			sp := e.span(hp, "stage-S", obs.AInt("off", off))
 			files, err := partitionTapeToDisk(e, hp, e.driveS, s.Sub(off, n),
 				e.spec.S.TuplesPerBlock, e.spec.S.Tag, sLay, "sb", e.filterS(), nil,
 				func(fp *sim.Proc, blks int64) {
-					dbuf.Acquire(fp, it, blks)
+					dbuf.Acquire(fp, iter, blks)
 					acq += blks
 				})
 			sp.Close(hp)
 			if err != nil {
-				dbuf.Release(hp, it, acq)
-				q.Send(hp, ghChunk{iter: it, off: off, err: err})
-				break
+				dbuf.Release(hp, iter, acq)
+				q.Send(hp, chunk{iter: iter, off: off, err: err})
+				return
 			}
-			q.Send(hp, ghChunk{iter: it, off: off, n: n, files: files})
-			iter++
-		}
-		q.Close(hp)
-	})
-}
-
-// drainChunk disposes of a chunk the joiner will not process, keeping
-// buffer and disk accounting balanced while the pipeline winds down.
-func drainChunk(e *env, p *sim.Proc, dbuf buffer.DoubleBuffer, c ghChunk, pipeErr *error) {
-	if c.err != nil && *pipeErr == nil {
-		*pipeErr = c.err
-	}
-	for _, f := range c.files {
-		if f != nil {
-			dbuf.Release(p, c.iter, f.Len())
-			f.Free()
+			q.Send(hp, chunk{iter: iter, off: off, n: n, files: files})
 		}
 	}
+	release := func(c chunk, f device.File) {
+		dbuf.Release(p, c.iter, f.Len())
+		f.Free()
+	}
+	join := func(c chunk) error {
+		backward := biDir && c.iter%2 == 1
+		order := func(b int) int {
+			if backward {
+				return sLay.parts - 1 - b
+			}
+			return b
+		}
+		sp := e.span(p, "join-chunk", obs.AInt("off", c.off))
+		defer sp.Close(p)
+		err := e.staged(p, func() error {
+			for b := 0; b < sLay.parts; b++ {
+				idx := order(b)
+				if err := joinBucketPair(e, p, rSrc(idx, backward), diskBucket{c.files[idx]}, maxLoad, scanBuf); err != nil {
+					for ; b < sLay.parts; b++ {
+						release(c, c.files[order(b)])
+					}
+					return err
+				}
+				release(c, c.files[idx])
+			}
+			return nil
+		})
+		if err == nil {
+			e.stats.RScans++
+		}
+		return err
+	}
+	drop := func(c chunk) {
+		for _, f := range c.files {
+			release(c, f)
+		}
+	}
+	return e.pipeline(p, "gh-chunks", "s-hasher", hash, join, drop, tail)
 }

@@ -363,13 +363,11 @@ type env struct {
 	// Recovery state. log stages output that may yet be discarded:
 	// always under wholeRun (so a drive-loss re-plan can rewind to
 	// zero), else only inside a staged unit; staging says whether emit
-	// stages right now. abort asks concurrent producer procs to wind
-	// down; retired devices keep contributing to final stats after a
-	// degrade swaps them out.
+	// stages right now. Retired devices keep contributing to final
+	// stats after a degrade swaps them out.
 	log           stageLog
 	wholeRun      bool
 	staging       bool
-	abort         bool
 	retiredDrives []device.Drive
 	retiredArrays []device.Store
 	eodR, eodS    device.Addr // media EODs at run start, for scratch rollback

@@ -88,7 +88,7 @@ func scanRAndProbe(e *env, p *sim.Proc, fR device.File, mr int64, table *hashTab
 	e.mem.acquire(mr)
 	defer e.mem.release(mr)
 	for off := int64(0); off < fR.Len(); off += mr {
-		n := min64(mr, fR.Len()-off)
+		n := min(mr, fR.Len()-off)
 		blks, err := e.diskRead(p, fR, off, n)
 		if err != nil {
 			return err
@@ -117,7 +117,7 @@ func nbJoinChunks(e *env, p *sim.Proc, fR *device.File, ensureR func(*sim.Proc) 
 
 	s := e.spec.S.Region
 	for off := startOff; off < s.N; off += ms {
-		n := min64(ms, s.N-off)
+		n := min(ms, s.N-off)
 		err := e.runUnit(p, fmt.Sprintf("S-chunk@%d", off), func(up *sim.Proc) error {
 			sp := e.span(up, "join-chunk", obs.AInt("off", off))
 			defer sp.Close(up)
@@ -218,87 +218,32 @@ func (CDTNBMB) run(e *env, p *sim.Proc) error {
 
 	mr, msTotal := nbSplit(e.res.MemoryBlocks)
 	ms := msTotal / 2 // each of the two buffers
-	s := e.spec.S.Region
 
-	type chunk struct {
-		blks []block.Block
-		off  int64
-		n    int64
-		err  error
-	}
 	// Two physical buffers: the reader may fill one while the joiner
 	// drains the other. Interleaving is impossible here because the
 	// joiner needs its chunk intact for the whole iteration (Section
 	// 5.1.3 footnote), hence the buffer-count container.
 	bufs := sim.NewContainer(e.k, "nb-bufs", 2, 2)
-	q := sim.NewQueue[chunk](e.k, "nb-chunks", 1)
-
-	reader := e.k.Spawn("s-reader", func(rp *sim.Proc) {
-		for off := int64(0); off < s.N && !e.abort; off += ms {
-			n := min64(ms, s.N-off)
-			bufs.Get(rp, 1)
-			e.mem.acquire(n)
-			sp := e.span(rp, "stage-S", obs.AInt("off", off))
-			blks, err := e.tapeRead(rp, e.driveS, s.Start+addr(off), n)
-			sp.Close(rp)
-			if err != nil {
-				e.mem.release(n)
-				bufs.Put(rp, 1)
-				q.Send(rp, chunk{off: off, err: err})
-				break
+	err := e.pipeline(p, "nb-chunks", "s-reader",
+		func(hp *sim.Proc, q *sim.Queue[chunk], stop *bool) {
+			e.readAhead(hp, q, stop, bufs, e.driveS, e.spec.S.Region, ms, "stage-S")
+		},
+		func(c chunk) error {
+			defer e.dropBlocks(p, bufs, c)
+			sp := e.span(p, "join-chunk", obs.AInt("off", c.off))
+			defer sp.Close(p)
+			table := newHashTable(c.n, e.spec.S.TuplesPerBlock)
+			if err := table.addBlocks(c.blks, e.filterS()); err != nil {
+				return err
 			}
-			q.Send(rp, chunk{blks: blks, off: off, n: n})
-		}
-		q.Close(rp)
-	})
-
-	var pipeErr error
-	nextOff := int64(0)
-	for {
-		c, ok := q.Recv(p)
-		if !ok {
-			break
-		}
-		if c.err != nil || pipeErr != nil {
-			if c.err != nil && pipeErr == nil {
-				pipeErr = c.err
-			}
-			if c.blks != nil {
-				e.mem.release(c.n)
-				bufs.Put(p, 1)
-			}
-			continue
-		}
-		sp := e.span(p, "join-chunk", obs.AInt("off", c.off))
-		table := newHashTable(c.n, e.spec.S.TuplesPerBlock)
-		err := table.addBlocks(c.blks, e.filterS())
-		if err == nil {
-			err = e.staged(p, func() error { return scanRAndProbe(e, p, fR, mr, table) })
-		}
-		sp.Close(p)
-		e.mem.release(c.n)
-		bufs.Put(p, 1)
-		if err != nil {
-			pipeErr = err
-			e.abort = true
-			continue
-		}
-		e.stats.Iterations++
-		nextOff = c.off + c.n
-	}
-	if err := p.Wait(reader); err != nil {
-		return err
-	}
-	e.abort = false
-	if pipeErr != nil {
-		if e.res.Recovery.Disabled || !e.unitRecoverable(pipeErr) {
-			return pipeErr
-		}
+			return e.staged(p, func() error { return scanRAndProbe(e, p, fR, mr, table) })
+		},
+		func(c chunk) { e.dropBlocks(p, bufs, c) },
 		// Finish the rest of S sequentially, DT-NB style, re-staging R
 		// if the fault destroyed it.
-		if err := nbJoinChunks(e, p, &fR, ensure, mr, ms, nextOff); err != nil {
-			return err
-		}
+		func(next int64) error { return nbJoinChunks(e, p, &fR, ensure, mr, ms, next) })
+	if err != nil {
+		return err
 	}
 	e.freeR(fR)
 	return nil
@@ -344,123 +289,77 @@ func (CDTNBDB) run(e *env, p *sim.Proc) error {
 	chunkCap := dbuf.ChunkCapacity()
 	s := e.spec.S.Region
 
-	type chunk struct {
-		iter int64
-		file device.File
-		off  int64
-		n    int64
-		err  error
-	}
-	q := sim.NewQueue[chunk](e.k, "db-chunks", 1)
-
-	producer := e.k.Spawn("s-stager", func(rp *sim.Proc) {
-		iter := int64(0)
-		for off := int64(0); off < s.N && !e.abort; off += chunkCap {
-			n := min64(chunkCap, s.N-off)
-			sp := e.span(rp, "stage-S", obs.AInt("off", off))
+	stage := func(hp *sim.Proc, q *sim.Queue[chunk], stop *bool) {
+		for off, iter := int64(0), int64(0); off < s.N && !*stop; off, iter = off+chunkCap, iter+1 {
+			n := min(chunkCap, s.N-off)
+			sp := e.span(hp, "stage-S", obs.AInt("off", off))
 			f, err := e.disks.Create("schunk", nil)
 			if err != nil {
-				sp.Close(rp)
-				q.Send(rp, chunk{iter: iter, off: off, err: err})
-				break
+				sp.Close(hp)
+				q.Send(hp, chunk{iter: iter, off: off, err: err})
+				return
 			}
 			// Stage tape -> disk through a small transfer buffer
 			// (ignored in M per Section 6), acquiring buffer space as
 			// the previous iteration releases it.
 			var acq int64
-			var stageErr error
-			for sub := int64(0); sub < n; sub += e.res.IOChunk {
-				g := min64(e.res.IOChunk, n-sub)
-				dbuf.Acquire(rp, iter, g)
+			for sub := int64(0); sub < n && err == nil; sub += e.res.IOChunk {
+				g := min(e.res.IOChunk, n-sub)
+				dbuf.Acquire(hp, iter, g)
 				acq += g
-				blks, err := e.tapeRead(rp, e.driveS, s.Start+addr(off+sub), g)
-				if err == nil {
-					err = f.Append(rp, blks)
-				}
-				if err != nil {
-					stageErr = err
-					break
+				var blks []block.Block
+				if blks, err = e.tapeRead(hp, e.driveS, s.Start+addr(off+sub), g); err == nil {
+					err = f.Append(hp, blks)
 				}
 			}
-			sp.Close(rp)
-			if stageErr != nil {
-				dbuf.Release(rp, iter, acq)
+			sp.Close(hp)
+			if err != nil {
+				dbuf.Release(hp, iter, acq)
 				f.Free()
-				q.Send(rp, chunk{iter: iter, off: off, err: stageErr})
-				break
+				q.Send(hp, chunk{iter: iter, off: off, err: err})
+				return
 			}
-			q.Send(rp, chunk{iter: iter, file: f, off: off, n: n})
-			iter++
+			q.Send(hp, chunk{iter: iter, file: f, off: off, n: n})
 		}
-		q.Close(rp)
-	})
-
-	var pipeErr error
-	nextOff := int64(0)
-	for {
-		c, ok := q.Recv(p)
-		if !ok {
-			break
-		}
-		if c.err != nil || pipeErr != nil {
-			if c.err != nil && pipeErr == nil {
-				pipeErr = c.err
-			}
-			if c.file != nil {
-				dbuf.Release(p, c.iter, c.n)
-				c.file.Free()
-			}
-			continue
-		}
-		// Read the staged chunk into memory, releasing buffer space
-		// as it is consumed so the producer can refill it (the
-		// interleaved scheme of Section 4).
-		sp := e.span(p, "join-chunk", obs.AInt("off", c.off))
-		err := func() error {
-			e.mem.acquire(c.n)
-			defer e.mem.release(c.n)
-			table := newHashTable(c.n, e.spec.S.TuplesPerBlock)
-			keepS := e.filterS()
-			for sub := int64(0); sub < c.n; sub += e.res.IOChunk {
-				g := min64(e.res.IOChunk, c.n-sub)
-				blks, err := e.diskRead(p, c.file, sub, g)
-				if err != nil {
-					dbuf.Release(p, c.iter, c.n-sub)
-					c.file.Free()
-					return err
-				}
-				if err := table.addBlocks(blks, keepS); err != nil {
-					dbuf.Release(p, c.iter, c.n-sub)
-					c.file.Free()
-					return err
-				}
-				dbuf.Release(p, c.iter, g)
-			}
+	}
+	drop := func(c chunk) {
+		if c.file != nil {
+			dbuf.Release(p, c.iter, c.n)
 			c.file.Free()
-			return e.staged(p, func() error { return scanRAndProbe(e, p, fR, mr, table) })
-		}()
-		sp.Close(p)
-		if err != nil {
-			pipeErr = err
-			e.abort = true
-			continue
 		}
-		e.stats.Iterations++
-		nextOff = c.off + c.n
 	}
-	if err := p.Wait(producer); err != nil {
+	// Read the staged chunk into memory, releasing buffer space as it is
+	// consumed so the producer can refill it (the interleaved scheme of
+	// Section 4).
+	join := func(c chunk) error {
+		sp := e.span(p, "join-chunk", obs.AInt("off", c.off))
+		defer sp.Close(p)
+		e.mem.acquire(c.n)
+		defer e.mem.release(c.n)
+		table := newHashTable(c.n, e.spec.S.TuplesPerBlock)
+		keepS := e.filterS()
+		for sub := int64(0); sub < c.n; sub += e.res.IOChunk {
+			g := min(e.res.IOChunk, c.n-sub)
+			blks, err := e.diskRead(p, c.file, sub, g)
+			if err == nil {
+				err = table.addBlocks(blks, keepS)
+			}
+			if err != nil {
+				dbuf.Release(p, c.iter, c.n-sub)
+				c.file.Free()
+				return err
+			}
+			dbuf.Release(p, c.iter, g)
+		}
+		c.file.Free()
+		return e.staged(p, func() error { return scanRAndProbe(e, p, fR, mr, table) })
+	}
+	// Finish the rest of S sequentially with direct tape reads,
+	// memory-sized chunks at a time.
+	err := e.pipeline(p, "db-chunks", "s-stager", stage, join, drop,
+		func(next int64) error { return nbJoinChunks(e, p, &fR, ensure, mr, ms, next) })
+	if err != nil {
 		return err
-	}
-	e.abort = false
-	if pipeErr != nil {
-		if e.res.Recovery.Disabled || !e.unitRecoverable(pipeErr) {
-			return pipeErr
-		}
-		// Finish the rest of S sequentially with direct tape reads,
-		// memory-sized chunks at a time.
-		if err := nbJoinChunks(e, p, &fR, ensure, mr, ms, nextOff); err != nil {
-			return err
-		}
 	}
 	e.freeR(fR)
 	return nil

@@ -1,0 +1,213 @@
+package join
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"hash"
+	"testing"
+
+	"repro/internal/block"
+	"repro/internal/fault"
+	"repro/internal/obs"
+	"repro/internal/sim"
+	"repro/internal/trace"
+)
+
+// pinCase is one pinned pipeline: D sized so the method runs several
+// chunks over the 96-block S at M=48, and the disk block whose
+// transient first hits Step II rather than Step I.
+type pinCase struct {
+	name     string
+	d        int64
+	diskAddr int64
+}
+
+// scheduleFn builds the fault schedule of one pinned run.
+type scheduleFn func(c pinCase, spec Spec) *fault.Schedule
+
+// pinScenarios are the fault schedules every case is run under: clean,
+// a disk transient that outlasts one read's retry budget (1 + 4
+// attempts), and the same on the S tape. Both faulted schedules make a
+// consumer or producer fail recoverably mid-pipeline.
+var pinScenarios = []struct {
+	name  string
+	sched scheduleFn
+}{
+	{"clean", func(pinCase, Spec) *fault.Schedule { return nil }},
+	{"disk", func(c pinCase, _ Spec) *fault.Schedule {
+		return (&fault.Schedule{}).AddTransient("disk", c.diskAddr, 7)
+	}},
+	{"tapeS", func(_ pinCase, spec Spec) *fault.Schedule {
+		return (&fault.Schedule{}).AddTransient("tape:S", int64(spec.S.Region.Start)+40, 6)
+	}},
+}
+
+// pinResources builds the traced resources of one pinned run.
+func pinResources(d int64, sched *fault.Schedule) (Resources, *trace.Recorder, *obs.Tracker) {
+	res := fastRes(48, d)
+	res.Faults = sched
+	res.Trace = &trace.Recorder{}
+	res.Spans = obs.NewTracker()
+	return res, res.Trace, res.Spans
+}
+
+// scheduleDigest renders one run's observable schedule: the pipeline's
+// stats, the output digest, and digests of every trace event and every
+// span (name, proc, start, end, attrs).
+func scheduleDigest(resp, stepI sim.Duration, iters, rscans int, restarts, out int64, outHash uint64,
+	runErr error, rec *trace.Recorder, tr *obs.Tracker) string {
+
+	sum := func(h hash.Hash) string { return fmt.Sprintf("%x", h.Sum(nil)[:8]) }
+	eh := sha256.New()
+	for _, ev := range rec.Events {
+		fmt.Fprintf(eh, "%s|%v|%d|%d|%d|%d|%s\n", ev.Device, ev.Kind, ev.Start, ev.End, ev.Blocks, ev.Span, ev.Note)
+	}
+	sh := sha256.New()
+	for _, sp := range tr.Spans() {
+		fmt.Fprintf(sh, "%s|%s|%d|%d|%v\n", sp.Name, sp.Proc, sp.Start, sp.End, sp.Attrs)
+	}
+	errS := ""
+	if runErr != nil {
+		errS = runErr.Error()
+	}
+	return fmt.Sprintf("resp=%d stepI=%d iter=%d rscans=%d restarts=%d out=%d hash=%x events=%d:%s spans=%d:%s err=%q",
+		resp, stepI, iters, rscans, restarts, out, outHash,
+		len(rec.Events), sum(eh), len(tr.Spans()), sum(sh), errS)
+}
+
+// pinMethod runs one method on a fresh session and digests it. A failed
+// run reports its elapsed time as the response.
+func pinMethod(t *testing.T, m Method, c pinCase, sched scheduleFn) (string, sim.Duration) {
+	t.Helper()
+	spec := testSpec(t)
+	res, rec, tr := pinResources(c.d, sched(c, spec))
+	s, err := NewSession(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	sink := &CountSink{}
+	var st Stats
+	var runErr error
+	s.Kernel().Spawn("join:"+m.Symbol(), func(p *sim.Proc) {
+		t0 := p.Now()
+		r, err := s.Exec(p, m, spec, sink, ExecOptions{})
+		if err != nil {
+			runErr = err
+			st.Response = sim.Duration(p.Now() - t0)
+			return
+		}
+		st = r.Stats
+	})
+	if err := s.Kernel().Run(); err != nil {
+		t.Fatal(err)
+	}
+	s.Finish()
+	return scheduleDigest(st.Response, st.StepI, st.Iterations, st.RScans, st.UnitRestarts,
+		st.OutputTuples, sink.PairSum, runErr, rec, tr), st.Response
+}
+
+// pinShared runs a three-rider shared scan over staged copies of R —
+// distinct R-scan buffers, one rider with an S filter — and digests
+// it. The shared scan has no sequential tail, so a faulted pass fails.
+func pinShared(t *testing.T, c pinCase, sched scheduleFn) (string, sim.Duration) {
+	t.Helper()
+	spec := testSpec(t)
+	res, rec, tr := pinResources(c.d, sched(c, spec))
+	s, err := NewSession(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	sinks := []*CountSink{{}, {}, {}}
+	var st Stats
+	var runErr error
+	s.Kernel().Spawn("shared", func(p *sim.Proc) {
+		var qs []SharedQuery
+		for i, sink := range sinks {
+			f, _, err := s.StageR(p, spec.R, nil)
+			if err != nil {
+				runErr = err
+				return
+			}
+			q := SharedQuery{R: spec.R, StagedR: f, Sink: sink, MrBlocks: int64(2 + i)}
+			if i == 1 {
+				q.FilterS = func(t block.Tuple) bool { return t.Key%2 == 0 }
+			}
+			qs = append(qs, q)
+		}
+		t0 := p.Now()
+		out, err := s.ExecShared(p, spec.S, qs, 0)
+		if err != nil {
+			runErr = err
+			st.Response = sim.Duration(p.Now() - t0)
+			return
+		}
+		st = out.Stats
+	})
+	if err := s.Kernel().Run(); err != nil {
+		t.Fatal(err)
+	}
+	s.Finish()
+	var h uint64
+	for _, sink := range sinks {
+		h += sink.PairSum
+	}
+	return scheduleDigest(st.Response, st.StepI, st.Iterations, st.RScans, st.UnitRestarts,
+		st.OutputTuples, h, runErr, rec, tr), st.Response
+}
+
+// TestConcurrentPipelineSchedule pins the complete virtual schedule of
+// every concurrent method and of the shared scan — clean, and with a
+// recoverable fault on each side of the producer/consumer pipeline — so
+// a change to the pipeline skeleton that moves any event, span, stat or
+// output pair by one tick fails here.
+func TestConcurrentPipelineSchedule(t *testing.T) {
+	want := map[string]string{
+		"CDT-NB/MB/clean": "resp=6035692766 stepI=1429222566 iter=5 rscans=6 restarts=0 out=170 hash=adb2688d2c525d92 events=68:a654c67b4c359cff spans=21:6d9107a5f27d262e err=\"\"",
+		"CDT-NB/MB/disk":  "resp=45809347916 stepI=1429222566 iter=5 rscans=6 restarts=0 out=170 hash=adb2688d2c525d92 events=77:03116aa57eb0a52c spans=27:7584c3f42d2f20d4 err=\"\"",
+		"CDT-NB/MB/tapeS": "resp=39506112816 stepI=1429222566 iter=5 rscans=6 restarts=0 out=170 hash=adb2688d2c525d92 events=73:9c2cafe56b4f322c spans=23:93fee7d65b247f7c err=\"\"",
+		"CDT-NB/DB/clean": "resp=9615341639 stepI=1429222566 iter=3 rscans=4 restarts=0 out=170 hash=adb2688d2c525d92 events=104:f560bc14e7e35d0d spans=13:13a0358b4e799297 err=\"\"",
+		"CDT-NB/DB/disk":  "resp=48318188028 stepI=1429222566 iter=3 rscans=4 restarts=0 out=170 hash=adb2688d2c525d92 events=84:ce0611b976865eee spans=19:f3f3ca0a6471f56c err=\"\"",
+		"CDT-NB/DB/tapeS": "resp=41369742903 stepI=1429222566 iter=3 rscans=4 restarts=0 out=170 hash=adb2688d2c525d92 events=62:cf7035b8c0071c8e spans=16:5bac98d220782fdb err=\"\"",
+		"CDT-GH/clean":    "resp=8845335377 stepI=1429222564 iter=3 rscans=4 restarts=0 out=170 hash=adb2688d2c525d92 events=95:bd689892543cdbee spans=13:802fcd298318eac2 err=\"\"",
+		"CDT-GH/disk":     "resp=50136216227 stepI=1429222564 iter=3 rscans=4 restarts=0 out=170 hash=adb2688d2c525d92 events=125:0b0702a51ee8ff49 spans=20:7c6edd8cc66e7dfd err=\"\"",
+		"CDT-GH/tapeS":    "resp=41550946658 stepI=1429222564 iter=3 rscans=4 restarts=0 out=170 hash=adb2688d2c525d92 events=100:2395c551ae89de6e spans=17:7f927aced7d6f53c err=\"\"",
+		"CTT-GH/clean":    "resp=11241771099 stepI=2544840113 iter=2 rscans=3 restarts=0 out=170 hash=adb2688d2c525d92 events=99:93b5830c25db3a56 spans=10:5009597cfbd4358f err=\"\"",
+		"CTT-GH/disk":     "resp=54595485796 stepI=2544840113 iter=2 rscans=3 restarts=0 out=170 hash=adb2688d2c525d92 events=151:995547e00fccbe65 spans=18:3670bb120cefb331 err=\"\"",
+		"CTT-GH/tapeS":    "resp=46103416851 stepI=2544840113 iter=2 rscans=3 restarts=0 out=170 hash=adb2688d2c525d92 events=114:7a6fb0d2c654d2ae spans=14:f481efe7bfcffa8b err=\"\"",
+		"SYM-H/clean":     "resp=9936523383 stepI=6562479528 iter=5 rscans=1 restarts=0 out=170 hash=adb2688d2c525d92 events=217:3c0ed7d03d353205 spans=51:0cf3fbe683db6f44 err=\"\"",
+		"SYM-H/disk":      "resp=45936523383 stepI=6562479528 iter=5 rscans=1 restarts=1 out=170 hash=adb2688d2c525d92 events=224:337aebb76c2fe6ac spans=58:d8289606baa0880c err=\"\"",
+		"SYM-H/tapeS":     "resp=32876034440 stepI=0 iter=0 rscans=0 restarts=0 out=0 hash=0 events=77:055d3f22f889b3a4 spans=27:7ade83e11ba49850 err=\"SYM-H: join: retries exhausted after 5 attempts on tape:S: tape: drive \\\"S\\\": transient device error: injected transient read error at block 40\"",
+		"shared/clean":    "resp=12960962234 stepI=0 iter=6 rscans=0 restarts=0 out=416 hash=328809337f8139b0 events=327:1d88902644e67061 spans=34:9a3bb66d5d85042a err=\"\"",
+		"shared/disk":     "resp=31546824446 stepI=0 iter=0 rscans=0 restarts=0 out=0 hash=0 events=18:735cbdcb8d66d73b spans=13:805ea96996d6c08c err=\"shared-scan: join: retries exhausted after 5 attempts on disk:R#0: disk: file \\\"R#0\\\": transient device error: injected transient read error at block 3\"",
+		"shared/tapeS":    "resp=32780836964 stepI=0 iter=0 rscans=0 restarts=0 out=0 hash=0 events=119:29c7631905a72fd5 spans=19:6b143772b72111f6 err=\"shared-scan: join: retries exhausted after 5 attempts on tape:S: tape: drive \\\"S\\\": transient device error: injected transient read error at block 40\"",
+	}
+	for _, c := range []pinCase{
+		{"CDT-NB/MB", 128, 3}, {"CDT-NB/DB", 96, 3}, {"CDT-GH", 64, 3},
+		{"CTT-GH", 64, 28}, {"SYM-H", 128, 3}, {"shared", 128, 3},
+	} {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			var clean sim.Duration
+			for _, sc := range pinScenarios {
+				key := c.name + "/" + sc.name
+				var got string
+				var resp sim.Duration
+				if c.name == "shared" {
+					got, resp = pinShared(t, c, sc.sched)
+				} else {
+					got, resp = pinMethod(t, mustMethod(t, c.name), c, sc.sched)
+				}
+				if got != want[key] {
+					t.Errorf("%s:\n got %s\nwant %s\n%q: %q,", key, got, want[key], key, got)
+				}
+				if sc.name == "clean" {
+					clean = resp
+				} else if resp == clean {
+					t.Errorf("%s: response %v equals the clean run's; the fault never hit the pipeline", key, resp)
+				}
+			}
+		})
+	}
+}

@@ -98,70 +98,22 @@ func (s *Session) ExecShared(p *sim.Proc, bigS *relation.Relation, queries []Sha
 	sp := e.span(p, "shared-scan",
 		obs.AInt("riders", int64(len(queries))), obs.AInt("s_blocks", bigS.Region.N))
 
-	region := bigS.Region
-	type chunk struct {
-		blks []block.Block
-		off  int64
-		n    int64
-		err  error
-	}
 	held := make([]stageLog, len(queries))
 	bufs := sim.NewContainer(e.k, "shared-bufs", 2, 2)
-	q := sim.NewQueue[chunk](e.k, "shared-chunks", 1)
-
-	reader := e.k.Spawn("shared-s-reader", func(rp *sim.Proc) {
-		for off := int64(0); off < region.N && !e.abort; off += ms {
-			n := min64(ms, region.N-off)
-			bufs.Get(rp, 1)
-			e.mem.acquire(n)
-			ssp := e.span(rp, "stage-S", obs.AInt("off", off))
-			blks, err := e.tapeRead(rp, e.driveS, region.Start+addr(off), n)
-			ssp.Close(rp)
-			if err != nil {
-				e.mem.release(n)
-				bufs.Put(rp, 1)
-				q.Send(rp, chunk{off: off, err: err})
-				break
-			}
-			q.Send(rp, chunk{blks: blks, off: off, n: n})
-		}
-		q.Close(rp)
-	})
-
-	var pipeErr error
-	for {
-		c, ok := q.Recv(p)
-		if !ok {
-			break
-		}
-		if c.err != nil || pipeErr != nil {
-			if c.err != nil && pipeErr == nil {
-				pipeErr = c.err
-			}
-			if c.blks != nil {
-				e.mem.release(c.n)
-				bufs.Put(p, 1)
-			}
-			continue
-		}
-		err := sharedJoinChunk(e, p, c.blks, c.off, queries, held)
-		e.mem.release(c.n)
-		bufs.Put(p, 1)
-		if err != nil {
-			pipeErr = err
-			e.abort = true
-			continue
-		}
-		e.stats.Iterations++
-	}
-	if err := p.Wait(reader); err != nil {
-		sp.Close(p)
-		return nil, err
-	}
-	e.abort = false
+	// No sequential tail: a failed pass is re-served by the caller
+	// (the workload engine demotes its riders), never finished here.
+	err := e.pipeline(p, "shared-chunks", "shared-s-reader",
+		func(hp *sim.Proc, q *sim.Queue[chunk], stop *bool) {
+			e.readAhead(hp, q, stop, bufs, e.driveS, bigS.Region, ms, "stage-S")
+		},
+		func(c chunk) error {
+			defer e.dropBlocks(p, bufs, c)
+			return sharedJoinChunk(e, p, c.blks, c.off, queries, held)
+		},
+		func(c chunk) { e.dropBlocks(p, bufs, c) }, nil)
 	sp.Close(p)
-	if pipeErr != nil {
-		return nil, fmt.Errorf("shared-scan: %w", pipeErr)
+	if err != nil {
+		return nil, fmt.Errorf("shared-scan: %w", err)
 	}
 
 	s.finishStats(e, p.Now(), snap)
@@ -199,7 +151,7 @@ func sharedJoinChunk(e *env, p *sim.Proc, blks []block.Block, off int64, queries
 		err := func() error {
 			fR := q.StagedR
 			for roff := int64(0); roff < fR.Len(); roff += q.MrBlocks {
-				n := min64(q.MrBlocks, fR.Len()-roff)
+				n := min(q.MrBlocks, fR.Len()-roff)
 				rBlks, err := e.diskRead(p, fR, roff, n)
 				if err != nil {
 					return err

@@ -115,7 +115,7 @@ func (e *env) splitBucketFile(p *sim.Proc, f device.File, sp *hashutil.SkewPlan,
 		isPart[part] = true
 	}
 
-	chunk := min64(e.res.IOChunk, e.res.MemoryBlocks-int64(len(parts)))
+	chunk := min(e.res.IOChunk, e.res.MemoryBlocks-int64(len(parts)))
 	if chunk < 1 {
 		chunk = 1
 	}
@@ -130,7 +130,7 @@ func (e *env) splitBucketFile(p *sim.Proc, f device.File, sp *hashutil.SkewPlan,
 	pt.route = sp.Partition
 	pt.only = func(part int) bool { return isPart[part] }
 	for off := int64(0); off < f.Len(); off += chunk {
-		n := min64(chunk, f.Len()-off)
+		n := min(chunk, f.Len()-off)
 		blks, err := e.diskRead(p, f, off, n)
 		if err != nil {
 			return nil, err

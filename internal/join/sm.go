@@ -54,16 +54,9 @@ func smFanIn(m, ioChunk int64) (k int, inBuf, outBuf int64) {
 	k = int(avail / inBuf)
 	if k < 2 {
 		k = 2
-		inBuf = max64(1, avail/2)
+		inBuf = max(1, avail/2)
 	}
 	return k, inBuf, outBuf
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Check implements Method: M >= 4 blocks (two merge inputs, an output
@@ -145,7 +138,7 @@ func (ts *tupleStream) next(p *sim.Proc) (block.Tuple, bool, error) {
 			ts.done = true
 			return block.Tuple{}, false, nil
 		}
-		n := min64(ts.buf, ts.region.N-ts.off)
+		n := min(ts.buf, ts.region.N-ts.off)
 		blks, err := ts.e.tapeRead(p, ts.drive, ts.region.Start+device.Addr(ts.off), n)
 		if err != nil {
 			return block.Tuple{}, false, err
@@ -250,7 +243,7 @@ func sortOnTape(e *env, p *sim.Proc, src device.Drive, region device.Region,
 		e.mem.acquire(m)
 		defer e.mem.release(m)
 		for off := int64(0); off < region.N; off += m {
-			n := min64(m, region.N-off)
+			n := min(m, region.N-off)
 			blks, err := e.tapeRead(p, src, region.Start+device.Addr(off), n)
 			if err != nil {
 				return err
@@ -408,7 +401,7 @@ func (TTSM) run(e *env, p *sim.Proc) error {
 func copySorted(e *env, p *sim.Proc, src device.Drive, region device.Region, dst *smWorkspace) (device.Region, error) {
 	var out device.Region
 	for off := int64(0); off < region.N; off += e.res.IOChunk {
-		n := min64(e.res.IOChunk, region.N-off)
+		n := min(e.res.IOChunk, region.N-off)
 		blks, err := e.tapeRead(p, src, region.Start+device.Addr(off), n)
 		if err != nil {
 			return device.Region{}, err
@@ -460,7 +453,7 @@ func mergeJoin(e *env, p *sim.Proc, rDrive device.Drive, rReg device.Region, rFe
 
 	sp := e.span(p, "merge-join")
 	defer sp.Close(p)
-	buf := min64(e.res.IOChunk, e.res.MemoryBlocks/3)
+	buf := min(e.res.IOChunk, e.res.MemoryBlocks/3)
 	if buf < 1 {
 		buf = 1
 	}

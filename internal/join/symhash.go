@@ -149,16 +149,6 @@ func (SymHash) Check(spec Spec, res Resources) error {
 	return nil
 }
 
-// symChunk is one reader batch (or error / end-of-stream marker) on
-// the shared reader→joiner queue.
-type symChunk struct {
-	fromR bool
-	blks  []block.Block
-	n     int64
-	err   error
-	eof   bool
-}
-
 func (SymHash) run(e *env, p *sim.Proc) error {
 	pl := symPlanFor(e.spec, e.res)
 	sp := e.span(p, "sym-stream",
@@ -213,7 +203,7 @@ func (SymHash) run(e *env, p *sim.Proc) error {
 	// Memory budget for the streaming phase: resident tables plus the
 	// spill write buffers. The reader batches are ledgered separately
 	// by the readers below (acquired on read, released after routing).
-	streamMem := min64(e.res.MemoryBlocks*3/4, int64(pl.k)*(pl.perPartR+pl.perPartS))
+	streamMem := min(e.res.MemoryBlocks*3/4, int64(pl.k)*(pl.perPartR+pl.perPartS))
 	if pl.spillParts() > 0 {
 		streamMem += 2 * int64(pl.spillParts()) * pl.writeBuf
 	}
@@ -232,31 +222,25 @@ func (SymHash) run(e *env, p *sim.Proc) error {
 	// the other of memory. The queue is never closed — two producers
 	// can't both close it — so each reader sends an eof marker instead
 	// and the joiner drains until it has seen both.
-	q := sim.NewQueue[symChunk](e.k, "sym-chunks", 1)
+	q := sim.NewQueue[chunk](e.k, "sym-chunks", 1)
 	bufsR := sim.NewContainer(e.k, "sym-bufs-R", 2, 2)
 	bufsS := sim.NewContainer(e.k, "sym-bufs-S", 2, 2)
-	spawnReader := func(name string, fromR bool, bufs *sim.Container, drive device.Drive, region device.Region) *sim.Proc {
+	stop := false
+	spawnReader := func(name string, bufs *sim.Container, drive device.Drive, region device.Region) *sim.Proc {
 		return e.k.Spawn(name, func(rp *sim.Proc) {
-			for off := int64(0); off < region.N && !e.abort; off += pl.batch {
-				n := min64(pl.batch, region.N-off)
-				bufs.Get(rp, 1)
-				e.mem.acquire(n)
-				rsp := e.span(rp, "stream-"+name, obs.AInt("off", off))
-				blks, err := e.tapeRead(rp, drive, region.Start+addr(off), n)
-				rsp.Close(rp)
-				if err != nil {
-					e.mem.release(n)
-					bufs.Put(rp, 1)
-					q.Send(rp, symChunk{fromR: fromR, err: err})
-					break
-				}
-				q.Send(rp, symChunk{fromR: fromR, blks: blks, n: n})
-			}
-			q.Send(rp, symChunk{fromR: fromR, eof: true})
+			e.readAhead(rp, q, &stop, bufs, drive, region, pl.batch, "stream-"+name)
+			q.Send(rp, chunk{eof: true})
 		})
 	}
-	readR := spawnReader("R", true, bufsR, e.driveR, e.spec.R.Region)
-	readS := spawnReader("S", false, bufsS, e.driveS, e.spec.S.Region)
+	readR := spawnReader("R", bufsR, e.driveR, e.spec.R.Region)
+	readS := spawnReader("S", bufsS, e.driveS, e.spec.S.Region)
+	drop := func(c chunk) {
+		if c.fromR {
+			e.dropBlocks(p, bufsR, c)
+		} else {
+			e.dropBlocks(p, bufsS, c)
+		}
+	}
 
 	keepR, keepS := e.filterR(), e.filterS()
 	route := func(fromR bool, t block.Tuple) error {
@@ -278,26 +262,18 @@ func (SymHash) run(e *env, p *sim.Proc) error {
 	}
 
 	var pipeErr error
-	eofs := 0
-	for eofs < 2 {
+	for eofs := 0; eofs < 2; {
 		c, _ := q.Recv(p)
 		if c.eof {
 			eofs++
 			continue
 		}
 		if c.err != nil || pipeErr != nil {
-			if c.err != nil && pipeErr == nil {
+			if pipeErr == nil {
 				pipeErr = c.err
-				e.abort = true
 			}
-			if c.blks != nil {
-				e.mem.release(c.n)
-				if c.fromR {
-					bufsR.Put(p, 1)
-				} else {
-					bufsS.Put(p, 1)
-				}
-			}
+			stop = true
+			drop(c)
 			continue
 		}
 		keep := keepS
@@ -314,12 +290,7 @@ func (SymHash) run(e *env, p *sim.Proc) error {
 			}
 			routeErr = route(c.fromR, t)
 		})
-		e.mem.release(c.n)
-		if c.fromR {
-			bufsR.Put(p, 1)
-		} else {
-			bufsS.Put(p, 1)
-		}
+		drop(c)
 		if err == nil {
 			err = routeErr
 		}
@@ -328,19 +299,14 @@ func (SymHash) run(e *env, p *sim.Proc) error {
 		}
 		if err != nil {
 			pipeErr = err
-			e.abort = true
+			stop = true
 		}
 	}
-	if err := p.Wait(readR); err != nil {
-		sp.Close(p)
-		return err
-	}
-	if err := p.Wait(readS); err != nil {
-		sp.Close(p)
-		return err
-	}
-	e.abort = false
+	err := p.WaitAll(readR, readS)
 	sp.Close(p)
+	if err != nil {
+		return err
+	}
 	if pipeErr != nil {
 		return pipeErr
 	}

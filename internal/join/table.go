@@ -207,7 +207,7 @@ func (e *env) readTape(p *sim.Proc, drive device.Drive, region device.Region, ch
 		return fmt.Errorf("join: readTape chunk %d", chunk)
 	}
 	for off := int64(0); off < region.N; off += chunk {
-		n := min64(chunk, region.N-off)
+		n := min(chunk, region.N-off)
 		blks, err := e.tapeRead(p, drive, region.Start+device.Addr(off), n)
 		if err != nil {
 			return err
@@ -217,13 +217,6 @@ func (e *env) readTape(p *sim.Proc, drive device.Drive, region device.Region, ch
 		}
 	}
 	return nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // flushFn receives a run of freshly packed blocks for one bucket.

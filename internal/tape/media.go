@@ -133,10 +133,6 @@ func (m *Media) InjectReadError(addr Addr, err error) {
 	m.readErrs = append(m.readErrs, mediaErr{addr: addr, err: err})
 }
 
-// ClearReadErrors removes injected read errors, e.g. after a test
-// exercises recovery from a repaired medium.
-func (m *Media) ClearReadErrors() { m.readErrs = nil }
-
 // Corrupt flips bits in the stored block at addr, simulating silent
 // media corruption that only the block checksum catches.
 func (m *Media) Corrupt(addr Addr) {
