@@ -10,7 +10,10 @@
 // Section 6 (10% of M scans R in NB methods); Grace Hash uses the
 // idealized B = |R|/M buckets of M blocks each. Concurrent methods
 // overlap device legs with max(), treating the disk array as one
-// shared resource whose work adds up.
+// shared resource whose work adds up. EstimateShared alone also charges
+// each disk request's positioning and stripe rounding (Requests): the
+// shared pass re-reads R in requests too small for the paper's
+// transfer-only assumption.
 package cost
 
 import (
@@ -280,6 +283,77 @@ func (p Params) cdtNBMB() Estimate {
 		Seconds:           stepI + p.tT(ms) + iters*math.Max(p.tT(ms), p.tD(r)),
 		DiskSpaceBlocks:   p.RBlocks,
 		DiskTrafficBlocks: p.RBlocks + int64(iters)*p.RBlocks,
+	}
+}
+
+// SharedSplit is the memory split of a shared S-scan whose k riders
+// share M blocks. Each rider scans its R through mr blocks: half its
+// M/k share, capped at the preferred request size ioChunk so re-scans
+// amortize disk positioning, and at least one block. The two S chunk
+// buffers split what the riders leave, ms = (M − k·mr)/2; the pass
+// cannot run when ms < 1.
+func SharedSplit(m, k, ioChunk int64) (mr, ms int64) {
+	mr = max(min(m/k/2, ioChunk), 1)
+	return mr, (m - k*mr) / 2
+}
+
+// Requests is the per-request disk cost that the transfer-only model
+// drops: every request pays Positioning seconds (seek + rotation), and
+// an n-block request striped over Disks drives lasts as long as its
+// largest share, ceil(n/Disks) blocks at one drive's rate.
+type Requests struct {
+	Disks       int
+	Positioning float64
+}
+
+// tReq returns the service time of one n-block disk request.
+func (p Params) tReq(n float64, rq Requests) float64 {
+	d := float64(max(rq.Disks, 1))
+	return rq.Positioning + p.tD(math.Ceil(n/d)*d)
+}
+
+// EstimateShared predicts a shared S-scan: an NB join in which every
+// rider stages its R_i to disk, S streams from tape once in two chunk
+// buffers of ms blocks, and each chunk is joined against every rider's
+// R_i, re-read from disk in requests of mr blocks (SharedSplit):
+//
+//	T = Σ[t_T(R_i) + t_D(R_i)] + t_T(ms) + ceil(S/ms) · max(t_T(ms), Σ scan(R_i))
+//	scan(R) = floor(R/mr) · t_req(mr) + t_req(R mod mr)
+//	t_req(n) = t_pos + t_D(n rounded up to whole stripes)
+//
+// p supplies |S|, M and the rates; its RBlocks and DBlocks are
+// ignored. t_req is the term the transfer-only model lacks: mr is at
+// most one IOChunk, so the re-scans are ceil(R_i/mr) small requests
+// per chunk, and their positioning decides the price when S is large
+// and M small.
+func EstimateShared(p Params, riders []int64, ioChunk int64, rq Requests) Estimate {
+	const method = "SHARED"
+	k := int64(len(riders))
+	if k == 0 || p.SBlocks < 1 || p.TapeRate <= 0 || p.DiskRate <= 0 {
+		return infeasible(method, "need riders, |S| >= 1 and positive rates")
+	}
+	mr, ms := SharedSplit(p.MBlocks, k, ioChunk)
+	if ms < 1 {
+		return infeasible(method, "M=%d cannot buffer S for %d riders", p.MBlocks, k)
+	}
+	var rSum, scan, stepI float64
+	for _, r := range riders {
+		rf := float64(r)
+		rSum += rf
+		stepI += p.tT(rf) + p.tD(rf)
+		scan += float64(r/mr) * p.tReq(float64(mr), rq)
+		if rem := r % mr; rem > 0 {
+			scan += p.tReq(float64(rem), rq)
+		}
+	}
+	s, msf := float64(p.SBlocks), float64(ms)
+	iters := math.Ceil(s / msf)
+	return Estimate{
+		Method:            method,
+		StepISeconds:      stepI,
+		Seconds:           stepI + p.tT(msf) + iters*math.Max(p.tT(msf), scan),
+		DiskSpaceBlocks:   int64(rSum),
+		DiskTrafficBlocks: int64(rSum) + int64(iters*rSum),
 	}
 }
 

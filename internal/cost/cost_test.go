@@ -377,3 +377,72 @@ func TestValidateMaxKeyFrac(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSharedSplit pins the shared pass's memory rule: mr is half the
+// M/k share, capped at the request size and at least one block; the two
+// S buffers split the rest.
+func TestSharedSplit(t *testing.T) {
+	for _, tc := range []struct{ m, k, chunk, mr, ms int64 }{
+		{256, 4, 32, 32, 64}, // the share allows a full request
+		{40, 4, 8, 5, 10},    // half the share is below the request size
+		{4, 2, 100, 1, 1},    // the M/k edge: one block each
+		{4, 3, 100, 1, 0},    // a third rider leaves no S buffer
+		{0, 1, 8, 1, 0},      // no memory at all
+	} {
+		mr, ms := SharedSplit(tc.m, tc.k, tc.chunk)
+		if mr != tc.mr || ms != tc.ms {
+			t.Errorf("SharedSplit(%d, %d, %d) = %d, %d, want %d, %d",
+				tc.m, tc.k, tc.chunk, mr, ms, tc.mr, tc.ms)
+		}
+	}
+}
+
+// TestEstimateShared checks the shared pass's formula term by term on a
+// hand-computed point, and the regimes it must order correctly: a pass
+// over small R and ample M is tape-bound and beats the riders' solo
+// reads of S, while with R large against M/k the R re-scans and their
+// positioning make it lose to solo Grace Hash.
+func TestEstimateShared(t *testing.T) {
+	p := Params{SBlocks: 1000, MBlocks: 40, TapeRate: 1e6, DiskRate: 2e6}
+	rq := Requests{Disks: 2, Positioning: 0.01}
+	e := EstimateShared(p, []int64{16, 16, 16, 16}, 8, rq)
+	if e.Err != nil {
+		t.Fatal(e.Err)
+	}
+	// mr = 5, ms = 10: each R is three 5-block requests (rounded up to
+	// 6-block stripes) plus one 1-block request (a 2-block stripe).
+	b := float64(block.VirtualSize)
+	scan := 4 * (3*(0.01+6*b/2e6) + (0.01 + 2*b/2e6))
+	stepI := 4 * (16*b/1e6 + 16*b/2e6)
+	want := stepI + 10*b/1e6 + 100*math.Max(10*b/1e6, scan)
+	if math.Abs(e.Seconds-want) > 1e-9 {
+		t.Errorf("Seconds = %v, want %v", e.Seconds, want)
+	}
+	if e.StepISeconds != stepI || e.DiskSpaceBlocks != 64 || e.DiskTrafficBlocks != 64+100*64 {
+		t.Errorf("estimate %+v: want StepI %v, space 64, traffic %d", e, stepI, 64+100*64)
+	}
+	// Positioning is the term the transfer-only model lacks.
+	if free := EstimateShared(p, []int64{16, 16, 16, 16}, 8, Requests{Disks: 2}); free.Seconds >= e.Seconds {
+		t.Errorf("positioning adds nothing: %v vs %v", free.Seconds, e.Seconds)
+	}
+
+	solo := func(r, m int64) float64 {
+		return est(t, "CDT-GH", Params{RBlocks: r, SBlocks: 1000, MBlocks: m, DBlocks: 400,
+			TapeRate: 1e6, DiskRate: 2e6}).Seconds
+	}
+	if sh := EstimateShared(p, []int64{64, 64, 64, 64}, 8, rq).Seconds; sh <= 4*solo(64, 40) {
+		t.Errorf("R=64, M=40: shared %v should lose to 4 solo CDT-GH %v", sh, 4*solo(64, 40))
+	}
+	p.MBlocks = 256
+	if sh := EstimateShared(p, []int64{16, 16, 16, 16}, 32, rq).Seconds; sh >= 4*solo(16, 256) {
+		t.Errorf("R=16, M=256: shared %v should beat 4 solo CDT-GH %v", sh, 4*solo(16, 256))
+	}
+
+	if e := EstimateShared(Params{SBlocks: 100, MBlocks: 4, TapeRate: 1e6, DiskRate: 2e6},
+		[]int64{4, 4, 4}, 100, rq); e.Err == nil || !math.IsInf(e.Seconds, 1) {
+		t.Errorf("three riders on M=4 should be infeasible, got %+v", e)
+	}
+	if e := EstimateShared(p, nil, 8, rq); e.Err == nil {
+		t.Error("a pass with no riders should be infeasible")
+	}
+}

@@ -39,6 +39,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -150,6 +151,7 @@ type Backend struct {
 	// observability. Nil records nothing.
 	Flight *obs.FlightRecorder
 
+	mu     sync.Mutex // guards engine
 	engine *ioengine.Engine
 }
 
@@ -166,11 +168,15 @@ func (b *Backend) Name() string { return "file" }
 
 // Engine returns the backend's async I/O engine, or nil when the
 // backend is synchronous. The engine is shared by every device the
-// backend builds, so its wall stats cover the whole device complex.
+// backend builds, so its wall stats cover the whole device complex. It
+// is built on first use under the backend's lock, because a telemetry
+// scrape may read it while a join builds its devices.
 func (b *Backend) Engine() *ioengine.Engine {
 	if b.Synchronous {
 		return nil
 	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.engine == nil {
 		b.engine = ioengine.New(b.QueueDepth)
 		pol := ioengine.Policy{OpTimeout: b.OpTimeout, TripAfter: b.TripAfter}
@@ -186,31 +192,38 @@ func (b *Backend) Engine() *ioengine.Engine {
 	return b.engine
 }
 
+// built returns the engine if one has been built, without building it.
+func (b *Backend) built() *ioengine.Engine {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.engine
+}
+
 // DeviceHealths implements device.HealthReporter: the live health of
 // every device worker the backend has built. Nil for a synchronous
 // backend (no workers, nothing to watchdog).
 func (b *Backend) DeviceHealths() []ioengine.DeviceHealth {
-	if b.engine == nil {
-		return nil
+	if e := b.built(); e != nil {
+		return e.DeviceHealths()
 	}
-	return b.engine.DeviceHealths()
+	return nil
 }
 
 // WallStats implements device.WallStatser: merged wall-clock busy time
 // per device and the cross-device overlap fraction. Zero for a
 // synchronous backend.
 func (b *Backend) WallStats() ioengine.WallStats {
-	if b.engine == nil {
-		return ioengine.WallStats{}
+	if e := b.built(); e != nil {
+		return e.WallStats()
 	}
-	return b.engine.WallStats()
+	return ioengine.WallStats{}
 }
 
 // PublishWallMetrics implements device.WallStatser: per-device wall
 // busy-seconds gauges plus the overlap fraction.
 func (b *Backend) PublishWallMetrics(reg *obs.Registry) {
-	if b.engine != nil {
-		b.engine.PublishMetrics(reg)
+	if e := b.built(); e != nil {
+		e.PublishMetrics(reg)
 	}
 }
 
@@ -220,8 +233,8 @@ func (b *Backend) PublishWallMetrics(reg *obs.Registry) {
 // its health state; operations submitted afterwards run normally. A
 // no-op for a synchronous backend, which has no queues to drain.
 func (b *Backend) CancelOps(cause error) {
-	if b.engine != nil {
-		b.engine.CancelAll(cause)
+	if e := b.built(); e != nil {
+		e.CancelAll(cause)
 	}
 }
 
@@ -541,15 +554,6 @@ func (r *recFile) appendRecords(pos int64, blks []block.Block) error {
 		return err
 	}
 	return r.execWrites(ops)
-}
-
-// truncate drops all records from logical position n onward.
-func (r *recFile) truncate(n int64) {
-	if n < int64(len(r.index)) {
-		r.index = r.index[:n]
-		r.lens = r.lens[:n]
-		r.crcs = r.crcs[:n]
-	}
 }
 
 func (r *recFile) close() error {

@@ -349,3 +349,24 @@ func TestTable2MeasuredRequirements(t *testing.T) {
 		t.Fatalf("render:\n%s", text)
 	}
 }
+
+// TestWorkloadSharedScanWins pins the multi-query experiment's shared
+// passes: the shared-pass price admits one pass per S relation here,
+// and the simulated makespan confirms it beats mount-aware ordering.
+func TestWorkloadSharedScanWins(t *testing.T) {
+	rows, err := Workload(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	by := make(map[string]WorkloadRow, len(rows))
+	for _, r := range rows {
+		by[r.Policy] = r
+	}
+	shared, aware := by["shared-scan"], by["mount-aware"]
+	if shared.SharedPasses != 3 {
+		t.Errorf("shared-scan ran %d shared passes, want 3", shared.SharedPasses)
+	}
+	if shared.Makespan >= aware.Makespan {
+		t.Errorf("shared-scan makespan %v not below mount-aware %v", shared.Makespan, aware.Makespan)
+	}
+}

@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"fmt"
+	"math"
+
 	"repro/internal/cost"
 	"repro/internal/join"
 )
@@ -20,38 +23,83 @@ import (
 //   - the staged R copies of all admitted riders fit the disk that is
 //     left after the cache carve-out,
 //   - the residual S buffers stay >= 1 block per double buffer.
-func admitShared(cfg Config, res join.Resources, queries []Query, cand []int) (admitted, rejected []int) {
+//
+// Feasible is not cheap: the pass is an NB join at M/k per rider, which
+// loses to solo Grace Hash once R is large relative to M. So while two
+// or more riders remain and cost.EstimateShared exceeds the sum of
+// their solo prices (soloPrice), the last admitted rider moves to solo
+// service. Each such move adds one line to notes for the schedule log.
+// rejected lists every candidate not admitted, in candidate order.
+func admitShared(cfg Config, res join.Resources, queries []Query, cand []int) (admitted, rejected []int, notes []string) {
 	dFree := res.DiskBlocks - cfg.CacheBlocks
 	var rTotal int64
 	for _, qi := range cand {
 		q := queries[qi]
 		k := int64(len(admitted) + 1)
 		mShare := res.MemoryBlocks / k
-		est := cost.EstimateMethod("DT-NB", cost.Params{
-			RBlocks: q.R.Region.N, SBlocks: q.S.Region.N,
-			MBlocks: mShare, DBlocks: q.R.Region.N,
-			TapeRate: res.Tape.EffectiveRate(), DiskRate: res.DiskRate,
-		})
-		// mr is the rider's R-scan buffer under the engine's rule
-		// (half the share, capped at IOChunk); the rest of everyone's
-		// shares must still leave two S buffers.
-		mr := mShare / 2
-		if mr > res.IOChunk {
-			mr = res.IOChunk
-		}
-		if mr < 1 {
-			mr = 1
-		}
-		msLeft := (res.MemoryBlocks - mr*k) / 2
-		switch {
-		case est.Err != nil,
-			rTotal+q.R.Region.N > dFree,
-			msLeft < 1:
-			rejected = append(rejected, qi)
-		default:
+		est := cost.EstimateMethod("DT-NB", costParams(res, q.R.Region.N, q.S.Region.N, mShare, q.R.Region.N))
+		_, msLeft := cost.SharedSplit(res.MemoryBlocks, k, res.IOChunk)
+		if est.Err == nil && rTotal+q.R.Region.N <= dFree && msLeft >= 1 {
 			admitted = append(admitted, qi)
 			rTotal += q.R.Region.N
 		}
 	}
-	return admitted, rejected
+	for len(admitted) >= 2 {
+		shared, solo := priceShared(cfg, res, queries, admitted)
+		if shared <= solo {
+			break
+		}
+		last := admitted[len(admitted)-1]
+		admitted = admitted[:len(admitted)-1]
+		notes = append(notes, fmt.Sprintf("shared pass over S=%s priced %.0f s vs solo %.0f s: %s runs solo",
+			queries[last].S.Name, shared, solo, queries[last].ID))
+	}
+	// admitted is a subsequence of cand: walk both.
+	j := 0
+	for _, qi := range cand {
+		if j < len(admitted) && admitted[j] == qi {
+			j++
+			continue
+		}
+		rejected = append(rejected, qi)
+	}
+	return admitted, rejected, notes
+}
+
+// priceShared returns the model's price of one shared pass over the
+// riders and the sum of their solo prices.
+func priceShared(cfg Config, res join.Resources, queries []Query, riders []int) (shared, solo float64) {
+	rBlocks := make([]int64, len(riders))
+	for i, qi := range riders {
+		rBlocks[i] = queries[qi].R.Region.N
+		solo += soloPrice(cfg, res, queries[qi])
+	}
+	bigS := queries[riders[0]].S.Region.N
+	est := cost.EstimateShared(costParams(res, 0, bigS, res.MemoryBlocks, 0),
+		rBlocks, res.IOChunk, cost.Requests{Disks: res.NumDisks, Positioning: res.DiskOverhead.Seconds()})
+	return est.Seconds, solo
+}
+
+// soloPrice is the model's response time for q served alone by the
+// method it would really run (soloMethod) on M and D - CacheBlocks.
+// A method the model cannot price (SYM-H) or no feasible method at all
+// prices +Inf, so such a rider never argues against sharing.
+func soloPrice(cfg Config, res join.Resources, q Query) float64 {
+	res.DiskBlocks -= cfg.CacheBlocks
+	spec := join.Spec{R: q.R, S: q.S, FilterR: q.FilterR, FilterS: q.FilterS}
+	m, _, err := soloMethod(q, spec, res)
+	if err != nil {
+		return math.Inf(1)
+	}
+	p := costParams(res, q.R.Region.N, q.S.Region.N, res.MemoryBlocks, res.DiskBlocks)
+	return cost.EstimateMethod(m.Symbol(), p).Seconds
+}
+
+// costParams are the model inputs for |R| = r, |S| = s on M = m and
+// D = d of the device complex res.
+func costParams(res join.Resources, r, s, m, d int64) cost.Params {
+	return cost.Params{
+		RBlocks: r, SBlocks: s, MBlocks: m, DBlocks: d,
+		TapeRate: res.Tape.EffectiveRate(), DiskRate: res.DiskRate,
+	}
 }

@@ -309,7 +309,7 @@ func (e *OnlineEngine) nextGroup(p *sim.Proc) []*pendingQ {
 			e.park(p, 0) // releases e.mu
 			continue
 		}
-		grp, wait := e.pickLocked()
+		grp, wait, notes := e.pickLocked()
 		if wait > 0 {
 			e.park(p, wait) // releases e.mu
 			continue
@@ -317,6 +317,9 @@ func (e *OnlineEngine) nextGroup(p *sim.Proc) []*pendingQ {
 		e.removeLocked(grp)
 		e.serving = append(e.serving, grp...)
 		e.mu.Unlock()
+		for _, n := range notes {
+			e.en.logf(p, "%s", n)
+		}
 		return grp
 	}
 }
@@ -349,8 +352,9 @@ func (e *OnlineEngine) expireLocked() {
 
 // pickLocked chooses the next group under the policy. It returns
 // either a non-empty group, or a positive wait meaning "park for up to
-// this long — a merge window is still open". Call with e.mu held.
-func (e *OnlineEngine) pickLocked() (grp []*pendingQ, wait time.Duration) {
+// this long — a merge window is still open". notes are admission's
+// priced rejections for the schedule log. Call with e.mu held.
+func (e *OnlineEngine) pickLocked() (grp []*pendingQ, wait time.Duration, notes []string) {
 	seed := e.queue[0]
 	for _, pq := range e.queue[1:] {
 		if pq.q.Priority > seed.q.Priority {
@@ -374,7 +378,7 @@ func (e *OnlineEngine) pickLocked() (grp []*pendingQ, wait time.Duration) {
 	if e.cfg.Policy != SharedScan || seed.q.StopAfter > 0 {
 		// StopAfter queries run solo (see Query.StopAfter): a shared pass
 		// streams the whole S scan to every rider.
-		return []*pendingQ{seed}, 0
+		return []*pendingQ{seed}, 0, nil
 	}
 
 	// Shared-scan: gather queued queries over the seed's S relation, in
@@ -387,25 +391,25 @@ func (e *OnlineEngine) pickLocked() (grp []*pendingQ, wait time.Duration) {
 	}
 	if len(cand) < e.cfg.MaxShared && !e.draining && e.cfg.MergeWindow > 0 {
 		if open := e.cfg.MergeWindow - time.Since(seed.arrived); open > 0 {
-			return nil, open
+			return nil, open, nil
 		}
 	}
 	if len(cand) == 1 {
-		return cand, 0
+		return cand, 0, nil
 	}
 	qs := make([]Query, len(cand))
 	idx := make([]int, len(cand))
 	for i, pq := range cand {
 		qs[i], idx[i] = pq.q.Query, i
 	}
-	admitted, _ := admitShared(e.cfg.Config, e.session.Resources(), qs, idx)
+	admitted, _, notes := admitShared(e.cfg.Config, e.session.Resources(), qs, idx)
 	if len(admitted) < 2 {
-		return []*pendingQ{seed}, 0
+		return []*pendingQ{seed}, 0, notes
 	}
 	for _, i := range admitted {
 		grp = append(grp, cand[i])
 	}
-	return grp, 0
+	return grp, 0, notes
 }
 
 // removeLocked deletes the group's members from the queue. Call with

@@ -47,13 +47,13 @@ func collectOnline(t *testing.T, e *OnlineEngine, b *batch) map[string]OnlineRes
 func TestOnlineMatchesBatch(t *testing.T) {
 	for _, policy := range []Policy{FIFO, MountAware, SharedScan} {
 		t.Run(policy.String(), func(t *testing.T) {
-			ref := runBatch(t, policy, 64)
+			ref := runBuilt(t, makeSharingBatch(t, policy, 64))
 			refByID := make(map[string]QueryResult)
 			for _, qr := range ref.Queries {
 				refByID[qr.ID] = qr
 			}
 
-			b := makeBatch(t, policy, 64)
+			b := makeSharingBatch(t, policy, 64)
 			cfg := OnlineConfig{Config: b.cfg}
 			e, err := StartOnline(cfg)
 			if err != nil {
@@ -93,11 +93,11 @@ func TestOnlineMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestOnlineSharedMerge pins the merge window: three same-S queries
+// TestOnlineSharedMerge pins the merge window: the same-S queries
 // submitted together under shared-scan ride one shared pass.
 func TestOnlineSharedMerge(t *testing.T) {
-	b := makeBatch(t, SharedScan, 0)
-	// Keep only the three queries over S1's relation (q0, q2, q6).
+	b := makeSharingBatch(t, SharedScan, 0)
+	// Keep only the four queries over S1's relation (q0, q2, q4, q6).
 	var same []Query
 	for _, q := range b.queries {
 		if q.S == b.queries[0].S {

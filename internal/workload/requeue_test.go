@@ -14,10 +14,9 @@ import (
 	"repro/internal/join"
 )
 
-// faultedBatch is a two-query FIFO batch with sched injected.
-func faultedBatch(t *testing.T, policy Policy, n int, spec string) (*batch, *BatchResult) {
+// faultedBatch runs the first n queries of b with sched injected.
+func faultedBatch(t *testing.T, b *batch, n int, spec string) (*batch, *BatchResult) {
 	t.Helper()
-	b := makeBatch(t, policy, 0)
 	b.queries = b.queries[:n]
 	sched, err := fault.Parse(spec)
 	if err != nil {
@@ -37,7 +36,7 @@ func faultedBatch(t *testing.T, policy Policy, n int, spec string) (*batch, *Bat
 // re-admits the query: the requeue runs clean and delivers the exact
 // join, and the rest of the batch is untouched.
 func TestRequeueRecoversQuery(t *testing.T) {
-	b, out := faultedBatch(t, FIFO, 2, "transient=R:3:20")
+	b, out := faultedBatch(t, makeBatch(t, FIFO, 0), 2, "transient=R:3:20")
 	if out.Requeues != 1 {
 		t.Fatalf("Requeues = %d, want 1", out.Requeues)
 	}
@@ -57,7 +56,7 @@ func TestRequeueRecoversQuery(t *testing.T) {
 // too: the query must be marked Failed with the typed exhaustion
 // reason — and the batch must keep going and serve the next query.
 func TestRequeueExhaustedFailsTyped(t *testing.T) {
-	b, out := faultedBatch(t, FIFO, 2, "transient=R:3:40")
+	b, out := faultedBatch(t, makeBatch(t, FIFO, 0), 2, "transient=R:3:40")
 	q0, q1 := out.Queries[0], out.Queries[1]
 	if !q0.Failed || !q0.Requeued {
 		t.Fatalf("q0: failed=%v requeued=%v, want failed after requeue", q0.Failed, q0.Requeued)
@@ -79,7 +78,7 @@ func TestRequeueExhaustedFailsTyped(t *testing.T) {
 // because the pass's output was held, not delivered — the user-visible
 // sink must see each pair exactly once.
 func TestSharedPassDemotesRiders(t *testing.T) {
-	b := makeBatch(t, SharedScan, 0)
+	b := makeSharingBatch(t, SharedScan, 0)
 	sched, err := fault.Parse("transient=S:40:5")
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +124,7 @@ func TestSharedPassDemotesRiders(t *testing.T) {
 // failure must be typed and the batch must run to completion — the
 // containment guarantee.
 func TestPersistentFaultNeverAbortsBatch(t *testing.T) {
-	b, out := faultedBatch(t, SharedScan, 9, "transient=S:40:1000")
+	b, out := faultedBatch(t, makeSharingBatch(t, SharedScan, 0), 9, "transient=S:40:1000")
 	if len(out.Queries) != len(b.queries) {
 		t.Fatalf("results for %d of %d queries", len(out.Queries), len(b.queries))
 	}

@@ -11,6 +11,9 @@ import (
 type step struct {
 	indices []int
 	shared  bool
+	// notes are admission's priced rejections, logged when the step
+	// starts.
+	notes []string
 }
 
 // plan turns a batch into an ordered step list under the policy. All
@@ -82,7 +85,8 @@ func sharedPlan(cfg Config, res join.Resources, queries []Query) []step {
 			}
 			cand := group[:take]
 			group = group[take:]
-			admitted, rejected := admitShared(cfg, res, queries, cand)
+			admitted, rejected, notes := admitShared(cfg, res, queries, cand)
+			first := len(steps)
 			if len(admitted) >= 2 {
 				steps = append(steps, step{indices: admitted, shared: true})
 			} else {
@@ -91,6 +95,7 @@ func sharedPlan(cfg Config, res join.Resources, queries []Query) []step {
 			for _, qi := range rejected {
 				steps = append(steps, step{indices: []int{qi}})
 			}
+			steps[first].notes = notes
 		}
 	}
 	return steps

@@ -308,6 +308,9 @@ func Run(cfg Config, queries []Query) (*BatchResult, error) {
 	var runErr error
 	session.Kernel().Spawn("workload", func(p *sim.Proc) {
 		for _, st := range steps {
+			for _, n := range st.notes {
+				en.logf(p, "%s", n)
+			}
 			if st.shared {
 				runErr = en.runShared(p, st.indices)
 			} else {
@@ -393,12 +396,13 @@ func usesCopiedR(symbol string) bool {
 	return false
 }
 
-// chooseMethod picks the method a single query runs: the requested one
-// when feasible on the query's resource partition, otherwise the cost
-// advisor's cheapest feasible alternative.
-func (en *engine) chooseMethod(q Query, spec join.Spec, dBudget int64) (join.Method, bool, error) {
-	res := en.session.Resources()
-	res.DiskBlocks = dBudget
+// soloMethod picks the method q runs as its own join on res, whose
+// DiskBlocks is the query's disk budget: the requested method when
+// feasible, else SYM-H for a StopAfter query, else the cost advisor's
+// cheapest feasible alternative. substituted reports a requested
+// method replaced. The engine's solo service and admission's solo
+// price both call it, so a plan prices what would really run.
+func soloMethod(q Query, spec join.Spec, res join.Resources) (m join.Method, substituted bool, err error) {
 	if q.Method != "" {
 		m, err := join.BySymbol(q.Method)
 		if err != nil {
@@ -416,11 +420,7 @@ func (en *engine) chooseMethod(q Query, spec join.Spec, dBudget int64) (join.Met
 			return m, q.Method != "" && q.Method != "SYM-H", nil
 		}
 	}
-	params := cost.Params{
-		RBlocks: spec.R.Region.N, SBlocks: spec.S.Region.N,
-		MBlocks: res.MemoryBlocks, DBlocks: dBudget,
-		TapeRate: res.Tape.EffectiveRate(), DiskRate: res.DiskRate,
-	}
+	params := costParams(res, spec.R.Region.N, spec.S.Region.N, res.MemoryBlocks, res.DiskBlocks)
 	adv := cost.Advise(params, cost.Scratch{
 		RTape: spec.R.Media.Free(), STape: spec.S.Media.Free(),
 	})
@@ -438,7 +438,7 @@ func (en *engine) chooseMethod(q Query, spec join.Spec, dBudget int64) (join.Met
 		return m, q.Method != "" && est.Method != q.Method, nil
 	}
 	return nil, false, fmt.Errorf("no feasible method for %s (M=%d, D=%d)",
-		q.ID, res.MemoryBlocks, dBudget)
+		q.ID, res.MemoryBlocks, res.DiskBlocks)
 }
 
 // staged is a resolved disk-resident R handle: either a pinned cache
@@ -592,7 +592,9 @@ func (en *engine) tryQuery(p *sim.Proc, qi int, start sim.Duration, requeued boo
 	spec := join.Spec{R: q.R, S: q.S, FilterR: q.FilterR, FilterS: q.FilterS}
 	en.mount(p, en.session.DriveS(), q.S.Media, "S")
 
-	m, substituted, err := en.chooseMethod(q, spec, en.methodDiskBudget(0))
+	res := en.session.Resources()
+	res.DiskBlocks = en.methodDiskBudget(0)
+	m, substituted, err := soloMethod(q, spec, res)
 	if err != nil {
 		en.results[qi] = QueryResult{
 			ID: q.ID, Requested: q.Method, Requeued: requeued,
@@ -682,7 +684,7 @@ func (en *engine) runShared(p *sim.Proc, indices []int) error {
 	defer sp.Close(p)
 
 	res := en.session.Resources()
-	mShare := res.MemoryBlocks / int64(len(indices))
+	mr, _ := cost.SharedSplit(res.MemoryBlocks, int64(len(indices)), res.IOChunk)
 	riders := make([]join.SharedQuery, 0, len(indices))
 	handles := make([]*staged, 0, len(indices))
 	for _, qi := range indices {
@@ -703,18 +705,6 @@ func (en *engine) runShared(p *sim.Proc, indices []int) error {
 		sink := q.Sink
 		if sink == nil {
 			sink = &join.CountSink{}
-		}
-		// The rider's R-scan buffer: IOChunk-sized when the share
-		// allows, so per-chunk R re-scans amortize the disk's
-		// per-request positioning overhead; at most half the share, so
-		// the S double buffers keep the larger part of memory (bigger S
-		// chunks mean fewer R re-scans, which dominates traffic).
-		mr := mShare / 2
-		if mr > res.IOChunk {
-			mr = res.IOChunk
-		}
-		if mr < 1 {
-			mr = 1
 		}
 		riders = append(riders, join.SharedQuery{
 			R: q.R, StagedR: st.file, FilterS: q.FilterS,

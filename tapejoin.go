@@ -388,9 +388,6 @@ func (s *System) ObsAddr() string {
 	return s.obs.Addr()
 }
 
-// Flight returns the system's always-on flight recorder.
-func (s *System) Flight() *obs.FlightRecorder { return s.flight }
-
 // Close releases system-owned resources: the obs server, when the
 // system started one (an attached Config.ObsServer stays up — its
 // owner closes it). Idempotent and safe to call concurrently, even
@@ -842,17 +839,6 @@ func toEstimate(e cost.Estimate, p cost.Params) Estimate {
 // Estimate predicts one method's cost for |R| = rMB, |S| = sMB.
 func (s *System) Estimate(method Method, rMB, sMB int64) Estimate {
 	p := s.costParams(rMB, sMB)
-	return toEstimate(cost.EstimateMethod(string(method), p), p)
-}
-
-// EstimateSkewed is Estimate for skewed keys: maxKeyFrac is the
-// fraction of tuples carried by the most frequent join key
-// (hashutil exposes ZipfMaxKeyFrac for Zipf(θ) data). Without
-// Config.SkewAware the Grace Hash estimates inflate by the multi-load
-// re-scans of the overweight bucket; with it the penalty is absorbed.
-func (s *System) EstimateSkewed(method Method, rMB, sMB int64, maxKeyFrac float64) Estimate {
-	p := s.costParams(rMB, sMB)
-	p.MaxKeyFrac = maxKeyFrac
 	return toEstimate(cost.EstimateMethod(string(method), p), p)
 }
 
