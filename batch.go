@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/fault"
-	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -135,32 +132,10 @@ func (s *System) RunBatch(queries []BatchQuery, opts BatchOptions) (*BatchReport
 	if err != nil {
 		return nil, err
 	}
-	runRes := s.res
-	var rec *trace.Recorder
-	if s.cfg.CollectTrace || s.cfg.Observe {
-		rec = &trace.Recorder{}
-		runRes.Trace = rec
+	runRes, err := s.runResources(s.runObs())
+	if err != nil {
+		return nil, err
 	}
-	var tracker *obs.Tracker
-	var reg *obs.Registry
-	if s.cfg.Observe {
-		tracker = obs.NewTracker()
-		reg = obs.NewRegistry()
-		runRes.Spans = tracker
-		runRes.Metrics = reg
-	}
-	runRes.Flight = s.flight
-	if s.obs != nil {
-		s.obs.SetSources(reg, s.flight, s.healthSource())
-	}
-	if s.cfg.Faults != "" {
-		sched, err := fault.Parse(s.cfg.Faults)
-		if err != nil {
-			return nil, fmt.Errorf("tapejoin: %w", err)
-		}
-		runRes.Faults = sched
-	}
-	runRes.Recovery.Disabled = s.cfg.DisableRecovery
 
 	cfg := workload.Config{
 		Resources:   runRes,
@@ -219,13 +194,6 @@ func (s *System) RunBatch(queries []BatchQuery, opts BatchOptions) (*BatchReport
 			OutputHash:  qr.OutputHash,
 		})
 	}
-	end := sim.Time(out.Makespan)
-	if s.cfg.CollectTrace {
-		rep.Timeline = rec.Timeline(end, 100)
-		rep.DeviceSummary = rec.Summary(end)
-	}
-	if s.cfg.Observe {
-		rep.Report = newReport(tracker, rec, reg, end)
-	}
+	rep.Timeline, rep.DeviceSummary, rep.Report = s.runOutputs(runRes, sim.Time(out.Makespan))
 	return rep, nil
 }

@@ -18,7 +18,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/tape"
-	"repro/internal/trace"
 )
 
 // Type aliases re-export the shared vocabulary types so join code can
@@ -64,9 +63,6 @@ var (
 	// ErrWorkerClosed marks an operation submitted to a closed device
 	// worker.
 	ErrWorkerClosed = ioengine.ErrClosed
-	// ErrOpCancelled marks a queued operation aborted by CancelOps
-	// before it reached the device. Carries no health consequence.
-	ErrOpCancelled = ioengine.ErrCancelled
 )
 
 // DLT4000 returns the calibrated drive profile of the paper's
@@ -75,6 +71,15 @@ func DLT4000() DriveConfig { return tape.DLT4000() }
 
 // Ideal returns the paper's simplified transfer-only drive profile.
 func Ideal() DriveConfig { return tape.Ideal() }
+
+// Instrumented is the run wiring every device accepts: the tracker
+// that records its I/O events, the registry that holds its counters,
+// and the fault injector it consults. A nil argument disables each.
+type Instrumented interface {
+	SetTracker(t *obs.Tracker)
+	SetMetrics(reg *obs.Registry)
+	SetInjector(inj fault.Injector)
+}
 
 // Drive is a tape-like device: one mounted medium, a head position,
 // and sequential block transfer with positioning cost. A drive serves
@@ -108,12 +113,7 @@ type Drive interface {
 	BusyTime() sim.Duration
 	// DriveStats snapshots the drive's cumulative activity counters.
 	DriveStats() DriveStats
-	// SetRecorder attaches an I/O event recorder (nil disables).
-	SetRecorder(r *trace.Recorder)
-	// SetMetrics registers the drive's counters in reg (nil detaches).
-	SetMetrics(reg *obs.Registry)
-	// SetInjector attaches a fault injector (nil disables).
-	SetInjector(inj fault.Injector)
+	Instrumented
 	// Close releases the drive's OS resources (I/O worker, scratch
 	// files); a no-op for purely virtual backends. Safe to call more
 	// than once.
@@ -166,12 +166,7 @@ type Store interface {
 	DeadDisks() []int
 	// LiveDisks counts surviving drives.
 	LiveDisks() int
-	// SetRecorder attaches an I/O event recorder (nil disables).
-	SetRecorder(r *trace.Recorder)
-	// SetMetrics registers the store's counters in reg (nil detaches).
-	SetMetrics(reg *obs.Registry)
-	// SetInjector attaches a fault injector (nil disables).
-	SetInjector(inj fault.Injector)
+	Instrumented
 	// Close releases the store's OS resources (I/O worker, scratch
 	// files); a no-op for purely virtual backends. Safe to call more
 	// than once.
@@ -216,15 +211,4 @@ type WallStatser interface {
 // device worker, safe to call from a scrape goroutine mid-run.
 type HealthReporter interface {
 	DeviceHealths() []ioengine.DeviceHealth
-}
-
-// OpCanceller is implemented by backends whose devices queue real OS
-// operations and can abort the queued backlog mid-run: every queued op
-// completes with ErrOpCancelled (wrapping cause) without reaching the
-// device, health state and breakers are untouched, and the workers keep
-// serving operations submitted afterwards (filedev). Purely virtual
-// backends have no queue to drain and don't implement it — callers
-// fall back to cooperative cancellation alone. Safe from any goroutine.
-type OpCanceller interface {
-	CancelOps(cause error)
 }

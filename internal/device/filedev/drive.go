@@ -11,7 +11,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Drive is a file-backed tape drive: the mounted medium's blocks live
@@ -43,9 +42,9 @@ type Drive struct {
 	shared *transport
 	closed bool
 
-	rec   *trace.Recorder
-	met   driveMetrics
-	stats device.DriveStats
+	tracker *obs.Tracker
+	met     driveMetrics
+	stats   device.DriveStats
 }
 
 var _ device.Drive = (*Drive)(nil)
@@ -74,8 +73,8 @@ func (d *Drive) BusyTime() sim.Duration { return d.res.BusyTime }
 // DriveStats implements device.Drive.
 func (d *Drive) DriveStats() device.DriveStats { return d.stats }
 
-// SetRecorder implements device.Drive.
-func (d *Drive) SetRecorder(r *trace.Recorder) { d.rec = r }
+// SetTracker implements device.Drive.
+func (d *Drive) SetTracker(t *obs.Tracker) { d.tracker = t }
 
 // SetInjector implements device.Drive.
 func (d *Drive) SetInjector(inj fault.Injector) { d.inj = inj }
@@ -185,7 +184,7 @@ func (d *Drive) consult(p *sim.Proc, write bool, addr device.Addr, n int64) (boo
 		d.stats.StallTime += dec.Stall
 		t0 := p.Now()
 		p.Hold(dec.Stall)
-		d.record(p, trace.Fault, t0, 0)
+		d.record(p, obs.Fault, t0, 0)
 	}
 	if dec.Err != nil {
 		d.stats.InjectedFaults++
@@ -205,8 +204,8 @@ func (d *Drive) consult(p *sim.Proc, write bool, addr device.Addr, n int64) (boo
 }
 
 // record emits a trace event spanning [from, now].
-func (d *Drive) record(p *sim.Proc, kind trace.Kind, from sim.Time, blocks int64) {
-	d.rec.AddFor(p, trace.Event{
+func (d *Drive) record(p *sim.Proc, kind obs.Kind, from sim.Time, blocks int64) {
+	d.tracker.Record(p, obs.Event{
 		Device: "tape:" + d.name, Kind: kind,
 		Start: from, End: p.Now(), Blocks: blocks,
 	})
@@ -234,7 +233,7 @@ func (d *Drive) seekTo(p *sim.Proc, addr device.Addr, wantReverse bool) {
 			d.met.seeks.Inc()
 			t0 := p.Now()
 			p.Hold(st)
-			d.record(p, trace.TapeSeek, t0, 0)
+			d.record(p, obs.TapeSeek, t0, 0)
 		}
 		d.pos = addr
 	}
@@ -244,7 +243,7 @@ func (d *Drive) seekTo(p *sim.Proc, addr device.Addr, wantReverse bool) {
 // transfer runs one planned spool operation through the drive's
 // worker (or inline when synchronous) and charges its measured wall
 // duration, updating the counters shared by every read/write path.
-func (d *Drive) transfer(p *sim.Proc, kind trace.Kind, entered sim.Time, n int64, write bool, op func() error) error {
+func (d *Drive) transfer(p *sim.Proc, kind obs.Kind, entered sim.Time, n int64, write bool, op func() error) error {
 	tx := p.Now()
 	elapsed, err := doIO(p, d.w, paced(d.b.pace(d.cfg.EffectiveRate(), n), op))
 	switch {
@@ -294,7 +293,7 @@ func (d *Drive) ReadAt(p *sim.Proc, addr device.Addr, n int64) ([]block.Block, e
 	if err != nil {
 		return nil, err
 	}
-	if err := d.transfer(p, trace.TapeRead, entered, n, false, func() error {
+	if err := d.transfer(p, obs.TapeRead, entered, n, false, func() error {
 		return d.spool.execReads(plan)
 	}); err != nil {
 		return nil, err
@@ -338,7 +337,7 @@ func (d *Drive) ReadRegionReverse(p *sim.Proc, r device.Region) ([]block.Block, 
 	if err != nil {
 		return nil, err
 	}
-	if err := d.transfer(p, trace.TapeRead, entered, r.N, false, func() error {
+	if err := d.transfer(p, obs.TapeRead, entered, r.N, false, func() error {
 		return d.spool.execReads(plan)
 	}); err != nil {
 		return nil, err
@@ -375,7 +374,7 @@ func (d *Drive) Append(p *sim.Proc, blks []block.Block) (device.Region, error) {
 	if err != nil {
 		return device.Region{}, err
 	}
-	if err := d.transfer(p, trace.TapeWrite, entered, reg.N, true, func() error {
+	if err := d.transfer(p, obs.TapeWrite, entered, reg.N, true, func() error {
 		return d.spool.execWrites(plan)
 	}); err != nil {
 		return device.Region{}, err
@@ -405,7 +404,7 @@ func (d *Drive) WriteAt(p *sim.Proc, addr device.Addr, blks []block.Block) error
 	if err != nil {
 		return err
 	}
-	if err := d.transfer(p, trace.TapeWrite, entered, int64(len(blks)), true, func() error {
+	if err := d.transfer(p, obs.TapeWrite, entered, int64(len(blks)), true, func() error {
 		return d.spool.execWrites(plan)
 	}); err != nil {
 		return err

@@ -158,7 +158,6 @@ type Backend struct {
 var _ device.Backend = &Backend{}
 var _ device.WallStatser = &Backend{}
 var _ device.HealthReporter = &Backend{}
-var _ device.OpCanceller = &Backend{}
 
 // New returns a backend rooted at dir.
 func New(dir string) *Backend { return &Backend{Dir: dir} }
@@ -224,17 +223,6 @@ func (b *Backend) WallStats() ioengine.WallStats {
 func (b *Backend) PublishWallMetrics(reg *obs.Registry) {
 	if e := b.built(); e != nil {
 		e.PublishMetrics(reg)
-	}
-}
-
-// CancelOps implements device.OpCanceller: every operation queued on
-// the backend's device workers at the time of the call completes with
-// device.ErrOpCancelled (wrapping cause) without touching the device or
-// its health state; operations submitted afterwards run normally. A
-// no-op for a synchronous backend, which has no queues to drain.
-func (b *Backend) CancelOps(cause error) {
-	if e := b.built(); e != nil {
-		e.CancelAll(cause)
 	}
 }
 

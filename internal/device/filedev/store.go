@@ -12,7 +12,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Store is file-backed disk scratch: every logical file is one OS
@@ -39,9 +38,9 @@ type Store struct {
 	stats      device.DiskStats
 	closed     bool
 
-	rec *trace.Recorder
-	met storeMetrics
-	inj fault.Injector
+	tracker *obs.Tracker
+	met     storeMetrics
+	inj     fault.Injector
 }
 
 var _ device.Store = (*Store)(nil)
@@ -86,8 +85,8 @@ func (s *Store) DeadDisks() []int { return nil }
 // LiveDisks implements device.Store.
 func (s *Store) LiveDisks() int { return s.cfg.NumDisks }
 
-// SetRecorder implements device.Store.
-func (s *Store) SetRecorder(r *trace.Recorder) { s.rec = r }
+// SetTracker implements device.Store.
+func (s *Store) SetTracker(t *obs.Tracker) { s.tracker = t }
 
 // SetInjector implements device.Store.
 func (s *Store) SetInjector(inj fault.Injector) { s.inj = inj }
@@ -148,7 +147,7 @@ func (s *Store) consult(p *sim.Proc, name string, rf *recFile, write bool, off, 
 		s.stats.StallTime += dec.Stall
 		t0 := p.Now()
 		p.Hold(dec.Stall)
-		s.rec.AddFor(p, trace.Event{Device: "disk", Kind: trace.Fault, Start: t0, End: p.Now(), Note: "stall"})
+		s.tracker.Record(p, obs.Event{Device: "disk", Kind: obs.Fault, Start: t0, End: p.Now(), Note: "stall"})
 	}
 	if dec.Err != nil {
 		s.stats.Faults++
@@ -191,7 +190,7 @@ func (s *Store) transfer(p *sim.Proc, n int64, write bool, op func() error) erro
 		s.stats.BlocksRead += n
 		s.met.blocksRead.Add(float64(n))
 	}
-	s.rec.AddFor(p, trace.Event{
+	s.tracker.Record(p, obs.Event{
 		Device: "disk", Kind: kindOf(write),
 		Start: tx, End: p.Now(), Blocks: n,
 	})
@@ -199,11 +198,11 @@ func (s *Store) transfer(p *sim.Proc, n int64, write bool, op func() error) erro
 	return nil
 }
 
-func kindOf(write bool) trace.Kind {
+func kindOf(write bool) obs.Kind {
 	if write {
-		return trace.DiskWrite
+		return obs.DiskWrite
 	}
-	return trace.DiskRead
+	return obs.DiskRead
 }
 
 // Close implements device.Store: it stops the store's I/O worker and

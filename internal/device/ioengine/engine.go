@@ -36,11 +36,6 @@ const DefaultQueueDepth = 64
 // ErrClosed is returned for operations submitted to a closed worker.
 var ErrClosed = errors.New("ioengine: worker closed")
 
-// ErrCancelled is returned for queued operations aborted by Cancel.
-// Unlike ErrTimeout it carries no health consequence: the device is
-// fine, the consumer just stopped wanting the work.
-var ErrCancelled = errors.New("ioengine: op cancelled")
-
 // Engine owns the device workers of one backend instance and
 // aggregates their wall-clock activity.
 type Engine struct {
@@ -97,13 +92,10 @@ func (e *Engine) record(device string, s, t time.Duration) {
 	e.mu.Unlock()
 }
 
-// request is one queued operation. gen stamps the cancel generation at
-// submission; the worker skips requests from generations that have
-// since been cancelled.
+// request is one queued operation.
 type request struct {
-	c   *sim.Completion
-	op  func() error
-	gen int64
+	c  *sim.Completion
+	op func() error
 }
 
 // Worker is one device's I/O goroutine. Obtain it from Engine.Worker,
@@ -127,15 +119,6 @@ type Worker struct {
 	// the token side but read by health snapshots from scrape
 	// goroutines, so it is atomic.
 	retries atomic.Int64
-
-	// cancelGen is the cancel generation: Cancel bumps it, and the
-	// worker aborts queued requests stamped with an older generation
-	// without executing them. cancelCause holds the latest cause.
-	cancelGen   atomic.Int64
-	cancelCause atomic.Pointer[error]
-	// cancelled counts operations aborted by Cancel, for tests and
-	// leak accounting.
-	cancelled atomic.Int64
 
 	// Token-guarded (only ever touched while the submitting proc holds
 	// the simulation's control token, which orders the accesses).
@@ -205,15 +188,6 @@ func (e *Engine) DeviceHealths() []DeviceHealth {
 func (w *Worker) run() {
 	defer close(w.done)
 	for req := range w.reqs {
-		if req.gen < w.cancelGen.Load() {
-			// The request was queued before a Cancel: abort it without
-			// touching the device. Health state is untouched — the
-			// device did nothing wrong — and later-generation requests
-			// are served normally, so the worker stays reusable.
-			w.cancelled.Add(1)
-			req.c.Post(0, w.cancelErr())
-			continue
-		}
 		if Health(w.state.Load()) == Failed {
 			// Breaker open: fail fast without touching the device (a
 			// timed-out zombie op may still own its buffers).
@@ -221,50 +195,6 @@ func (w *Worker) run() {
 			continue
 		}
 		w.execute(req)
-	}
-}
-
-// Cancel aborts every operation queued on the worker at the time of
-// the call: each completes with ErrCancelled (wrapping cause, when
-// non-nil) without reaching the device. The in-flight operation, if
-// any, runs to completion. Cancellation never touches the health state
-// machine or the breaker, and the worker keeps serving operations
-// submitted after the call. Safe from any goroutine; a nil worker is a
-// no-op.
-func (w *Worker) Cancel(cause error) {
-	if w == nil {
-		return
-	}
-	if cause != nil {
-		w.cancelCause.Store(&cause)
-	}
-	w.cancelGen.Add(1)
-}
-
-// Cancelled returns the number of queued operations aborted by Cancel.
-func (w *Worker) Cancelled() int64 {
-	if w == nil {
-		return 0
-	}
-	return w.cancelled.Load()
-}
-
-// cancelErr builds the typed abort error for one cancelled request.
-func (w *Worker) cancelErr() error {
-	if p := w.cancelCause.Load(); p != nil {
-		return fmt.Errorf("%s: %w: %w", w.name, ErrCancelled, *p)
-	}
-	return fmt.Errorf("%s: %w", w.name, ErrCancelled)
-}
-
-// CancelAll cancels the queued operations of every worker the engine
-// has created (see Worker.Cancel). Safe from any goroutine.
-func (e *Engine) CancelAll(cause error) {
-	e.mu.Lock()
-	workers := append([]*Worker(nil), e.workers...)
-	e.mu.Unlock()
-	for _, w := range workers {
-		w.Cancel(cause)
 	}
 }
 
@@ -347,7 +277,7 @@ func (w *Worker) Submit(p *sim.Proc, op func() error) *sim.Completion {
 	}
 	w.queued++
 	w.gauge.Set(float64(w.queued))
-	w.reqs <- request{c: c, op: op, gen: w.cancelGen.Load()}
+	w.reqs <- request{c: c, op: op}
 	return c
 }
 

@@ -6,8 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // contendedRun drives three procs on one 3-drive array from the same
@@ -28,8 +28,8 @@ func contendedRun(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := &trace.Recorder{}
-	a.SetRecorder(rec)
+	tr := obs.NewTracker()
+	a.SetTracker(tr)
 	type job struct {
 		name      string
 		placement []int
@@ -64,7 +64,7 @@ func contendedRun(t *testing.T) string {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	for _, e := range rec.Events {
+	for _, e := range tr.Events() {
 		fmt.Fprintf(&b, "%s %s %v-%v %d\n", e.Device, e.Kind, e.Start, e.End, e.Blocks)
 	}
 	for _, d := range a.disks {

@@ -16,7 +16,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Config sets the performance and capacity model of a disk array.
@@ -113,7 +112,7 @@ type Array struct {
 	HighWater int64
 	Stats     Stats
 
-	rec      *trace.Recorder
+	tracker  *obs.Tracker
 	met      arrayMetrics
 	inj      fault.Injector
 	nextFile int
@@ -144,8 +143,9 @@ func NewArray(k *sim.Kernel, cfg Config) (*Array, error) {
 // Config returns the array configuration.
 func (a *Array) Config() Config { return a.cfg }
 
-// SetRecorder attaches an event recorder (nil disables tracing).
-func (a *Array) SetRecorder(r *trace.Recorder) { a.rec = r }
+// SetTracker attaches the run tracker that records device events
+// (nil disables tracing).
+func (a *Array) SetTracker(t *obs.Tracker) { a.tracker = t }
 
 // SetInjector attaches a fault injector consulted on every file
 // operation (nil disables injection).
@@ -193,11 +193,11 @@ func (a *Array) LiveDisks() int {
 // the caller, because striped transfers run on helper tasks that carry
 // no span stack of their own.
 func (a *Array) record(p *sim.Proc, d *dev, write bool, from sim.Time, blocks, span int64) {
-	kind := trace.DiskRead
+	kind := obs.DiskRead
 	if write {
-		kind = trace.DiskWrite
+		kind = obs.DiskWrite
 	}
-	a.rec.AddFor(p, trace.Event{
+	a.tracker.Record(p, obs.Event{
 		Device: d.name, Kind: kind,
 		Start: from, End: p.Now(), Blocks: blocks, Span: span,
 	})
@@ -355,8 +355,8 @@ func (a *Array) markDead(p *sim.Proc, id int) {
 		return
 	}
 	d.dead = true
-	a.rec.AddFor(p, trace.Event{
-		Device: d.name, Kind: trace.Fault,
+	a.tracker.Record(p, obs.Event{
+		Device: d.name, Kind: obs.Fault,
 		Start: p.Now(), End: p.Now(), Note: "disk lost",
 	})
 }
@@ -388,7 +388,7 @@ func (f *File) checkFaults(p *sim.Proc, off, n int64, write bool) (corrupt bool,
 		f.a.Stats.StallTime += dec.Stall
 		t0 := p.Now()
 		p.Hold(dec.Stall)
-		f.a.rec.AddFor(p, trace.Event{Device: "disk", Kind: trace.Fault, Start: t0, End: p.Now(), Note: "stall"})
+		f.a.tracker.Record(p, obs.Event{Device: "disk", Kind: obs.Fault, Start: t0, End: p.Now(), Note: "stall"})
 	}
 	if dec.Err != nil {
 		f.a.Stats.Faults++
@@ -436,7 +436,7 @@ func (f *File) doIO(p *sim.Proc, off, n int64, write bool) {
 			singles++
 		}
 	}
-	span := f.a.rec.SpanAt(p)
+	span := f.a.tracker.ActiveSpan(p)
 	if singles == 1 {
 		// Fast path: one drive involved, no helper task needed.
 		t := f.a.transferTime(n)

@@ -20,7 +20,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Discipline selects the double-buffering scheme for methods that
@@ -85,16 +84,14 @@ type Resources struct {
 	// provably matchless stretches of either input instead of
 	// streaming through them. Off by default.
 	ProbeNarrow bool
-	// Trace, when non-nil, records every device I/O event of the run
-	// for timeline rendering.
-	Trace *trace.Recorder
 	// Faults, when non-nil, is the deterministic fault schedule
 	// injected into the tape drives and disk array.
 	Faults *fault.Schedule
 	// Recovery is the retry/checkpoint/degrade policy.
 	Recovery Recovery
-	// Spans, when non-nil, records hierarchical phase spans; device
-	// events in Trace are stamped with the issuing phase.
+	// Spans, when non-nil, is the run's tracker: it records the
+	// hierarchical phase spans and every device I/O event, stamped
+	// with the phase that issued it.
 	Spans *obs.Tracker
 	// Metrics, when non-nil, receives device/buffer/fault counters,
 	// gauges and histograms.

@@ -10,7 +10,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // pinCase is one pinned pipeline: D sized so the method runs several
@@ -43,23 +42,22 @@ var pinScenarios = []struct {
 }
 
 // pinResources builds the traced resources of one pinned run.
-func pinResources(d int64, sched *fault.Schedule) (Resources, *trace.Recorder, *obs.Tracker) {
+func pinResources(d int64, sched *fault.Schedule) (Resources, *obs.Tracker) {
 	res := fastRes(48, d)
 	res.Faults = sched
-	res.Trace = &trace.Recorder{}
 	res.Spans = obs.NewTracker()
-	return res, res.Trace, res.Spans
+	return res, res.Spans
 }
 
 // scheduleDigest renders one run's observable schedule: the pipeline's
 // stats, the output digest, and digests of every trace event and every
 // span (name, proc, start, end, attrs).
 func scheduleDigest(resp, stepI sim.Duration, iters, rscans int, restarts, out int64, outHash uint64,
-	runErr error, rec *trace.Recorder, tr *obs.Tracker) string {
+	runErr error, tr *obs.Tracker) string {
 
 	sum := func(h hash.Hash) string { return fmt.Sprintf("%x", h.Sum(nil)[:8]) }
 	eh := sha256.New()
-	for _, ev := range rec.Events {
+	for _, ev := range tr.Events() {
 		fmt.Fprintf(eh, "%s|%v|%d|%d|%d|%d|%s\n", ev.Device, ev.Kind, ev.Start, ev.End, ev.Blocks, ev.Span, ev.Note)
 	}
 	sh := sha256.New()
@@ -72,7 +70,7 @@ func scheduleDigest(resp, stepI sim.Duration, iters, rscans int, restarts, out i
 	}
 	return fmt.Sprintf("resp=%d stepI=%d iter=%d rscans=%d restarts=%d out=%d hash=%x events=%d:%s spans=%d:%s err=%q",
 		resp, stepI, iters, rscans, restarts, out, outHash,
-		len(rec.Events), sum(eh), len(tr.Spans()), sum(sh), errS)
+		len(tr.Events()), sum(eh), len(tr.Spans()), sum(sh), errS)
 }
 
 // pinMethod runs one method on a fresh session and digests it. A failed
@@ -80,7 +78,7 @@ func scheduleDigest(resp, stepI sim.Duration, iters, rscans int, restarts, out i
 func pinMethod(t *testing.T, m Method, c pinCase, sched scheduleFn) (string, sim.Duration) {
 	t.Helper()
 	spec := testSpec(t)
-	res, rec, tr := pinResources(c.d, sched(c, spec))
+	res, tr := pinResources(c.d, sched(c, spec))
 	s, err := NewSession(res)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +102,7 @@ func pinMethod(t *testing.T, m Method, c pinCase, sched scheduleFn) (string, sim
 	}
 	s.Finish()
 	return scheduleDigest(st.Response, st.StepI, st.Iterations, st.RScans, st.UnitRestarts,
-		st.OutputTuples, sink.PairSum, runErr, rec, tr), st.Response
+		st.OutputTuples, sink.PairSum, runErr, tr), st.Response
 }
 
 // pinShared runs a three-rider shared scan over staged copies of R —
@@ -113,7 +111,7 @@ func pinMethod(t *testing.T, m Method, c pinCase, sched scheduleFn) (string, sim
 func pinShared(t *testing.T, c pinCase, sched scheduleFn) (string, sim.Duration) {
 	t.Helper()
 	spec := testSpec(t)
-	res, rec, tr := pinResources(c.d, sched(c, spec))
+	res, tr := pinResources(c.d, sched(c, spec))
 	s, err := NewSession(res)
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +152,7 @@ func pinShared(t *testing.T, c pinCase, sched scheduleFn) (string, sim.Duration)
 		h += sink.PairSum
 	}
 	return scheduleDigest(st.Response, st.StepI, st.Iterations, st.RScans, st.UnitRestarts,
-		st.OutputTuples, h, runErr, rec, tr), st.Response
+		st.OutputTuples, h, runErr, tr), st.Response
 }
 
 // TestConcurrentPipelineSchedule pins the complete virtual schedule of

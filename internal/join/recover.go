@@ -11,7 +11,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // ErrFaultExhausted marks a read whose retry budget ran out: the fault
@@ -140,8 +139,8 @@ func (e *env) readDev(p *sim.Proc, device string, read func() ([]block.Block, er
 		sp := e.span(p, "retry-backoff", obs.A("device", device))
 		t0 := p.Now()
 		p.Hold(hold)
-		e.res.Trace.AddFor(p, trace.Event{
-			Device: device, Kind: trace.Retry,
+		e.res.Spans.Record(p, obs.Event{
+			Device: device, Kind: obs.Retry,
 			Start: t0, End: p.Now(), Note: "read retry backoff",
 		})
 		sp.Close(p)
@@ -219,8 +218,8 @@ func (e *env) runUnit(p *sim.Proc, name string, work func(*sim.Proc) error) erro
 		}
 		e.stats.UnitRestarts++
 		e.unitRestarts.Inc()
-		e.res.Trace.AddFor(p, trace.Event{
-			Device: "-", Kind: trace.Retry,
+		e.res.Spans.Record(p, obs.Event{
+			Device: "-", Kind: obs.Retry,
 			Start: p.Now(), End: p.Now(),
 			Note: fmt.Sprintf("restart %s after: %v", name, err),
 		})
@@ -260,8 +259,8 @@ var degradeCandidates = []string{"DT-GH", "DT-NB", "TT-GH"}
 func (e *env) degradeRerun(p *sim.Proc, cause error) error {
 	e.stats.DriveLost = true
 	replan := e.span(p, "degrade-replan")
-	e.res.Trace.AddFor(p, trace.Event{
-		Device: "-", Kind: trace.Degrade,
+	e.res.Spans.Record(p, obs.Event{
+		Device: "-", Kind: obs.Degrade,
 		Start: p.Now(), End: p.Now(),
 		Note: fmt.Sprintf("drive lost, re-planning: %v", cause),
 	})
@@ -295,12 +294,7 @@ func (e *env) degradeRerun(p *sim.Proc, cause error) error {
 	}
 	dr.Load(e.spec.R.Media)
 	ds.Load(e.spec.S.Media)
-	dr.SetRecorder(e.res.Trace)
-	ds.SetRecorder(e.res.Trace)
-	dr.SetMetrics(e.res.Metrics)
-	ds.SetMetrics(e.res.Metrics)
-	dr.SetInjector(e.inj)
-	ds.SetInjector(e.inj)
+	attach(e.res, e.inj, dr, ds)
 	e.driveR, e.driveS = dr, ds
 	e.res.DiskBlocks = e.effectiveD()
 	e.dbuf, e.dbufCap = nil, 0
@@ -343,8 +337,8 @@ func (e *env) degradeRerun(p *sim.Proc, cause error) error {
 		}
 	}
 	e.stats.DegradedTo = best.m.Symbol()
-	e.res.Trace.AddFor(p, trace.Event{
-		Device: "-", Kind: trace.Degrade,
+	e.res.Spans.Record(p, obs.Event{
+		Device: "-", Kind: obs.Degrade,
 		Start: p.Now(), End: p.Now(),
 		Note: "degraded to " + best.m.Symbol() + " on shared transport",
 	})
@@ -363,8 +357,6 @@ func (e *env) retireDisks() {
 	if err != nil {
 		panic(err) // config was valid for the original array
 	}
-	a.SetRecorder(e.res.Trace)
-	a.SetMetrics(e.res.Metrics)
-	a.SetInjector(e.inj)
+	attach(e.res, e.inj, a)
 	e.disks = a
 }

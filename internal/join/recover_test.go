@@ -11,7 +11,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // runWith runs method symbol over a fresh small spec with the given
@@ -308,14 +307,13 @@ func TestSameFaultSeedIsDeterministic(t *testing.T) {
 		spec := testSpec(t)
 		res := fastRes(10, 64)
 		res.Faults = fault.Random(99, 8, fault.RandomConfig{MaxAddr: 20})
-		rec := &trace.Recorder{}
-		res.Trace = rec
+		res.Spans = obs.NewTracker()
 		sink := &CountSink{}
 		result, err := Run(mustMethod(t, "CTT-GH"), spec, res, sink)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return result.Stats, rec.Timeline(sim.Time(result.Stats.Response), 120)
+		return result.Stats, obs.Timeline(res.Spans.Events(), sim.Time(result.Stats.Response), 120)
 	}
 	statsA, traceA := run()
 	statsB, traceB := run()

@@ -67,12 +67,6 @@ func NewSession(res Resources) (*Session, error) {
 		return nil, err
 	}
 
-	if res.Trace != nil {
-		res.Trace.Spans = res.Spans
-		driveR.SetRecorder(res.Trace)
-		driveS.SetRecorder(res.Trace)
-		array.SetRecorder(res.Trace)
-	}
 	// Wall-clocked backends get dual-clock spans; virtual-only runs
 	// keep zero wall fields. The flight recorder sees span boundaries
 	// either way.
@@ -80,18 +74,7 @@ func NewSession(res Resources) (*Session, error) {
 		res.Spans.EnableWallClock()
 	}
 	res.Spans.SetFlight(res.Flight)
-	if res.Metrics != nil {
-		driveR.SetMetrics(res.Metrics)
-		driveS.SetMetrics(res.Metrics)
-		array.SetMetrics(res.Metrics)
-	}
-	var inj fault.Injector
-	if res.Faults != nil {
-		inj = fault.Instrument(res.Faults, res.Metrics, res.Flight)
-		driveR.SetInjector(inj)
-		driveS.SetInjector(inj)
-		array.SetInjector(inj)
-	}
+	inj := attach(res, nil, driveR, driveS, array)
 	return &Session{
 		k: k, res: res,
 		driveR: driveR, driveS: driveS, disks: array,
@@ -101,6 +84,26 @@ func NewSession(res Resources) (*Session, error) {
 		unitRestarts: res.Metrics.Counter("join_unit_restarts_total",
 			"Work units restarted from a checkpoint after a fault."),
 	}, nil
+}
+
+// attach wires new devices into the run: its tracker, its metrics
+// registry and its fault injector. Every device a run builds —
+// initially or as a mid-run replacement — goes through here, so none
+// misses a hook. A nil inj builds the run's injector from res.Faults
+// once the devices' series are registered (which keeps them first in
+// the exposition); attach returns the injector it set.
+func attach(res Resources, inj fault.Injector, devs ...device.Instrumented) fault.Injector {
+	for _, d := range devs {
+		d.SetTracker(res.Spans)
+		d.SetMetrics(res.Metrics)
+	}
+	if inj == nil && res.Faults != nil {
+		inj = fault.Instrument(res.Faults, res.Metrics, res.Flight)
+	}
+	for _, d := range devs {
+		d.SetInjector(inj)
+	}
+	return inj
 }
 
 // Kernel returns the session's simulation kernel.

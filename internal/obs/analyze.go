@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // DeviceBusy is one device's contribution to a phase: merged busy time
@@ -88,13 +87,13 @@ func totalDur(ivs []interval) sim.Duration {
 
 // statFor summarizes one set of device events plus the wall intervals
 // they are judged against.
-func statFor(name string, count int, wall []interval, events []trace.Event) PhaseStat {
+func statFor(name string, count int, wall []interval, events []Event) PhaseStat {
 	st := PhaseStat{Name: name, Count: count, Wall: totalDur(mergeIntervals(wall))}
 	perDev := map[string][]interval{}
 	blocks := map[string]int64{}
 	var all []interval
 	for _, e := range events {
-		if e.Kind == trace.Mark || e.Device == "-" || e.End <= e.Start {
+		if e.Device == "-" || e.End <= e.Start {
 			continue
 		}
 		iv := interval{e.Start, e.End}
@@ -129,7 +128,7 @@ func statFor(name string, count int, wall []interval, events []trace.Event) Phas
 // spans (Parent == 0) grouped by name; a phase owns the device events
 // stamped with its spans or any of their descendants. The Total row
 // covers every device event against the whole run [0, end].
-func Analyze(spans []*Span, events []trace.Event, end sim.Time) *Report {
+func Analyze(spans []*Span, events []Event, end sim.Time) *Report {
 	r := &Report{Total: statFor("TOTAL", 0, []interval{{0, end}}, events)}
 
 	// Map every span to its top-level ancestor.
@@ -188,7 +187,7 @@ func Analyze(spans []*Span, events []trace.Event, end sim.Time) *Report {
 	}
 	r.Total.RealWall = time.Duration(totalDur(mergeIntervals(realAll)))
 
-	byGroup := map[int][]trace.Event{}
+	byGroup := map[int][]Event{}
 	for _, e := range events {
 		if e.Span == 0 {
 			continue

@@ -5,15 +5,14 @@ import (
 	"time"
 
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 func span(id, parent int64, name string, start, end sim.Time) *Span {
 	return &Span{ID: id, Parent: parent, Name: name, Start: start, End: end}
 }
 
-func ev(dev string, kind trace.Kind, start, end sim.Time, blocks, spanID int64) trace.Event {
-	return trace.Event{Device: dev, Kind: kind, Start: start, End: end, Blocks: blocks, Span: spanID}
+func ev(dev string, kind Kind, start, end sim.Time, blocks, spanID int64) Event {
+	return Event{Device: dev, Kind: kind, Start: start, End: end, Blocks: blocks, Span: spanID}
 }
 
 func TestAnalyzeOverlapAndBottleneck(t *testing.T) {
@@ -23,11 +22,11 @@ func TestAnalyzeOverlapAndBottleneck(t *testing.T) {
 		span(1, 0, "par", 0, secs(10)),
 		span(2, 0, "seq", secs(10), secs(30)),
 	}
-	events := []trace.Event{
-		ev("tape:S", trace.TapeRead, 0, secs(10), 100, 1),
-		ev("disk0", trace.DiskWrite, 0, secs(10), 80, 1),
-		ev("tape:S", trace.TapeRead, secs(10), secs(20), 100, 2),
-		ev("disk0", trace.DiskWrite, secs(20), secs(30), 80, 2),
+	events := []Event{
+		ev("tape:S", TapeRead, 0, secs(10), 100, 1),
+		ev("disk0", DiskWrite, 0, secs(10), 80, 1),
+		ev("tape:S", TapeRead, secs(10), secs(20), 100, 2),
+		ev("disk0", DiskWrite, secs(20), secs(30), 80, 2),
 	}
 	r := Analyze(spans, events, secs(30))
 
@@ -67,11 +66,11 @@ func TestAnalyzeRollsChildEventsUpToPhase(t *testing.T) {
 		span(3, 2, "retry-backoff", 0, secs(1)),      // grandchild
 		span(4, 0, "join-chunk", secs(10), secs(20)), // second instance merges
 	}
-	events := []trace.Event{
-		ev("disk0", trace.DiskRead, 0, secs(4), 4, 3), // via grandchild
-		ev("disk0", trace.DiskRead, secs(12), secs(16), 4, 4),
-		ev("disk0", trace.DiskRead, secs(25), secs(26), 1, 0), // unattributed
-		{Device: "-", Kind: trace.Mark, Start: secs(5), End: secs(5), Span: 1},
+	events := []Event{
+		ev("disk0", DiskRead, 0, secs(4), 4, 3), // via grandchild
+		ev("disk0", DiskRead, secs(12), secs(16), 4, 4),
+		ev("disk0", DiskRead, secs(25), secs(26), 1, 0), // unattributed
+		{Device: "-", Kind: Degrade, Start: secs(5), End: secs(5), Span: 1},
 	}
 	r := Analyze(spans, events, secs(30))
 	if len(r.Phases) != 1 {

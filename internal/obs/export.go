@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // chromeEvent is one entry of a Chrome trace_event JSON document.
@@ -34,9 +33,9 @@ func usec(t sim.Time) float64 { return float64(t) / 1e3 }
 // ChromeTrace renders spans and device events as Chrome trace_event
 // JSON, loadable in Perfetto or chrome://tracing: each device is a
 // track (thread) of I/O slices, each span-opening process is a track
-// of phase slices, and zero-width events (faults, marks, restarts)
-// are instants.
-func ChromeTrace(spans []*Span, events []trace.Event) ([]byte, error) {
+// of phase slices, and zero-width events (faults, restarts) are
+// instants. Run-level events (device "-") go on a "marks" track.
+func ChromeTrace(spans []*Span, events []Event) ([]byte, error) {
 	doc := chromeDoc{TraceEvents: []chromeEvent{}, DisplayTimeUnit: "ms"}
 	pid := 1
 
@@ -46,7 +45,7 @@ func ChromeTrace(spans []*Span, events []trace.Event) ([]byte, error) {
 	var names []string
 	devSet := map[string]bool{}
 	for _, e := range events {
-		if e.Kind != trace.Mark && e.Device != "-" {
+		if e.Device != "-" {
 			devSet[e.Device] = true
 		}
 	}
@@ -65,7 +64,7 @@ func ChromeTrace(spans []*Span, events []trace.Event) ([]byte, error) {
 	}
 	hasMarks := false
 	for _, e := range events {
-		if e.Kind == trace.Mark || e.Device == "-" {
+		if e.Device == "-" {
 			hasMarks = true
 			break
 		}
@@ -116,7 +115,7 @@ func ChromeTrace(spans []*Span, events []trace.Event) ([]byte, error) {
 			args["note"] = e.Note
 		}
 		ce := chromeEvent{Name: e.Kind.String(), Cat: "device", Pid: pid, Ts: usec(e.Start), Args: args}
-		if e.Kind == trace.Mark || e.Device == "-" {
+		if e.Device == "-" {
 			ce.Tid = tids["marks"]
 			ce.Ph = "i"
 			ce.S = "g"
@@ -228,7 +227,7 @@ type jsonlEvent struct {
 
 // WriteJSONL streams spans then events to w, one JSON object per line,
 // timestamps in virtual seconds.
-func WriteJSONL(w io.Writer, spans []*Span, events []trace.Event) error {
+func WriteJSONL(w io.Writer, spans []*Span, events []Event) error {
 	enc := json.NewEncoder(w)
 	for _, s := range spans {
 		line := jsonlSpan{

@@ -6,20 +6,18 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-
-	"repro/internal/trace"
 )
 
-func exportFixture() ([]*Span, []trace.Event) {
+func exportFixture() ([]*Span, []Event) {
 	spans := []*Span{
 		{ID: 1, Name: "stage-S", Proc: "join:X", Start: 0, End: secs(10), Attrs: []Attr{A("off", "0")}},
 		{ID: 2, Parent: 1, Name: "retry-backoff", Proc: "join:X", Start: secs(4), End: secs(6)},
 	}
-	events := []trace.Event{
-		{Device: "tape:S", Kind: trace.TapeRead, Start: 0, End: secs(10), Blocks: 160, Span: 1},
-		{Device: "tape:S", Kind: trace.Fault, Start: secs(4), End: secs(4), Span: 2, Note: "transient"},
-		{Device: "disk0", Kind: trace.DiskWrite, Start: secs(2), End: secs(9), Blocks: 120, Span: 1},
-		{Device: "-", Kind: trace.Mark, Start: secs(10), End: secs(10), Note: "step I done"},
+	events := []Event{
+		{Device: "tape:S", Kind: TapeRead, Start: 0, End: secs(10), Blocks: 160, Span: 1},
+		{Device: "tape:S", Kind: Fault, Start: secs(4), End: secs(4), Span: 2, Note: "transient"},
+		{Device: "disk0", Kind: DiskWrite, Start: secs(2), End: secs(9), Blocks: 120, Span: 1},
+		{Device: "-", Kind: Degrade, Start: secs(10), End: secs(10), Note: "step I done"},
 	}
 	return spans, events
 }

@@ -1,15 +1,16 @@
 // Package obs is the structured observability layer of the simulator:
-// hierarchical phase spans opened and closed in virtual time, a
-// metrics registry with Prometheus-style text exposition, exporters to
-// a JSONL event stream and Chrome trace_event JSON (loadable in
-// Perfetto or chrome://tracing), and a critical-path analyzer that
-// turns span and device intervals into a per-phase bottleneck and
-// overlap table — the paper's Figures 7–9 argument as a computed
-// number.
+// hierarchical phase spans opened and closed in virtual time, the
+// device I/O events those phases issue (with a text timeline and
+// per-device summary), a metrics registry with Prometheus-style text
+// exposition, exporters to a JSONL event stream and Chrome
+// trace_event JSON (loadable in Perfetto or chrome://tracing), and a
+// critical-path analyzer that turns span and device intervals into a
+// per-phase bottleneck and overlap table — the paper's Figures 7–9
+// argument as a computed number.
 //
-// Everything is nil-tolerant in the style of trace.Recorder: a nil
-// *Tracker or nil *Registry (and the nil *Counter etc. they hand out)
-// records nothing, so instrumented code calls unconditionally.
+// Everything is nil-tolerant: a nil *Tracker or nil *Registry (and the
+// nil *Counter etc. they hand out) records nothing, so instrumented
+// code calls unconditionally.
 package obs
 
 import (
@@ -122,12 +123,15 @@ func (s *Span) Close(p *sim.Proc) {
 	s.t.flight.RecordV(now, "span-close", s.Name, s.Proc)
 }
 
-// Tracker records spans. The simulation kernel runs one process at a
-// time, so no locking is needed; a nil *Tracker records nothing.
+// Tracker is the one recorder of a run: it holds the phase spans and
+// the device events stamped with them. The simulation kernel runs one
+// process at a time, so no locking is needed; a nil *Tracker records
+// nothing.
 type Tracker struct {
 	nextID int64
 	spans  []*Span
 	active map[*sim.Proc][]*Span
+	events []Event
 
 	wallOn    bool
 	wallEpoch time.Time
@@ -201,8 +205,8 @@ func (t *Tracker) Begin(p *sim.Proc, name string, attrs ...Attr) *Span {
 }
 
 // ActiveSpan returns the innermost open span's ID on process p, or 0.
-// It implements trace.SpanSource, which is how device events get
-// stamped with the phase that issued them.
+// Record stamps device events with it; callers that hand work to
+// helper tasks capture it for the helpers' events.
 func (t *Tracker) ActiveSpan(p *sim.Proc) int64 {
 	if t == nil {
 		return 0

@@ -8,7 +8,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // DriveConfig sets the performance model of a simulated tape drive.
@@ -129,9 +128,9 @@ type Drive struct {
 	lost   bool           // an injected drive failure killed the transport
 	shared *transport     // non-nil when two drives share one transport
 
-	rec   *trace.Recorder
-	met   driveMetrics
-	Stats DriveStats
+	tracker *obs.Tracker
+	met     driveMetrics
+	Stats   DriveStats
 }
 
 // driveMetrics are the per-drive series exported to an obs.Registry.
@@ -173,8 +172,9 @@ func (d *Drive) Load(m Medium) {
 	d.reverse = false
 }
 
-// SetRecorder attaches an event recorder (nil disables tracing).
-func (d *Drive) SetRecorder(r *trace.Recorder) { d.rec = r }
+// SetTracker attaches the run tracker that records device events
+// (nil disables tracing).
+func (d *Drive) SetTracker(t *obs.Tracker) { d.tracker = t }
 
 // SetMetrics registers this drive's counters and request-latency
 // histogram in reg (nil detaches).
@@ -202,8 +202,8 @@ func (d *Drive) observe(p *sim.Proc, t0 sim.Time) {
 
 // record emits a trace event spanning [from, now], stamped with the
 // issuing process's phase span.
-func (d *Drive) record(p *sim.Proc, kind trace.Kind, from sim.Time, blocks int64) {
-	d.rec.AddFor(p, trace.Event{
+func (d *Drive) record(p *sim.Proc, kind obs.Kind, from sim.Time, blocks int64) {
+	d.tracker.Record(p, obs.Event{
 		Device: "tape:" + d.name, Kind: kind,
 		Start: from, End: p.Now(), Blocks: blocks,
 	})
@@ -229,7 +229,7 @@ func (d *Drive) exchangeTo(p *sim.Proc, addr Addr) {
 	if d.cfg.ExchangeTime > 0 {
 		t0 := p.Now()
 		p.Hold(d.cfg.ExchangeTime)
-		d.record(p, trace.TapeExchange, t0, 0)
+		d.record(p, obs.TapeExchange, t0, 0)
 	}
 	d.Stats.Exchanges++
 	d.Stats.ExchangeTime += d.cfg.ExchangeTime
@@ -256,7 +256,7 @@ func (d *Drive) seekWithin(p *sim.Proc, addr Addr) {
 		d.met.seeks.Inc()
 		t0 := p.Now()
 		p.Hold(st)
-		d.record(p, trace.TapeSeek, t0, 0)
+		d.record(p, obs.TapeSeek, t0, 0)
 	}
 	d.pos = addr
 }
@@ -282,7 +282,7 @@ func (d *Drive) position(p *sim.Proc, addr Addr, wantReverse bool) {
 // transferSegments walks the volume-contiguous segments of [addr,
 // addr+n), charging exchanges between them and the transfer time of
 // each.
-func (d *Drive) transferSegments(p *sim.Proc, addr Addr, n int64, kind trace.Kind) {
+func (d *Drive) transferSegments(p *sim.Proc, addr Addr, n int64, kind obs.Kind) {
 	for n > 0 {
 		d.position(p, addr, false)
 		span := d.media.volumeSpan(d.curVol)
@@ -338,7 +338,7 @@ func (d *Drive) ReadAt(p *sim.Proc, addr Addr, n int64) ([]block.Block, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.transferSegments(p, addr, n, trace.TapeRead)
+	d.transferSegments(p, addr, n, obs.TapeRead)
 	d.Stats.Requests++
 	d.Stats.BlocksRead += n
 	d.met.blocksRead.Add(float64(n))
@@ -395,7 +395,7 @@ func (d *Drive) ReadRegionReverse(p *sim.Proc, r Region) ([]block.Block, error) 
 	t := d.TransferTime(r.N)
 	tx := p.Now()
 	p.Hold(t)
-	d.record(p, trace.TapeRead, tx, r.N)
+	d.record(p, obs.TapeRead, tx, r.N)
 	d.Stats.TransferTime += t
 	d.pos = r.Start
 	d.lastEnd = p.Now()
@@ -426,7 +426,7 @@ func (d *Drive) Append(p *sim.Proc, blks []block.Block) (Region, error) {
 	if err != nil {
 		return Region{}, err
 	}
-	d.transferSegments(p, eod, reg.N, trace.TapeWrite)
+	d.transferSegments(p, eod, reg.N, obs.TapeWrite)
 	d.Stats.Requests++
 	d.Stats.BlocksWritten += reg.N
 	d.met.blocksWritten.Add(float64(reg.N))
@@ -452,7 +452,7 @@ func (d *Drive) WriteAt(p *sim.Proc, addr Addr, blks []block.Block) error {
 	if err := d.media.writeAt(addr, blks); err != nil {
 		return err
 	}
-	d.transferSegments(p, addr, int64(len(blks)), trace.TapeWrite)
+	d.transferSegments(p, addr, int64(len(blks)), obs.TapeWrite)
 	d.Stats.Requests++
 	d.Stats.BlocksWritten += int64(len(blks))
 	d.met.blocksWritten.Add(float64(int64(len(blks))))

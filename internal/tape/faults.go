@@ -6,8 +6,8 @@ import (
 
 	"repro/internal/block"
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // SetInjector attaches a fault injector consulted on every drive
@@ -29,7 +29,7 @@ func (d *Drive) consult(p *sim.Proc, write bool, addr Addr, n int64) (corrupt bo
 		d.Stats.StallTime += dec.Stall
 		t0 := p.Now()
 		p.Hold(dec.Stall)
-		d.record(p, trace.Fault, t0, 0)
+		d.record(p, obs.Fault, t0, 0)
 	}
 	if dec.Err != nil {
 		d.Stats.InjectedFaults++
@@ -94,7 +94,7 @@ func (d *Drive) switchIn(p *sim.Proc) {
 		if d.cfg.ExchangeTime > 0 {
 			t0 := p.Now()
 			p.Hold(d.cfg.ExchangeTime)
-			d.record(p, trace.TapeExchange, t0, 0)
+			d.record(p, obs.TapeExchange, t0, 0)
 		}
 		d.Stats.Exchanges++
 		d.Stats.ExchangeTime += d.cfg.ExchangeTime

@@ -7,10 +7,10 @@ import (
 	"time"
 
 	"repro/internal/join"
+	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/sim"
 	"repro/internal/tape"
-	"repro/internal/trace"
 )
 
 // batch builds a fresh 9-query workload over three S cartridges and
@@ -232,15 +232,15 @@ func TestCacheEviction(t *testing.T) {
 func TestDeterministicSchedule(t *testing.T) {
 	for _, policy := range []Policy{FIFO, MountAware, SharedScan} {
 		t.Run(policy.String(), func(t *testing.T) {
-			run := func() (*BatchResult, []trace.Event) {
+			run := func() (*BatchResult, []obs.Event) {
 				b := makeSharingBatch(t, policy, 64)
-				rec := &trace.Recorder{}
-				b.cfg.Resources.Trace = rec
+				tr := obs.NewTracker()
+				b.cfg.Resources.Spans = tr
 				out, err := Run(b.cfg, b.queries)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return out, rec.Events
+				return out, tr.Events()
 			}
 			out1, ev1 := run()
 			out2, ev2 := run()

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // DeviceBusyReport is one device's contribution to a phase.
@@ -61,7 +60,7 @@ type Report struct {
 	Phases []PhaseReport
 
 	spans  []*obs.Span
-	events []trace.Event
+	events []obs.Event
 	reg    *obs.Registry
 	end    sim.Time
 }
@@ -87,13 +86,13 @@ func toPhaseReport(s obs.PhaseStat) PhaseReport {
 	return out
 }
 
-func newReport(tr *obs.Tracker, rec *trace.Recorder, reg *obs.Registry, end sim.Time) *Report {
-	spans := tr.Spans()
-	a := obs.Analyze(spans, rec.Events, end)
+func newReport(tr *obs.Tracker, reg *obs.Registry, end sim.Time) *Report {
+	spans, events := tr.Spans(), tr.Events()
+	a := obs.Analyze(spans, events, end)
 	r := &Report{
 		Total:  toPhaseReport(a.Total),
 		spans:  spans,
-		events: rec.Events,
+		events: events,
 		reg:    reg,
 		end:    end,
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/obs/obsserver"
 	"repro/internal/relation"
@@ -66,20 +65,13 @@ func (s *System) StartService(opts ServiceOptions) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	runRes := s.res
 	// A resident service keeps only bounded telemetry: the metrics
-	// registry and the flight-recorder ring. The unbounded span tracker
+	// registry and the flight-recorder ring. The unbounded tracker
 	// stays per-run (Join/RunBatch) where it has an end.
-	runRes.Metrics = obs.NewRegistry()
-	runRes.Flight = s.flight
-	if s.cfg.Faults != "" {
-		sched, err := fault.Parse(s.cfg.Faults)
-		if err != nil {
-			return nil, fmt.Errorf("tapejoin: %w", err)
-		}
-		runRes.Faults = sched
+	runRes, err := s.runResources(nil, obs.NewRegistry())
+	if err != nil {
+		return nil, err
 	}
-	runRes.Recovery.Disabled = s.cfg.DisableRecovery
 
 	cat := make(map[string]*relation.Relation, len(opts.Catalog))
 	for name, r := range opts.Catalog {

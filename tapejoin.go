@@ -41,7 +41,6 @@ import (
 	"repro/internal/relation"
 	"repro/internal/sim"
 	"repro/internal/tape"
-	"repro/internal/trace"
 )
 
 // BlocksPerMB converts the paper's megabyte units to paper blocks.
@@ -686,34 +685,10 @@ func (s *System) JoinWith(method Method, r, bigS *Relation, opts JoinOptions) (*
 	if err != nil {
 		return nil, err
 	}
-	runRes := s.res
-	var rec *trace.Recorder
-	if s.cfg.CollectTrace || s.cfg.Observe {
-		rec = &trace.Recorder{}
-		runRes.Trace = rec
+	runRes, err := s.runResources(s.runObs())
+	if err != nil {
+		return nil, err
 	}
-	var tracker *obs.Tracker
-	var reg *obs.Registry
-	if s.cfg.Observe {
-		tracker = obs.NewTracker()
-		reg = obs.NewRegistry()
-		runRes.Spans = tracker
-		runRes.Metrics = reg
-	}
-	runRes.Flight = s.flight
-	if s.obs != nil {
-		// Point the live endpoints at this run's registry so a scrape
-		// mid-run sees the numbers as they accumulate.
-		s.obs.SetSources(reg, s.flight, s.healthSource())
-	}
-	if s.cfg.Faults != "" {
-		sched, err := fault.Parse(s.cfg.Faults)
-		if err != nil {
-			return nil, fmt.Errorf("tapejoin: %w", err)
-		}
-		runRes.Faults = sched
-	}
-	runRes.Recovery.Disabled = s.cfg.DisableRecovery
 	var sink interface {
 		join.Sink
 		join.Hasher
@@ -775,15 +750,61 @@ func (s *System) JoinWith(method Method, r, bigS *Relation, opts JoinOptions) (*
 			OddMB:   mbOf(smp.Odd),
 		})
 	}
-	if s.cfg.CollectTrace {
-		end := sim.Time(res.Stats.Response)
-		out.Timeline = rec.Timeline(end, 100)
-		out.DeviceSummary = rec.Summary(end)
+	out.Timeline, out.DeviceSummary, out.Report = s.runOutputs(runRes, sim.Time(res.Stats.Response))
+	return out, nil
+}
+
+// runObs returns a fresh tracker when the run collects a trace or is
+// observed, and a fresh registry when it is observed; nil otherwise.
+func (s *System) runObs() (*obs.Tracker, *obs.Registry) {
+	var tracker *obs.Tracker
+	var reg *obs.Registry
+	if s.cfg.CollectTrace || s.cfg.Observe {
+		tracker = obs.NewTracker()
 	}
 	if s.cfg.Observe {
-		out.Report = newReport(tracker, rec, reg, sim.Time(res.Stats.Response))
+		reg = obs.NewRegistry()
 	}
-	return out, nil
+	return tracker, reg
+}
+
+// runResources returns the system's resources set up for one run
+// recording into tracker and reg (either may be nil): the flight ring,
+// the live obs endpoints pointed at reg so a mid-run scrape sees the
+// numbers accumulate, the recovery switch, and a freshly parsed fault
+// schedule — a fault.Schedule counts its rules down as they fire, so
+// no two runs can share one.
+func (s *System) runResources(tracker *obs.Tracker, reg *obs.Registry) (join.Resources, error) {
+	res := s.res
+	res.Spans = tracker
+	res.Metrics = reg
+	res.Flight = s.flight
+	if s.obs != nil {
+		s.obs.SetSources(reg, s.flight, s.healthSource())
+	}
+	if s.cfg.Faults != "" {
+		sched, err := fault.Parse(s.cfg.Faults)
+		if err != nil {
+			return res, fmt.Errorf("tapejoin: %w", err)
+		}
+		res.Faults = sched
+	}
+	res.Recovery.Disabled = s.cfg.DisableRecovery
+	return res, nil
+}
+
+// runOutputs renders a finished run of length end from the tracker
+// and registry in res: the device timeline and summary under
+// CollectTrace, the report under Observe.
+func (s *System) runOutputs(res join.Resources, end sim.Time) (timeline, summary string, rep *Report) {
+	if s.cfg.CollectTrace {
+		timeline = obs.Timeline(res.Spans.Events(), end, 100)
+		summary = obs.DeviceSummary(res.Spans.Events(), end)
+	}
+	if s.cfg.Observe {
+		rep = newReport(res.Spans, res.Metrics, end)
+	}
+	return timeline, summary, rep
 }
 
 // CheckFeasible reports whether the method can run r ⋈ s on this
