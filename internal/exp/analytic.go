@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"encoding/json"
 	"math"
 
 	"repro/internal/cost"
@@ -14,6 +15,23 @@ type AnalyticPoint struct {
 	// Relative maps method symbol to response time relative to the
 	// bare tape read time of S; +Inf when infeasible.
 	Relative map[string]float64
+}
+
+// MarshalJSON encodes an infeasible method's +Inf, which JSON numbers
+// cannot carry, as null.
+func (p AnalyticPoint) MarshalJSON() ([]byte, error) {
+	rel := make(map[string]*float64, len(p.Relative))
+	for m, v := range p.Relative {
+		if math.IsInf(v, 1) {
+			rel[m] = nil
+		} else {
+			rel[m] = &v
+		}
+	}
+	return json.Marshal(struct {
+		ROverM   float64
+		Relative map[string]*float64
+	}{p.ROverM, rel})
 }
 
 // figureRange returns the |R|/M grid of each analytical chart.

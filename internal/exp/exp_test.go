@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -220,6 +221,52 @@ func TestAnalyticFiguresRender(t *testing.T) {
 	end := last[len(last)-1]
 	if !math.IsInf(end.Relative["DT-NB"], 1) || math.IsInf(end.Relative["CTT-GH"], 1) {
 		t.Fatalf("figure 3 feasibility wrong: %+v", end.Relative)
+	}
+}
+
+// TestAnalyticFiguresJSON decodes the JSON of Figures 1-3, as
+// paperbench -format json writes it: infeasible methods are null, every
+// other cell is the figure's number.
+func TestAnalyticFiguresJSON(t *testing.T) {
+	sawNull := false
+	for fig := 1; fig <= 3; fig++ {
+		points := AnalyticFigure(fig)
+		raw, err := json.Marshal(points)
+		if err != nil {
+			t.Fatalf("figure %d: %v", fig, err)
+		}
+		var got []struct {
+			ROverM   float64
+			Relative map[string]*float64
+		}
+		if err := json.Unmarshal(raw, &got); err != nil {
+			t.Fatalf("figure %d: %v", fig, err)
+		}
+		if len(got) != len(points) {
+			t.Fatalf("figure %d: %d points decoded, want %d", fig, len(got), len(points))
+		}
+		for i, p := range points {
+			if got[i].ROverM != p.ROverM || len(got[i].Relative) != len(p.Relative) {
+				t.Fatalf("figure %d point %d: decoded %+v, want %+v", fig, i, got[i], p)
+			}
+			for m, v := range p.Relative {
+				g, ok := got[i].Relative[m]
+				switch {
+				case !ok:
+					t.Fatalf("figure %d point %d: %s missing", fig, i, m)
+				case math.IsInf(v, 1):
+					sawNull = true
+					if g != nil {
+						t.Fatalf("figure %d point %d: infeasible %s decoded as %v", fig, i, m, *g)
+					}
+				case g == nil || *g != v:
+					t.Fatalf("figure %d point %d: %s decoded as %v, want %v", fig, i, m, g, v)
+				}
+			}
+		}
+	}
+	if !sawNull {
+		t.Fatal("no infeasible cell in Figures 1-3; the null encoding went untested")
 	}
 }
 

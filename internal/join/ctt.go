@@ -70,24 +70,25 @@ func appendFileToTape(e *env, p *sim.Proc, f device.File, dst device.Drive, pipe
 		return nil
 	}
 
-	if !pipelined {
-		for off := int64(0); off < f.Len(); off += e.res.IOChunk {
-			g := min(e.res.IOChunk, f.Len()-off)
-			blks, err := e.diskRead(p, f, off, g)
-			if err != nil {
-				return device.Region{}, err
-			}
+	// read streams the file through xform into emit, skipping batches
+	// the transform empties.
+	read := func(rp *sim.Proc, emit func([]block.Block) error) error {
+		return e.scan(rp, diskBucket{f}, e.res.IOChunk, func(blks []block.Block, last bool) error {
 			if xform != nil {
-				if blks, err = xform(blks, off+g >= f.Len()); err != nil {
-					return device.Region{}, err
+				var err error
+				if blks, err = xform(blks, last); err != nil {
+					return err
 				}
 			}
 			if len(blks) == 0 {
-				continue
+				return nil
 			}
-			if err := write(p, blks); err != nil {
-				return device.Region{}, err
-			}
+			return emit(blks)
+		})
+	}
+	if !pipelined {
+		if err := read(p, func(blks []block.Block) error { return write(p, blks) }); err != nil {
+			return device.Region{}, err
 		}
 		return region, nil
 	}
@@ -98,20 +99,12 @@ func appendFileToTape(e *env, p *sim.Proc, f device.File, dst device.Drive, pipe
 	}
 	q := sim.NewQueue[readMsg](e.k, "append-pipe", 2)
 	reader := e.k.Spawn("bucket-reader", func(rp *sim.Proc) {
-		for off := int64(0); off < f.Len(); off += e.res.IOChunk {
-			g := min(e.res.IOChunk, f.Len()-off)
-			blks, err := e.diskRead(rp, f, off, g)
-			if err == nil && xform != nil {
-				blks, err = xform(blks, off+g >= f.Len())
-			}
-			if err != nil {
-				q.Send(rp, readMsg{err: err})
-				break
-			}
-			if len(blks) == 0 {
-				continue
-			}
+		err := read(rp, func(blks []block.Block) error {
 			q.Send(rp, readMsg{blks: blks})
+			return nil
+		})
+		if err != nil {
+			q.Send(rp, readMsg{err: err})
 		}
 		q.Close(rp)
 	})
@@ -210,116 +203,63 @@ func hashRelationToTape(e *env, p *sim.Proc, src device.Drive, region device.Reg
 				g = int64(b - lo)
 			}
 			hi = lo + int(g)
-			window := hi - lo
-			need := make([]bool, window)
-			anyNeed := false
-			for i := 0; i < window; i++ {
-				// A bucket is outstanding while any of its partitions
-				// lacks a tape region (all of them, before a skew plan).
-				for _, part := range partsOf(lo + i) {
+			// A bucket is outstanding while any of its partitions lacks a
+			// tape region (all of them, before a skew plan); only those
+			// are partitioned again.
+			var parts []int
+			for bkt := lo; bkt < hi; bkt++ {
+				for _, part := range partsOf(bkt) {
 					if regions[part].N == 0 {
-						need[i] = true
-						anyNeed = true
+						parts = append(parts, bkt)
 						break
 					}
 				}
 			}
-			if !anyNeed {
+			if len(parts) == 0 {
 				return nil
 			}
-			files := make([]device.File, window)
-			defer freeAll(files)
-			for i := 0; i < window; i++ {
-				if !need[i] {
-					continue
-				}
-				f, err := e.disks.Create(fmt.Sprintf("hb%d", lo+i), nil)
-				if err != nil {
-					return err
-				}
-				files[i] = f
-			}
-
 			var sk *hashutil.FreqSketch
-			var counts []int64
+			var census []int64
 			if !sketched {
 				if sk = e.newSketch(); sk == nil {
 					sketched = true
 				} else {
-					counts = make([]int64, b)
+					census = make([]int64, b)
 				}
 			}
-			err := func() error {
-				memNeed := int64(window)*plan.WriteBuf + plan.InBuf
-				e.mem.acquire(memNeed)
-				defer e.mem.release(memNeed)
-				pt := newPartitioner(b, plan.WriteBuf, tuplesPerBlock, tag,
-					func(fp *sim.Proc, bkt int, blks []block.Block) error {
-						return files[bkt-lo].Append(fp, blks)
-					})
-				pt.only = func(bkt int) bool { return bkt >= lo && bkt < hi && need[bkt-lo] }
-				pt.sketch = sk
-
-				err := e.readTape(up, src, region, plan.InBuf, func(_ int64, blks []block.Block) error {
-					var addErr error
-					err := forEachTuple(blks, func(t block.Tuple) {
-						if addErr != nil || (keep != nil && !keep(t)) {
-							return
-						}
-						if counts != nil {
-							counts[hashutil.Bucket(t.Key, b)]++
-						}
-						addErr = pt.add(up, t)
-					})
-					if err != nil {
-						return err
-					}
-					return addErr
-				})
-				if err != nil {
-					return err
-				}
-				return pt.finish(up)
-			}()
+			files, err := e.partition(up, partPass{
+				src: tapeBucket{drive: src, region: region}, lay: layoutOf(plan), parts: parts, prefix: "hb",
+				perBlk: tuplesPerBlock, tag: tag, keep: keep, sketch: sk, census: census,
+			})
 			if err != nil {
 				return err
 			}
+			defer freeAll(files)
 			*scans++
 
 			// The full scan just completed the sketch and the exact
 			// bucket census; refine the plan before anything spools so
 			// every region lands at its final partition index.
 			if sk != nil {
-				sizes := make([]int64, b)
-				for i, c := range counts {
-					sizes[i] = (c + int64(tuplesPerBlock) - 1) / int64(tuplesPerBlock)
-				}
-				nsp := hashutil.BuildSkewPlan(plan, sizes, sk, tuplesPerBlock,
-					skewTarget(plan, e.res.MemoryBlocks), int(e.res.MemoryBlocks-1))
 				sketched = true
-				if !nsp.Trivial() {
+				if nsp := e.refine(plan, census, sk, tuplesPerBlock); nsp != nil {
 					*skew = nsp
-					e.stats.HeavyHitters = len(nsp.Heavy)
-					e.stats.SkewPartitions = nsp.NParts
 					regions = append(regions, make([]device.Region, nsp.NParts-len(regions))...)
 				}
 			}
 
 			// Append the completed buckets to the destination tape in
 			// bucket order, refined buckets one partition at a time.
-			for i, f := range files {
-				if f == nil {
-					continue
-				}
-				parts := partsOf(lo + i)
-				if len(parts) == 1 {
+			for _, bkt := range parts {
+				f := files[bkt]
+				if refined := partsOf(bkt); len(refined) == 1 {
 					reg, err := appendFileToTape(e, up, f, dst, pipelined, nil)
 					if err != nil {
 						return err
 					}
-					regions[lo+i] = reg
+					regions[bkt] = reg
 				} else {
-					for _, part := range parts {
+					for _, part := range refined {
 						if regions[part].N != 0 {
 							continue // spooled by an attempt this restart superseded
 						}
@@ -332,7 +272,7 @@ func hashRelationToTape(e *env, p *sim.Proc, src device.Drive, region device.Reg
 					}
 				}
 				f.Free()
-				files[i] = nil
+				files[bkt] = nil
 			}
 			return nil
 		})

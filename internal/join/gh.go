@@ -91,91 +91,21 @@ func joinBucketPair(e *env, p *sim.Proc, r, s bucketSource, maxLoad, scanBuf int
 
 			e.mem.acquire(scanBuf)
 			defer e.mem.release(scanBuf)
-			for soff := int64(0); soff < s.blocks(); soff += scanBuf {
-				g := min(scanBuf, s.blocks()-soff)
-				sBlks, err := e.readSrc(p, s, soff, g)
-				if err != nil {
-					return err
-				}
-				err = forEachTuple(sBlks, func(t block.Tuple) {
+			return e.scan(p, s, scanBuf, func(sBlks []block.Block, _ bool) error {
+				err := forEachTuple(sBlks, func(t block.Tuple) {
 					table.probeWithS(e, p, t)
 				})
 				if err != nil {
 					return err
 				}
-				if err := e.checkStop(); err != nil {
-					return err
-				}
-			}
-			return nil
+				return e.checkStop()
+			})
 		}()
 		if err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// partitionTapeToDisk hash-partitions a tape-resident relation (or a
-// chunk of it) into per-partition striped disk files, following lay's
-// partition count, buffers and routing. Returns the partition files.
-// sk, when non-nil, observes every surviving key (the skew sketch).
-// reserve, when non-nil, is called with the block count of each flush
-// before the disk write — concurrent methods use it to acquire
-// double-buffer space.
-func partitionTapeToDisk(e *env, p *sim.Proc, drive device.Drive, region device.Region,
-	tuplesPerBlock int, tag byte, lay layout, namePrefix string,
-	keep keepFn, sk *hashutil.FreqSketch, reserve func(p *sim.Proc, n int64)) ([]device.File, error) {
-
-	files := make([]device.File, lay.parts)
-	ok := false
-	defer func() {
-		// A failed partition frees every bucket file, so retried units
-		// never leak disk space.
-		if !ok {
-			freeAll(files)
-		}
-	}()
-	for i := range files {
-		f, err := e.disks.Create(fmt.Sprintf("%s%d", namePrefix, i), nil)
-		if err != nil {
-			return nil, err
-		}
-		files[i] = f
-	}
-	e.mem.acquire(lay.memory())
-	defer e.mem.release(lay.memory())
-
-	pt := newPartitioner(lay.parts, lay.writeBuf, tuplesPerBlock, tag,
-		func(fp *sim.Proc, bkt int, blks []block.Block) error {
-			if reserve != nil {
-				reserve(fp, int64(len(blks)))
-			}
-			return files[bkt].Append(fp, blks)
-		})
-	pt.route = lay.route
-	pt.sketch = sk
-	err := e.readTape(p, drive, region, lay.inBuf, func(_ int64, blks []block.Block) error {
-		var addErr error
-		err := forEachTuple(blks, func(t block.Tuple) {
-			if addErr != nil || (keep != nil && !keep(t)) {
-				return
-			}
-			addErr = pt.add(p, t)
-		})
-		if err != nil {
-			return err
-		}
-		return addErr
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := pt.finish(p); err != nil {
-		return nil, err
-	}
-	ok = true
-	return files, nil
 }
 
 // checkGH verifies the shared Grace Hash feasibility: the Table 2
@@ -229,17 +159,21 @@ func (e *env) ensureRBuckets(p *sim.Proc, plan hashutil.Plan, fRB *[]device.File
 		freeAll(*fRB)
 		*fRB = nil
 	}
-	sk := e.newSketch()
+	pass := partPass{
+		src: tapeBucket{drive: e.driveR, region: e.spec.R.Region}, lay: layoutOf(plan), prefix: "rb",
+		perBlk: e.spec.R.TuplesPerBlock, tag: e.spec.R.Tag, keep: e.filterR(), sketch: e.newSketch(),
+	}
+	if pass.sketch != nil {
+		pass.census = make([]int64, plan.B)
+	}
 	sp := e.span(p, "hash-R", obs.AInt("buckets", int64(plan.B)))
-	files, err := partitionTapeToDisk(e, p, e.driveR, e.spec.R.Region,
-		e.spec.R.TuplesPerBlock, e.spec.R.Tag, layoutOf(plan), "rb", e.filterR(), sk, nil)
+	files, err := e.partition(p, pass)
 	sp.Close(p)
 	if err != nil {
 		return err
 	}
-	if sk != nil {
-		files, *skp, err = e.repairRSkew(p, plan, files, sk,
-			e.spec.R.TuplesPerBlock, e.spec.R.Tag, "rb")
+	if pass.sketch != nil {
+		files, *skp, err = e.repairRSkew(p, plan, files, pass)
 		if err != nil {
 			// repairRSkew freed every partition file already.
 			return err
@@ -248,6 +182,17 @@ func (e *env) ensureRBuckets(p *sim.Proc, plan hashutil.Plan, fRB *[]device.File
 	*fRB = files
 	e.stats.RScans++
 	return nil
+}
+
+// stageS hash-partitions S's chunk [off, off+n) into disk bucket files
+// following sLay; reserve is partPass's double-buffer hook.
+func (e *env) stageS(p *sim.Proc, sLay layout, off, n int64, reserve func(*sim.Proc, int64)) ([]device.File, error) {
+	sp := e.span(p, "stage-S", obs.AInt("off", off))
+	defer sp.Close(p)
+	return e.partition(p, partPass{
+		src: tapeBucket{drive: e.driveS, region: e.spec.S.Region.Sub(off, n)}, lay: sLay, prefix: "sb",
+		perBlk: e.spec.S.TuplesPerBlock, tag: e.spec.S.Tag, keep: e.filterS(), reserve: reserve,
+	})
 }
 
 // ghStepIISeq is the sequential Step II of the Grace Hash methods and
@@ -284,12 +229,8 @@ func ghStepIISeq(e *env, p *sim.Proc, plan hashutil.Plan, sLay layout, startOff 
 				freeAll(fSB)
 				fSB = nil
 			}
-			sp := e.span(up, "stage-S", obs.AInt("off", off))
 			var err error
-			fSB, err = partitionTapeToDisk(e, up, e.driveS, s.Sub(off, n),
-				e.spec.S.TuplesPerBlock, e.spec.S.Tag, sLay, "sb", e.filterS(), nil, nil)
-			sp.Close(up)
-			if err != nil {
+			if fSB, err = e.stageS(up, sLay, off, n, nil); err != nil {
 				return err
 			}
 			for b := doneB; b < sLay.parts; b++ {
@@ -434,14 +375,10 @@ func ghJoinPipeline(e *env, p *sim.Proc, plan hashutil.Plan, sLay layout, chunkC
 		for off, iter := int64(0), int64(0); off < s.N && !*stop; off, iter = off+chunkCap, iter+1 {
 			n := min(chunkCap, s.N-off)
 			var acq int64
-			sp := e.span(hp, "stage-S", obs.AInt("off", off))
-			files, err := partitionTapeToDisk(e, hp, e.driveS, s.Sub(off, n),
-				e.spec.S.TuplesPerBlock, e.spec.S.Tag, sLay, "sb", e.filterS(), nil,
-				func(fp *sim.Proc, blks int64) {
-					dbuf.Acquire(fp, iter, blks)
-					acq += blks
-				})
-			sp.Close(hp)
+			files, err := e.stageS(hp, sLay, off, n, func(fp *sim.Proc, blks int64) {
+				dbuf.Acquire(fp, iter, blks)
+				acq += blks
+			})
 			if err != nil {
 				dbuf.Release(hp, iter, acq)
 				q.Send(hp, chunk{iter: iter, off: off, err: err})

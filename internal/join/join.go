@@ -75,9 +75,6 @@ type Resources struct {
 	// distribution allows it. Off by default: the uniform path is
 	// byte-for-byte the paper's plan.
 	SkewAware bool
-	// SkewSketchK caps the sketch's tracked keys; 0 means
-	// hashutil.DefaultSketchK.
-	SkewSketchK int
 	// ProbeNarrow enables CDF-model probe-range narrowing in the
 	// sort-merge path: sparse (first key, block) samples collected
 	// while the sorted runs are written let the merge join seek past

@@ -37,9 +37,9 @@ func copyRToDisk(e *env, p *sim.Proc) (device.File, error) {
 	e.mem.acquire(e.res.MemoryBlocks)
 	defer e.mem.release(e.res.MemoryBlocks)
 	keep := e.filterR()
-	err = e.readTape(p, e.driveR, e.spec.R.Region, e.res.MemoryBlocks,
-		func(_ int64, blks []block.Block) error {
-			blks, _, err := filterRepack(blks, keep, e.spec.R.TuplesPerBlock, e.spec.R.Tag)
+	err = e.scan(p, tapeBucket{drive: e.driveR, region: e.spec.R.Region}, e.res.MemoryBlocks,
+		func(blks []block.Block, _ bool) error {
+			blks, err := filterRepack(blks, keep, e.spec.R.TuplesPerBlock, e.spec.R.Tag)
 			if err != nil {
 				return err
 			}
@@ -87,21 +87,17 @@ func scanRAndProbe(e *env, p *sim.Proc, fR device.File, mr int64, table *hashTab
 	defer sp.Close(p)
 	e.mem.acquire(mr)
 	defer e.mem.release(mr)
-	for off := int64(0); off < fR.Len(); off += mr {
-		n := min(mr, fR.Len()-off)
-		blks, err := e.diskRead(p, fR, off, n)
-		if err != nil {
-			return err
-		}
-		err = forEachTuple(blks, func(t block.Tuple) {
+	err := e.scan(p, diskBucket{fR}, mr, func(blks []block.Block, _ bool) error {
+		err := forEachTuple(blks, func(t block.Tuple) {
 			table.probeWithR(e, p, t)
 		})
 		if err != nil {
 			return err
 		}
-		if err := e.checkStop(); err != nil {
-			return err
-		}
+		return e.checkStop()
+	})
+	if err != nil {
+		return err
 	}
 	e.stats.RScans++
 	return nil
@@ -340,7 +336,7 @@ func (CDTNBDB) run(e *env, p *sim.Proc) error {
 		keepS := e.filterS()
 		for sub := int64(0); sub < c.n; sub += e.res.IOChunk {
 			g := min(e.res.IOChunk, c.n-sub)
-			blks, err := e.diskRead(p, c.file, sub, g)
+			blks, err := e.readSrc(p, diskBucket{c.file}, sub, g)
 			if err == nil {
 				err = table.addBlocks(blks, keepS)
 			}

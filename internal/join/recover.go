@@ -158,13 +158,6 @@ func (e *env) tapeRead(p *sim.Proc, drive device.Drive, a device.Addr, n int64) 
 	})
 }
 
-// diskRead is readDev over a file read.
-func (e *env) diskRead(p *sim.Proc, f device.File, off, n int64) ([]block.Block, error) {
-	return e.readDev(p, "disk:"+f.Name(), func() ([]block.Block, error) {
-		return f.ReadAt(p, off, n)
-	})
-}
-
 // readSrc is readDev over a bucket source.
 func (e *env) readSrc(p *sim.Proc, src bucketSource, off, n int64) ([]block.Block, error) {
 	return e.readDev(p, src.device(), func() ([]block.Block, error) {

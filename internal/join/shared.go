@@ -148,27 +148,15 @@ func sharedJoinChunk(e *env, p *sim.Proc, blks []block.Block, off int64, queries
 		log := &held[i]
 		psp := e.span(p, "probe", obs.AInt("rider", int64(i)))
 		e.mem.acquire(q.MrBlocks)
-		err := func() error {
-			fR := q.StagedR
-			for roff := int64(0); roff < fR.Len(); roff += q.MrBlocks {
-				n := min(q.MrBlocks, fR.Len()-roff)
-				rBlks, err := e.diskRead(p, fR, roff, n)
-				if err != nil {
-					return err
-				}
-				err = forEachTuple(rBlks, func(rt block.Tuple) {
-					for j := table.first(rt.Key); j != 0; j = table.next[j] {
-						if st := table.tuples[j]; q.FilterS == nil || q.FilterS(st) {
-							log.emit(rt, st)
-						}
+		err := e.scan(p, diskBucket{q.StagedR}, q.MrBlocks, func(rBlks []block.Block, _ bool) error {
+			return forEachTuple(rBlks, func(rt block.Tuple) {
+				for j := table.first(rt.Key); j != 0; j = table.next[j] {
+					if st := table.tuples[j]; q.FilterS == nil || q.FilterS(st) {
+						log.emit(rt, st)
 					}
-				})
-				if err != nil {
-					return err
 				}
-			}
-			return nil
-		}()
+			})
+		})
 		e.mem.release(q.MrBlocks)
 		psp.Close(p)
 		if err != nil {

@@ -1,8 +1,6 @@
 package join
 
 import (
-	"fmt"
-
 	"repro/internal/block"
 	"repro/internal/device"
 	"repro/internal/hashutil"
@@ -50,10 +48,6 @@ func probeLayout(plan hashutil.Plan, sp *hashutil.SkewPlan, m int64) layout {
 	return lay
 }
 
-// memory returns the blocks the partition phase holds under this
-// layout: one write buffer per partition plus the input buffer.
-func (l layout) memory() int64 { return int64(l.parts)*l.writeBuf + l.inBuf }
-
 // route maps a key to its final partition.
 func (l layout) route(key uint64) int {
 	if l.sp != nil {
@@ -62,98 +56,33 @@ func (l layout) route(key uint64) int {
 	return hashutil.Bucket(key, l.parts)
 }
 
-// skewTarget is the single-load budget a repaired partition must meet:
-// whatever memory remains next to the join phase's streaming buffer.
-func skewTarget(plan hashutil.Plan, m int64) int64 {
-	return m - scanBufFor(plan, m)
-}
-
 // newSketch returns a frequency sketch when skew-aware partitioning is
 // on, nil otherwise.
 func (e *env) newSketch() *hashutil.FreqSketch {
 	if !e.res.SkewAware {
 		return nil
 	}
-	return hashutil.NewFreqSketch(e.res.SkewSketchK)
+	return hashutil.NewFreqSketch(hashutil.DefaultSketchK)
 }
 
-// fileLens returns the length in blocks of each file.
-func fileLens(files []device.File) []int64 {
-	out := make([]int64, len(files))
-	for i, f := range files {
-		out[i] = f.Len()
+// refine builds the skew plan for plan's primary buckets from their
+// census (tuples per bucket) and the key sketch, against the single-load
+// budget: whatever memory remains next to the join phase's streaming
+// buffer. It records the plan's stats and returns it, or nil when the
+// uniform plan needs no repair.
+func (e *env) refine(plan hashutil.Plan, census []int64, sk *hashutil.FreqSketch, perBlk int) *hashutil.SkewPlan {
+	m := e.res.MemoryBlocks
+	sizes := make([]int64, len(census))
+	for i, c := range census {
+		sizes[i] = (c + int64(perBlk) - 1) / int64(perBlk)
 	}
-	return out
-}
-
-// splitBucketFile redistributes one provisional bucket file into the
-// final partitions the skew plan assigns to primary bucket b, reading
-// the file back in IOChunk batches and writing one new file per
-// partition (named prefix<part>). The input file is freed on success.
-// Memory held is one block per target partition plus the read chunk —
-// bounded by maxParts <= M-1 at plan time.
-func (e *env) splitBucketFile(p *sim.Proc, f device.File, sp *hashutil.SkewPlan, b int,
-	tuplesPerBlock int, tag byte, prefix string) (map[int]device.File, error) {
-
-	parts := sp.PartsOf(b)
-	isPart := make(map[int]bool, len(parts))
-	out := make(map[int]device.File, len(parts))
-	ok := false
-	defer func() {
-		if !ok {
-			for _, nf := range out {
-				nf.Free()
-			}
-		}
-	}()
-	for _, part := range parts {
-		nf, err := e.disks.Create(fmt.Sprintf("%s%d", prefix, part), nil)
-		if err != nil {
-			return nil, err
-		}
-		out[part] = nf
-		isPart[part] = true
+	sp := hashutil.BuildSkewPlan(plan, sizes, sk, perBlk, m-scanBufFor(plan, m), int(m-1))
+	if sp.Trivial() {
+		return nil
 	}
-
-	chunk := min(e.res.IOChunk, e.res.MemoryBlocks-int64(len(parts)))
-	if chunk < 1 {
-		chunk = 1
-	}
-	mem := int64(len(parts)) + chunk
-	e.mem.acquire(mem)
-	defer e.mem.release(mem)
-
-	pt := newPartitioner(sp.NParts, 1, tuplesPerBlock, tag,
-		func(fp *sim.Proc, part int, blks []block.Block) error {
-			return out[part].Append(fp, blks)
-		})
-	pt.route = sp.Partition
-	pt.only = func(part int) bool { return isPart[part] }
-	for off := int64(0); off < f.Len(); off += chunk {
-		n := min(chunk, f.Len()-off)
-		blks, err := e.diskRead(p, f, off, n)
-		if err != nil {
-			return nil, err
-		}
-		var addErr error
-		err = forEachTuple(blks, func(t block.Tuple) {
-			if addErr == nil {
-				addErr = pt.add(p, t)
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		if addErr != nil {
-			return nil, addErr
-		}
-	}
-	if err := pt.finish(p); err != nil {
-		return nil, err
-	}
-	ok = true
-	f.Free()
-	return out, nil
+	e.stats.HeavyHitters = len(sp.Heavy)
+	e.stats.SkewPartitions = sp.NParts
+	return sp
 }
 
 // partFilter returns an appendFileToTape transform that keeps only the
@@ -184,26 +113,19 @@ func partFilter(sp *hashutil.SkewPlan, part, tuplesPerBlock int, tag byte) func(
 	}
 }
 
-// repairRSkew inspects the uniform R bucket files against the
-// single-load budget and, when any overflows, builds a SkewPlan from
-// the sketch and rewrites the overflowing buckets into their refined
-// partitions on disk. Returns the final partition files (indexed by
-// partition) and the plan; a trivial refinement returns the input
-// files and a nil plan, leaving the uniform path untouched. The
-// rewrite is deterministic, so a recovery replay lands on the same
-// layout.
-func (e *env) repairRSkew(p *sim.Proc, plan hashutil.Plan, files []device.File,
-	sk *hashutil.FreqSketch, tuplesPerBlock int, tag byte, prefix string) ([]device.File, *hashutil.SkewPlan, error) {
-
-	target := skewTarget(plan, e.res.MemoryBlocks)
-	sp := hashutil.BuildSkewPlan(plan, fileLens(files), sk, tuplesPerBlock,
-		target, int(e.res.MemoryBlocks-1))
-	if sp.Trivial() {
+// repairRSkew refines the uniform R partition pass that produced files
+// and, when any bucket overflows the single-load budget, rewrites each
+// overflowing bucket file into its refined partitions on disk: a
+// partition pass over the file with one-block write buffers. Returns the
+// final partition files (indexed by partition) and the plan; a trivial
+// refinement returns the input files and a nil plan, leaving the uniform
+// path untouched. The rewrite is deterministic, so a recovery replay
+// lands on the same layout.
+func (e *env) repairRSkew(p *sim.Proc, plan hashutil.Plan, files []device.File, pass partPass) ([]device.File, *hashutil.SkewPlan, error) {
+	sp := e.refine(plan, pass.census, pass.sketch, pass.perBlk)
+	if sp == nil {
 		return files, nil, nil
 	}
-	e.stats.HeavyHitters = len(sp.Heavy)
-	e.stats.SkewPartitions = sp.NParts
-
 	span := e.span(p, "skew-repair",
 		obs.AInt("heavy", int64(len(sp.Heavy))), obs.AInt("parts", int64(sp.NParts)))
 	defer span.Close(p)
@@ -214,18 +136,25 @@ func (e *env) repairRSkew(p *sim.Proc, plan hashutil.Plan, files []device.File,
 	out := make([]device.File, sp.NParts)
 	copy(out, files)
 	for b := 0; b < plan.B; b++ {
-		if len(sp.PartsOf(b)) == 1 {
+		parts := sp.PartsOf(b)
+		if len(parts) == 1 {
 			continue
 		}
-		split, err := e.splitBucketFile(p, files[b], sp, b, tuplesPerBlock, tag, prefix)
+		// One block per target partition plus the read chunk: bounded by
+		// NParts <= M-1 at plan time.
+		chunk := max(1, min(e.res.IOChunk, e.res.MemoryBlocks-int64(len(parts))))
+		split, err := e.partition(p, partPass{
+			src: diskBucket{files[b]}, lay: layout{parts: sp.NParts, writeBuf: 1, inBuf: chunk, sp: sp},
+			parts: parts, prefix: pass.prefix, perBlk: pass.perBlk, tag: pass.tag,
+		})
 		if err != nil {
 			freeAll(out)
 			return nil, nil, err
 		}
-		// splitBucketFile freed files[b] and produced a replacement for
-		// every partition of b, index b included.
-		for part, nf := range split {
-			out[part] = nf
+		// The split replaces every partition of b, index b included.
+		files[b].Free()
+		for _, part := range parts {
+			out[part] = split[part]
 		}
 	}
 	return out, sp, nil

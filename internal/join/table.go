@@ -124,11 +124,11 @@ func (h *hashTable) len() int { return len(h.tuples) - 1 }
 // never a panic.
 //
 // Each block is checksummed once, where it is delivered: blks must come
-// from readDev (directly, or via readTape, tapeRead, diskRead or
-// readSrc — including through a reader proc's queue or a spool
-// transform), whose verifyBlocks already checked every CRC, or from a
-// Builder. So forEachTuple checks only header and framing. Blocks of
-// any other provenance go through block.Each, which checks everything.
+// from readDev (directly, or via scan, tapeRead or readSrc — including
+// through a reader proc's queue or a spool transform), whose
+// verifyBlocks already checked every CRC, or from a Builder. So
+// forEachTuple checks only header and framing. Blocks of any other
+// provenance go through block.Each, which checks everything.
 func forEachTuple(blks []block.Block, fn func(block.Tuple)) error {
 	for _, blk := range blks {
 		if err := blk.EachVerified(fn); err != nil {
@@ -142,18 +142,16 @@ func forEachTuple(blks []block.Block, fn func(block.Tuple)) error {
 type keepFn func(block.Tuple) bool
 
 // filterRepack drops tuples failing keep and repacks the survivors at
-// the original density, returning the smaller block run and the number
-// of tuples dropped. A nil keep returns the input unchanged.
-func filterRepack(blks []block.Block, keep keepFn, perBlk int, tag byte) ([]block.Block, int64, error) {
+// the original density, returning the smaller block run. A nil keep
+// returns the input unchanged.
+func filterRepack(blks []block.Block, keep keepFn, perBlk int, tag byte) ([]block.Block, error) {
 	if keep == nil {
-		return blks, 0, nil
+		return blks, nil
 	}
 	bld := block.NewBuilder(tag)
 	out := make([]block.Block, 0, len(blks))
-	var dropped int64
 	err := forEachTuple(blks, func(t block.Tuple) {
 		if !keep(t) {
-			dropped++
 			return
 		}
 		bld.Append(t)
@@ -162,12 +160,12 @@ func filterRepack(blks []block.Block, keep keepFn, perBlk int, tag byte) ([]bloc
 		}
 	})
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if bld.Len() > 0 {
 		out = append(out, bld.Finish())
 	}
-	return out, dropped, nil
+	return out, nil
 }
 
 // filterFor returns the pushed-down filter for a relation tag, with
@@ -198,25 +196,111 @@ func (e *env) filterS() keepFn {
 	}
 }
 
-// readTape streams region from drive in chunk-block requests, calling
-// fn with each batch. The stream is strictly sequential, keeping the
-// drive streaming when fn is fast. Reads go through the retrying
+// scan streams src in chunk-block requests, calling fn with each batch
+// and whether it is the last. The stream is strictly sequential, keeping
+// the device streaming when fn is fast. Reads go through the retrying
 // device-read path, so transient faults are absorbed here.
-func (e *env) readTape(p *sim.Proc, drive device.Drive, region device.Region, chunk int64, fn func(off int64, blks []block.Block) error) error {
+func (e *env) scan(p *sim.Proc, src bucketSource, chunk int64, fn func(blks []block.Block, last bool) error) error {
 	if chunk < 1 {
-		return fmt.Errorf("join: readTape chunk %d", chunk)
+		return fmt.Errorf("join: scan chunk %d", chunk)
 	}
-	for off := int64(0); off < region.N; off += chunk {
-		n := min(chunk, region.N-off)
-		blks, err := e.tapeRead(p, drive, region.Start+device.Addr(off), n)
+	for off, end := int64(0), src.blocks(); off < end; off += chunk {
+		n := min(chunk, end-off)
+		blks, err := e.readSrc(p, src, off, n)
 		if err != nil {
 			return err
 		}
-		if err := fn(off, blks); err != nil {
+		if err := fn(blks, off+n >= end); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// partPass is one hash-partitioning pass: src streams in lay.inBuf-block
+// requests into one disk file per listed partition, named prefix<part>.
+type partPass struct {
+	src    bucketSource
+	lay    layout
+	parts  []int // partitions to keep, in file creation order; nil = all
+	prefix string
+	perBlk int
+	tag    byte
+	keep   keepFn
+	// sketch, when non-nil, observes every surviving key; census, when
+	// non-nil (len lay.parts), counts surviving tuples per partition.
+	// Both see the whole stream, not just the listed partitions.
+	sketch *hashutil.FreqSketch
+	census []int64
+	// reserve, when non-nil, is called with the block count of each
+	// flush before its disk write: the concurrent S pipeline's
+	// double-buffer hook.
+	reserve func(p *sim.Proc, n int64)
+}
+
+// partition runs one partition pass. It holds one write buffer per
+// listed partition plus the input buffer, and returns the files indexed
+// by partition (nil for unlisted ones). A failed pass frees every file,
+// so retried units never leak disk space.
+func (e *env) partition(p *sim.Proc, pp partPass) ([]device.File, error) {
+	parts := pp.parts
+	if parts == nil {
+		parts = make([]int, pp.lay.parts)
+		for i := range parts {
+			parts[i] = i
+		}
+	}
+	files := make([]device.File, pp.lay.parts)
+	ok := false
+	defer func() {
+		if !ok {
+			freeAll(files)
+		}
+	}()
+	for _, part := range parts {
+		f, err := e.disks.Create(fmt.Sprintf("%s%d", pp.prefix, part), nil)
+		if err != nil {
+			return nil, err
+		}
+		files[part] = f
+	}
+	mem := int64(len(parts))*pp.lay.writeBuf + pp.lay.inBuf
+	e.mem.acquire(mem)
+	defer e.mem.release(mem)
+
+	pt := newPartitioner(pp.lay.parts, pp.lay.writeBuf, pp.perBlk, pp.tag,
+		func(fp *sim.Proc, part int, blks []block.Block) error {
+			if pp.reserve != nil {
+				pp.reserve(fp, int64(len(blks)))
+			}
+			return files[part].Append(fp, blks)
+		})
+	pt.route = pp.lay.route
+	pt.sketch, pt.census = pp.sketch, pp.census
+	if pp.parts != nil {
+		pt.only = func(part int) bool { return files[part] != nil }
+	}
+	err := e.scan(p, pp.src, pp.lay.inBuf, func(blks []block.Block, _ bool) error {
+		var addErr error
+		err := forEachTuple(blks, func(t block.Tuple) {
+			if addErr != nil || (pp.keep != nil && !pp.keep(t)) {
+				return
+			}
+			addErr = pt.add(p, t)
+		})
+		if err != nil {
+			return err
+		}
+		return addErr
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := pt.finish(p); err != nil {
+		return nil, err
+	}
+	ok = true
+	return files, nil
 }
 
 // flushFn receives a run of freshly packed blocks for one bucket.
@@ -237,17 +321,17 @@ type partitioner struct {
 	flush          flushFn
 	// only, when non-nil, keeps just the buckets it accepts and
 	// discards other tuples (the multi-scan assembly of CTT-GH and
-	// TT-GH Step I).
+	// TT-GH Step I, the split of one bucket in the skew repair).
 	only func(bucket int) bool
 	// route maps a key to its bucket; defaults to the uniform hash
 	// over b buckets. Skew-aware layouts install a SkewPlan router.
 	route func(key uint64) int
-	// sketch, when non-nil, observes every key before the only-filter,
-	// so one full scan completes the frequency sketch even when the
-	// partitioner keeps only a window of buckets.
+	// sketch and census, when non-nil, observe every key before the
+	// only-filter, so one full scan completes the frequency sketch and
+	// the per-bucket tuple counts even when the partitioner keeps only
+	// a window of buckets.
 	sketch *hashutil.FreqSketch
-	// produced counts blocks flushed per bucket.
-	produced []int64
+	census []int64
 }
 
 func newPartitioner(b int, writeBuf int64, tuplesPerBlock int, tag byte, flush flushFn) *partitioner {
@@ -255,7 +339,6 @@ func newPartitioner(b int, writeBuf int64, tuplesPerBlock int, tag byte, flush f
 		b: b, writeBuf: writeBuf, tuplesPerBlock: tuplesPerBlock, tag: tag,
 		builders: make([]*block.Builder, b),
 		pending:  make([][]block.Block, b),
-		produced: make([]int64, b),
 		flush:    flush,
 	}
 	for i := range pt.builders {
@@ -271,6 +354,9 @@ func (pt *partitioner) add(p *sim.Proc, t block.Tuple) error {
 		pt.sketch.Add(t.Key)
 	}
 	bkt := pt.route(t.Key)
+	if pt.census != nil {
+		pt.census[bkt]++
+	}
 	if pt.only != nil && !pt.only(bkt) {
 		return nil
 	}
@@ -293,7 +379,6 @@ func (pt *partitioner) drain(p *sim.Proc, bkt int) error {
 		return nil
 	}
 	pt.pending[bkt] = nil
-	pt.produced[bkt] += int64(len(blks))
 	return pt.flush(p, bkt, blks)
 }
 
