@@ -112,9 +112,6 @@ type BatchReport struct {
 	Queries []BatchQueryResult
 	// Schedule is the engine's deterministic schedule log.
 	Schedule []string
-	// Timeline and DeviceSummary render device activity when the
-	// system was configured with CollectTrace.
-	Timeline, DeviceSummary string
 	// Report carries structured observability when Observe is set.
 	Report *Report
 }
@@ -194,6 +191,6 @@ func (s *System) RunBatch(queries []BatchQuery, opts BatchOptions) (*BatchReport
 			OutputHash:  qr.OutputHash,
 		})
 	}
-	rep.Timeline, rep.DeviceSummary, rep.Report = s.runOutputs(runRes, sim.Time(out.Makespan))
+	rep.Report = s.runReport(runRes, sim.Time(out.Makespan))
 	return rep, nil
 }

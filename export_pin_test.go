@@ -43,11 +43,11 @@ var exportPins = []struct {
 // pinnedRun runs method over a 4 MB R and a 16 MB S with 2 MB of memory
 // and 8 MB of disk, the geometry of
 // `tapejoin -r 4 -s 16 -mem 2 -disk 8 -keyspace 4000`.
-func pinnedRun(t *testing.T, m Method, faults string, collect, observe bool) *Result {
+func pinnedRun(t *testing.T, m Method, faults string) *Result {
 	t.Helper()
 	sys, err := NewSystem(Config{
 		MemoryMB: 2, DiskMB: 8, NumDisks: 2, DiskTapeSpeedRatio: 2,
-		Faults: faults, CollectTrace: collect, Observe: observe,
+		Faults: faults, Observe: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func digest(b []byte) string {
 func TestExportDigestsPinned(t *testing.T) {
 	for _, tc := range exportPins {
 		t.Run(tc.name, func(t *testing.T) {
-			res := pinnedRun(t, tc.method, tc.faults, true, true)
+			res := pinnedRun(t, tc.method, tc.faults)
 			if res.Report == nil {
 				t.Fatal("Observe set but Report is nil")
 			}
@@ -102,33 +102,13 @@ func TestExportDigestsPinned(t *testing.T) {
 				"chrome":   digest(chrome),
 				"jsonl":    digest(jsonl.Bytes()),
 				"metrics":  digest([]byte(res.Report.MetricsText())),
-				"timeline": digest([]byte(res.Timeline)),
-				"summary":  digest([]byte(res.DeviceSummary)),
+				"timeline": digest([]byte(res.Report.Timeline())),
+				"summary":  digest([]byte(res.Report.DeviceSummary())),
 			}
 			for k, want := range tc.want {
 				if got[k] != want {
 					t.Errorf("%s digest = %s, want %s", k, got[k], want)
 				}
-			}
-		})
-	}
-}
-
-// TestCollectTraceWithoutObserve: the timeline and device summary do
-// not depend on Observe, and Report stays nil without it.
-func TestCollectTraceWithoutObserve(t *testing.T) {
-	for _, tc := range exportPins {
-		t.Run(tc.name, func(t *testing.T) {
-			plain := pinnedRun(t, tc.method, tc.faults, true, false)
-			both := pinnedRun(t, tc.method, tc.faults, true, true)
-			if plain.Report != nil {
-				t.Error("Report set without Observe")
-			}
-			if plain.Timeline == "" || plain.Timeline != both.Timeline {
-				t.Errorf("timeline differs with Observe:\n%s\nvs\n%s", plain.Timeline, both.Timeline)
-			}
-			if plain.DeviceSummary == "" || plain.DeviceSummary != both.DeviceSummary {
-				t.Errorf("device summary differs with Observe:\n%s\nvs\n%s", plain.DeviceSummary, both.DeviceSummary)
 			}
 		})
 	}

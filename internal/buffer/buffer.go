@@ -177,24 +177,3 @@ func (b *Split) record(p *sim.Proc) {
 	b.trace = append(b.trace, Sample{T: p.Now(), Even: b.used[0], Odd: b.used[1]})
 	b.met.sample(b.used[0]+b.used[1], 2*b.halves[0].Capacity())
 }
-
-// MeanUtilization summarizes a trace as the time-weighted mean of
-// total usage divided by capacity, over [start, end].
-func MeanUtilization(trace []Sample, capacity int64, end sim.Time) float64 {
-	if len(trace) == 0 || capacity == 0 || end == 0 {
-		return 0
-	}
-	var area float64 // block-seconds
-	for i, s := range trace {
-		var until sim.Time
-		if i+1 < len(trace) {
-			until = trace[i+1].T
-		} else {
-			until = end
-		}
-		if until > s.T {
-			area += float64(s.Total()) * (until.Seconds() - s.T.Seconds())
-		}
-	}
-	return area / (float64(capacity) * end.Seconds())
-}

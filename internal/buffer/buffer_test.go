@@ -103,7 +103,7 @@ func TestInterleavedUtilizationNearFull(t *testing.T) {
 	makespan, b := pipeline(t, func(k *sim.Kernel) DoubleBuffer {
 		return NewInterleaved(k, "buf", 100)
 	}, 6)
-	u := MeanUtilization(b.Trace(), 100, makespan)
+	u := meanUtilization(b.Trace(), 100, makespan)
 	if u < 0.80 {
 		t.Fatalf("mean utilization = %.2f, want >= 0.80", u)
 	}
@@ -163,15 +163,16 @@ func TestSplitReleaseMoreThanHeldPanics(t *testing.T) {
 	}
 }
 
-func TestMeanUtilizationEdgeCases(t *testing.T) {
-	if MeanUtilization(nil, 100, sim.Time(time.Second)) != 0 {
-		t.Fatal("empty trace should be 0")
+// meanUtilization is the time-weighted mean of a trace's total usage
+// divided by capacity, over [0, end].
+func meanUtilization(trace []Sample, capacity int64, end sim.Time) float64 {
+	var area float64 // block-seconds
+	for i, s := range trace {
+		until := end
+		if i+1 < len(trace) {
+			until = trace[i+1].T
+		}
+		area += float64(s.Total()) * (until.Seconds() - s.T.Seconds())
 	}
-	trace := []Sample{{T: 0, Even: 50}}
-	if u := MeanUtilization(trace, 100, sim.Time(10*time.Second)); u != 0.5 {
-		t.Fatalf("u = %v, want 0.5", u)
-	}
-	if MeanUtilization(trace, 0, sim.Time(time.Second)) != 0 {
-		t.Fatal("zero capacity should be 0")
-	}
+	return area / (float64(capacity) * end.Seconds())
 }

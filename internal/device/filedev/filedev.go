@@ -63,7 +63,7 @@ var ErrFreed = errors.New("filedev: file freed")
 type SyncPolicy int
 
 const (
-	// SyncInterval fsyncs after every SyncBytes of writes to a file
+	// SyncInterval fsyncs after every 8 MB of writes to a file
 	// (the default): real storage is hit regularly without paying a
 	// barrier per record.
 	SyncInterval SyncPolicy = iota
@@ -75,8 +75,8 @@ const (
 	SyncAlways
 )
 
-// DefaultSyncBytes is the SyncInterval flush threshold.
-const DefaultSyncBytes = 8 << 20
+// defaultSyncEvery is the SyncInterval flush threshold.
+const defaultSyncEvery = 8 << 20
 
 func (s SyncPolicy) String() string {
 	switch s {
@@ -114,12 +114,6 @@ type Backend struct {
 	// Sync selects the fsync policy for written data (default
 	// SyncInterval).
 	Sync SyncPolicy
-	// SyncBytes is the SyncInterval flush threshold
-	// (DefaultSyncBytes when zero).
-	SyncBytes int64
-	// QueueDepth bounds each device worker's request queue
-	// (ioengine.DefaultQueueDepth when zero).
-	QueueDepth int
 	// OpTimeout, when positive, bounds each device operation's
 	// wall-clock execution on its worker: an op past the deadline
 	// fails with a typed, retryable error, repeated misses degrade the
@@ -151,6 +145,10 @@ type Backend struct {
 	// observability. Nil records nothing.
 	Flight *obs.FlightRecorder
 
+	// syncEvery overrides the SyncInterval flush threshold
+	// (defaultSyncEvery when zero); a test hook.
+	syncEvery int64
+
 	mu     sync.Mutex // guards engine
 	engine *ioengine.Engine
 }
@@ -177,7 +175,7 @@ func (b *Backend) Engine() *ioengine.Engine {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.engine == nil {
-		b.engine = ioengine.New(b.QueueDepth)
+		b.engine = ioengine.New(0)
 		pol := ioengine.Policy{OpTimeout: b.OpTimeout, TripAfter: b.TripAfter}
 		if b.RetryMax != 0 {
 			pol.Retry = ioengine.RetryPolicy{Max: b.RetryMax, Base: ioengine.DefaultRetry.Base}
@@ -236,10 +234,10 @@ func (b *Backend) worker(name string) *ioengine.Worker {
 
 // syncBytes returns the effective SyncInterval threshold.
 func (b *Backend) syncBytes() int64 {
-	if b.SyncBytes > 0 {
-		return b.SyncBytes
+	if b.syncEvery > 0 {
+		return b.syncEvery
 	}
-	return DefaultSyncBytes
+	return defaultSyncEvery
 }
 
 // mkdirTemp is a test hook for injecting constructor failures.

@@ -167,7 +167,7 @@ func TestSyncPolicies(t *testing.T) {
 		t.Run(pol.String(), func(t *testing.T) {
 			b := New(t.TempDir())
 			b.Sync = pol
-			b.SyncBytes = 256 // tiny threshold: interval mode flushes mid-test
+			b.syncEvery = 256 // tiny threshold: interval mode flushes mid-test
 			k := sim.NewKernel()
 			d, err := b.NewDrive(k, "R", device.Ideal())
 			if err != nil {

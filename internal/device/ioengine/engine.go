@@ -27,11 +27,11 @@ import (
 	"repro/internal/sim"
 )
 
-// DefaultQueueDepth bounds each worker's request queue. Submissions
+// defaultQueueLen bounds each worker's request queue. Submissions
 // beyond it block the submitting goroutine in wall-clock time until
 // the worker drains; with the submit-then-await discipline every
 // device op uses, depth is bounded by the number of live procs anyway.
-const DefaultQueueDepth = 64
+const defaultQueueLen = 64
 
 // ErrClosed is returned for operations submitted to a closed worker.
 var ErrClosed = errors.New("ioengine: worker closed")
@@ -55,11 +55,11 @@ type Engine struct {
 type wallInterval struct{ s, t time.Duration }
 
 // New returns an engine whose workers queue up to depth requests
-// (DefaultQueueDepth when depth <= 0), with the default fault policy
+// (defaultQueueLen when depth <= 0), with the default fault policy
 // (no deadline, device-layer retries enabled).
 func New(depth int) *Engine {
 	if depth <= 0 {
-		depth = DefaultQueueDepth
+		depth = defaultQueueLen
 	}
 	return &Engine{depth: depth, policy: Policy{}.withDefaults(), busy: map[string][]wallInterval{}}
 }

@@ -152,42 +152,3 @@ func TestMergedTotal(t *testing.T) {
 		t.Error("empty mergedTotal != 0")
 	}
 }
-
-// TestCancelWakesBlockedAwaitViaKernel: the teardown path a streamed
-// query uses — a kernel cancel aborts the sim-side completion of an op
-// still in flight on the device, the awaiting proc comes out with the
-// cause quickly, and the worker's health is untouched.
-func TestCancelWakesBlockedAwaitViaKernel(t *testing.T) {
-	e := New(0)
-	k := sim.NewKernel()
-	w := e.Worker("tape:S")
-	defer w.Close()
-	cause := errors.New("client went away")
-	release := make(chan struct{})
-	defer close(release)
-	var got error
-	k.Spawn("p", func(p *sim.Proc) {
-		c := w.Submit(p, func() error { <-release; return nil })
-		_, got = w.Await(p, c)
-	})
-	go func() {
-		time.Sleep(5 * time.Millisecond)
-		k.Cancel(cause)
-	}()
-	done := make(chan error, 1)
-	go func() { done <- k.Run() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Run wedged waiting for a cancelled op")
-	}
-	if !errors.Is(got, cause) {
-		t.Errorf("Await err = %v, want cause", got)
-	}
-	if w.Health() != Healthy {
-		t.Errorf("health = %v, want Healthy", w.Health())
-	}
-}

@@ -191,9 +191,6 @@ func (s *Schedule) Decide(op Op) Decision {
 	return Decision{}
 }
 
-// Empty reports whether the schedule has no rules.
-func (s *Schedule) Empty() bool { return s == nil || len(s.rules) == 0 }
-
 // Len returns the number of rules.
 func (s *Schedule) Len() int {
 	if s == nil {

@@ -109,9 +109,3 @@ func PlanBucketsBounded(rBlocks, mBlocks, maxBucket int64) (Plan, error) {
 		InBuf:        inBuf,
 	}, nil
 }
-
-// PartitionMemory returns the memory in blocks the partitioning phase
-// holds: B write buffers plus the input buffer.
-func (p Plan) PartitionMemory() int64 {
-	return int64(p.B)*p.WriteBuf + p.InBuf
-}

@@ -63,8 +63,8 @@ func TestPlanBucketsSmallCase(t *testing.T) {
 	if p.BucketBlocks > 20-1 {
 		t.Fatal("bucket does not fit in memory with an input block")
 	}
-	if p.PartitionMemory() > 20 {
-		t.Fatalf("partition memory %d exceeds M", p.PartitionMemory())
+	if partitionMemory(p) > 20 {
+		t.Fatalf("partition memory %d exceeds M", partitionMemory(p))
 	}
 	if p.WriteBuf < 1 || p.InBuf < 1 {
 		t.Fatalf("plan = %+v", p)
@@ -98,8 +98,8 @@ func TestPlanBucketsAmpleMemoryWidensWriteBuffers(t *testing.T) {
 	if p.WriteBuf < 100 {
 		t.Fatalf("write buffer %d should use spare memory", p.WriteBuf)
 	}
-	if p.PartitionMemory() > 600 {
-		t.Fatalf("partition memory %d exceeds M", p.PartitionMemory())
+	if partitionMemory(p) > 600 {
+		t.Fatalf("partition memory %d exceeds M", partitionMemory(p))
 	}
 }
 
@@ -129,7 +129,7 @@ func TestQuickPlanInvariants(t *testing.T) {
 			return false
 		}
 		// Partition phase fits in memory.
-		if p.PartitionMemory() > m {
+		if partitionMemory(p) > m {
 			return false
 		}
 		// Buckets cover the relation.
@@ -170,7 +170,7 @@ func TestQuickPlanBoundedInvariants(t *testing.T) {
 		}
 		// B write buffers plus the input buffer fit: B+1 <= M at
 		// minimum widths.
-		if int64(p.B)+1 > m || p.PartitionMemory() > m {
+		if int64(p.B)+1 > m || partitionMemory(p) > m {
 			return false
 		}
 		// Join phase: bucket + one input block fit in memory.
@@ -221,3 +221,7 @@ func TestPlanBoundedTightMaxBucketSkipsFallback(t *testing.T) {
 		t.Fatalf("B = %d, want 36", p.B)
 	}
 }
+
+// partitionMemory is the memory in blocks the partitioning phase
+// holds: B write buffers plus the input buffer.
+func partitionMemory(p Plan) int64 { return int64(p.B)*p.WriteBuf + p.InBuf }

@@ -84,8 +84,9 @@ type Resources struct {
 	// Faults, when non-nil, is the deterministic fault schedule
 	// injected into the tape drives and disk array.
 	Faults *fault.Schedule
-	// Recovery is the retry/checkpoint/degrade policy.
-	Recovery Recovery
+	// DisableRecovery turns retry/checkpoint/degrade handling off: the
+	// first device error aborts the join.
+	DisableRecovery bool
 	// Spans, when non-nil, is the run's tracker: it records the
 	// hierarchical phase spans and every device I/O event, stamped
 	// with the phase that issued it.
@@ -120,7 +121,6 @@ func (r Resources) WithDefaults() Resources {
 	if r.IOChunk == 0 {
 		r.IOChunk = 32
 	}
-	r.Recovery = r.Recovery.withDefaults()
 	return r
 }
 
@@ -224,7 +224,7 @@ type Stats struct {
 	TapeSBusy sim.Duration
 	DiskBusy  sim.Duration
 
-	// Fault-recovery accounting (see Resources.Faults and Recovery).
+	// Fault-recovery accounting (see Resources.Faults and recover.go).
 	// Faults counts injected faults the run hit; Retries the re-read
 	// attempts; UnitRestarts the restarted work units; RecoveryTime
 	// the virtual time spent in retry backoff (included in Response).
@@ -418,13 +418,8 @@ func (e *env) deliver(p *sim.Proc, r, s block.Tuple) {
 var ErrStopped = errors.New("join: output satisfied; stopped early")
 
 // checkStop is polled at emission points and before device reads. It
-// returns the kernel's cancellation cause when the whole simulation is
-// being torn down (a real error: the run is abandoned, not satisfied),
-// or ErrStopped when the run's output cut-off has been reached.
+// returns ErrStopped when the run's output cut-off has been reached.
 func (e *env) checkStop() error {
-	if cause := e.k.CancelCause(); cause != nil {
-		return cause
-	}
 	if e.stopAfter > 0 && e.emitted >= e.stopAfter {
 		return ErrStopped
 	}

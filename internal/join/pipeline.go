@@ -75,7 +75,7 @@ func (e *env) pipeline(p *sim.Proc, queue, producer string,
 	if pipeErr == nil {
 		return nil
 	}
-	if tail == nil || e.res.Recovery.Disabled || !e.unitRecoverable(pipeErr) {
+	if tail == nil || e.res.DisableRecovery || !e.unitRecoverable(pipeErr) {
 		return pipeErr
 	}
 	return tail(next)

@@ -18,44 +18,23 @@ import (
 // wraps the underlying cause, so errors.Is finds both.
 var ErrFaultExhausted = errors.New("join: retries exhausted")
 
-// Recovery is the fault-recovery policy of a join run. The zero value
-// enables recovery with the defaults below.
-type Recovery struct {
-	// Disabled turns all recovery off: the first device error aborts
-	// the join (the pre-fault-subsystem behavior).
-	Disabled bool
-	// MaxReadRetries bounds re-read attempts per device read before
-	// the read fails with ErrFaultExhausted. Default 4.
-	MaxReadRetries int
-	// Backoff is the virtual-time cost of the first reposition +
+// The fault-recovery budgets of a join run (Resources.DisableRecovery
+// turns recovery off).
+const (
+	// maxReadRetries bounds re-read attempts per device read before
+	// the read fails with ErrFaultExhausted.
+	maxReadRetries = 4
+	// retryBackoff is the virtual-time cost of the first reposition +
 	// re-read attempt; it doubles per attempt. Recovery is charged in
-	// virtual time, so it shows up in response time. Default 2s.
-	Backoff sim.Duration
-	// MaxUnitRestarts bounds how many times one recoverable unit of
-	// work (an iteration, bucket or chunk) restarts. Default 3.
-	MaxUnitRestarts int
-	// MaxRecovery bounds the total virtual time one read may spend in
-	// backoff before giving up regardless of retries left. Default
-	// 10m.
-	MaxRecovery sim.Duration
-}
-
-// withDefaults fills zero fields.
-func (r Recovery) withDefaults() Recovery {
-	if r.MaxReadRetries == 0 {
-		r.MaxReadRetries = 4
-	}
-	if r.Backoff == 0 {
-		r.Backoff = 2 * time.Second
-	}
-	if r.MaxUnitRestarts == 0 {
-		r.MaxUnitRestarts = 3
-	}
-	if r.MaxRecovery == 0 {
-		r.MaxRecovery = 10 * time.Minute
-	}
-	return r
-}
+	// virtual time, so it shows up in response time.
+	retryBackoff = 2 * time.Second
+	// maxUnitRestarts bounds how many times one recoverable unit of
+	// work (an iteration, bucket or chunk) restarts.
+	maxUnitRestarts = 3
+	// maxRecovery bounds the total virtual time one read may spend in
+	// backoff before giving up regardless of retries left.
+	maxRecovery = 10 * time.Minute
+)
 
 // retryableRead reports whether a failed read may succeed on re-read:
 // injected transient faults, checksum mismatches in delivered data
@@ -100,9 +79,8 @@ func verifyBlocks(blks []block.Block) error {
 // backoff charged in virtual time. A spent retry budget converts the
 // last cause into ErrFaultExhausted.
 func (e *env) readDev(p *sim.Proc, device string, read func() ([]block.Block, error)) ([]block.Block, error) {
-	rec := e.res.Recovery
 	var deadline sim.Deadline
-	backoff := rec.Backoff
+	backoff := retryBackoff
 	for attempt := 0; ; attempt++ {
 		// Early-termination poll: a satisfied (or cancelled) run stops
 		// issuing device work here, before the next transfer — this is
@@ -118,13 +96,13 @@ func (e *env) readDev(p *sim.Proc, device string, read func() ([]block.Block, er
 				return blks, nil
 			}
 		}
-		if rec.Disabled || !retryableRead(err) {
+		if e.res.DisableRecovery || !retryableRead(err) {
 			return nil, err
 		}
 		if attempt == 0 {
-			deadline = sim.NewDeadline(p, rec.MaxRecovery)
+			deadline = sim.NewDeadline(p, maxRecovery)
 		}
-		if attempt >= rec.MaxReadRetries || deadline.Exceeded(p) {
+		if attempt >= maxReadRetries || deadline.Exceeded(p) {
 			return nil, fmt.Errorf("%w after %d attempts on %s: %w",
 				ErrFaultExhausted, attempt+1, device, err)
 		}
@@ -175,7 +153,7 @@ func (e *env) readSrc(p *sim.Proc, src bucketSource, off, n int64) ([]block.Bloc
 // from the committed baseline. Units do not nest. With recovery
 // disabled it runs work directly.
 func (e *env) staged(p *sim.Proc, work func() error) error {
-	if e.res.Recovery.Disabled {
+	if e.res.DisableRecovery {
 		return work()
 	}
 	mark := e.log.savepoint()
@@ -203,10 +181,10 @@ func (e *env) staged(p *sim.Proc, work func() error) error {
 func (e *env) runUnit(p *sim.Proc, name string, work func(*sim.Proc) error) error {
 	for attempt := 0; ; attempt++ {
 		err := work(p)
-		if err == nil || e.res.Recovery.Disabled {
+		if err == nil || e.res.DisableRecovery {
 			return err
 		}
-		if !e.unitRecoverable(err) || attempt >= e.res.Recovery.MaxUnitRestarts {
+		if !e.unitRecoverable(err) || attempt >= maxUnitRestarts {
 			return err
 		}
 		e.stats.UnitRestarts++

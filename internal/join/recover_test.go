@@ -109,7 +109,7 @@ func TestDiskCorruptionSurfacesTypedError(t *testing.T) {
 	// Recovery disabled: DT-NB reads R back from disk; a corrupt
 	// delivered copy must fail the join with the typed checksum error.
 	res := fastRes(10, 64)
-	res.Recovery.Disabled = true
+	res.DisableRecovery = true
 	sched := &fault.Schedule{}
 	sched.AddCorrupt("disk", 5, 1)
 	_, _, err := runWith(t, "DT-NB", res, sched)
@@ -140,7 +140,7 @@ func TestDiskCorruptionSurfacesTypedError(t *testing.T) {
 func TestRecoveryDisabledFailsFast(t *testing.T) {
 	spec := testSpec(t)
 	res := fastRes(10, 64)
-	res.Recovery.Disabled = true
+	res.DisableRecovery = true
 	sched := &fault.Schedule{}
 	sched.AddTransient("tape:R", int64(spec.R.Region.Start)+3, 1)
 	result, _, err := runWith(t, "DT-GH", res, sched)

@@ -269,7 +269,7 @@ func (s *Session) Exec(p *sim.Proc, m Method, spec Spec, sink Sink, opts ExecOpt
 	// the point is that pairs reach the sink as units commit — and
 	// give up the transparent re-plan in exchange (see
 	// ExecOptions.StopAfter).
-	e.wholeRun = !res.Recovery.Disabled && !streaming
+	e.wholeRun = !res.DisableRecovery && !streaming
 	e.staging = e.wholeRun
 
 	runErr := m.run(e, p)
@@ -277,7 +277,7 @@ func (s *Session) Exec(p *sim.Proc, m Method, spec Spec, sink Sink, opts ExecOpt
 		e.stats.Stopped = true
 		runErr = nil
 	}
-	if runErr != nil && !res.Recovery.Disabled &&
+	if runErr != nil && !res.DisableRecovery &&
 		errors.Is(runErr, fault.ErrDriveLost) && !e.stats.DriveLost {
 		if streaming && e.emitted > 0 {
 			runErr = fmt.Errorf("join: drive lost after %d pairs streamed; cannot re-plan delivered output: %w",

@@ -59,20 +59,6 @@ type Span struct {
 	open bool
 }
 
-// SetAttr adds (or replaces) an annotation on an open span. Nil-safe.
-func (s *Span) SetAttr(key, value string) {
-	if s == nil {
-		return
-	}
-	for i := range s.Attrs {
-		if s.Attrs[i].Key == key {
-			s.Attrs[i].Value = value
-			return
-		}
-	}
-	s.Attrs = append(s.Attrs, Attr{Key: key, Value: value})
-}
-
 // Duration returns the span's length in virtual time.
 func (s *Span) Duration() sim.Duration {
 	if s == nil || s.End < s.Start {
@@ -154,15 +140,6 @@ func (t *Tracker) EnableWallClock() {
 	}
 	t.wallOn = true
 	t.wallEpoch = time.Now()
-}
-
-// WallEpoch returns the wall-clock origin of the tracker's wall
-// stamps, or the zero time when the wall clock is disabled.
-func (t *Tracker) WallEpoch() time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	return t.wallEpoch
 }
 
 // SetFlight routes span open/close events into a flight recorder.

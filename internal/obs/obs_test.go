@@ -93,7 +93,6 @@ func TestNilObservabilityIsSafe(t *testing.T) {
 	k := sim.NewKernel()
 	k.Spawn("worker", func(p *sim.Proc) {
 		s := tr.Begin(p, "x")
-		s.SetAttr("a", "b")
 		s.Close(p)
 		if tr.ActiveSpan(p) != 0 || s.Duration() != 0 {
 			t.Error("nil tracker should observe nothing")

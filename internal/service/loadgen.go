@@ -31,9 +31,6 @@ type LoadSpec struct {
 	// Tenants spreads queries across this many tenant labels
 	// (default 1).
 	Tenants int
-	// Methods, when non-empty, is the pool of requested method symbols
-	// ("" entries let the advisor pick).
-	Methods []string
 	// PriorityLevels draws priorities from [0, PriorityLevels)
 	// (0 or 1 = all default priority).
 	PriorityLevels int
@@ -66,9 +63,6 @@ func GenLoad(spec LoadSpec, rNames, sNames []string) []Request {
 			R:          rNames[rng.Intn(len(rNames))],
 			S:          sNames[rng.Intn(len(sNames))],
 			DeadlineMS: spec.DeadlineMS,
-		}
-		if len(spec.Methods) > 0 {
-			req.Method = spec.Methods[rng.Intn(len(spec.Methods))]
 		}
 		if spec.PriorityLevels > 1 {
 			req.Priority = rng.Intn(spec.PriorityLevels)

@@ -56,12 +56,6 @@ type Config struct {
 	// TenantQuota caps each tenant's outstanding (accepted, not yet
 	// finished) queries; 0 means unlimited.
 	TenantQuota int
-	// StreamBuffer is the per-query buffered-pair window for streaming
-	// responses (default 4096). A client that reads slower than the
-	// join emits loses pairs beyond the window — counted in the result
-	// line's stream_dropped — rather than stalling the scheduler; the
-	// result line's matches and output_hash are always exact.
-	StreamBuffer int
 	// Obs, when non-nil, serves live telemetry on the service mux. The
 	// server points it at the engine's registry and flight recorder.
 	Obs *obsserver.Server
@@ -95,9 +89,6 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	if len(cfg.Catalog) == 0 {
 		return nil, errors.New("service: empty catalog")
-	}
-	if cfg.StreamBuffer <= 0 {
-		cfg.StreamBuffer = 4096
 	}
 	if cfg.Obs != nil {
 		// The resident service owns its telemetry: make sure the engine
@@ -255,6 +246,13 @@ func (s *Server) reject(w http.ResponseWriter, code int, kind, detail string) {
 	json.NewEncoder(w).Encode(errorBody{Error: kind + ": " + detail})
 }
 
+// streamWindow is the per-query buffered-pair window for streaming
+// responses. A client that reads slower than the join emits loses
+// pairs beyond the window — counted in the result line's
+// stream_dropped — rather than stalling the scheduler; the result
+// line's matches and output_hash are always exact.
+const streamWindow = 4096
+
 // streamSink counts and digests like CountSink (so the engine can lift
 // OutputHash from it) and additionally fans pairs into a bounded
 // channel for the response stream. Emit runs on the scheduler proc and
@@ -357,7 +355,7 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var sink join.Sink
 	var ssink *streamSink
 	if req.Stream {
-		ssink = &streamSink{ch: make(chan [2]uint64, s.cfg.StreamBuffer)}
+		ssink = &streamSink{ch: make(chan [2]uint64, streamWindow)}
 		pairCh = ssink.ch
 		sink = ssink
 	} else {

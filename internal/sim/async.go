@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
 // This file extends the kernel with external completions: the bridge
@@ -52,17 +51,10 @@ type Completion struct {
 	// integrated; read by the proc after Await unblocks. The kernel's
 	// token handoff orders these accesses.
 	posted bool
-	// aborted marks a completion the kernel cancelled before its worker
-	// posted: the late Post is absorbed silently.
-	aborted bool
-	d       Duration
-	err     error
-	waiter  *Proc
+	d      Duration
+	err    error
+	waiter *Proc
 }
-
-// Aborted reports whether the kernel cancelled this completion before
-// its worker posted. Valid after Await returns; ordered by the token.
-func (c *Completion) Aborted() bool { return c.aborted }
 
 // ioPost carries one worker-posted result into the kernel.
 type ioPost struct {
@@ -78,21 +70,8 @@ type ioPost struct {
 // the operation's duration is never charged to p.
 func (p *Proc) StartIO(desc string) *Completion {
 	k := p.k
-	c := &Completion{k: k, proc: p, desc: desc, start: k.now}
-	if k.cancelCause != nil {
-		// Cancelled kernel: fail fast without reaching a worker. The
-		// caller's Await returns the cause immediately, and the paired
-		// Post (if the caller still hands the completion out) is
-		// absorbed like any other late post.
-		c.posted, c.aborted, c.err = true, true, k.cancelCause
-		return c
-	}
 	k.ioPending++
-	if k.ioOutstanding == nil {
-		k.ioOutstanding = make(map[*Completion]struct{})
-	}
-	k.ioOutstanding[c] = struct{}{}
-	return c
+	return &Completion{k: k, proc: p, desc: desc, start: k.now}
 }
 
 // Post delivers the operation's measured wall-clock duration and error.
@@ -142,18 +121,7 @@ type asyncState struct {
 	ioPending int // StartIO'd but not yet integrated
 	ioMu      sync.Mutex
 	ioInbox   []ioPost
-	ioNotify  chan struct{} // cap 1; nudged by Post and Cancel
-	// ioOutstanding tracks StartIO'd completions not yet integrated, so
-	// integrateCancel can abort them. Kernel-goroutine/token-side only.
-	ioOutstanding map[*Completion]struct{}
-
-	// Cancellation plumbing (see cancel.go). cancelPending and
-	// cancelReq carry the cross-goroutine request; cancelCause is the
-	// integrated cause, written only with the control token held.
-	cancelPending atomic.Bool
-	cancelMu      sync.Mutex
-	cancelReq     error
-	cancelCause   error
+	ioNotify  chan struct{} // cap 1; nudged by Post
 }
 
 // drainIO integrates every posted completion: record the result, count
@@ -166,17 +134,11 @@ func (k *Kernel) drainIO() int {
 	k.ioMu.Unlock()
 	for _, po := range posts {
 		c := po.c
-		if c.aborted {
-			// The kernel cancelled this completion; the worker's post
-			// arrives late and has already been accounted for.
-			continue
-		}
 		if c.posted {
 			panic(fmt.Sprintf("sim: completion %q posted twice", c.desc))
 		}
 		c.posted, c.d, c.err = true, po.d, po.err
 		k.ioPending--
-		delete(k.ioOutstanding, c)
 		if c.waiter != nil {
 			k.makeReady(c.waiter)
 			c.waiter = nil
@@ -186,14 +148,10 @@ func (k *Kernel) drainIO() int {
 }
 
 // waitIO blocks in wall-clock time until at least one posted
-// completion has been integrated, or a cancellation request arrives.
-// Runs only in Run, and only while ioPending > 0 (so
-// a Post — or the cancel that aborts it — is guaranteed to arrive).
+// completion has been integrated. Runs only in Run, and only while
+// ioPending > 0, so a Post is guaranteed to arrive.
 func (k *Kernel) waitIO() {
 	for k.drainIO() == 0 {
-		if k.cancelPending.Load() {
-			return
-		}
 		<-k.ioNotify
 	}
 }

@@ -328,8 +328,8 @@ func (k *Kernel) makeReady(p *Proc) {
 // pick makes scheduling decisions until one names a goroutine proc,
 // which it returns with the state set to running; nil means nothing is
 // runnable now and Run must decide (wall-clock I/O wait, termination or
-// deadlock). Each decision first integrates posted completions and a
-// pending cancel, then takes the ready queue before the event heap;
+// deadlock). Each decision first integrates posted completions, then
+// takes the ready queue before the event heap;
 // tasks are stepped inline. pick runs on whichever goroutine holds the
 // control token — Run's or a yielding proc's — so every scheduling
 // decision goes through this one routine.
@@ -341,11 +341,6 @@ func (k *Kernel) pick() *Proc {
 		// backend never starts external operations.
 		if k.ioPending > 0 {
 			k.drainIO()
-		}
-		// Integrate a pending cancellation: publish the cause and abort
-		// outstanding completions so io-blocked procs wake with it.
-		if k.cancelPending.Load() {
-			k.integrateCancel()
 		}
 		var p *Proc
 		switch {

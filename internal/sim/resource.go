@@ -70,18 +70,6 @@ func (r *Resource) AcquireOrQueue(p *Proc) bool {
 	return false
 }
 
-// TryAcquire obtains a unit if one is immediately available and reports
-// whether it did.
-func (r *Resource) TryAcquire(p *Proc) bool {
-	if r.inUse < r.capacity && len(r.waiters) == 0 {
-		r.Acquisitions++
-		r.accrue()
-		r.inUse++
-		return true
-	}
-	return false
-}
-
 // Release returns one unit. If processes are waiting, the unit is
 // transferred to the head waiter, which becomes runnable at the current
 // virtual time.
@@ -99,11 +87,4 @@ func (r *Resource) Release(p *Proc) {
 	}
 	r.accrue()
 	r.inUse--
-}
-
-// Use runs fn while holding one unit of the resource.
-func (r *Resource) Use(p *Proc, fn func()) {
-	r.Acquire(p)
-	defer r.Release(p)
-	fn()
 }

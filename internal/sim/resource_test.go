@@ -76,46 +76,6 @@ func TestResourceFIFOOrder(t *testing.T) {
 	}
 }
 
-func TestTryAcquire(t *testing.T) {
-	k := NewKernel()
-	r := NewResource(k, "dev", 1)
-	k.Spawn("a", func(p *Proc) {
-		if !r.TryAcquire(p) {
-			t.Error("first TryAcquire should succeed")
-		}
-		if r.TryAcquire(p) {
-			t.Error("second TryAcquire should fail")
-		}
-		r.Release(p)
-		if !r.TryAcquire(p) {
-			t.Error("TryAcquire after release should succeed")
-		}
-		r.Release(p)
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestResourceUse(t *testing.T) {
-	k := NewKernel()
-	r := NewResource(k, "dev", 1)
-	k.Spawn("a", func(p *Proc) {
-		r.Use(p, func() {
-			if r.InUse() != 1 {
-				t.Errorf("inUse = %d, want 1", r.InUse())
-			}
-			p.Hold(time.Second)
-		})
-		if r.InUse() != 0 {
-			t.Errorf("inUse after Use = %d, want 0", r.InUse())
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestReleaseIdleResourcePanics(t *testing.T) {
 	k := NewKernel()
 	r := NewResource(k, "dev", 1)

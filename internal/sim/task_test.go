@@ -2,7 +2,6 @@ package sim
 
 import (
 	"errors"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -145,93 +144,6 @@ func TestHoldLoopAllocatesNothing(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("Hold allocates %.2f objects per call, want 0", allocs)
-	}
-}
-
-// queuedTask waits for r, then holds it for d.
-type queuedTask struct {
-	r      *Resource
-	d      Duration
-	phase  int
-	done   *int
-	parent *Proc
-	want   int
-}
-
-func (q *queuedTask) Step(p *Proc) bool {
-	switch q.phase {
-	case 0:
-		q.phase = 1
-		if !q.r.AcquireOrQueue(p) {
-			return false
-		}
-		fallthrough
-	case 1:
-		q.phase = 2
-		p.WakeAfter(q.d)
-		return false
-	}
-	q.r.Release(p)
-	if *q.done++; *q.done == q.want {
-		q.parent.Unpark()
-	}
-	return true
-}
-
-// TestCancelWithTasksPending cancels the kernel while an external
-// completion is in flight and tasks queue behind the awaiting proc's
-// resource: the cancel wakes the proc, its release lets
-// the tasks run to completion, Run returns, and no goroutine is left.
-func TestCancelWithTasksPending(t *testing.T) {
-	before := runtime.NumGoroutine()
-	k := NewKernel()
-	r := NewResource(k, "dev", 1)
-	started := make(chan *Completion, 1)
-	release := make(chan struct{})
-	workerDone := make(chan struct{})
-	cause := errors.New("shutdown")
-	go func() {
-		defer close(workerDone)
-		c := <-started
-		// Cancel while the operation is in flight. Whether the kernel
-		// integrates it before or after the tasks queue on r, it wakes
-		// the awaiting proc the same way.
-		k.Cancel(cause)
-		<-release
-		c.Post(time.Second, nil) // late: absorbed after the abort
-	}()
-	var awaitErr error
-	done := 0
-	k.Spawn("io", func(p *Proc) {
-		r.Acquire(p)
-		c := p.StartIO("read")
-		started <- c
-		_, awaitErr = p.Await(c)
-		r.Release(p)
-	})
-	k.Spawn("parent", func(p *Proc) {
-		for i := 0; i < 4; i++ {
-			k.SpawnTask("queued", &queuedTask{r: r, d: time.Second, done: &done, parent: p, want: 4})
-		}
-		p.Park("queued tasks")
-	})
-	if err := k.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if !errors.Is(awaitErr, cause) {
-		t.Fatalf("Await err = %v, want the cancel cause", awaitErr)
-	}
-	if done != 4 || k.Now() != Time(4*time.Second) {
-		t.Fatalf("%d tasks finished by %v, want 4 by 4s", done, k.Now())
-	}
-	close(release)
-	<-workerDone
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > before {
-		t.Fatalf("%d goroutines after Run, %d before", n, before)
 	}
 }
 

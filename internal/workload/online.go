@@ -73,10 +73,13 @@ func (r OnlineResult) WallWait() time.Duration {
 // WallLatency is the wall-clock time from arrival to completion.
 func (r OnlineResult) WallLatency() time.Duration { return r.Finished.Sub(r.Arrived) }
 
+// onlineLogLines bounds the resident engine's schedule log.
+const onlineLogLines = 4096
+
 // OnlineConfig tunes the resident engine.
 type OnlineConfig struct {
 	// Config is the batch configuration: resources, policy, cache,
-	// mount time, MaxShared. ScheduleCap defaults to 4096 online.
+	// mount time, MaxShared.
 	Config
 	// MergeWindow holds a shared-scan seed query back for up to this
 	// wall-clock duration so later same-S arrivals can merge into its
@@ -102,7 +105,7 @@ type OnlineStats struct {
 	TapeBlocksRead, TapeBlocksWritten      int64
 	DiskHighWater                          int64
 	// VirtualNow is the session clock; ScheduleTail the most recent
-	// schedule-log lines (capped by Config.ScheduleCap).
+	// schedule-log lines (at most onlineLogLines).
 	VirtualNow      sim.Duration
 	ScheduleTail    []string
 	ScheduleDropped int64
@@ -151,9 +154,6 @@ type OnlineEngine struct {
 // the kernel and release the session's devices.
 func StartOnline(cfg OnlineConfig) (*OnlineEngine, error) {
 	cfg.Config = cfg.Config.withDefaults()
-	if cfg.ScheduleCap == 0 {
-		cfg.ScheduleCap = 4096
-	}
 	session, err := join.NewSession(cfg.Resources)
 	if err != nil {
 		return nil, err
@@ -170,9 +170,10 @@ func StartOnline(cfg OnlineConfig) (*OnlineEngine, error) {
 	}
 	e.en = &engine{
 		cfg: cfg.Config, session: session,
-		array: session.Disks(),
-		cache: newStagingCache(cfg.CacheBlocks),
-		out:   &BatchResult{Policy: cfg.Policy},
+		scheduleCap: onlineLogLines,
+		array:       session.Disks(),
+		cache:       newStagingCache(cfg.CacheBlocks),
+		out:         &BatchResult{Policy: cfg.Policy},
 		queueWait: reg.Histogram("workload_queue_wait_seconds",
 			"Virtual time queries waited before service started.", obs.BackoffBuckets),
 		mountsC: reg.Counter("workload_mounts_total", "Cartridge switches charged by the scheduler."),

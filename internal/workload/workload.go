@@ -121,11 +121,6 @@ type Config struct {
 	MountTime sim.Duration
 	// MaxShared caps riders per shared S-pass (default 4).
 	MaxShared int
-	// ScheduleCap bounds the schedule log to its most recent lines
-	// (0 = unbounded, the batch default). The resident online engine
-	// sets a cap so a long-lived service does not grow the log without
-	// bound; ScheduleDropped counts what fell off.
-	ScheduleCap int
 }
 
 func (c Config) withDefaults() Config {
@@ -234,8 +229,9 @@ type BatchResult struct {
 	// Queries holds per-query results in submission order.
 	Queries []QueryResult
 	// Schedule is the deterministic, human-readable schedule log: one
-	// line per scheduling action with virtual timestamps. When
-	// Config.ScheduleCap is set only the most recent lines are kept and
+	// line per scheduling action with virtual timestamps. The resident
+	// online engine keeps only the most recent onlineLogLines lines,
+	// so a long-lived service does not grow the log without bound;
 	// ScheduleDropped counts the ones that fell off.
 	Schedule        []string
 	ScheduleDropped int64
@@ -249,6 +245,9 @@ type engine struct {
 	queries []Query
 	results []QueryResult
 	out     *BatchResult
+	// scheduleCap bounds the schedule log to its most recent lines
+	// (0 = unbounded, the batch engine).
+	scheduleCap int
 	// array is the disk store the cache's files live on; when a query
 	// swaps in a rebuilt array, the cache is flushed (its files are
 	// stranded on the retired store).
@@ -345,7 +344,7 @@ func Run(cfg Config, queries []Query) (*BatchResult, error) {
 // with the current virtual time.
 func (en *engine) logf(p *sim.Proc, format string, args ...any) {
 	line := fmt.Sprintf("t=%08.1fs %s", sim.Duration(p.Now()).Seconds(), fmt.Sprintf(format, args...))
-	if cap := en.cfg.ScheduleCap; cap > 0 && len(en.out.Schedule) >= cap {
+	if cap := en.scheduleCap; cap > 0 && len(en.out.Schedule) >= cap {
 		n := copy(en.out.Schedule, en.out.Schedule[len(en.out.Schedule)-cap+1:])
 		en.out.Schedule = en.out.Schedule[:n]
 		en.out.ScheduleDropped++

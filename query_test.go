@@ -193,10 +193,13 @@ func TestBiDirectionalTapeSpeedsCTTGH(t *testing.T) {
 	}
 }
 
-func TestOutputDiskShareSlowsDiskBoundJoin(t *testing.T) {
-	run := func(share float64) *Result {
+// TestStoredOutputSlowsDiskBoundJoin: Section 3.2 folds output stored
+// on local disk into a reduced X_D; halving the disk/tape speed ratio
+// (an output share of half the disk bandwidth) slows a disk-bound join.
+func TestStoredOutputSlowsDiskBoundJoin(t *testing.T) {
+	run := func(ratio float64) *Result {
 		sys, err := NewSystem(Config{
-			MemoryMB: 1, DiskMB: 16, Profile: IdealTape, OutputDiskShare: share,
+			MemoryMB: 1, DiskMB: 16, Profile: IdealTape, DiskTapeSpeedRatio: ratio,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -208,13 +211,13 @@ func TestOutputDiskShareSlowsDiskBoundJoin(t *testing.T) {
 		}
 		return res
 	}
-	pipelined, stored := run(0), run(0.5)
+	pipelined, stored := run(2), run(1)
 	if stored.Stats.Response <= pipelined.Stats.Response {
 		t.Fatalf("storing output (%v) should cost more than pipelining (%v)",
 			stored.Stats.Response, pipelined.Stats.Response)
 	}
-	if _, err := NewSystem(Config{MemoryMB: 1, DiskMB: 4, OutputDiskShare: 1.5}); err == nil {
-		t.Fatal("OutputDiskShare >= 1 should fail")
+	if _, err := NewSystem(Config{MemoryMB: 1, DiskMB: 4, DiskTapeSpeedRatio: -1}); err == nil {
+		t.Fatal("a negative DiskTapeSpeedRatio should fail")
 	}
 }
 

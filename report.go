@@ -116,6 +116,13 @@ func (r *Report) WriteJSONL(w io.Writer) error {
 	return obs.WriteJSONL(w, r.spans, r.events)
 }
 
+// Timeline renders the run's device activity as a text Gantt chart,
+// one row per device, 100 columns wide.
+func (r *Report) Timeline() string { return obs.Timeline(r.events, r.end, 100) }
+
+// DeviceSummary renders the per-device, per-kind busy breakdown.
+func (r *Report) DeviceSummary() string { return obs.DeviceSummary(r.events, r.end) }
+
 // MetricsText renders the metrics registry in Prometheus text
 // exposition format.
 func (r *Report) MetricsText() string { return r.reg.Exposition() }

@@ -176,7 +176,11 @@ type Config struct {
 	Compression Compression
 	// DiskTapeSpeedRatio is X_D / X_T (default 2, the paper's
 	// Section 5.3 assumption). The disk rate scales with the tape
-	// rate chosen by Profile and Compression.
+	// rate chosen by Profile and Compression. Join output is
+	// pipelined to a downstream consumer at no I/O cost; to store it
+	// on local disk instead, Section 3.2 folds the output's share of
+	// disk bandwidth into a reduced X_D — lower the ratio by that
+	// share.
 	DiskTapeSpeedRatio float64
 	// SplitBuffering replaces the paper's interleaved
 	// double-buffering with the naive two-halves scheme (ablation).
@@ -199,21 +203,11 @@ type Config struct {
 	// direction each iteration, eliminating the seek back across the
 	// hashed R run.
 	BiDirectionalTape bool
-	// OutputDiskShare reserves a fraction of disk bandwidth for
-	// writing the join output locally. Zero means output is pipelined
-	// to a downstream consumer at no I/O cost; Section 3.2 prescribes
-	// folding locally-stored output into a reduced X_D, which is
-	// exactly what this does.
-	OutputDiskShare float64
-	// CollectTrace records every device I/O event during Join and
-	// renders Result.Timeline and Result.DeviceSummary.
-	CollectTrace bool
 	// Observe enables the structured observability layer: phase spans,
-	// a metrics registry, and trace export. Join then attaches a
-	// Result.Report with per-phase critical-path analysis and
-	// Chrome-trace / JSONL / Prometheus exporters. Implies event
-	// recording (but not the text Timeline, which stays behind
-	// CollectTrace).
+	// every device I/O event, a metrics registry, and trace export.
+	// Join then attaches a Result.Report with per-phase critical-path
+	// analysis, the device timeline and Chrome-trace / JSONL /
+	// Prometheus exporters.
 	Observe bool
 	// Faults injects a deterministic fault schedule into the devices of
 	// every Join, in the internal/fault spec grammar, e.g.
@@ -272,9 +266,6 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.DiskTapeSpeedRatio < 0 {
 		return nil, errors.New("tapejoin: DiskTapeSpeedRatio must be positive")
 	}
-	if cfg.OutputDiskShare < 0 || cfg.OutputDiskShare >= 1 {
-		return nil, fmt.Errorf("tapejoin: OutputDiskShare %v outside [0, 1)", cfg.OutputDiskShare)
-	}
 	ratio := cfg.DiskTapeSpeedRatio
 	if ratio == 0 {
 		ratio = join.DefaultDiskTapeSpeedRatio
@@ -297,7 +288,7 @@ func NewSystem(cfg Config) (*System, error) {
 		MemoryBlocks: MBf(cfg.MemoryMB),
 		DiskBlocks:   MBf(cfg.DiskMB),
 		NumDisks:     cfg.NumDisks,
-		DiskRate:     ratio * baseTapeRate * (1 - cfg.OutputDiskShare),
+		DiskRate:     ratio * baseTapeRate,
 		Tape:         tc,
 	}
 	switch cfg.Backend {
@@ -620,11 +611,6 @@ type Result struct {
 	BufferTrace []UtilizationSample
 	// BufferCapacityMB is the traced buffer's size.
 	BufferCapacityMB float64
-	// Timeline is a text Gantt chart of device activity, and
-	// DeviceSummary the per-device busy breakdown, when the system
-	// was configured with CollectTrace.
-	Timeline      string
-	DeviceSummary string
 	// Report carries the structured observability data when the system
 	// was configured with Observe: per-phase critical-path analysis
 	// plus Chrome-trace, JSONL and metrics exporters.
@@ -750,35 +736,29 @@ func (s *System) JoinWith(method Method, r, bigS *Relation, opts JoinOptions) (*
 			OddMB:   mbOf(smp.Odd),
 		})
 	}
-	out.Timeline, out.DeviceSummary, out.Report = s.runOutputs(runRes, sim.Time(res.Stats.Response))
+	out.Report = s.runReport(runRes, sim.Time(res.Stats.Response))
 	return out, nil
 }
 
-// runObs returns a fresh tracker when the run collects a trace or is
-// observed, and a fresh registry when it is observed; nil otherwise.
+// runObs returns a fresh tracker and registry when the system
+// observes its runs; nil otherwise.
 func (s *System) runObs() (*obs.Tracker, *obs.Registry) {
-	var tracker *obs.Tracker
-	var reg *obs.Registry
-	if s.cfg.CollectTrace || s.cfg.Observe {
-		tracker = obs.NewTracker()
+	if !s.cfg.Observe {
+		return nil, nil
 	}
-	if s.cfg.Observe {
-		reg = obs.NewRegistry()
-	}
-	return tracker, reg
+	return obs.NewTracker(), obs.NewRegistry()
 }
 
 // runResources returns the system's resources set up for one run
-// recording into tracker and reg (either may be nil): the flight ring,
-// the live obs endpoints pointed at reg so a mid-run scrape sees the
-// numbers accumulate, the recovery switch, and a freshly parsed fault
+// recording into tracker and reg (either may be nil): the live obs
+// endpoints pointed at reg so a mid-run scrape sees the numbers
+// accumulate, the recovery switch, and a freshly parsed fault
 // schedule — a fault.Schedule counts its rules down as they fire, so
 // no two runs can share one.
 func (s *System) runResources(tracker *obs.Tracker, reg *obs.Registry) (join.Resources, error) {
 	res := s.res
 	res.Spans = tracker
 	res.Metrics = reg
-	res.Flight = s.flight
 	if s.obs != nil {
 		s.obs.SetSources(reg, s.flight, s.healthSource())
 	}
@@ -789,22 +769,17 @@ func (s *System) runResources(tracker *obs.Tracker, reg *obs.Registry) (join.Res
 		}
 		res.Faults = sched
 	}
-	res.Recovery.Disabled = s.cfg.DisableRecovery
+	res.DisableRecovery = s.cfg.DisableRecovery
 	return res, nil
 }
 
-// runOutputs renders a finished run of length end from the tracker
-// and registry in res: the device timeline and summary under
-// CollectTrace, the report under Observe.
-func (s *System) runOutputs(res join.Resources, end sim.Time) (timeline, summary string, rep *Report) {
-	if s.cfg.CollectTrace {
-		timeline = obs.Timeline(res.Spans.Events(), end, 100)
-		summary = obs.DeviceSummary(res.Spans.Events(), end)
+// runReport renders a finished run of length end from the tracker and
+// registry in res, or returns nil when the system does not Observe.
+func (s *System) runReport(res join.Resources, end sim.Time) *Report {
+	if !s.cfg.Observe {
+		return nil
 	}
-	if s.cfg.Observe {
-		rep = newReport(res.Spans, res.Metrics, end)
-	}
-	return timeline, summary, rep
+	return newReport(res.Spans, res.Metrics, end)
 }
 
 // CheckFeasible reports whether the method can run r ⋈ s on this
