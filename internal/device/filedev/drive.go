@@ -174,11 +174,10 @@ func (d *Drive) switchIn() {
 // injector's OS-level verdict, if any, is armed on the spool file so
 // it strikes the planned syscalls on the worker.
 func (d *Drive) consult(p *sim.Proc, write bool, addr device.Addr, n int64) (bool, error) {
-	op := fault.Op{
+	dec := fault.Decide(d.inj, fault.Op{
 		Device: "tape:" + d.name, Write: write,
-		Addr: int64(addr), N: n, Now: p.Now(),
-	}
-	dec := fault.Decide(d.inj, op)
+		Addr: int64(addr), N: n, Now: p.Now(), OS: true,
+	})
 	if dec.Stall > 0 {
 		d.stats.Stalls++
 		d.stats.StallTime += dec.Stall
@@ -196,9 +195,9 @@ func (d *Drive) consult(p *sim.Proc, write bool, addr device.Addr, n int64) (boo
 	if dec.Corrupt {
 		d.stats.InjectedFaults++
 	}
-	if osd := fault.DecideOS(d.inj, op); !osd.Zero() {
+	if !dec.OS.Zero() {
 		d.stats.InjectedFaults++
-		d.spool.arm(osd)
+		d.spool.arm(dec.OS)
 	}
 	return dec.Corrupt, nil
 }

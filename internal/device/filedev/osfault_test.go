@@ -105,7 +105,7 @@ func TestStoreCorruptOnReadSurfacesErrCorrupt(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Arm after the append so the flip strikes the read delivery.
-		sched := (&fault.Schedule{}).AddFlipStored("disk", 0, 1)
+		sched := mustSchedule(t, "flip=disk:0")
 		s.SetInjector(readFlipper{sched})
 		if _, err := f.ReadAt(p, 0, 3); !errors.Is(err, device.ErrCorrupt) {
 			t.Fatalf("read with flipped delivery: %v, want device.ErrCorrupt", err)
@@ -123,10 +123,19 @@ func TestStoreCorruptOnReadSurfacesErrCorrupt(t *testing.T) {
 // op direction to model a damaged delivery instead.
 type readFlipper struct{ s *fault.Schedule }
 
-func (r readFlipper) Decide(op fault.Op) fault.Decision { return r.s.Decide(op) }
-func (r readFlipper) DecideOS(op fault.Op) fault.OSDecision {
+func (r readFlipper) Decide(op fault.Op) fault.Decision {
 	op.Write = true
-	return r.s.DecideOS(op)
+	return r.s.Decide(op)
+}
+
+// mustSchedule parses a fault spec or fails the test.
+func mustSchedule(t *testing.T, spec string) *fault.Schedule {
+	t.Helper()
+	s, err := fault.Parse(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 // TestStoreTornWriteTruncatedTail tears the final record of a scratch
@@ -146,7 +155,7 @@ func TestStoreTornWriteTruncatedTail(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Tear the final record: the file ends mid-payload.
-		s.SetInjector((&fault.Schedule{}).AddTornWrite("disk", 2, 1))
+		s.SetInjector(mustSchedule(t, "torn=disk:2"))
 		if err := f.Append(p, mkBlocks(1, 1, 100)); err != nil {
 			t.Fatalf("torn write must report success: %v", err)
 		}
@@ -188,7 +197,7 @@ func TestDriveOSFaults(t *testing.T) {
 		}
 		// A flip on the spool's stored copy: WriteAt repoints block 2 to
 		// a fresh record whose stored bytes are damaged in flight.
-		d.SetInjector((&fault.Schedule{}).AddFlipStored("tape:R", 2, 1))
+		d.SetInjector(mustSchedule(t, "flip=R:2"))
 		if err := d.WriteAt(p, 2, mkBlocks(2, 1, 200)); err != nil {
 			t.Fatalf("flipped write must report success: %v", err)
 		}
@@ -212,7 +221,7 @@ func TestStallTimeoutsTripBreaker(t *testing.T) {
 	b.RetryMax = -1
 	k := sim.NewKernel()
 	s := newStore(t, b, k)
-	s.SetInjector((&fault.Schedule{}).AddWallStall("disk", 60*time.Millisecond, 50))
+	s.SetInjector(mustSchedule(t, "oswait=disk:60ms:50"))
 	run(t, k, func(p *sim.Proc) {
 		f, err := s.Create("scratch", nil)
 		if err != nil {
@@ -240,7 +249,7 @@ func TestStallRecoveredByRetry(t *testing.T) {
 	b.OpTimeout = 5 * time.Millisecond
 	k := sim.NewKernel()
 	s := newStore(t, b, k)
-	s.SetInjector((&fault.Schedule{}).AddWallStall("disk", 30*time.Millisecond, 1))
+	s.SetInjector(mustSchedule(t, "oswait=disk:30ms"))
 	run(t, k, func(p *sim.Proc) {
 		f, err := s.Create("scratch", nil)
 		if err != nil {

@@ -140,8 +140,7 @@ func (s *Store) charge(n int64) error {
 // injector's OS-level verdict, if any, is armed on the file so it
 // strikes the planned syscalls on the worker.
 func (s *Store) consult(p *sim.Proc, name string, rf *recFile, write bool, off, n int64) (bool, error) {
-	op := fault.Op{Device: "disk", Write: write, Addr: off, N: n, Now: p.Now()}
-	dec := fault.Decide(s.inj, op)
+	dec := fault.Decide(s.inj, fault.Op{Device: "disk", Write: write, Addr: off, N: n, Now: p.Now(), OS: true})
 	if dec.Stall > 0 {
 		s.stats.Faults++
 		s.stats.StallTime += dec.Stall
@@ -156,9 +155,9 @@ func (s *Store) consult(p *sim.Proc, name string, rf *recFile, write bool, off, 
 	if dec.Corrupt {
 		s.stats.Faults++
 	}
-	if osd := fault.DecideOS(s.inj, op); !osd.Zero() {
+	if !dec.OS.Zero() {
 		s.stats.Faults++
-		rf.arm(osd)
+		rf.arm(dec.OS)
 	}
 	return dec.Corrupt, nil
 }

@@ -1,8 +1,11 @@
 // Package fault provides deterministic, seeded fault schedules for the
-// simulated tape and disk devices. A Schedule decides, per device
-// operation, whether the operation stalls, returns corrupted data,
-// fails transiently (recovering after a bounded number of retries),
-// fails with a hard media error, or finds its device permanently dead.
+// simulated tape and disk devices and for the file backend's syscalls.
+// A Schedule decides, per device operation, whether the operation
+// stalls, returns corrupted data, fails transiently (recovering after a
+// bounded number of retries), fails with a hard media error, or finds
+// its device permanently dead — and, for an operation on real files,
+// whether the syscalls under it fail, tear, flip a stored bit or stall
+// in wall-clock time.
 //
 // Schedules are ordered and deterministic: rules are evaluated in
 // insertion order, never via map iteration, so the same schedule
@@ -52,6 +55,9 @@ type Op struct {
 	Addr, N int64
 	// Now is the current virtual time.
 	Now sim.Time
+	// OS is true for an operation the file backend runs through real
+	// files. Only such operations match OS-level rules.
+	OS bool
 }
 
 // Decision is an Injector's verdict on one operation. Zero value means
@@ -68,6 +74,39 @@ type Decision struct {
 	// Stall adds a device hiccup of the given virtual duration before
 	// the operation proceeds (charged while the device is held).
 	Stall sim.Duration
+	// OS is the verdict on the syscalls under the operation. It is
+	// decided only for an Op with OS set, and only when Err is nil.
+	OS OSDecision
+
+	kind *kind // the device-level kind that fired, nil if none
+}
+
+// OSDecision is the verdict on the syscalls under one file operation.
+// It is decided while the deciding process holds the simulation token
+// and applied later, by the file layer, on its worker goroutine; that
+// keeps Schedule state single-threaded although the syscalls run
+// off-token. The zero value means "proceed normally".
+type OSDecision struct {
+	// Err, if non-nil, fails the operation with an EIO-style error
+	// (wrapping ErrTransient, so device-layer retries apply).
+	Err error
+	// Torn asks the file layer to write only a prefix of one record and
+	// then report success — a torn write that only checksum
+	// verification can catch later.
+	Torn bool
+	// Flip asks the file layer to flip one bit in the buffer as it
+	// crosses the syscall boundary: stored corruption on writes.
+	Flip bool
+	// Stall delays the operation by a *wall-clock* duration on the
+	// device worker, exercising I/O deadlines and health tracking.
+	Stall time.Duration
+
+	kind *kind // the OS-level kind that fired, nil if none
+}
+
+// Zero reports whether the decision asks for nothing.
+func (d OSDecision) Zero() bool {
+	return d.Err == nil && !d.Torn && !d.Flip && d.Stall == 0
 }
 
 // Injector decides the fate of device operations. Implementations must
@@ -84,109 +123,149 @@ func Decide(inj Injector, op Op) Decision {
 	return inj.Decide(op)
 }
 
-// ruleKind enumerates the fault taxonomy.
-type ruleKind int
+// scope is the set of operations a kind's rules match once active.
+type scope uint8
 
 const (
-	kindTransient ruleKind = iota
-	kindHard
-	kindCorrupt
-	kindStall
-	kindDeviceLost
-	kindDriveLost
-
-	// OS-level kinds fire at the syscall layer of the file backend —
-	// consulted through DecideOS, never through Decide — so one spec
-	// string can drive both the simulated devices and real files.
-	kindOSErr
-	kindTornWrite
-	kindWallStall
-	kindFlipStored
+	readsAt  scope = iota // reads covering ADDR
+	reads                 // any read
+	writesAt              // writes covering ADDR
+	opsAt                 // reads and writes covering ADDR
+	allOps                // every operation
 )
 
-// rule is one entry of a Schedule. Rules fire in insertion order; the
-// first matching active rule decides the operation (and spends one of
-// its remaining count, if bounded).
-type rule struct {
-	kind   ruleKind
-	device string   // "" matches any device
-	addr   int64    // start of matched address window
-	n      int64    // window length; 0 with at==0 means any address
-	at     sim.Time // rule activates at this virtual time
-	count  int      // remaining firings; < 0 means unbounded
-	stall  sim.Duration
-	wall   time.Duration // wall-clock stall for kindWallStall
-	err    error         // cause attached to transient/hard decisions
+// form is a kind's directive syntax in the Parse grammar.
+type form uint8
+
+const (
+	addrForm  form = iota // DEV:ADDR[:COUNT], or DEV:ADDR when unbounded
+	durForm               // DEV:DUR[:COUNT]
+	diskForm              // N@TIME, on device diskN
+	driveForm             // DEV@TIME
+)
+
+// kind is one row of the fault taxonomy.
+type kind struct {
+	key       string // directive key in the Parse grammar
+	form      form
+	unbounded bool // fires forever; the directive takes no COUNT
+	os        bool // fires at the file backend's syscall layer
+	scope     scope
+	label     string // outcome label of fault_decisions_total
+	verdict   func(r *rule) Decision
 }
 
-// osLevel reports whether the rule fires at the OS (file) layer rather
-// than the device model layer.
-func (r *rule) osLevel() bool {
-	switch r.kind {
-	case kindOSErr, kindTornWrite, kindWallStall, kindFlipStored:
-		return true
+// kinds is the fault taxonomy: Parse, String, Decide and Instrument all
+// read it. Its order is the registration order of Instrument's
+// counters.
+var kinds = []*kind{
+	{key: "transient", scope: readsAt, label: "transient", verdict: func(r *rule) Decision {
+		return Decision{Err: fmt.Errorf("%w: injected transient read error at block %d", ErrTransient, r.addr)}
+	}},
+	{key: "hard", unbounded: true, scope: readsAt, label: "media", verdict: func(r *rule) Decision {
+		return Decision{Err: fmt.Errorf("%w: injected hard media error at block %d", ErrMedia, r.addr)}
+	}},
+	{key: "diskfail", form: diskForm, unbounded: true, scope: allOps, label: "device-lost",
+		verdict: func(*rule) Decision { return Decision{Err: ErrDeviceLost} }},
+	{key: "drivefail", form: driveForm, unbounded: true, scope: allOps, label: "drive-lost",
+		verdict: func(*rule) Decision { return Decision{Err: ErrDriveLost} }},
+	{key: "corrupt", scope: readsAt, label: "corrupt",
+		verdict: func(*rule) Decision { return Decision{Corrupt: true} }},
+	{key: "stall", form: durForm, scope: reads, label: "stall",
+		verdict: func(r *rule) Decision { return Decision{Stall: r.dur} }},
+	{key: "oserr", os: true, scope: opsAt, label: "os-error", verdict: func(r *rule) Decision {
+		return Decision{OS: OSDecision{Err: fmt.Errorf("%w: injected OS I/O error at block %d", ErrTransient, r.addr)}}
+	}},
+	{key: "torn", os: true, scope: writesAt, label: "torn-write",
+		verdict: func(*rule) Decision { return Decision{OS: OSDecision{Torn: true}} }},
+	{key: "oswait", form: durForm, os: true, scope: allOps, label: "os-stall",
+		verdict: func(r *rule) Decision { return Decision{OS: OSDecision{Stall: r.dur}} }},
+	{key: "flip", os: true, scope: writesAt, label: "flip-stored",
+		verdict: func(*rule) Decision { return Decision{OS: OSDecision{Flip: true}} }},
+}
+
+// kindOf returns the kind whose directive key is key, or nil.
+func kindOf(key string) *kind {
+	for _, k := range kinds {
+		if k.key == key {
+			return k
+		}
 	}
-	return false
+	return nil
+}
+
+// rule is one entry of a Schedule. Rules fire in insertion order; the
+// first matching active rule of a level decides that level's verdict
+// (and spends one of its remaining count, if bounded).
+type rule struct {
+	k      *kind
+	device string
+	addr   int64         // the block an address-scoped rule covers
+	dur    time.Duration // stall length (virtual for stall, wall for oswait)
+	at     sim.Time      // rule activates at this virtual time
+	count  int           // remaining firings; < 0 means unbounded
 }
 
 // matches reports whether the rule applies to op.
 func (r *rule) matches(op Op) bool {
-	if r.count == 0 {
+	if r.count == 0 || r.k.os && !op.OS || r.device != op.Device || op.Now < r.at {
 		return false
 	}
-	if r.device != "" && r.device != op.Device {
-		return false
-	}
-	if op.Now < r.at {
-		return false
-	}
-	// Loss rules apply to every operation once active; the others only
-	// to reads covering the address window.
-	if r.kind == kindDeviceLost || r.kind == kindDriveLost {
+	switch r.k.scope {
+	case allOps:
 		return true
+	case reads:
+		return !op.Write
+	case readsAt:
+		if op.Write {
+			return false
+		}
+	case writesAt:
+		if !op.Write {
+			return false
+		}
 	}
-	if op.Write {
-		return false
-	}
-	if r.n > 0 && (r.addr >= op.Addr+op.N || r.addr+r.n <= op.Addr) {
-		return false
-	}
-	return true
+	return op.Addr <= r.addr && r.addr < op.Addr+op.N
 }
 
 // Schedule is a deterministic ordered fault schedule implementing
-// Injector. The zero value injects nothing; builder methods append
-// rules.
+// Injector. The zero value injects nothing; Parse and Random build
+// non-empty ones.
 type Schedule struct {
 	rules []*rule
 }
 
-// Decide implements Injector.
+// Decide implements Injector. The device verdict comes from the first
+// matching device-level rule; when it fails the operation, the OS level
+// is not consulted and its rules keep their firings.
 func (s *Schedule) Decide(op Op) Decision {
 	if s == nil {
 		return Decision{}
 	}
+	d := s.fire(op, false)
+	if d.Err == nil && op.OS {
+		d.OS = s.fire(op, true).OS
+	}
+	return d
+}
+
+// fire spends the first matching active rule of one level and returns
+// its verdict.
+func (s *Schedule) fire(op Op, os bool) Decision {
 	for _, r := range s.rules {
-		if r.osLevel() || !r.matches(op) {
+		if r.k.os != os || !r.matches(op) {
 			continue
 		}
 		if r.count > 0 {
 			r.count--
 		}
-		switch r.kind {
-		case kindTransient:
-			return Decision{Err: fmt.Errorf("%w: %s", ErrTransient, r.err)}
-		case kindHard:
-			return Decision{Err: fmt.Errorf("%w: %s", ErrMedia, r.err)}
-		case kindCorrupt:
-			return Decision{Corrupt: true}
-		case kindStall:
-			return Decision{Stall: r.stall}
-		case kindDeviceLost:
-			return Decision{Err: ErrDeviceLost}
-		case kindDriveLost:
-			return Decision{Err: ErrDriveLost}
+		d := r.k.verdict(r)
+		if os {
+			d.OS.kind = r.k
+		} else {
+			d.kind = r.k
 		}
+		return d
 	}
 	return Decision{}
 }
@@ -197,68 +276,4 @@ func (s *Schedule) Len() int {
 		return 0
 	}
 	return len(s.rules)
-}
-
-// AddTransient makes the next count reads covering [addr, addr+1) on
-// device fail with a retryable error; the count+1'th succeeds —
-// modelling a tape error that clears after repositioning.
-func (s *Schedule) AddTransient(device string, addr int64, count int) *Schedule {
-	if count <= 0 {
-		count = 1
-	}
-	s.rules = append(s.rules, &rule{
-		kind: kindTransient, device: device, addr: addr, n: 1, count: count,
-		err: fmt.Errorf("injected transient read error at block %d", addr),
-	})
-	return s
-}
-
-// AddHard makes every read covering [addr, addr+1) on device fail with
-// an unrecoverable media error.
-func (s *Schedule) AddHard(device string, addr int64) *Schedule {
-	s.rules = append(s.rules, &rule{
-		kind: kindHard, device: device, addr: addr, n: 1, count: -1,
-		err: fmt.Errorf("injected hard media error at block %d", addr),
-	})
-	return s
-}
-
-// AddCorrupt makes the next count reads covering [addr, addr+1) on
-// device deliver bit-flipped data. The stored blocks stay intact, so
-// retries recover once the count is spent.
-func (s *Schedule) AddCorrupt(device string, addr int64, count int) *Schedule {
-	if count <= 0 {
-		count = 1
-	}
-	s.rules = append(s.rules, &rule{
-		kind: kindCorrupt, device: device, addr: addr, n: 1, count: count,
-	})
-	return s
-}
-
-// AddStall makes the next count reads on device (any address) stall
-// for d before proceeding.
-func (s *Schedule) AddStall(device string, d sim.Duration, count int) *Schedule {
-	if count <= 0 {
-		count = 1
-	}
-	s.rules = append(s.rules, &rule{kind: kindStall, device: device, count: count, stall: d})
-	return s
-}
-
-// AddDiskFail kills disk number disk at virtual time at: every
-// operation touching it from then on fails with ErrDeviceLost.
-func (s *Schedule) AddDiskFail(disk int, at sim.Time) *Schedule {
-	s.rules = append(s.rules, &rule{
-		kind: kindDeviceLost, device: fmt.Sprintf("disk%d", disk), at: at, count: -1,
-	})
-	return s
-}
-
-// AddDriveFail kills the named tape drive at virtual time at.
-func (s *Schedule) AddDriveFail(device string, at sim.Time) *Schedule {
-	s.rules = append(s.rules, &rule{
-		kind: kindDriveLost, device: device, at: at, count: -1,
-	})
-	return s
 }

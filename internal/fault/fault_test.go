@@ -9,8 +9,18 @@ import (
 	"repro/internal/sim"
 )
 
+// mustParse parses spec or fails the test.
+func mustParse(t *testing.T, spec string) *Schedule {
+	t.Helper()
+	s, err := Parse(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestTransientRecoversAfterCount(t *testing.T) {
-	s := (&Schedule{}).AddTransient("tape:R", 100, 2)
+	s := mustParse(t, "transient=R:100:2")
 	op := Op{Device: "tape:R", Addr: 90, N: 20}
 	for i := 0; i < 2; i++ {
 		d := s.Decide(op)
@@ -24,7 +34,7 @@ func TestTransientRecoversAfterCount(t *testing.T) {
 }
 
 func TestRuleMatchingScope(t *testing.T) {
-	s := (&Schedule{}).AddTransient("tape:S", 50, 1)
+	s := mustParse(t, "transient=S:50")
 	// Wrong device, non-overlapping window, and writes never match.
 	for _, op := range []Op{
 		{Device: "tape:R", Addr: 50, N: 1},
@@ -41,7 +51,7 @@ func TestRuleMatchingScope(t *testing.T) {
 }
 
 func TestHardErrorPersists(t *testing.T) {
-	s := (&Schedule{}).AddHard("tape:R", 7)
+	s := mustParse(t, "hard=R:7")
 	for i := 0; i < 5; i++ {
 		d := s.Decide(Op{Device: "tape:R", Addr: 0, N: 10})
 		if !errors.Is(d.Err, ErrMedia) {
@@ -55,7 +65,7 @@ func TestHardErrorPersists(t *testing.T) {
 
 func TestDiskFailActivatesAtTime(t *testing.T) {
 	at := sim.Time(time.Hour)
-	s := (&Schedule{}).AddDiskFail(2, at)
+	s := mustParse(t, "diskfail=2@1h")
 	if d := s.Decide(Op{Device: "disk2", Now: at - 1}); d.Err != nil {
 		t.Fatalf("before activation: got %v", d.Err)
 	}
@@ -68,7 +78,7 @@ func TestDiskFailActivatesAtTime(t *testing.T) {
 }
 
 func TestCorruptAndStallDecisions(t *testing.T) {
-	s := (&Schedule{}).AddCorrupt("disk", 5, 1).AddStall("tape:S", 3*time.Second, 1)
+	s := mustParse(t, "corrupt=disk:5,stall=S:3s")
 	if d := s.Decide(Op{Device: "disk", Addr: 0, N: 10}); !d.Corrupt {
 		t.Fatalf("want corrupt decision, got %+v", d)
 	}
@@ -81,10 +91,7 @@ func TestCorruptAndStallDecisions(t *testing.T) {
 }
 
 func TestParseRoundTrip(t *testing.T) {
-	s, err := Parse("transient=S:1000:2, hard=R:10, corrupt=disk:50, stall=R:5s:2, diskfail=1@30m, drivefail=S@1h")
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustParse(t, "transient=S:1000:2, hard=R:10, corrupt=disk:50, stall=R:5s:2, diskfail=1@30m, drivefail=S@1h")
 	if s.Len() != 6 {
 		t.Fatalf("want 6 rules, got %d", s.Len())
 	}
@@ -111,12 +118,12 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestRandomIsDeterministic(t *testing.T) {
-	a := Random(42, 5, RandomConfig{})
-	b := Random(42, 5, RandomConfig{})
+	a := Random(42, 5, 4096)
+	b := Random(42, 5, 4096)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same seed must yield identical schedules")
 	}
-	c := Random(43, 5, RandomConfig{})
+	c := Random(43, 5, 4096)
 	if reflect.DeepEqual(a, c) {
 		t.Fatal("different seeds should differ")
 	}
@@ -126,7 +133,7 @@ func TestRandomIsDeterministic(t *testing.T) {
 		{Device: "disk", Addr: 0, N: 500},
 		{Device: "tape:S", Addr: 2000, N: 64},
 	}
-	a2 := Random(42, 5, RandomConfig{})
+	a2 := Random(42, 5, 4096)
 	for _, op := range ops {
 		d1, d2 := a.Decide(op), a2.Decide(op)
 		if errors.Is(d1.Err, ErrTransient) != errors.Is(d2.Err, ErrTransient) ||

@@ -5,8 +5,9 @@ import (
 )
 
 // FuzzParse throws arbitrary specs at the fault-schedule grammar. The
-// property is total robustness: Parse never panics, and a nil error
-// implies a usable schedule. The parser fronts the cmd/tapejoin
+// properties are total robustness — Parse never panics, and a nil error
+// implies a usable schedule — and a faithful String: the re-parsed
+// rendering decides a fixed op sequence exactly as the original does. The parser fronts the cmd/tapejoin
 // -faults flag, so every byte sequence a user can type must come back
 // as either a schedule or an error.
 func FuzzParse(f *testing.F) {
@@ -42,6 +43,9 @@ func FuzzParse(f *testing.F) {
 		"transient=R:9223372036854775807:2147483647",
 		",,,",
 		"stall=R:1ns:0,stall=R:1ns:0",
+		pinSpec,
+		"hard=disk:5,oserr=disk:5,oswait=disk:1ms",
+		"diskfail=1@59m,drivefail=S@29m59s,random=3:5",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -69,6 +73,11 @@ func FuzzParse(f *testing.F) {
 		}
 		if s2.Len() != s.Len() {
 			t.Fatalf("round-trip of %q changed rule count: %d -> %d", spec, s.Len(), s2.Len())
+		}
+		for i, o := range pinOps {
+			if a, b := formatVerdict(pinDecide(s, o)), formatVerdict(pinDecide(s2, o)); a != b {
+				t.Fatalf("op %d %+v: %q decides %s, its rendering %q decides %s", i, o, spec, a, rendered, b)
+			}
 		}
 	})
 }

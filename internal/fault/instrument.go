@@ -1,80 +1,57 @@
 package fault
 
 import (
-	"errors"
-
 	"repro/internal/obs"
 )
 
-// instrumented wraps an Injector, counting its decisions by outcome in
-// an obs.Registry and recording injected stall durations.
+// instrumented wraps a Schedule, counting its decisions by the kind
+// that fired in an obs.Registry and recording injected stall durations.
 type instrumented struct {
-	inner  Injector
+	inner  *Schedule
 	flight *obs.FlightRecorder
 
-	ok, transient, media, deviceLost, driveLost, corrupt, stall *obs.Counter
-
-	osErr, tornWrite, osStall, flipStored *obs.Counter
+	ok    *obs.Counter
+	fired map[*kind]*obs.Counter
 
 	stallSeconds *obs.Histogram
 }
 
-// Instrument wraps inj so every decision is counted in reg under
-// fault_decisions_total{outcome=...} and stall durations land in a
-// fault_stall_seconds histogram; non-clean decisions are additionally
-// recorded in flight (which may be nil). Returns inj unchanged when
-// inj or reg is nil.
-func Instrument(inj Injector, reg *obs.Registry, flight *obs.FlightRecorder) Injector {
-	if inj == nil || reg == nil {
-		return inj
+// Instrument wraps s so every decision is counted in reg under
+// fault_decisions_total{outcome=...} — "ok" for a clean device-level
+// verdict, else the label of each kind that fired — and stall durations
+// land in a fault_stall_seconds histogram; fired kinds are additionally
+// recorded in flight (which may be nil). Returns s unchanged when reg is
+// nil, and a nil Injector when s is nil.
+func Instrument(s *Schedule, reg *obs.Registry, flight *obs.FlightRecorder) Injector {
+	if s == nil {
+		return nil
+	}
+	if reg == nil {
+		return s
 	}
 	c := func(outcome string) *obs.Counter {
 		return reg.Counter("fault_decisions_total",
 			"Fault-injector decisions by outcome.", obs.A("outcome", outcome))
 	}
-	return &instrumented{
-		inner:      inj,
-		flight:     flight,
-		ok:         c("ok"),
-		transient:  c("transient"),
-		media:      c("media"),
-		deviceLost: c("device-lost"),
-		driveLost:  c("drive-lost"),
-		corrupt:    c("corrupt"),
-		stall:      c("stall"),
-		osErr:      c("os-error"),
-		tornWrite:  c("torn-write"),
-		osStall:    c("os-stall"),
-		flipStored: c("flip-stored"),
-		stallSeconds: reg.Histogram("fault_stall_seconds",
-			"Injected device stall durations.", obs.BackoffBuckets),
+	i := &instrumented{inner: s, flight: flight, ok: c("ok"), fired: make(map[*kind]*obs.Counter, len(kinds))}
+	for _, k := range kinds {
+		i.fired[k] = c(k.label)
 	}
+	i.stallSeconds = reg.Histogram("fault_stall_seconds",
+		"Injected device stall durations.", obs.BackoffBuckets)
+	return i
 }
 
 // Decide implements Injector.
 func (i *instrumented) Decide(op Op) Decision {
 	d := i.inner.Decide(op)
-	switch {
-	case errors.Is(d.Err, ErrDriveLost):
-		i.driveLost.Inc()
-		i.flight.Record("fault", op.Device, "drive-lost")
-	case errors.Is(d.Err, ErrDeviceLost):
-		i.deviceLost.Inc()
-		i.flight.Record("fault", op.Device, "device-lost")
-	case errors.Is(d.Err, ErrMedia):
-		i.media.Inc()
-		i.flight.Record("fault", op.Device, "media")
-	case d.Err != nil:
-		i.transient.Inc()
-		i.flight.Record("fault", op.Device, "transient")
-	case d.Corrupt:
-		i.corrupt.Inc()
-		i.flight.Record("fault", op.Device, "corrupt")
-	case d.Stall > 0:
-		i.stall.Inc()
-		i.flight.Record("fault", op.Device, "stall")
-	default:
+	if d.kind == nil {
 		i.ok.Inc()
+	} else {
+		i.count(op, d.kind)
+	}
+	if d.OS.kind != nil {
+		i.count(op, d.OS.kind)
 	}
 	if d.Stall > 0 {
 		i.stallSeconds.Observe(d.Stall.Seconds())
@@ -82,25 +59,7 @@ func (i *instrumented) Decide(op Op) Decision {
 	return d
 }
 
-// DecideOS implements OSInjector, forwarding to the inner injector's
-// OS side (if any) and counting non-clean verdicts. Clean OS consults
-// are not counted as "ok": every file operation consults both levels,
-// and the ok counter tracks device-level decisions only.
-func (i *instrumented) DecideOS(op Op) OSDecision {
-	d := DecideOS(i.inner, op)
-	switch {
-	case d.Err != nil:
-		i.osErr.Inc()
-		i.flight.Record("fault", op.Device, "os-error")
-	case d.Torn:
-		i.tornWrite.Inc()
-		i.flight.Record("fault", op.Device, "torn-write")
-	case d.Flip:
-		i.flipStored.Inc()
-		i.flight.Record("fault", op.Device, "flip-stored")
-	case d.Stall > 0:
-		i.osStall.Inc()
-		i.flight.Record("fault", op.Device, "os-stall")
-	}
-	return d
+func (i *instrumented) count(op Op, k *kind) {
+	i.fired[k].Inc()
+	i.flight.Record("fault", op.Device, k.label)
 }

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,100 +11,99 @@ import (
 )
 
 func TestOSRulesInvisibleToDecide(t *testing.T) {
-	s := (&Schedule{}).
-		AddOSError("disk", 5, 3).
-		AddTornWrite("disk", 5, 3).
-		AddWallStall("disk", time.Second, 3).
-		AddFlipStored("disk", 5, 3)
+	s := mustParse(t, "oserr=disk:5:3,torn=disk:5:3,oswait=disk:1s:3,flip=disk:5:3")
 	for _, w := range []bool{false, true} {
 		if d := s.Decide(Op{Device: "disk", Addr: 0, N: 10, Write: w}); d != (Decision{}) {
-			t.Fatalf("Decide(write=%v) fired an OS-level rule: %+v", w, d)
+			t.Fatalf("Decide(write=%v) on a sim op fired an OS-level rule: %+v", w, d)
 		}
 	}
-	// No firings spent: the OS side still sees all of them.
-	if d := s.DecideOS(Op{Device: "disk", Addr: 5, N: 1}); d.Err == nil {
-		t.Fatal("DecideOS should fire the oserr rule")
+	// No firings spent: a file op still sees all of them.
+	if d := s.Decide(Op{Device: "disk", Addr: 5, N: 1, OS: true}); d.OS.Err == nil {
+		t.Fatal("a file op should fire the oserr rule")
 	}
 }
 
-func TestDeviceRulesInvisibleToDecideOS(t *testing.T) {
-	s := (&Schedule{}).AddTransient("disk", 5, 1).AddHard("disk", 5)
-	if d := s.DecideOS(Op{Device: "disk", Addr: 5, N: 1}); !d.Zero() {
-		t.Fatalf("DecideOS fired a device-level rule: %+v", d)
+func TestDeviceRulesLeaveOSVerdictZero(t *testing.T) {
+	s := mustParse(t, "corrupt=disk:5,stall=disk:1s")
+	d := s.Decide(Op{Device: "disk", Addr: 5, N: 1, OS: true})
+	if !d.Corrupt || !d.OS.Zero() {
+		t.Fatalf("want a device-level corrupt verdict only, got %+v", d)
 	}
-	if d := s.Decide(Op{Device: "disk", Addr: 5, N: 1}); !IsTransient(d.Err) {
-		t.Fatalf("device-level transient should still fire, got %v", d.Err)
+	if d := s.Decide(Op{Device: "disk", Addr: 5, N: 1, OS: true}); d.Stall != time.Second || !d.OS.Zero() {
+		t.Fatalf("want a device-level stall only, got %+v", d)
 	}
 }
 
 func TestOSErrorMatchesReadsAndWrites(t *testing.T) {
-	s := (&Schedule{}).AddOSError("tape:R", 7, 2)
-	if d := s.DecideOS(Op{Device: "tape:R", Addr: 0, N: 10, Write: true}); !IsTransient(d.Err) {
+	s := mustParse(t, "oserr=R:7:2")
+	if d := s.Decide(Op{Device: "tape:R", Addr: 0, N: 10, Write: true, OS: true}); !IsTransient(d.OS.Err) {
 		t.Fatalf("write covering addr 7: want transient OS error, got %+v", d)
 	}
-	if d := s.DecideOS(Op{Device: "tape:R", Addr: 7, N: 1}); !IsTransient(d.Err) {
+	if d := s.Decide(Op{Device: "tape:R", Addr: 7, N: 1, OS: true}); !IsTransient(d.OS.Err) {
 		t.Fatalf("read at addr 7: want transient OS error, got %+v", d)
 	}
-	if d := s.DecideOS(Op{Device: "tape:R", Addr: 7, N: 1}); !d.Zero() {
+	if d := s.Decide(Op{Device: "tape:R", Addr: 7, N: 1, OS: true}); !d.OS.Zero() {
 		t.Fatalf("count spent, want clean decision, got %+v", d)
 	}
 }
 
 func TestTornAndFlipMatchWritesOnly(t *testing.T) {
-	s := (&Schedule{}).AddTornWrite("disk", 3, 1).AddFlipStored("disk", 4, 1)
+	s := mustParse(t, "torn=disk:3,flip=disk:4")
 	for addr := int64(3); addr <= 4; addr++ {
-		if d := s.DecideOS(Op{Device: "disk", Addr: addr, N: 1}); !d.Zero() {
+		if d := s.Decide(Op{Device: "disk", Addr: addr, N: 1, OS: true}); !d.OS.Zero() {
 			t.Fatalf("read at %d should not match write-only rules: %+v", addr, d)
 		}
 	}
-	if d := s.DecideOS(Op{Device: "disk", Addr: 3, N: 1, Write: true}); !d.Torn {
+	if d := s.Decide(Op{Device: "disk", Addr: 3, N: 1, Write: true, OS: true}); !d.OS.Torn {
 		t.Fatalf("want torn write, got %+v", d)
 	}
-	if d := s.DecideOS(Op{Device: "disk", Addr: 4, N: 1, Write: true}); !d.Flip {
+	if d := s.Decide(Op{Device: "disk", Addr: 4, N: 1, Write: true, OS: true}); !d.OS.Flip {
 		t.Fatalf("want flipped store, got %+v", d)
 	}
 }
 
 func TestWallStallAnyAddressAndTime(t *testing.T) {
-	s := (&Schedule{}).AddWallStall("tape:S", 250*time.Millisecond, 2)
-	d := s.DecideOS(Op{Device: "tape:S", Addr: 999, N: 1, Now: sim.Time(time.Hour)})
-	if d.Stall != 250*time.Millisecond {
+	s := mustParse(t, "oswait=S:250ms:2")
+	d := s.Decide(Op{Device: "tape:S", Addr: 999, N: 1, Now: sim.Time(time.Hour), OS: true})
+	if d.OS.Stall != 250*time.Millisecond {
 		t.Fatalf("want 250ms wall stall, got %+v", d)
 	}
-	if d := s.DecideOS(Op{Device: "tape:R", Addr: 0, N: 1, Write: true}); !d.Zero() {
+	if d := s.Decide(Op{Device: "tape:R", Addr: 0, N: 1, Write: true, OS: true}); !d.OS.Zero() {
 		t.Fatalf("wrong device should not stall: %+v", d)
 	}
-	if d := s.DecideOS(Op{Device: "tape:S", Write: true}); d.Stall == 0 {
+	if d := s.Decide(Op{Device: "tape:S", Write: true, OS: true}); d.OS.Stall == 0 {
 		t.Fatalf("second firing should stall writes too, got %+v", d)
 	}
-	if d := s.DecideOS(Op{Device: "tape:S"}); !d.Zero() {
+	if d := s.Decide(Op{Device: "tape:S", OS: true}); !d.OS.Zero() {
 		t.Fatalf("count spent, got %+v", d)
 	}
 }
 
-func TestDecideOSToleratesPlainInjectors(t *testing.T) {
-	if d := DecideOS(nil, Op{Device: "disk"}); !d.Zero() {
+func TestNilInjectorHasNoOSVerdict(t *testing.T) {
+	if d := Decide(nil, Op{Device: "disk", OS: true}); !d.OS.Zero() {
 		t.Fatalf("nil injector: %+v", d)
 	}
-	plain := plainInjector{}
-	if d := DecideOS(plain, Op{Device: "disk"}); !d.Zero() {
-		t.Fatalf("plain injector: %+v", d)
+	if inj := Instrument(nil, obs.NewRegistry(), nil); inj != nil {
+		t.Fatalf("instrumenting a nil schedule gave %T, want nil", inj)
 	}
 }
 
-type plainInjector struct{}
-
-func (plainInjector) Decide(Op) Decision { return Decision{} }
-
-func TestInstrumentForwardsDecideOS(t *testing.T) {
-	s := (&Schedule{}).AddOSError("disk", 1, 1)
+func TestInstrumentForwardsOSVerdict(t *testing.T) {
+	s := mustParse(t, "oserr=disk:1")
 	inj := Instrument(s, nil, nil) // nil registry: Instrument returns s unchanged
 	if inj != Injector(s) {
 		t.Fatal("nil registry should return the inner injector")
 	}
-	s2 := (&Schedule{}).AddOSError("disk", 1, 1)
-	wrapped := Instrument(s2, obs.NewRegistry(), obs.NewFlightRecorder(16))
-	if d := DecideOS(wrapped, Op{Device: "disk", Addr: 1, N: 1}); !errors.Is(d.Err, ErrTransient) {
-		t.Fatalf("instrumented injector should forward DecideOS, got %+v", d)
+	reg := obs.NewRegistry()
+	wrapped := Instrument(mustParse(t, "oserr=disk:1"), reg, obs.NewFlightRecorder(16))
+	if d := Decide(wrapped, Op{Device: "disk", Addr: 1, N: 1, OS: true}); !errors.Is(d.OS.Err, ErrTransient) {
+		t.Fatalf("instrumented injector should forward the OS verdict, got %+v", d)
+	}
+	// The clean device verdict counts as ok; the OS verdict as os-error.
+	text := reg.Exposition()
+	for _, want := range []string{`outcome="ok"} 1`, `outcome="os-error"} 1`, `outcome="transient"} 0`} {
+		if !strings.Contains(text, want) {
+			t.Errorf("exposition lacks %s:\n%s", want, text)
+		}
 	}
 }

@@ -49,46 +49,14 @@ func Parse(spec string) (*Schedule, error) {
 			return nil, fmt.Errorf("fault: directive %q is not key=value", part)
 		}
 		var err error
-		switch key {
-		case "transient":
-			err = parseAddrRule(val, true, func(dev string, addr int64, count int) {
-				s.AddTransient(dev, addr, count)
-			})
-		case "hard":
-			err = parseAddrRule(val, false, func(dev string, addr int64, _ int) {
-				s.AddHard(dev, addr)
-			})
-		case "corrupt":
-			err = parseAddrRule(val, true, func(dev string, addr int64, count int) {
-				s.AddCorrupt(dev, addr, count)
-			})
-		case "stall":
-			err = parseStall(val, func(dev string, d time.Duration, count int) {
-				s.AddStall(dev, sim.Duration(d), count)
-			})
-		case "oserr":
-			err = parseAddrRule(val, true, func(dev string, addr int64, count int) {
-				s.AddOSError(dev, addr, count)
-			})
-		case "torn":
-			err = parseAddrRule(val, true, func(dev string, addr int64, count int) {
-				s.AddTornWrite(dev, addr, count)
-			})
-		case "oswait":
-			err = parseStall(val, func(dev string, d time.Duration, count int) {
-				s.AddWallStall(dev, d, count)
-			})
-		case "flip":
-			err = parseAddrRule(val, true, func(dev string, addr int64, count int) {
-				s.AddFlipStored(dev, addr, count)
-			})
-		case "diskfail":
-			err = parseDiskFail(s, val)
-		case "drivefail":
-			err = parseDriveFail(s, val)
-		case "random":
+		if key == "random" {
 			err = parseRandom(s, val)
-		default:
+		} else if k := kindOf(key); k != nil {
+			var r *rule
+			if r, err = parseRule(k, val); err == nil {
+				s.rules = append(s.rules, r)
+			}
+		} else {
 			err = fmt.Errorf("fault: unknown directive %q", key)
 		}
 		if err != nil {
@@ -111,83 +79,71 @@ func device(name string) (string, error) {
 	return "", fmt.Errorf("unknown device %q (want R, S, disk or diskN)", name)
 }
 
-func parseAddrRule(val string, hasCount bool, add func(dev string, addr int64, count int)) error {
+// parseRule parses the value of one directive of kind k.
+func parseRule(k *kind, val string) (*rule, error) {
+	r := &rule{k: k, count: 1}
+	if k.unbounded {
+		r.count = -1
+	}
+	if k.form == diskForm || k.form == driveForm {
+		return r, parseLoss(r, val)
+	}
+	want := "DEV:ADDR[:COUNT]"
+	switch {
+	case k.form == durForm:
+		want = "DEV:DUR[:COUNT]"
+	case k.unbounded:
+		want = "DEV:ADDR"
+	}
 	fields := strings.Split(val, ":")
-	if len(fields) < 2 || (!hasCount && len(fields) != 2) || len(fields) > 3 {
-		return fmt.Errorf("want DEV:ADDR%s", map[bool]string{true: "[:COUNT]", false: ""}[hasCount])
+	if len(fields) < 2 || len(fields) > 3 || k.unbounded && len(fields) != 2 {
+		return nil, fmt.Errorf("want %s", want)
 	}
-	dev, err := device(fields[0])
-	if err != nil {
-		return err
+	var err error
+	if r.device, err = device(fields[0]); err != nil {
+		return nil, err
 	}
-	addr, err := strconv.ParseInt(fields[1], 10, 64)
-	if err != nil {
-		return fmt.Errorf("bad address %q", fields[1])
+	if k.form == durForm {
+		if r.dur, err = time.ParseDuration(fields[1]); err != nil || r.dur <= 0 {
+			return nil, fmt.Errorf("bad duration %q", fields[1])
+		}
+	} else if r.addr, err = strconv.ParseInt(fields[1], 10, 64); err != nil {
+		return nil, fmt.Errorf("bad address %q", fields[1])
 	}
-	count := 1
 	if len(fields) == 3 {
-		if count, err = strconv.Atoi(fields[2]); err != nil || count <= 0 {
-			return fmt.Errorf("bad count %q", fields[2])
+		if r.count, err = strconv.Atoi(fields[2]); err != nil || r.count <= 0 {
+			return nil, fmt.Errorf("bad count %q", fields[2])
 		}
 	}
-	add(dev, addr, count)
-	return nil
+	return r, nil
 }
 
-func parseStall(val string, add func(dev string, d time.Duration, count int)) error {
-	fields := strings.Split(val, ":")
-	if len(fields) < 2 || len(fields) > 3 {
-		return fmt.Errorf("want DEV:DUR[:COUNT]")
-	}
-	dev, err := device(fields[0])
-	if err != nil {
-		return err
-	}
-	d, err := time.ParseDuration(fields[1])
-	if err != nil || d <= 0 {
-		return fmt.Errorf("bad duration %q", fields[1])
-	}
-	count := 1
-	if len(fields) == 3 {
-		if count, err = strconv.Atoi(fields[2]); err != nil || count <= 0 {
-			return fmt.Errorf("bad count %q", fields[2])
-		}
-	}
-	add(dev, d, count)
-	return nil
-}
-
-func parseDiskFail(s *Schedule, val string) error {
-	numStr, atStr, ok := strings.Cut(val, "@")
-	if !ok {
-		return fmt.Errorf("want N@TIME")
-	}
-	n, err := strconv.Atoi(numStr)
-	if err != nil || n < 0 {
-		return fmt.Errorf("bad disk number %q", numStr)
-	}
-	at, err := time.ParseDuration(atStr)
-	if err != nil || at < 0 {
-		return fmt.Errorf("bad time %q", atStr)
-	}
-	s.AddDiskFail(n, sim.Time(at))
-	return nil
-}
-
-func parseDriveFail(s *Schedule, val string) error {
+// parseLoss parses N@TIME (diskfail) or DEV@TIME (drivefail) into r.
+func parseLoss(r *rule, val string) error {
 	devStr, atStr, ok := strings.Cut(val, "@")
-	if !ok {
+	switch {
+	case !ok && r.k.form == diskForm:
+		return fmt.Errorf("want N@TIME")
+	case !ok:
 		return fmt.Errorf("want DEV@TIME")
-	}
-	dev, err := device(devStr)
-	if err != nil {
-		return err
+	case r.k.form == diskForm:
+		n, err := strconv.Atoi(devStr)
+		if err != nil || n < 0 {
+			return fmt.Errorf("bad disk number %q", devStr)
+		}
+		r.device = "disk" + strconv.Itoa(n)
+	default:
+		dev, err := device(devStr)
+		if err != nil {
+			return err
+		}
+		r.device = dev
 	}
 	at, err := time.ParseDuration(atStr)
 	if err != nil || at < 0 {
 		return fmt.Errorf("bad time %q", atStr)
 	}
-	s.AddDriveFail(dev, sim.Time(at))
+	r.at = sim.Time(at)
 	return nil
 }
 
@@ -203,51 +159,36 @@ func parseRandom(s *Schedule, val string) error {
 			return fmt.Errorf("bad count %q", countStr)
 		}
 	}
-	appendRandom(s, seed, count, RandomConfig{})
+	appendRandom(s, seed, count, 4096)
 	return nil
 }
 
-// RandomConfig bounds the faults a seeded random schedule generates.
-type RandomConfig struct {
-	// Devices to target; default tape:R, tape:S and disk.
-	Devices []string
-	// MaxAddr bounds fault addresses; default 4096 blocks.
-	MaxAddr int64
-	// MaxRetries bounds how many retries a transient needs; default 3.
-	MaxRetries int
-}
-
 // Random builds a deterministic schedule of count recoverable faults
-// (transients, delivered-copy corruptions and short stalls) from seed.
-// The same seed always yields the same schedule.
-func Random(seed int64, count int, cfg RandomConfig) *Schedule {
+// (transients, delivered-copy corruptions and short stalls) on tape:R,
+// tape:S and disk, at addresses below maxAddr, from seed. The same seed
+// always yields the same schedule.
+func Random(seed int64, count int, maxAddr int64) *Schedule {
 	s := &Schedule{}
-	appendRandom(s, seed, count, cfg)
+	appendRandom(s, seed, count, maxAddr)
 	return s
 }
 
-func appendRandom(s *Schedule, seed int64, count int, cfg RandomConfig) {
-	if len(cfg.Devices) == 0 {
-		cfg.Devices = []string{"tape:R", "tape:S", "disk"}
-	}
-	if cfg.MaxAddr <= 0 {
-		cfg.MaxAddr = 4096
-	}
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = 3
-	}
+func appendRandom(s *Schedule, seed int64, count int, maxAddr int64) {
+	const maxRetries = 3
+	devices := []string{"tape:R", "tape:S", "disk"}
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < count; i++ {
-		dev := cfg.Devices[rng.Intn(len(cfg.Devices))]
-		addr := rng.Int63n(cfg.MaxAddr)
+		dev := devices[rng.Intn(len(devices))]
+		addr := rng.Int63n(maxAddr)
+		r := &rule{device: dev}
 		switch rng.Intn(3) {
 		case 0:
-			s.AddTransient(dev, addr, 1+rng.Intn(cfg.MaxRetries))
+			r.k, r.addr, r.count = kindOf("transient"), addr, 1+rng.Intn(maxRetries)
 		case 1:
-			s.AddCorrupt(dev, addr, 1+rng.Intn(cfg.MaxRetries))
+			r.k, r.addr, r.count = kindOf("corrupt"), addr, 1+rng.Intn(maxRetries)
 		default:
-			stall := sim.Duration(1+rng.Intn(10)) * sim.Duration(time.Second)
-			s.AddStall(dev, stall, 1)
+			r.k, r.dur, r.count = kindOf("stall"), time.Duration(1+rng.Intn(10))*time.Second, 1
 		}
+		s.rules = append(s.rules, r)
 	}
 }

@@ -1,7 +1,7 @@
 package fault
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -22,35 +22,31 @@ func (s *Schedule) String() string {
 	}
 	var parts []string
 	for _, r := range s.rules {
-		if r.count == 0 {
-			continue
-		}
-		dev := specDevice(r.device)
-		switch r.kind {
-		case kindTransient:
-			parts = append(parts, addrSpec("transient", dev, r.addr, r.count))
-		case kindHard:
-			parts = append(parts, fmt.Sprintf("hard=%s:%d", dev, r.addr))
-		case kindCorrupt:
-			parts = append(parts, addrSpec("corrupt", dev, r.addr, r.count))
-		case kindStall:
-			parts = append(parts, durSpec("stall", dev, time.Duration(r.stall), r.count))
-		case kindDeviceLost:
-			parts = append(parts, fmt.Sprintf("diskfail=%s@%s",
-				strings.TrimPrefix(r.device, "disk"), time.Duration(r.at)))
-		case kindDriveLost:
-			parts = append(parts, fmt.Sprintf("drivefail=%s@%s", dev, time.Duration(r.at)))
-		case kindOSErr:
-			parts = append(parts, addrSpec("oserr", dev, r.addr, r.count))
-		case kindTornWrite:
-			parts = append(parts, addrSpec("torn", dev, r.addr, r.count))
-		case kindWallStall:
-			parts = append(parts, durSpec("oswait", dev, r.wall, r.count))
-		case kindFlipStored:
-			parts = append(parts, addrSpec("flip", dev, r.addr, r.count))
+		if r.count != 0 {
+			parts = append(parts, r.String())
 		}
 	}
 	return strings.Join(parts, ",")
+}
+
+// String renders one rule as its directive.
+func (r *rule) String() string {
+	dev := specDevice(r.device)
+	var arg string
+	switch r.k.form {
+	case diskForm:
+		return r.k.key + "=" + strings.TrimPrefix(r.device, "disk") + "@" + time.Duration(r.at).String()
+	case driveForm:
+		return r.k.key + "=" + dev + "@" + time.Duration(r.at).String()
+	case durForm:
+		arg = dev + ":" + r.dur.String()
+	default:
+		arg = dev + ":" + strconv.FormatInt(r.addr, 10)
+	}
+	if r.count > 1 {
+		arg += ":" + strconv.Itoa(r.count)
+	}
+	return r.k.key + "=" + arg
 }
 
 // specDevice maps a canonical device name back to its short spec form.
@@ -59,18 +55,4 @@ func specDevice(dev string) string {
 		return short
 	}
 	return dev
-}
-
-func addrSpec(key, dev string, addr int64, count int) string {
-	if count == 1 {
-		return fmt.Sprintf("%s=%s:%d", key, dev, addr)
-	}
-	return fmt.Sprintf("%s=%s:%d:%d", key, dev, addr, count)
-}
-
-func durSpec(key, dev string, d time.Duration, count int) string {
-	if count == 1 {
-		return fmt.Sprintf("%s=%s:%s", key, dev, d)
-	}
-	return fmt.Sprintf("%s=%s:%s:%d", key, dev, d, count)
 }

@@ -1,8 +1,8 @@
 package fault
 
 import (
+	"reflect"
 	"testing"
-	"time"
 )
 
 func TestStringRoundTrip(t *testing.T) {
@@ -89,10 +89,12 @@ func TestStringSkipsSpentRules(t *testing.T) {
 }
 
 func TestStringProgrammaticBuilders(t *testing.T) {
-	s := (&Schedule{}).
-		AddWallStall("disk", 50*time.Millisecond, 4).
-		AddFlipStored("tape:S", 3, 1)
-	if got, want := s.String(), "oswait=disk:50ms:4,flip=S:3"; got != want {
-		t.Errorf("String() = %q, want %q", got, want)
+	s := Random(7, 3, 20)
+	replay, err := Parse(s.String())
+	if err != nil {
+		t.Fatalf("replaying %q: %v", s.String(), err)
+	}
+	if !reflect.DeepEqual(s, replay) {
+		t.Errorf("Random(7, 3, 20) = %q does not round-trip", s.String())
 	}
 }

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/block"
 	"repro/internal/buffer"
+	"repro/internal/cost"
 	"repro/internal/device"
 	"repro/internal/device/simdev"
 	"repro/internal/fault"
@@ -521,4 +522,32 @@ func BySymbol(symbol string) (Method, error) {
 		}
 	}
 	return nil, fmt.Errorf("join: unknown method %q", symbol)
+}
+
+// Choose picks the method to run spec on res when the caller names
+// none. A prefix query (stopAfter > 0) gets SYM-H when it is feasible:
+// the cost model ranks whole-run response and would never pick a
+// streaming method, yet for a prefix time-to-first-tuple is what
+// matters. Otherwise Choose returns the cost advisor's cheapest method
+// that also passes its own Check, or nil when none does.
+func Choose(spec Spec, res Resources, stopAfter int64) Method {
+	if stopAfter > 0 {
+		if m := (SymHash{}); m.Check(spec, res) == nil {
+			return m
+		}
+	}
+	adv := cost.Advise(cost.Params{
+		RBlocks: spec.R.Region.N, SBlocks: spec.S.Region.N,
+		MBlocks: res.MemoryBlocks, DBlocks: res.DiskBlocks,
+		TapeRate: res.Tape.EffectiveRate(), DiskRate: res.DiskRate,
+	}, cost.Scratch{RTape: spec.R.Media.Free(), STape: spec.S.Media.Free()})
+	for _, est := range adv.Ranked {
+		if est.Err != nil {
+			continue
+		}
+		if m, err := BySymbol(est.Method); err == nil && m.Check(spec, res) == nil {
+			return m
+		}
+	}
+	return nil
 }

@@ -34,10 +34,10 @@ var pinScenarios = []struct {
 }{
 	{"clean", func(pinCase, Spec) *fault.Schedule { return nil }},
 	{"disk", func(c pinCase, _ Spec) *fault.Schedule {
-		return (&fault.Schedule{}).AddTransient("disk", c.diskAddr, 7)
+		return mustFaults("transient=disk:%d:7", c.diskAddr)
 	}},
 	{"tapeS", func(_ pinCase, spec Spec) *fault.Schedule {
-		return (&fault.Schedule{}).AddTransient("tape:S", int64(spec.S.Region.Start)+40, 6)
+		return mustFaults("transient=S:%d:6", spec.S.Region.Start+40)
 	}},
 }
 

@@ -2,9 +2,11 @@ package join
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strconv"
 	"testing"
+	"time"
 
 	"repro/internal/block"
 	"repro/internal/fault"
@@ -16,6 +18,15 @@ import (
 // runWith runs method symbol over a fresh small spec with the given
 // fault schedule (nil = clean) and returns the result and the expected
 // match count.
+// mustFaults parses the fault spec fmt.Sprintf(format, args...).
+func mustFaults(format string, args ...any) *fault.Schedule {
+	s, err := fault.Parse(fmt.Sprintf(format, args...))
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 func runWith(t *testing.T, symbol string, res Resources, sched *fault.Schedule) (*Result, int64, error) {
 	t.Helper()
 	spec := testSpec(t)
@@ -49,9 +60,7 @@ func TestTransientFaultsRecoverEveryMethod(t *testing.T) {
 			}
 
 			spec := testSpec(t)
-			sched := &fault.Schedule{}
-			sched.AddTransient("tape:R", int64(spec.R.Region.Start)+3, 2)
-			sched.AddTransient("tape:S", int64(spec.S.Region.Start)+7, 1)
+			sched := mustFaults("transient=R:%d:2,transient=S:%d", spec.R.Region.Start+3, spec.S.Region.Start+7)
 			faulted, _, err := runWith(t, m.Symbol(), res, sched)
 			if err != nil {
 				t.Fatalf("faulted run: %v", err)
@@ -85,8 +94,7 @@ func TestCorruptDeliveryRereadRecovers(t *testing.T) {
 		symbol := symbol
 		t.Run(symbol, func(t *testing.T) {
 			spec := testSpec(t)
-			sched := &fault.Schedule{}
-			sched.AddCorrupt("tape:S", int64(spec.S.Region.Start)+5, 2)
+			sched := mustFaults("corrupt=S:%d:2", spec.S.Region.Start+5)
 			faulted, want, err := runWith(t, symbol, fastRes(10, 64), sched)
 			if err != nil {
 				t.Fatalf("faulted run: %v", err)
@@ -110,8 +118,7 @@ func TestDiskCorruptionSurfacesTypedError(t *testing.T) {
 	// delivered copy must fail the join with the typed checksum error.
 	res := fastRes(10, 64)
 	res.DisableRecovery = true
-	sched := &fault.Schedule{}
-	sched.AddCorrupt("disk", 5, 1)
+	sched := mustFaults("corrupt=disk:5")
 	_, _, err := runWith(t, "DT-NB", res, sched)
 	if err == nil {
 		t.Fatal("corrupt disk delivery with recovery off should fail the join")
@@ -121,8 +128,7 @@ func TestDiskCorruptionSurfacesTypedError(t *testing.T) {
 	}
 
 	// Recovery enabled: the same corruption is absorbed by a re-read.
-	sched = &fault.Schedule{}
-	sched.AddCorrupt("disk", 5, 1)
+	sched = mustFaults("corrupt=disk:5")
 	faulted, want, err := runWith(t, "DT-NB", fastRes(10, 64), sched)
 	if err != nil {
 		t.Fatalf("recovered run: %v", err)
@@ -141,8 +147,7 @@ func TestRecoveryDisabledFailsFast(t *testing.T) {
 	spec := testSpec(t)
 	res := fastRes(10, 64)
 	res.DisableRecovery = true
-	sched := &fault.Schedule{}
-	sched.AddTransient("tape:R", int64(spec.R.Region.Start)+3, 1)
+	sched := mustFaults("transient=R:%d", spec.R.Region.Start+3)
 	result, _, err := runWith(t, "DT-GH", res, sched)
 	if err == nil {
 		t.Fatal("transient fault with recovery off should abort the join")
@@ -159,8 +164,7 @@ func TestRecoveryDisabledFailsFast(t *testing.T) {
 // restart surfaces as the typed ErrFaultExhausted.
 func TestRetryBudgetExhausted(t *testing.T) {
 	spec := testSpec(t)
-	sched := &fault.Schedule{}
-	sched.AddTransient("tape:S", int64(spec.S.Region.Start)+7, 1000)
+	sched := mustFaults("transient=S:%d:1000", spec.S.Region.Start+7)
 	_, _, err := runWith(t, "DT-NB", fastRes(10, 64), sched)
 	if err == nil {
 		t.Fatal("persistent fault should exhaust the retry budget")
@@ -174,8 +178,7 @@ func TestRetryBudgetExhausted(t *testing.T) {
 // retry budget is spent on them.
 func TestHardMediaErrorNotRetried(t *testing.T) {
 	spec := testSpec(t)
-	sched := &fault.Schedule{}
-	sched.AddHard("tape:S", int64(spec.S.Region.Start)+7)
+	sched := mustFaults("hard=S:%d", spec.S.Region.Start+7)
 	result, _, err := runWith(t, "DT-NB", fastRes(10, 64), sched)
 	if err == nil {
 		t.Fatal("hard media error should fail the join")
@@ -223,9 +226,8 @@ func TestCTTGHFaultedTable3Acceptance(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			spec, res := table3Spec(t)
-			sched := &fault.Schedule{}
-			sched.AddTransient("tape:R", int64(spec.R.Region.Start)+11, 2)
-			sched.AddDiskFail(1, sim.Time(float64(clean.Stats.Response)*tc.frac))
+			sched := mustFaults("transient=R:%d:2,diskfail=1@%v",
+				spec.R.Region.Start+11, time.Duration(sim.Time(float64(clean.Stats.Response)*tc.frac)))
 			res.Faults = sched
 			sink := &CountSink{}
 			faulted, err := Run(mustMethod(t, "CTT-GH"), spec, res, sink)
@@ -266,8 +268,7 @@ func TestDriveLossDegradesToSequential(t *testing.T) {
 	}
 
 	spec = specWithSizes(t, 320, 640, 4)
-	sched := &fault.Schedule{}
-	sched.AddDriveFail("tape:S", sim.Time(clean.Stats.Response/3))
+	sched := mustFaults("drivefail=S@%v", clean.Stats.Response/3)
 	res.Faults = sched
 	sink := &CountSink{}
 	faulted, err := Run(mustMethod(t, "CDT-GH"), spec, res, sink)
@@ -306,7 +307,7 @@ func TestSameFaultSeedIsDeterministic(t *testing.T) {
 	run := func() (Stats, string) {
 		spec := testSpec(t)
 		res := fastRes(10, 64)
-		res.Faults = fault.Random(99, 8, fault.RandomConfig{MaxAddr: 20})
+		res.Faults = fault.Random(99, 8, 20)
 		res.Spans = obs.NewTracker()
 		sink := &CountSink{}
 		result, err := Run(mustMethod(t, "CTT-GH"), spec, res, sink)
@@ -399,8 +400,7 @@ func TestUnitRestartDeliversExactlyOnce(t *testing.T) {
 			// Block 12 of the disk copy of R sits mid-scan, so the first
 			// chunk's unit has emitted pairs when its read budget (1 + 4
 			// retries) runs out; the restarted unit absorbs the sixth.
-			sched := &fault.Schedule{}
-			sched.AddTransient("disk", 12, 6)
+			sched := mustFaults("transient=disk:12:6")
 			faulted, sink, commits := run(sched)
 			if faulted.Stats.UnitRestarts != 1 {
 				t.Fatalf("UnitRestarts = %d, want 1", faulted.Stats.UnitRestarts)
@@ -431,7 +431,7 @@ func TestDriveLossReplanDeliversExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res.Faults = (&fault.Schedule{}).AddDriveFail("tape:S", sim.Time(clean.Stats.Response*2/3))
+	res.Faults = mustFaults("drivefail=S@%v", clean.Stats.Response*2/3)
 	res.Spans = obs.NewTracker()
 	sink := &CountSink{}
 	faulted, err := Run(mustMethod(t, "CDT-GH"), specWithSizes(t, 320, 640, 4), res, sink)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/block"
 	"repro/internal/fault"
@@ -261,7 +262,7 @@ func TestStepIPartitionPin(t *testing.T) {
 		}
 		c.diskLoss = true
 		at := diskLossTime(t, c.sym, clean)
-		lost := runStepI(t, c, (&fault.Schedule{}).AddDiskFail(1, at))
+		lost := runStepI(t, c, mustFaults("diskfail=1@%v", time.Duration(at)))
 		if lost.err != nil {
 			t.Fatalf("%s: %v", c.name(), lost.err)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/block"
-	"repro/internal/cost"
 	"repro/internal/join"
 	"repro/internal/relation"
 	"repro/internal/sim"
@@ -387,38 +386,16 @@ func (q *Query) runAggregate(res join.Resources, method join.Method, c *compiled
 	}, nil
 }
 
-// chooseMethod picks the cheapest feasible join method with the
-// paper's analytical model, given the actual tape scratch space.
-func (q *Query) chooseMethod(res join.Resources) (join.Method, error) {
+// method resolves the query's join method: the named one, else
+// join.Choose's pick for spec on res.
+func (q *Query) method(spec join.Spec, res join.Resources) (join.Method, error) {
 	if q.Method != "" {
 		return join.BySymbol(q.Method)
 	}
-	// A stopped query wants time-to-first-tuple, not total throughput:
-	// the symmetric streaming join emits pairs while the materializing
-	// methods are still staging R, so it wins for any early cut-off.
-	// The cost model ranks whole-run response and would never pick it.
-	if q.StopAfter > 0 {
-		if m, err := join.BySymbol("SYM-H"); err == nil &&
-			m.Check(join.Spec{R: q.R.Rel, S: q.S.Rel}, res) == nil {
-			return m, nil
-		}
+	if m := join.Choose(spec, res, q.StopAfter); m != nil {
+		return m, nil
 	}
-	p := cost.Params{
-		RBlocks:  q.R.Rel.Region.N,
-		SBlocks:  q.S.Rel.Region.N,
-		MBlocks:  res.MemoryBlocks,
-		DBlocks:  res.DiskBlocks,
-		TapeRate: res.Tape.EffectiveRate(),
-		DiskRate: res.DiskRate,
-	}
-	adv := cost.Advise(p, cost.Scratch{
-		RTape: q.R.Rel.Media.Free(),
-		STape: q.S.Rel.Media.Free(),
-	})
-	if adv.Best == "" {
-		return nil, fmt.Errorf("query: no feasible join method for these resources")
-	}
-	return join.BySymbol(adv.Best)
+	return nil, fmt.Errorf("query: no feasible join method for these resources")
 }
 
 // Run executes the query on the given device complex. Single-sided
@@ -431,7 +408,8 @@ func Run(q Query, res join.Resources) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	method, err := q.chooseMethod(res)
+	spec := join.Spec{R: q.R.Rel, S: q.S.Rel}
+	method, err := q.method(spec, res)
 	if err != nil {
 		return nil, err
 	}
@@ -450,7 +428,6 @@ func Run(q Query, res join.Resources) (*Result, error) {
 	// R must be the smaller side; swap transparently if needed, since
 	// the equi-join is symmetric. The sink sees (r, s) in the
 	// schema's order either way.
-	spec := join.Spec{R: q.R.Rel, S: q.S.Rel}
 	if q.R.Rel.Region.N > q.S.Rel.Region.N {
 		return nil, fmt.Errorf("query: R (%d blocks) must be the smaller table", q.R.Rel.Region.N)
 	}

@@ -261,3 +261,41 @@ func TestQueryNoFeasibleMethod(t *testing.T) {
 		t.Fatalf("err = %v, want no-feasible-method", err)
 	}
 }
+
+// sizedTable creates a one-column table of the given size in blocks.
+func sizedTable(t *testing.T, name string, tag byte, blocks int64) *Table {
+	t.Helper()
+	tbl, err := CreateTable(tape.NewMedia(name, 512), TableConfig{
+		Name: name, Tag: tag, Blocks: blocks, TuplesPerBlock: 4,
+		KeySpace: 200, Seed: int64(tag),
+		Schema: Schema{{Name: "id", Type: Int64}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl
+}
+
+// TestRunSkipsAdvisorPickThatFailsCheck: at M=4, D=22 the cost advisor
+// ranks CTT-GH cheapest for |R|=16, |S|=64 blocks, but the GH methods'
+// own Check rejects them (6 buckets, 3 write buffers). Run must fall
+// back to the cheapest method that passes Check, not fail.
+func TestRunSkipsAdvisorPickThatFailsCheck(t *testing.T) {
+	r, s := sizedTable(t, "r", 1, 16), sizedTable(t, "s", 2, 64)
+	res := execRes(4, 22)
+	for _, m := range []join.Method{join.CDTGH{}, join.CTTGH{}} {
+		if err := m.Check(join.Spec{R: r.Rel, S: s.Rel}, res.WithDefaults()); err == nil {
+			t.Fatalf("%s passes Check; the case no longer exercises the fallback", m.Symbol())
+		}
+	}
+	out, err := Run(Query{R: r, S: s}, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := relation.ExpectedMatches(r.Rel, s.Rel); out.JoinMatches != want {
+		t.Fatalf("%s: matches = %d, want %d", out.Method, out.JoinMatches, want)
+	}
+	if out.Method != "DT-NB" {
+		t.Fatalf("method = %s, want DT-NB, the cheapest feasible one", out.Method)
+	}
+}

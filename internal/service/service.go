@@ -124,12 +124,6 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Engine exposes the resident scheduler (stats, direct submission).
-func (s *Server) Engine() *workload.OnlineEngine { return s.eng }
-
-// Handler returns the daemon's routes, for embedding or tests.
-func (s *Server) Handler() http.Handler { return s.mux }
-
 // Start binds addr (":0" for ephemeral) and serves in the background,
 // returning the bound address.
 func (s *Server) Start(addr string) (string, error) {

@@ -85,10 +85,6 @@ func (p *Proc) Now() Time { return p.k.now }
 // Kernel returns the kernel this process belongs to.
 func (p *Proc) Kernel() *Kernel { return p.k }
 
-// Err returns the error recorded for the process (a captured panic),
-// or nil. Only meaningful after the process has finished.
-func (p *Proc) Err() error { return p.err }
-
 // Done reports whether the process body has returned.
 func (p *Proc) Done() bool { return p.state == stateDone }
 

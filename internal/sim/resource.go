@@ -33,9 +33,6 @@ func NewResource(k *Kernel, name string, capacity int) *Resource {
 // Name returns the resource name.
 func (r *Resource) Name() string { return r.name }
 
-// InUse reports the number of units currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
 func (r *Resource) accrue() {
 	now := r.k.now
 	if r.inUse > 0 {

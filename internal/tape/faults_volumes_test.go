@@ -35,7 +35,7 @@ func TestMultiVolumeMediaErrorNamesCartridge(t *testing.T) {
 	mv.vols[1].InjectReadError(3, mediaErr)
 
 	k := sim.NewKernel()
-	d := NewDrive(k, "r", idealCfg())
+	d := NewDrive(k, "R", idealCfg())
 	d.Load(mv)
 	k.Spawn("p", func(p *sim.Proc) {
 		// A read inside the healthy first cartridge is fine.
@@ -73,11 +73,13 @@ func TestMultiVolumeTransientRecoversAcrossBoundary(t *testing.T) {
 	// The drive's fault schedule fails the first read covering global
 	// address 12 — inside the second cartridge, on a request that
 	// crosses the volume boundary — then clears.
-	sched := &fault.Schedule{}
-	sched.AddTransient("tape:r", 12, 1)
+	sched, err := fault.Parse("transient=R:12")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	k := sim.NewKernel()
-	d := NewDrive(k, "r", idealCfg())
+	d := NewDrive(k, "R", idealCfg())
 	d.Load(mv)
 	d.SetInjector(sched)
 	k.Spawn("p", func(p *sim.Proc) {
@@ -89,7 +91,7 @@ func TestMultiVolumeTransientRecoversAcrossBoundary(t *testing.T) {
 		if !fault.IsTransient(err) {
 			t.Errorf("err = %v, want transient classification", err)
 		}
-		if !strings.Contains(err.Error(), `"r"`) {
+		if !strings.Contains(err.Error(), `"R"`) {
 			t.Errorf("err %q does not identify the drive", err)
 		}
 		// Reposition + re-read: the identical request now succeeds and

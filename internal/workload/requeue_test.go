@@ -137,3 +137,30 @@ func TestPersistentFaultNeverAbortsBatch(t *testing.T) {
 		}
 	}
 }
+
+// TestCacheFlushedWhenDiskArrayReplaced loses an S drive early in a
+// cached mount-aware batch. The degrade rebuilds the session's devices,
+// disk array included, so the cached R partitions stranded on the old
+// array are flushed (and logged), and every query still delivers its
+// exact join on the replacement complex.
+func TestCacheFlushedWhenDiskArrayReplaced(t *testing.T) {
+	b := makeBatch(t, MountAware, 200)
+	b, out := faultedBatch(t, b, len(b.queries), "drivefail=S@60s")
+	var flushes int
+	for _, line := range out.Schedule {
+		if strings.Contains(line, "cache flush: ") && strings.HasSuffix(line, "(disk array replaced)") {
+			flushes++
+		}
+	}
+	if flushes == 0 {
+		t.Fatalf("no cache flush logged:\n%s", strings.Join(out.Schedule, "\n"))
+	}
+	for _, qr := range out.Queries {
+		if qr.Failed {
+			t.Fatalf("query %s failed: %s", qr.ID, qr.Reason)
+		}
+		if want := b.expect[qr.ID]; qr.Matches != want {
+			t.Errorf("%s (%s): matches = %d, want %d", qr.ID, qr.Method, qr.Matches, want)
+		}
+	}
+}

@@ -397,8 +397,7 @@ func usesCopiedR(symbol string) bool {
 
 // soloMethod picks the method q runs as its own join on res, whose
 // DiskBlocks is the query's disk budget: the requested method when
-// feasible, else SYM-H for a StopAfter query, else the cost advisor's
-// cheapest feasible alternative. substituted reports a requested
+// feasible, else join.Choose's pick. substituted reports a requested
 // method replaced. The engine's solo service and admission's solo
 // price both call it, so a plan prices what would really run.
 func soloMethod(q Query, spec join.Spec, res join.Resources) (m join.Method, substituted bool, err error) {
@@ -411,30 +410,8 @@ func soloMethod(q Query, spec join.Spec, res join.Resources) (m join.Method, sub
 			return m, false, nil
 		}
 	}
-	if q.StopAfter > 0 {
-		// The cost model ranks whole-run response and would never pick a
-		// streaming method; for a prefix query, time-to-first-tuple is
-		// what matters, so prefer SYM-H whenever it is feasible.
-		if m, err := join.BySymbol("SYM-H"); err == nil && m.Check(spec, res) == nil {
-			return m, q.Method != "" && q.Method != "SYM-H", nil
-		}
-	}
-	params := costParams(res, spec.R.Region.N, spec.S.Region.N, res.MemoryBlocks, res.DiskBlocks)
-	adv := cost.Advise(params, cost.Scratch{
-		RTape: spec.R.Media.Free(), STape: spec.S.Media.Free(),
-	})
-	for _, est := range adv.Ranked {
-		if est.Err != nil {
-			continue
-		}
-		m, err := join.BySymbol(est.Method)
-		if err != nil {
-			continue
-		}
-		if err := m.Check(spec, res); err != nil {
-			continue
-		}
-		return m, q.Method != "" && est.Method != q.Method, nil
+	if m := join.Choose(spec, res, q.StopAfter); m != nil {
+		return m, q.Method != "" && m.Symbol() != q.Method, nil
 	}
 	return nil, false, fmt.Errorf("no feasible method for %s (M=%d, D=%d)",
 		q.ID, res.MemoryBlocks, res.DiskBlocks)
