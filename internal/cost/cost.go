@@ -1,9 +1,11 @@
 // Package cost implements the paper's transfer-only analytical cost
 // model (Sections 3.2 and 5.3) for the seven tertiary join methods.
-// The formulas below regenerate Figures 1–3 and drive the method
-// advisor; Section 5.3 derives them "based on [13]" without printing
-// them, so each function documents its own derivation from the
-// method's structure.
+// It prices time only: whether a method fits its resources is the
+// method's footprint in package join (the paper's Table 2), and the
+// estimates assume it does. The formulas below regenerate Figures 1–3
+// and rank the methods that fit; Section 5.3 derives them "based on
+// [13]" without printing them, so each function documents its own
+// derivation from the method's structure.
 //
 // Conventions: sizes are in paper blocks; t_T(n) and t_D(n) are the
 // tape and disk transfer times of n blocks; the memory split follows
@@ -82,14 +84,10 @@ func (p Params) nbSplit() (mr, ms float64) {
 	return mr, float64(p.MBlocks) - mr
 }
 
-// Infeasible is returned inside Estimate.Err when a method cannot run
-// with the given parameters.
-var Infeasible = errors.New("cost: infeasible")
-
 // Estimate is the model's prediction for one method.
 type Estimate struct {
 	Method string
-	// Seconds is the predicted response time; +Inf when infeasible.
+	// Seconds is the predicted response time; +Inf when Err is set.
 	Seconds float64
 	// StepISeconds is the predicted setup-phase time.
 	StepISeconds float64
@@ -97,7 +95,9 @@ type Estimate struct {
 	DiskSpaceBlocks int64
 	// DiskTrafficBlocks is the predicted total disk I/O (Figure 7).
 	DiskTrafficBlocks int64
-	// Err wraps Infeasible with the reason, or is nil.
+	// Err reports why the method has no price (invalid parameters,
+	// an unknown method, or, from join's ranking, a footprint that
+	// does not fit), or is nil.
 	Err error
 }
 
@@ -119,22 +119,15 @@ func (e Estimate) Overhead(p Params) float64 {
 	return e.Seconds/p.SReadSeconds() - 1
 }
 
-func infeasible(method, format string, args ...any) Estimate {
-	return Estimate{
-		Method:  method,
-		Seconds: math.Inf(1),
-		Err:     fmt.Errorf("%w: %s: %s", Infeasible, method, fmt.Sprintf(format, args...)),
-	}
+// unpriced is the estimate of a method the model cannot price.
+func unpriced(method string, err error) Estimate {
+	return Estimate{Method: method, Seconds: math.Inf(1), Err: err}
 }
 
-// ghBuckets returns the idealized Grace Hash bucket count B = |R|/M,
-// requiring M >= sqrt(|R|) (Section 5.1.2).
-func (p Params) ghBuckets() (float64, error) {
-	r, m := float64(p.RBlocks), float64(p.MBlocks)
-	if m < math.Sqrt(r) {
-		return 0, fmt.Errorf("M=%d < sqrt(|R|)=%.0f", p.MBlocks, math.Sqrt(r))
-	}
-	return math.Ceil(r / m), nil
+// ghBuckets returns the idealized Grace Hash bucket count B = |R|/M
+// (Section 5.1.2).
+func (p Params) ghBuckets() float64 {
+	return math.Ceil(float64(p.RBlocks) / float64(p.MBlocks))
 }
 
 // ghSkewExtra returns the extra S blocks the uniform Grace Hash
@@ -157,12 +150,13 @@ func (p Params) ghSkewExtra(b float64) float64 {
 	return (loads - 1) * (s/b + p.MaxKeyFrac*s)
 }
 
-// EstimateMethod predicts one method's cost. Method symbols follow the
-// paper ("DT-NB", "CDT-NB/MB", "CDT-NB/DB", "DT-GH", "CDT-GH",
-// "CTT-GH", "TT-GH").
+// EstimateMethod predicts one method's cost, assuming it fits the
+// resources. Method symbols follow the paper ("DT-NB", "CDT-NB/MB",
+// "CDT-NB/DB", "DT-GH", "CDT-GH", "CTT-GH", "TT-GH") plus the "TT-SM"
+// baseline.
 func EstimateMethod(method string, p Params) Estimate {
 	if err := p.Validate(); err != nil {
-		return Estimate{Method: method, Seconds: math.Inf(1), Err: err}
+		return unpriced(method, err)
 	}
 	switch method {
 	case "DT-NB":
@@ -182,7 +176,7 @@ func EstimateMethod(method string, p Params) Estimate {
 	case "TT-SM":
 		return p.ttSM()
 	}
-	return Estimate{Method: method, Seconds: math.Inf(1), Err: fmt.Errorf("cost: unknown method %q", method)}
+	return unpriced(method, fmt.Errorf("cost: unknown method %q", method))
 }
 
 // ttSM estimates the tape sort-merge baseline under the transfer-only
@@ -195,9 +189,6 @@ func EstimateMethod(method string, p Params) Estimate {
 //	T = sum over X in {R, S} of (1 + passes(X)) * 2 t_T(X)  +  t_T(R) + t_T(S)
 func (p Params) ttSM() Estimate {
 	r, s, m := float64(p.RBlocks), float64(p.SBlocks), float64(p.MBlocks)
-	if p.MBlocks < 4 {
-		return infeasible("TT-SM", "M=%d < 4 blocks for a 2-way tape merge", p.MBlocks)
-	}
 	k := math.Max(2, m-2)
 	passes := func(n float64) float64 {
 		runs := math.Ceil(n / m)
@@ -219,20 +210,6 @@ func (p Params) ttSM() Estimate {
 	}
 }
 
-// MethodSymbols lists the seven methods in the paper's order.
-func MethodSymbols() []string {
-	return []string{"DT-NB", "CDT-NB/MB", "CDT-NB/DB", "DT-GH", "CDT-GH", "CTT-GH", "TT-GH"}
-}
-
-// EstimateAll predicts every method.
-func EstimateAll(p Params) []Estimate {
-	out := make([]Estimate, 0, 7)
-	for _, m := range MethodSymbols() {
-		out = append(out, EstimateMethod(m, p))
-	}
-	return out
-}
-
 // dtNB: Step I copies R (tape read + disk write, sequential). Step II
 // makes ceil(|S|/Ms) iterations, each reading Ms blocks of S from tape
 // and scanning R from disk:
@@ -240,13 +217,7 @@ func EstimateAll(p Params) []Estimate {
 //	T = t_T(R) + t_D(R) + t_T(S) + ceil(S/Ms) * t_D(R)
 func (p Params) dtNB() Estimate {
 	r, s := float64(p.RBlocks), float64(p.SBlocks)
-	if p.DBlocks < p.RBlocks {
-		return infeasible("DT-NB", "D=%d < |R|=%d", p.DBlocks, p.RBlocks)
-	}
 	_, ms := p.nbSplit()
-	if ms < 1 {
-		return infeasible("DT-NB", "M=%d too small", p.MBlocks)
-	}
 	iters := math.Ceil(s / ms)
 	stepI := p.tT(r) + p.tD(r)
 	return Estimate{
@@ -267,14 +238,8 @@ func (p Params) dtNB() Estimate {
 // (the leading t_T(Ms) fills the pipeline).
 func (p Params) cdtNBMB() Estimate {
 	r, s := float64(p.RBlocks), float64(p.SBlocks)
-	if p.DBlocks < p.RBlocks {
-		return infeasible("CDT-NB/MB", "D=%d < |R|=%d", p.DBlocks, p.RBlocks)
-	}
 	_, msTotal := p.nbSplit()
 	ms := msTotal / 2
-	if ms < 1 {
-		return infeasible("CDT-NB/MB", "M=%d cannot hold two S buffers", p.MBlocks)
-	}
 	iters := math.Ceil(s / ms)
 	stepI := p.tT(r) + p.tD(r)
 	return Estimate{
@@ -330,11 +295,11 @@ func EstimateShared(p Params, riders []int64, ioChunk int64, rq Requests) Estima
 	const method = "SHARED"
 	k := int64(len(riders))
 	if k == 0 || p.SBlocks < 1 || p.TapeRate <= 0 || p.DiskRate <= 0 {
-		return infeasible(method, "need riders, |S| >= 1 and positive rates")
+		return unpriced(method, errors.New("cost: a shared pass needs riders, |S| >= 1 and positive rates"))
 	}
 	mr, ms := SharedSplit(p.MBlocks, k, ioChunk)
 	if ms < 1 {
-		return infeasible(method, "M=%d cannot buffer S for %d riders", p.MBlocks, k)
+		return unpriced(method, fmt.Errorf("cost: M=%d cannot buffer S for %d riders", p.MBlocks, k))
 	}
 	var rSum, scan, stepI float64
 	for _, r := range riders {
@@ -365,12 +330,6 @@ func EstimateShared(p Params, riders []int64, ioChunk int64, rq Requests) Estima
 func (p Params) cdtNBDB() Estimate {
 	r, s := float64(p.RBlocks), float64(p.SBlocks)
 	_, ms := p.nbSplit()
-	if ms < 1 {
-		return infeasible("CDT-NB/DB", "M=%d too small", p.MBlocks)
-	}
-	if float64(p.DBlocks) < r+ms {
-		return infeasible("CDT-NB/DB", "D=%d < |R|+|S_i|=%.0f", p.DBlocks, r+ms)
-	}
 	iters := math.Ceil(s / ms)
 	stepI := p.tT(r) + p.tD(r)
 	return Estimate{
@@ -388,16 +347,9 @@ func (p Params) cdtNBDB() Estimate {
 //	T = t_T(R) + t_D(R) + ceil(S/d) * [t_T(d) + 2 t_D(d) + t_D(R)]
 func (p Params) dtGH() Estimate {
 	r, s := float64(p.RBlocks), float64(p.SBlocks)
-	b, err := p.ghBuckets()
-	if err != nil {
-		return infeasible("DT-GH", "%v", err)
-	}
 	d := float64(p.DBlocks - p.RBlocks)
-	if d < 1 {
-		return infeasible("DT-GH", "D=%d <= |R|=%d leaves no S buffer", p.DBlocks, p.RBlocks)
-	}
 	iters := math.Ceil(s / d)
-	extra := p.ghSkewExtra(b)
+	extra := p.ghSkewExtra(p.ghBuckets())
 	stepI := p.tT(r) + p.tD(r)
 	return Estimate{
 		Method:            "DT-GH",
@@ -417,17 +369,10 @@ func (p Params) dtGH() Estimate {
 //	T = t_T(R) + t_D(R) + t_T(c) + (iters-1) max(t_T(c), t_D(2c+R)) + t_D(c+R)
 func (p Params) cdtGH() Estimate {
 	r, s := float64(p.RBlocks), float64(p.SBlocks)
-	b, err := p.ghBuckets()
-	if err != nil {
-		return infeasible("CDT-GH", "%v", err)
-	}
 	d := float64(p.DBlocks - p.RBlocks)
-	if d < 1 {
-		return infeasible("CDT-GH", "D=%d <= |R|=%d leaves no S buffer", p.DBlocks, p.RBlocks)
-	}
 	iters := math.Ceil(s / d)
 	c := s / iters
-	extra := p.ghSkewExtra(b)
+	extra := p.ghSkewExtra(p.ghBuckets())
 	stepI := p.tT(r) + p.tD(r)
 	return Estimate{
 		Method:            "CDT-GH",
@@ -456,18 +401,11 @@ func (p Params) cdtGH() Estimate {
 // chunk's join drains the pipeline.
 func (p Params) cttGH() Estimate {
 	r, s, dd := float64(p.RBlocks), float64(p.SBlocks), float64(p.DBlocks)
-	b, err := p.ghBuckets()
-	if err != nil {
-		return infeasible("CTT-GH", "%v", err)
-	}
-	// Buckets are bounded by both memory and the disk assembly area:
-	// ample memory simply means more, smaller buckets (bucket =
-	// min(M, D)), so any D >= one block works.
 	scans := math.Ceil(r / dd)
 	stepI := scans*p.tT(r) + p.tT(r)
 	iters := math.Ceil(s / dd)
 	c := s / iters
-	extra := p.ghSkewExtra(b)
+	extra := p.ghSkewExtra(p.ghBuckets())
 	joiner := p.tT(r) + p.tD(c)
 	hasher := p.tT(c) + p.tD(2*c)
 	return Estimate{
@@ -488,17 +426,6 @@ func (p Params) cttGH() Estimate {
 //	T  = Ia + Ib + t_T(R) + t_T(S)
 func (p Params) ttGH() Estimate {
 	r, s, dd := float64(p.RBlocks), float64(p.SBlocks), float64(p.DBlocks)
-	b, err := p.ghBuckets()
-	if err != nil {
-		return infeasible("TT-GH", "%v", err)
-	}
-	// The shared bucket count must keep an S bucket within the disk
-	// assembly area while B+1 write buffers fit memory: B >= |S|/D
-	// and B < M.
-	if s/dd >= float64(p.MBlocks) {
-		return infeasible("TT-GH", "D=%d needs %.0f buckets for S, beyond M=%d",
-			p.DBlocks, math.Ceil(s/dd), p.MBlocks)
-	}
 	ia := math.Ceil(r/dd)*p.tT(r) + 2*p.tD(r) + p.tT(r)
 	ib := math.Ceil(s/dd)*p.tT(s) + 2*p.tD(s) + p.tT(s)
 	stepI := ia + ib
@@ -507,7 +434,7 @@ func (p Params) ttGH() Estimate {
 	return Estimate{
 		Method:            "TT-GH",
 		StepISeconds:      stepI,
-		Seconds:           stepI + p.tT(r) + p.tT(s) + p.tT(p.ghSkewExtra(b)),
+		Seconds:           stepI + p.tT(r) + p.tT(s) + p.tT(p.ghSkewExtra(p.ghBuckets())),
 		DiskSpaceBlocks:   p.DBlocks,
 		DiskTrafficBlocks: 2*p.RBlocks + 2*p.SBlocks,
 	}

@@ -1,7 +1,6 @@
 package cost
 
 import (
-	"errors"
 	"math"
 	"testing"
 
@@ -10,95 +9,12 @@ import (
 
 // dParams builds a parameter point where the disk budget D is the
 // interesting variable; everything else sits comfortably inside
-// Table 2's memory constraints.
+// Table 2's memory constraints (join's TestDConstrainedRegion walks
+// the feasibility boundaries themselves).
 func dParams(r, s, m, d int64) Params {
 	return Params{
 		RBlocks: r, SBlocks: s, MBlocks: m, DBlocks: d,
 		TapeRate: 1e6, DiskRate: 2e6,
-	}
-}
-
-// TestDConstrainedRegion walks the disk-budget axis across the Table 2
-// feasibility boundaries of the disk-staging methods. The NB family
-// needs D >= |R| to hold the copied R; CDT-NB/DB additionally needs an
-// S chunk's worth of disk (ms = M - max(1, M/10), i.e. ~0.9M), so
-// there is a band |R| <= D < |R| + ms where CDT-NB/MB runs and
-// CDT-NB/DB does not. This is exactly the region the workload engine's
-// admission control navigates when the staging cache eats into D.
-func TestDConstrainedRegion(t *testing.T) {
-	const (
-		r = 512
-		s = 5120
-		m = 256
-	)
-	// Table 2 memory split for the NB family: mr = max(1, M/10) blocks
-	// scan R, the rest buffers S.
-	ms := float64(m) - math.Max(1, float64(m)/10) // 230.4 at M=256
-	dbFloor := int64(math.Ceil(r + ms))           // first D where CDT-NB/DB fits
-
-	cases := []struct {
-		name     string
-		d        int64
-		feasible map[string]bool
-	}{
-		{
-			name: "below-R",
-			d:    r - 1,
-			feasible: map[string]bool{
-				"DT-NB": false, "CDT-NB/MB": false, "CDT-NB/DB": false,
-			},
-		},
-		{
-			name: "exactly-R",
-			d:    r,
-			feasible: map[string]bool{
-				"DT-NB": true, "CDT-NB/MB": true, "CDT-NB/DB": false,
-			},
-		},
-		{
-			name: "R-plus-partial-chunk",
-			d:    dbFloor - 1,
-			feasible: map[string]bool{
-				"DT-NB": true, "CDT-NB/MB": true, "CDT-NB/DB": false,
-			},
-		},
-		{
-			name: "R-plus-chunk",
-			d:    dbFloor,
-			feasible: map[string]bool{
-				"DT-NB": true, "CDT-NB/MB": true, "CDT-NB/DB": true,
-			},
-		},
-		{
-			name: "ample",
-			d:    4 * r,
-			feasible: map[string]bool{
-				"DT-NB": true, "CDT-NB/MB": true, "CDT-NB/DB": true,
-			},
-		},
-	}
-
-	for _, c := range cases {
-		c := c
-		t.Run(c.name, func(t *testing.T) {
-			p := dParams(r, s, m, c.d)
-			for method, want := range c.feasible {
-				e := EstimateMethod(method, p)
-				got := e.Err == nil
-				if got != want {
-					t.Errorf("%s at D=%d: feasible=%v, want %v (err: %v)",
-						method, c.d, got, want, e.Err)
-				}
-				if !want {
-					if !errors.Is(e.Err, Infeasible) {
-						t.Errorf("%s at D=%d: error %v does not wrap Infeasible", method, c.d, e.Err)
-					}
-					if !math.IsInf(e.Seconds, 1) {
-						t.Errorf("%s at D=%d: infeasible but Seconds=%v", method, c.d, e.Seconds)
-					}
-				}
-			}
-		})
 	}
 }
 
@@ -150,36 +66,4 @@ func TestDConstrainedSeconds(t *testing.T) {
 	pdb := dParams(r, s, m, int64(math.Ceil(r+ms)))
 	check("CDT-NB/DB", pdb,
 		tT(r)+tD(r)+math.Ceil(s/ms)*math.Max(tT(ms), tD(2*ms+r))+tT(ms))
-}
-
-// TestDConstrainedEscapeHatches confirms the advisor still has
-// somewhere to go when D drops below |R|. CTT-GH uses disk only as a
-// bucket assembly area (any D >= 1 works, at the price of more R
-// scans), and TT-SM uses no disk at all; TT-GH by contrast needs
-// S/D < M for its shared bucket count, so at this starved point it
-// must report infeasible rather than a bogus cost.
-func TestDConstrainedEscapeHatches(t *testing.T) {
-	p := dParams(512, 5120, 256, 16) // D far below |R|
-	for _, method := range []string{"CTT-GH", "TT-SM"} {
-		e := EstimateMethod(method, p)
-		if e.Err != nil {
-			t.Errorf("%s at tiny D: %v (must survive the D-starved region)", method, e.Err)
-		}
-	}
-	if e := EstimateMethod("TT-SM", p); e.DiskSpaceBlocks != 0 {
-		t.Errorf("TT-SM DiskSpaceBlocks = %d, want 0", e.DiskSpaceBlocks)
-	}
-	if e := EstimateMethod("TT-GH", p); !errors.Is(e.Err, Infeasible) {
-		t.Errorf("TT-GH at S/D=%d >= M=%d: err = %v, want Infeasible",
-			p.SBlocks/p.DBlocks, p.MBlocks, e.Err)
-	}
-	// CTT-GH's Step I pays one extra full R scan per ceil(|R|/D): the
-	// D-starved estimate must be strictly costlier than an ample-disk
-	// one, or admission control would never prefer staging.
-	ample := EstimateMethod("CTT-GH", dParams(512, 5120, 256, 4096))
-	starved := EstimateMethod("CTT-GH", p)
-	if starved.Seconds <= ample.Seconds {
-		t.Errorf("CTT-GH: starved D cost %v not above ample D cost %v",
-			starved.Seconds, ample.Seconds)
-	}
 }

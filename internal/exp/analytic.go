@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/cost"
+	"repro/internal/join"
 	"repro/internal/tape"
 )
 
@@ -48,23 +49,20 @@ func figureRange(fig int) []float64 {
 
 // AnalyticFigure computes Figure 1, 2 or 3 of the paper from the
 // analytical cost model: |S| = 10|R|, D = 32M, X_D = 2 X_T, with
-// |R|/M on the x axis.
+// |R|/M on the x axis. A method is infeasible where its footprint does
+// not fit M and D; tape scratch is unbounded.
 func AnalyticFigure(fig int) []AnalyticPoint {
 	const m = 256 // 16 MB of 64 KB blocks; only ratios matter
-	xt := tape.DLT4000().EffectiveRate()
+	res := join.Resources{MemoryBlocks: m, DiskBlocks: 32 * m, Tape: tape.DLT4000()}
+	xt := res.Tape.EffectiveRate()
+	res.DiskRate = 2 * xt
 	var out []AnalyticPoint
 	for _, ratio := range figureRange(fig) {
-		p := cost.Params{
-			RBlocks:  int64(math.Round(ratio * m)),
-			MBlocks:  m,
-			DBlocks:  32 * m,
-			TapeRate: xt,
-			DiskRate: 2 * xt,
-		}
-		p.SBlocks = 10 * p.RBlocks
+		r := int64(math.Round(ratio * m))
+		p := cost.Params{SBlocks: 10 * r, TapeRate: xt}
 		pt := AnalyticPoint{ROverM: ratio, Relative: map[string]float64{}}
-		for _, e := range cost.EstimateAll(p) {
-			pt.Relative[e.Method] = e.Relative(p)
+		for _, rk := range join.Rank(join.Methods(), r, 10*r, res, join.AnyTapes) {
+			pt.Relative[rk.Method.Symbol()] = rk.Est.Relative(p)
 		}
 		out = append(out, pt)
 	}

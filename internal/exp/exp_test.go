@@ -364,9 +364,13 @@ func TestTable2MeasuredRequirements(t *testing.T) {
 			t.Errorf("%s min disk = %.2f, want ~|R| = 16", sym, d)
 		}
 	}
-	// CDT-NB/DB adds the chunk buffer.
-	if d := get("CDT-NB/DB").DiskMB; d <= 16 {
-		t.Errorf("CDT-NB/DB min disk = %.2f, want > |R|", d)
+	// CDT-NB/DB adds its S staging area, which holds more than Table
+	// 2's |S_i| = 7.25 MB at M = 8 MB: the joiner frees a chunk only
+	// after reading it back while the stager refills the space. Table2
+	// runs every method at its minima, so a row below what the run
+	// holds fails it.
+	if d := get("CDT-NB/DB").DiskMB; d <= 16+7.25 {
+		t.Errorf("CDT-NB/DB min disk = %.2f, want > |R|+|S_i| = 23.25", d)
 	}
 	// GH methods need M >= sqrt(|R|): sqrt(256 blocks) = 16 blocks = 1 MB.
 	for _, sym := range []string{"DT-GH", "CDT-GH", "CTT-GH", "TT-GH"} {

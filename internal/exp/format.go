@@ -7,7 +7,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/cost"
+	"repro/internal/join"
 )
 
 // FormatTable renders rows as an aligned text table.
@@ -188,12 +188,14 @@ func FormatOverhead(rows []Exp3Row, title string) string {
 
 // FormatAnalytic renders one of Figures 1–3.
 func FormatAnalytic(points []AnalyticPoint) string {
-	methods := cost.MethodSymbols()
-	headers := append([]string{"|R|/M"}, methods...)
+	headers := []string{"|R|/M"}
+	for _, m := range join.Methods() {
+		headers = append(headers, m.Symbol())
+	}
 	out := [][]string{}
 	for _, p := range points {
 		row := []string{fmt.Sprintf("%.1f", p.ROverM)}
-		for _, m := range methods {
+		for _, m := range headers[1:] {
 			v := p.Relative[m]
 			if math.IsInf(v, 1) {
 				row = append(row, "infeasible")

@@ -118,7 +118,7 @@ func TestQuickPlanInvariants(t *testing.T) {
 		m := int64(mSeed)%500 + 2
 		p, err := PlanBuckets(r, m)
 		if err != nil {
-			// Infeasible is fine; the error must be the typed one.
+			// No plan is fine; the error must be the typed one.
 			return errors.Is(err, ErrInsufficientMemory)
 		}
 		if p.B < 1 || p.WriteBuf < 1 || p.InBuf < 1 {

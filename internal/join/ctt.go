@@ -311,25 +311,26 @@ func (CTTGH) Name() string { return "Concurrent Tape-Tape Grace Hash Join" }
 // Symbol implements Method.
 func (CTTGH) Symbol() string { return "CTT-GH" }
 
-// Check implements Method: M >= sqrt(|R|); D holds one R bucket and
-// one block per S bucket; R's tape has scratch space for its hashed
-// copy (T_R = |R| in Table 2).
-func (CTTGH) Check(spec Spec, res Resources) error {
-	plan, err := planTapeTape(spec.R.Region.N, res.MemoryBlocks, res.DiskBlocks)
+// footprint implements Method: M >= sqrt(|R|); D assembles one R
+// bucket with headroom in Step I and, in Step II, buffers an S chunk
+// of at least one block over B buckets; R's tape has scratch for its
+// hashed copy (T_R = |R| in Table 2, plus a partial block per bucket).
+func (CTTGH) footprint(r, _ int64, res Resources) (Need, error) {
+	plan, err := planTapeTape(r, res.MemoryBlocks, res.DiskBlocks)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrNeedMemory, err)
+		return Need{}, fmt.Errorf("%w: %v", ErrNeedMemory, err)
 	}
-	if est := estBucketBlocks(spec.R.Region.N, plan.B); res.DiskBlocks < 2*est {
-		return fmt.Errorf("%w: D=%d cannot assemble one %d-block R bucket with headroom", ErrNeedDisk, res.DiskBlocks, est)
+	b := int64(plan.B)
+	need := Need{M: b + 1, TR: r + b}
+	need.D, need.dWhy = 2*estBucketBlocks(r, plan.B), "two R buckets"
+	chunk := b + 1
+	if res.Discipline == SplitHalves {
+		chunk *= 2 // a chunk gets half the buffer
 	}
-	if res.DiskBlocks < int64(plan.B)+1 {
-		return fmt.Errorf("%w: D=%d cannot buffer S over %d buckets", ErrNeedDisk, res.DiskBlocks, plan.B)
+	if chunk > need.D {
+		need.D, need.dWhy = chunk, "B+1"
 	}
-	if scratch := spec.R.Media.Free(); scratch < spec.R.Region.N+int64(plan.B) {
-		return fmt.Errorf("%w: R tape has %d free, hashed R needs ~%d",
-			ErrNeedTapeScratch, scratch, spec.R.Region.N+int64(plan.B))
-	}
-	return nil
+	return need, nil
 }
 
 func (CTTGH) run(e *env, p *sim.Proc) error {

@@ -108,20 +108,13 @@ func joinBucketPair(e *env, p *sim.Proc, r, s bucketSource, maxLoad, scanBuf int
 	return nil
 }
 
-// checkGH verifies the shared Grace Hash feasibility: the Table 2
-// memory requirement M >= sqrt(|R|) (exact at block granularity) and
-// disk room for R's buckets plus at least one block per S bucket.
-func checkGH(spec Spec, res Resources) (hashutil.Plan, error) {
-	plan, err := hashutil.PlanBuckets(spec.R.Region.N, res.MemoryBlocks)
+// ghPlan is the disk–tape Grace Hash bucket plan: B buckets for R
+// with B write buffers plus an input block in M, the Table 2 memory
+// requirement M >= sqrt(|R|) at block granularity.
+func ghPlan(r int64, res Resources) (hashutil.Plan, error) {
+	plan, err := hashutil.PlanBuckets(r, res.MemoryBlocks)
 	if err != nil {
 		return plan, fmt.Errorf("%w: %v", ErrNeedMemory, err)
-	}
-	// R's bucket files may exceed |R| by up to one partial block per
-	// bucket; an S chunk needs at least one block plus the same
-	// partial-block slack.
-	need := spec.R.Region.N + 2*int64(plan.B) + 2
-	if res.DiskBlocks < need {
-		return plan, fmt.Errorf("%w: D=%d < |R|+2B+2=%d", ErrNeedDiskForR, res.DiskBlocks, need)
 	}
 	return plan, nil
 }
@@ -268,14 +261,17 @@ func (DTGH) Name() string { return "Disk-Tape Grace Hash Join" }
 // Symbol implements Method.
 func (DTGH) Symbol() string { return "DT-GH" }
 
-// Check implements Method.
-func (DTGH) Check(spec Spec, res Resources) error {
-	_, err := checkGH(spec, res)
-	return err
+// footprint implements Method: D holds R's buckets, which exceed |R|
+// by up to one partial block per bucket, plus an S chunk of at least
+// one block over B buckets with the same partial-block slack.
+func (DTGH) footprint(r, _ int64, res Resources) (Need, error) {
+	plan, err := ghPlan(r, res)
+	b := int64(plan.B)
+	return Need{M: b + 1, D: r + 2*b + 2, dWhy: "|R|+2B+2", forR: true}, err
 }
 
 func (DTGH) run(e *env, p *sim.Proc) error {
-	plan, err := checkGH(e.spec, e.res)
+	plan, err := ghPlan(e.spec.R.Region.N, e.res)
 	if err != nil {
 		return err
 	}
@@ -313,14 +309,23 @@ func (CDTGH) Name() string { return "Concurrent Disk-Tape Grace Hash Join" }
 // Symbol implements Method.
 func (CDTGH) Symbol() string { return "CDT-GH" }
 
-// Check implements Method.
-func (CDTGH) Check(spec Spec, res Resources) error {
-	_, err := checkGH(spec, res)
-	return err
+// footprint implements Method: D holds R's buckets with up to one
+// partial block each, and a double buffer whose chunk holds at least
+// one block of S plus one partial-block slack per bucket — DT-GH's
+// |R|+2B+2. Under SplitHalves a chunk gets half the buffer. A
+// skew-refined layout has more partitions than B, which only the run
+// knows; the run keeps its own test for that.
+func (CDTGH) footprint(r, _ int64, res Resources) (Need, error) {
+	plan, err := ghPlan(r, res)
+	b := int64(plan.B)
+	if res.Discipline == SplitHalves {
+		return Need{M: b + 1, D: r + 3*b + 2, dWhy: "|R|+3B+2", forR: true}, err
+	}
+	return Need{M: b + 1, D: r + 2*b + 2, dWhy: "|R|+2B+2", forR: true}, err
 }
 
 func (CDTGH) run(e *env, p *sim.Proc) error {
-	plan, err := checkGH(e.spec, e.res)
+	plan, err := ghPlan(e.spec.R.Region.N, e.res)
 	if err != nil {
 		return err
 	}
@@ -338,7 +343,7 @@ func (CDTGH) run(e *env, p *sim.Proc) error {
 	dbuf := e.newDoubleBuffer("s-buckets", d)
 	// Chunks leave one block of slack per partition for partial-block spill.
 	chunkCap := dbuf.ChunkCapacity() - int64(sLay.parts)
-	if chunkCap < int64(sLay.parts) {
+	if chunkCap < 1 {
 		return fmt.Errorf("%w: %d blocks left to buffer S over %d buckets", ErrNeedDisk, d, sLay.parts)
 	}
 

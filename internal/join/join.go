@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/block"
 	"repro/internal/buffer"
-	"repro/internal/cost"
 	"repro/internal/device"
 	"repro/internal/device/simdev"
 	"repro/internal/fault"
@@ -170,7 +169,8 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// Typed feasibility errors, used by the advisor to rule methods out.
+// Typed feasibility errors: Check wraps one when a footprint does not
+// fit.
 var (
 	// ErrNeedDiskForR marks disk–tape methods when D < |R| (+ buffer).
 	ErrNeedDiskForR = errors.New("join: disk space cannot hold R")
@@ -294,9 +294,10 @@ type Method interface {
 	Name() string
 	// Symbol is the paper's abbreviation, e.g. "CTT-GH".
 	Symbol() string
-	// Check reports whether the method can run with the given
-	// resources, per Table 2, returning a typed error when not.
-	Check(spec Spec, res Resources) error
+	// footprint is the method's Need for relations of r and s blocks
+	// on res (defaults filled), or an ErrNeedMemory error when its
+	// plan cannot be formed in res.MemoryBlocks.
+	footprint(r, s int64, res Resources) (Need, error)
 	// run executes the join inside the simulation.
 	run(e *env, p *sim.Proc) error
 }
@@ -525,29 +526,22 @@ func BySymbol(symbol string) (Method, error) {
 }
 
 // Choose picks the method to run spec on res when the caller names
-// none. A prefix query (stopAfter > 0) gets SYM-H when it is feasible:
-// the cost model ranks whole-run response and would never pick a
-// streaming method, yet for a prefix time-to-first-tuple is what
-// matters. Otherwise Choose returns the cost advisor's cheapest method
-// that also passes its own Check, or nil when none does.
+// none. A prefix query (stopAfter > 0) gets SYM-H when it fits: the
+// cost model ranks whole-run response and would never pick a streaming
+// method, yet for a prefix time-to-first-tuple is what matters.
+// Otherwise Choose returns Rank's first method, or nil when none fits.
 func Choose(spec Spec, res Resources, stopAfter int64) Method {
-	if stopAfter > 0 {
-		if m := (SymHash{}); m.Check(spec, res) == nil {
-			return m
-		}
+	if stopAfter > 0 && Check(SymHash{}, spec, res) == nil {
+		return SymHash{}
 	}
-	adv := cost.Advise(cost.Params{
-		RBlocks: spec.R.Region.N, SBlocks: spec.S.Region.N,
-		MBlocks: res.MemoryBlocks, DBlocks: res.DiskBlocks,
-		TapeRate: res.Tape.EffectiveRate(), DiskRate: res.DiskRate,
-	}, cost.Scratch{RTape: spec.R.Media.Free(), STape: spec.S.Media.Free()})
-	for _, est := range adv.Ranked {
-		if est.Err != nil {
-			continue
-		}
-		if m, err := BySymbol(est.Method); err == nil && m.Check(spec, res) == nil {
-			return m
-		}
+	if best := rankSpec(Methods(), spec, res)[0]; best.Est.Err == nil {
+		return best.Method
 	}
 	return nil
+}
+
+// rankSpec is Rank for spec's relations and cartridges.
+func rankSpec(cands []Method, spec Spec, res Resources) []Ranked {
+	return Rank(cands, spec.R.Region.N, spec.S.Region.N, res,
+		Tapes{R: spec.R.Media.Free(), S: spec.S.Media.Free()})
 }

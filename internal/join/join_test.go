@@ -217,7 +217,7 @@ func TestFeasibilityErrors(t *testing.T) {
 	t.Run("disk-tape methods need D >= |R|", func(t *testing.T) {
 		for _, sym := range []string{"DT-NB", "CDT-NB/MB", "CDT-NB/DB", "DT-GH", "CDT-GH"} {
 			m, _ := BySymbol(sym)
-			if err := m.Check(spec, fastRes(10, 10)); !errors.Is(err, ErrNeedDiskForR) {
+			if err := Check(m, spec, fastRes(10, 10)); !errors.Is(err, ErrNeedDiskForR) {
 				t.Errorf("%s: err = %v, want ErrNeedDiskForR", sym, err)
 			}
 		}
@@ -226,7 +226,7 @@ func TestFeasibilityErrors(t *testing.T) {
 		big := specWithSizes(t, 200, 400, 2)
 		for _, sym := range []string{"DT-GH", "CDT-GH", "CTT-GH", "TT-GH"} {
 			m, _ := BySymbol(sym)
-			if err := m.Check(big, fastRes(5, 1000)); !errors.Is(err, ErrNeedMemory) {
+			if err := Check(m, big, fastRes(5, 1000)); !errors.Is(err, ErrNeedMemory) {
 				t.Errorf("%s: err = %v, want ErrNeedMemory", sym, err)
 			}
 		}
@@ -249,7 +249,7 @@ func TestFeasibilityErrors(t *testing.T) {
 		tight := Spec{R: r, S: s}
 		for _, sym := range []string{"CTT-GH", "TT-GH"} {
 			m, _ := BySymbol(sym)
-			if err := m.Check(tight, fastRes(10, 64)); !errors.Is(err, ErrNeedTapeScratch) {
+			if err := Check(m, tight, fastRes(10, 64)); !errors.Is(err, ErrNeedTapeScratch) {
 				t.Errorf("%s: err = %v, want ErrNeedTapeScratch", sym, err)
 			}
 		}

@@ -2,6 +2,7 @@ package join
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/block"
 	"repro/internal/device"
@@ -152,15 +153,10 @@ func (DTNB) Name() string { return "Disk-Tape Nested Block Join" }
 // Symbol implements Method.
 func (DTNB) Symbol() string { return "DT-NB" }
 
-// Check implements Method: D >= |R| (Table 2).
-func (DTNB) Check(spec Spec, res Resources) error {
-	if res.DiskBlocks < spec.R.Region.N {
-		return fmt.Errorf("%w: D=%d < |R|=%d", ErrNeedDiskForR, res.DiskBlocks, spec.R.Region.N)
-	}
-	if res.MemoryBlocks < 2 {
-		return fmt.Errorf("%w: M=%d < 2", ErrNeedMemory, res.MemoryBlocks)
-	}
-	return nil
+// footprint implements Method: M holds one R block and one S block,
+// D holds R (Table 2).
+func (DTNB) footprint(r, _ int64, res Resources) (Need, error) {
+	return Need{M: 2, D: r, dWhy: "|R|", forR: true}, memFloor(res, 2)
 }
 
 func (DTNB) run(e *env, p *sim.Proc) error {
@@ -193,15 +189,10 @@ func (CDTNBMB) Name() string {
 // Symbol implements Method.
 func (CDTNBMB) Symbol() string { return "CDT-NB/MB" }
 
-// Check implements Method: D >= |R|, M splits into Mr plus two chunks.
-func (CDTNBMB) Check(spec Spec, res Resources) error {
-	if res.DiskBlocks < spec.R.Region.N {
-		return fmt.Errorf("%w: D=%d < |R|=%d", ErrNeedDiskForR, res.DiskBlocks, spec.R.Region.N)
-	}
-	if _, ms := nbSplit(res.MemoryBlocks); ms < 2 {
-		return fmt.Errorf("%w: M=%d cannot hold two S buffers", ErrNeedMemory, res.MemoryBlocks)
-	}
-	return nil
+// footprint implements Method: M splits into Mr plus two S buffers
+// (nbSplit's ms >= 2 from M = 3), D holds R (Table 2).
+func (CDTNBMB) footprint(r, _ int64, res Resources) (Need, error) {
+	return Need{M: 3, D: r, dWhy: "|R|", forR: true}, memFloor(res, 3)
 }
 
 func (CDTNBMB) run(e *env, p *sim.Proc) error {
@@ -259,17 +250,98 @@ func (CDTNBDB) Name() string {
 // Symbol implements Method.
 func (CDTNBDB) Symbol() string { return "CDT-NB/DB" }
 
-// Check implements Method: D >= |R| + |S_i| (Table 2).
-func (CDTNBDB) Check(spec Spec, res Resources) error {
-	_, ms := nbSplit(res.MemoryBlocks)
-	if ms < 1 {
-		return fmt.Errorf("%w: M=%d", ErrNeedMemory, res.MemoryBlocks)
+// footprint implements Method: D holds R plus the S staging area
+// (Table 2's |R| + |S_i|, as dbStaging measures it). Each buffer half
+// of the split discipline needs a block.
+func (CDTNBDB) footprint(r, s int64, res Resources) (Need, error) {
+	floor := int64(2)
+	if res.Discipline == SplitHalves {
+		floor = 3
 	}
-	need := spec.R.Region.N + ms
-	if res.DiskBlocks < need {
-		return fmt.Errorf("%w: D=%d < |R|+|S_i|=%d", ErrNeedDiskForR, res.DiskBlocks, need)
+	if err := memFloor(res, floor); err != nil {
+		return Need{}, err
 	}
-	return nil
+	return Need{M: floor, D: r + dbStaging(res, s), dWhy: "|R|+staged S", forR: true}, nil
+}
+
+// dbStaging returns the peak disk space CDT-NB/DB's double-buffered S
+// staging holds for an s-block S on res. The joiner reads a chunk back
+// in IOChunk pieces, releasing buffer space piece by piece, but frees
+// the chunk's file only after its last piece, while the stager refills
+// the released space from tape. So the peak is the chunks the buffer
+// holds (one, or two under SplitHalves) plus what the stager appends
+// to the next chunk while the joiner reads one back.
+//
+// That race is replayed with the devices' service times: a disk
+// request costs DiskOverhead plus its largest per-drive share at
+// DiskRate/NumDisks, each drive serving requests in issue order, and a
+// tape read costs its blocks at the effective tape rate. Tape
+// stop/start penalties only slow the stager, so on such a drive the
+// replay is an upper bound; on the file backend it is an estimate.
+func dbStaging(res Resources, s int64) int64 {
+	_, k := nbSplit(res.MemoryBlocks)
+	held := int64(1)
+	if res.Discipline == SplitHalves {
+		k, held = k/2, 2
+	}
+	g, nd := res.IOChunk, int64(res.NumDisks)
+	xfer := func(n int64, rate float64) sim.Time {
+		return sim.Time(float64(n) * block.VirtualSize / rate * float64(time.Second))
+	}
+	// staged replays the joiner reading a k-block chunk back against
+	// the stager filling a next-block chunk and returns the blocks the
+	// stager has appended when the joiner frees its chunk.
+	staged := func(next int64) int64 {
+		free := make([]sim.Time, nd) // when each drive's queue drains
+		request := func(at sim.Time, off, n int64) (done sim.Time) {
+			for d := int64(0); d < nd; d++ {
+				share := n / nd // striping puts the remainder after off's drive
+				if (d-off%nd+nd)%nd < n%nd {
+					share++
+				}
+				if share > 0 {
+					free[d] = max(at, free[d]) + sim.Time(res.DiskOverhead) + xfer(share, res.DiskRate/float64(nd))
+					done = max(done, free[d])
+				}
+			}
+			return done
+		}
+		var released []sim.Time  // when the joiner released each piece
+		var read, appended int64 // blocks read back, blocks appended
+		stagerFree, tapeDone := sim.Time(0), sim.Time(-1)
+		for {
+			now := sim.Time(0) // the joiner's last release: its next read
+			if len(released) > 0 {
+				now = released[len(released)-1]
+			}
+			n := min(g, next-appended)
+			if tapeDone < 0 && n > 0 && read >= appended+n {
+				// The stager takes the released space and reads tape.
+				tapeDone = max(stagerFree, released[(appended+n-1)/g]) + xfer(n, res.Tape.EffectiveRate())
+			}
+			switch {
+			case tapeDone >= 0 && tapeDone <= now:
+				// The append charges its space before it transfers.
+				stagerFree = request(tapeDone, appended, n)
+				appended, tapeDone = appended+n, -1
+			case read == k:
+				return appended
+			default:
+				piece := min(g, k-read)
+				released = append(released, request(now, read, piece))
+				read += piece
+			}
+		}
+	}
+	chunks := (s + k - 1) / k
+	peak := min(s, held*k)
+	if chunks > held {
+		peak = max(peak, held*k+staged(s-(chunks-1)*k))
+	}
+	if chunks > held+1 {
+		peak = max(peak, held*k+staged(k))
+	}
+	return peak
 }
 
 func (CDTNBDB) run(e *env, p *sim.Proc) error {

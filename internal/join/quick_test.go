@@ -14,7 +14,7 @@ import (
 // sizes, key spaces and resource budgets through every join method:
 // all feasible methods must produce the identical match count and
 // order-independent key checksum, equal to the generator's analytic
-// expectation. Infeasible configurations must fail with a typed error,
+// expectation. Configurations that do not fit must fail with a typed error,
 // never a deadlock or wrong answer.
 func TestQuickAllMethodsAgreeOnRandomConfigs(t *testing.T) {
 	f := func(rSeed, sSeed uint8, mSeed, dSeed uint16, keySeed uint16) bool {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/block"
-	"repro/internal/cost"
 	"repro/internal/device"
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -219,12 +218,12 @@ func anyLost(files []device.File) bool {
 // degradeCandidates are the sequential fallbacks considered when a
 // tape drive dies, in preference order for equal cost. All run on a
 // single shared transport without drive-contention pathologies.
-var degradeCandidates = []string{"DT-GH", "DT-NB", "TT-GH"}
+var degradeCandidates = []Method{DTGH{}, DTNB{}, TTGH{}}
 
 // degradeRerun handles a permanent tape-drive loss: mount both
 // cartridges behind one shared transport, discard the failed attempt's
-// staged output and disk space, re-advise via the cost model to a
-// feasible sequential method, and run it to completion in the same
+// staged output and disk space, re-plan to the cheapest sequential
+// method that fits, and run it to completion in the same
 // virtual timeline — so the degraded run's response time includes
 // everything the failed attempt cost.
 func (e *env) degradeRerun(p *sim.Proc, cause error) error {
@@ -270,52 +269,22 @@ func (e *env) degradeRerun(p *sim.Proc, cause error) error {
 	e.res.DiskBlocks = e.effectiveD()
 	e.dbuf, e.dbufCap = nil, 0
 
-	// Re-advise: rank the sequential candidates by modelled cost on
-	// the surviving resources, then take the cheapest that passes its
-	// own feasibility check.
-	params := cost.Params{
-		RBlocks: e.spec.R.Region.N, SBlocks: e.spec.S.Region.N,
-		MBlocks: e.res.MemoryBlocks, DBlocks: e.res.DiskBlocks,
-		TapeRate: e.res.Tape.EffectiveRate(), DiskRate: e.res.DiskRate,
-	}
-	type scored struct {
-		m       Method
-		seconds float64
-	}
-	var ranked []scored
-	for _, sym := range degradeCandidates {
-		m, err := BySymbol(sym)
-		if err != nil {
-			continue
-		}
-		est := cost.EstimateMethod(sym, params)
-		if est.Err != nil {
-			continue
-		}
-		if err := m.Check(e.spec, e.res); err != nil {
-			continue
-		}
-		ranked = append(ranked, scored{m, est.Seconds})
-	}
-	if len(ranked) == 0 {
+	// Re-plan: the cheapest sequential candidate whose footprint fits
+	// the surviving resources.
+	best := rankSpec(degradeCandidates, e.spec, e.res)[0]
+	if best.Est.Err != nil {
 		replan.Close(p)
 		return fmt.Errorf("join: no feasible fallback after drive loss: %w", cause)
 	}
-	best := ranked[0]
-	for _, c := range ranked[1:] {
-		if c.seconds < best.seconds {
-			best = c
-		}
-	}
-	e.stats.DegradedTo = best.m.Symbol()
+	e.stats.DegradedTo = best.Method.Symbol()
 	e.res.Spans.Record(p, obs.Event{
 		Device: "-", Kind: obs.Degrade,
 		Start: p.Now(), End: p.Now(),
-		Note: "degraded to " + best.m.Symbol() + " on shared transport",
+		Note: "degraded to " + best.Method.Symbol() + " on shared transport",
 	})
 	// Close before the rerun so the fallback's phases stay top-level.
 	replan.Close(p)
-	return best.m.run(e, p)
+	return best.Method.run(e, p)
 }
 
 // retireDisks replaces the array with a fresh one on the same kernel,

@@ -286,7 +286,7 @@ func TestDriveLossDegradesToSequential(t *testing.T) {
 	}
 	found := false
 	for _, c := range degradeCandidates {
-		if faulted.Stats.DegradedTo == c {
+		if faulted.Stats.DegradedTo == c.Symbol() {
 			found = true
 		}
 	}

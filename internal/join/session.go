@@ -246,7 +246,7 @@ func (s *Session) Exec(p *sim.Proc, m Method, spec Spec, sink Sink, opts ExecOpt
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if err := m.Check(spec, res); err != nil {
+	if err := Check(m, spec, res); err != nil {
 		return nil, fmt.Errorf("%s: %w", m.Symbol(), err)
 	}
 	if sink == nil {

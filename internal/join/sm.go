@@ -1,7 +1,6 @@
 package join
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/block"
@@ -59,24 +58,17 @@ func smFanIn(m, ioChunk int64) (k int, inBuf, outBuf int64) {
 	return k, inBuf, outBuf
 }
 
-// Check implements Method: M >= 4 blocks (two merge inputs, an output
-// block and slack), and both cartridges need workspace for sorting
-// both relations: the away copy of each relation's runs plus ping-pong
-// room — |R| + |S| per cartridge, with per-run partial-block slack.
-func (TTSM) Check(spec Spec, res Resources) error {
-	if res.MemoryBlocks < 4 {
-		return fmt.Errorf("%w: M=%d < 4 blocks for a 2-way tape merge", ErrNeedMemory, res.MemoryBlocks)
+// footprint implements Method: M >= 4 blocks (two merge inputs, an
+// output block and slack), and both cartridges need workspace for
+// sorting both relations: the away copy of each relation's runs plus
+// ping-pong room — |R| + |S| per cartridge, with per-run partial-block
+// slack.
+func (TTSM) footprint(r, s int64, res Resources) (Need, error) {
+	if err := memFloor(res, 4); err != nil {
+		return Need{}, err
 	}
-	r, s := spec.R.Region.N, spec.S.Region.N
-	slack := r/res.MemoryBlocks + s/res.MemoryBlocks + 16
-	need := r + s + slack
-	if free := spec.R.Media.Free(); free < need {
-		return fmt.Errorf("%w: R tape has %d free, sort workspaces need ~%d", ErrNeedTapeScratch, free, need)
-	}
-	if free := spec.S.Media.Free(); free < need {
-		return fmt.Errorf("%w: S tape has %d free, sort workspaces need ~%d", ErrNeedTapeScratch, free, need)
-	}
-	return nil
+	ws := r + s + r/res.MemoryBlocks + s/res.MemoryBlocks + 16
+	return Need{M: 4, TR: ws, TS: ws}, nil
 }
 
 // smWorkspace is a fixed, reusable region of tape scratch. The first

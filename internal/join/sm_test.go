@@ -102,7 +102,7 @@ func TestTTSMTinyMemoryManyPasses(t *testing.T) {
 
 func TestTTSMFeasibility(t *testing.T) {
 	spec := smSpec(t, 24, 96)
-	if err := (TTSM{}).Check(spec, fastRes(3, 64)); !errors.Is(err, ErrNeedMemory) {
+	if err := Check(TTSM{}, spec, fastRes(3, 64)); !errors.Is(err, ErrNeedMemory) {
 		t.Fatalf("err = %v, want ErrNeedMemory", err)
 	}
 	// Tight cartridges: no workspace room.
@@ -112,7 +112,7 @@ func TestTTSMFeasibility(t *testing.T) {
 		Name: "R", Tag: 1, Blocks: 24, TuplesPerBlock: 2, KeySpace: 100, Seed: 1}, mR)
 	s, _ := relation.WriteToTape(relation.Config{
 		Name: "S", Tag: 2, Blocks: 96, TuplesPerBlock: 2, KeySpace: 100, Seed: 2}, mS)
-	if err := (TTSM{}).Check(Spec{R: r, S: s}, fastRes(10, 64)); !errors.Is(err, ErrNeedTapeScratch) {
+	if err := Check(TTSM{}, Spec{R: r, S: s}, fastRes(10, 64)); !errors.Is(err, ErrNeedTapeScratch) {
 		t.Fatalf("err = %v, want ErrNeedTapeScratch", err)
 	}
 }

@@ -119,9 +119,9 @@ func stepIBuckets(t *testing.T, c stepICase) int {
 	case "CTT-GH":
 		plan, err = planTapeTape(spec.R.Region.N, res.MemoryBlocks, res.DiskBlocks)
 	case "TT-GH":
-		plan, err = planTT(spec, res)
+		plan, err = planTT(spec.R.Region.N, spec.S.Region.N, res)
 	default:
-		plan, err = checkGH(spec, res)
+		plan, err = ghPlan(spec.R.Region.N, res)
 	}
 	if err != nil {
 		t.Fatal(err)

@@ -52,9 +52,8 @@ func (s symPlan) diskNeed() int64 {
 // a materializing method's. When even the raised count cannot make a
 // partition fit (M < ~4·sqrt(|R|+|S|)), k is 0 and the method degrades
 // to a Grace-style two-phase join.
-func symPlanFor(spec Spec, res Resources) symPlan {
+func symPlanFor(rN, sN int64, res Resources) symPlan {
 	m := res.MemoryBlocks
-	rN, sN := spec.R.Region.N, spec.S.Region.N
 	pCap := int(m / 8)
 	if pCap < 2 {
 		pCap = 2
@@ -134,23 +133,22 @@ func (SymHash) Name() string { return "Symmetric Streaming Hash Join" }
 // Symbol implements Method.
 func (SymHash) Symbol() string { return "SYM-H" }
 
-// Check implements Method: M >= 4 for the reader batches plus a
+// footprint implements Method: M >= 4 for the reader batches plus a
 // minimal resident budget, and disk scratch for the spilled share of
 // both relations when the resident budget cannot hold everything.
-func (SymHash) Check(spec Spec, res Resources) error {
-	if res.MemoryBlocks < 4 {
-		return fmt.Errorf("%w: M=%d < 4", ErrNeedMemory, res.MemoryBlocks)
+func (SymHash) footprint(r, s int64, res Resources) (Need, error) {
+	if err := memFloor(res, 4); err != nil {
+		return Need{}, err
 	}
-	pl := symPlanFor(spec, res)
-	if pl.spillParts() > 0 && res.DiskBlocks < pl.diskNeed() {
-		return fmt.Errorf("%w: D=%d < %d for %d spilled partitions",
-			ErrNeedDisk, res.DiskBlocks, pl.diskNeed(), pl.spillParts())
+	need := Need{M: 4, dWhy: "spilled partitions"}
+	if pl := symPlanFor(r, s, res); pl.spillParts() > 0 {
+		need.D = pl.diskNeed()
 	}
-	return nil
+	return need, nil
 }
 
 func (SymHash) run(e *env, p *sim.Proc) error {
-	pl := symPlanFor(e.spec, e.res)
+	pl := symPlanFor(e.spec.R.Region.N, e.spec.S.Region.N, e.res)
 	sp := e.span(p, "sym-stream",
 		obs.AInt("partitions", int64(pl.p)), obs.AInt("resident", int64(pl.k)))
 

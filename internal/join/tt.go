@@ -10,11 +10,10 @@ import (
 // planTT plans TT-GH's buckets: the same B partitions both relations,
 // so a bucket of either side must fit the disk assembly area. S is the
 // larger side, so it sets the bound: bucket_R <= R/S * assemblable(D).
-func planTT(spec Spec, res Resources) (hashutil.Plan, error) {
+func planTT(r, s int64, res Resources) (hashutil.Plan, error) {
 	bound := assemblableBucket(res.DiskBlocks)
 	// Scale the R-side bucket bound so the corresponding S bucket
 	// (about |S|/|R| times larger) also fits.
-	r, s := spec.R.Region.N, spec.S.Region.N
 	rBound := bound * r / s
 	if rBound < 1 {
 		rBound = 1
@@ -41,32 +40,23 @@ func (TTGH) Name() string { return "Tape-Tape Grace Hash Join" }
 // Symbol implements Method.
 func (TTGH) Symbol() string { return "TT-GH" }
 
-// Check implements Method: M >= sqrt(|R|); disk must assemble at least
-// one bucket of either relation (Table 2 says "any" disk space under
-// the idealization that buckets can be fragmented; we assemble buckets
-// contiguously, which needs a bucket's worth); both tapes need scratch
-// space for the other relation's hashed copy.
-func (TTGH) Check(spec Spec, res Resources) error {
-	plan, err := planTT(spec, res)
+// footprint implements Method: M >= sqrt(|R|); disk must assemble at
+// least one bucket of either relation (Table 2 says "any" disk space
+// under the idealization that buckets can be fragmented; we assemble
+// buckets contiguously, which needs a bucket's worth); each tape needs
+// scratch for the other relation's hashed copy, plus a partial block
+// per bucket.
+func (TTGH) footprint(r, s int64, res Resources) (Need, error) {
+	plan, err := planTT(r, s, res)
 	if err != nil {
-		return err
+		return Need{}, err
 	}
-	if est := estBucketBlocks(spec.S.Region.N, plan.B); res.DiskBlocks < 2*est {
-		return fmt.Errorf("%w: D=%d cannot assemble one %d-block S bucket with headroom", ErrNeedDisk, res.DiskBlocks, est)
-	}
-	if free := spec.S.Media.Free(); free < spec.R.Region.N+int64(plan.B) {
-		return fmt.Errorf("%w: S tape has %d free, hashed R needs ~%d",
-			ErrNeedTapeScratch, free, spec.R.Region.N+int64(plan.B))
-	}
-	if free := spec.R.Media.Free(); free < spec.S.Region.N+int64(plan.B) {
-		return fmt.Errorf("%w: R tape has %d free, hashed S needs ~%d",
-			ErrNeedTapeScratch, free, spec.S.Region.N+int64(plan.B))
-	}
-	return nil
+	b := int64(plan.B)
+	return Need{M: b + 1, D: 2 * estBucketBlocks(s, plan.B), dWhy: "two S buckets", TR: s + b, TS: r + b}, nil
 }
 
 func (TTGH) run(e *env, p *sim.Proc) error {
-	plan, err := planTT(e.spec, e.res)
+	plan, err := planTT(e.spec.R.Region.N, e.spec.S.Region.N, e.res)
 	if err != nil {
 		return err
 	}

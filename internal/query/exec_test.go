@@ -276,15 +276,15 @@ func sizedTable(t *testing.T, name string, tag byte, blocks int64) *Table {
 	return tbl
 }
 
-// TestRunSkipsAdvisorPickThatFailsCheck: at M=4, D=22 the cost advisor
-// ranks CTT-GH cheapest for |R|=16, |S|=64 blocks, but the GH methods'
-// own Check rejects them (6 buckets, 3 write buffers). Run must fall
-// back to the cheapest method that passes Check, not fail.
+// TestRunSkipsAdvisorPickThatFailsCheck: at M=4, D=22 the cost model
+// prices CTT-GH cheapest for |R|=16, |S|=64 blocks, but the GH methods'
+// footprints do not fit (6 buckets, 3 write buffers). Run must fall
+// back to the cheapest method that fits, not fail.
 func TestRunSkipsAdvisorPickThatFailsCheck(t *testing.T) {
 	r, s := sizedTable(t, "r", 1, 16), sizedTable(t, "s", 2, 64)
 	res := execRes(4, 22)
 	for _, m := range []join.Method{join.CDTGH{}, join.CTTGH{}} {
-		if err := m.Check(join.Spec{R: r.Rel, S: s.Rel}, res.WithDefaults()); err == nil {
+		if err := join.Check(m, join.Spec{R: r.Rel, S: s.Rel}, res.WithDefaults()); err == nil {
 			t.Fatalf("%s passes Check; the case no longer exercises the fallback", m.Symbol())
 		}
 	}

@@ -9,17 +9,17 @@ import (
 )
 
 // admitShared decides which of a same-S candidate group may join one
-// shared tape pass, partitioning M and D across the riders with the
-// cost model so every admitted query still satisfies its method's
-// Table 2 row. A shared rider behaves like DT-NB on its partition: a
-// disk-resident R probed against memory-buffered S chunks, so DT-NB's
-// feasibility row (D >= |R|, M >= mr + 2) is the one each share must
-// clear. Candidates that don't fit fall back to solo execution.
+// shared tape pass, partitioning M and D across the riders so every
+// admitted query still satisfies its method's Table 2 row. A shared
+// rider behaves like DT-NB on its partition: a disk-resident R probed
+// against memory-buffered S chunks, so DT-NB's footprint (D >= |R|,
+// M >= 2) is the one each share must fit. Candidates that don't fit
+// fall back to solo execution.
 //
 // The packing is greedy in candidate order (deterministic): a rider is
 // admitted while
 //
-//   - its equal M share keeps DT-NB feasible per the cost model,
+//   - DT-NB's footprint fits its equal M share and a D of |R|,
 //   - the staged R copies of all admitted riders fit the disk that is
 //     left after the cache carve-out,
 //   - the residual S buffers stay >= 1 block per double buffer.
@@ -36,10 +36,11 @@ func admitShared(cfg Config, res join.Resources, queries []Query, cand []int) (a
 	for _, qi := range cand {
 		q := queries[qi]
 		k := int64(len(admitted) + 1)
-		mShare := res.MemoryBlocks / k
-		est := cost.EstimateMethod("DT-NB", costParams(res, q.R.Region.N, q.S.Region.N, mShare, q.R.Region.N))
+		share := res
+		share.MemoryBlocks, share.DiskBlocks = res.MemoryBlocks/k, q.R.Region.N
+		fits := join.Fits(join.DTNB{}, q.R.Region.N, q.S.Region.N, share, join.AnyTapes) == nil
 		_, msLeft := cost.SharedSplit(res.MemoryBlocks, k, res.IOChunk)
-		if est.Err == nil && rTotal+q.R.Region.N <= dFree && msLeft >= 1 {
+		if fits && rTotal+q.R.Region.N <= dFree && msLeft >= 1 {
 			admitted = append(admitted, qi)
 			rTotal += q.R.Region.N
 		}
@@ -75,8 +76,8 @@ func priceShared(cfg Config, res join.Resources, queries []Query, riders []int) 
 		solo += soloPrice(cfg, res, queries[qi])
 	}
 	bigS := queries[riders[0]].S.Region.N
-	est := cost.EstimateShared(costParams(res, 0, bigS, res.MemoryBlocks, 0),
-		rBlocks, res.IOChunk, cost.Requests{Disks: res.NumDisks, Positioning: res.DiskOverhead.Seconds()})
+	p := cost.Params{SBlocks: bigS, MBlocks: res.MemoryBlocks, TapeRate: res.Tape.EffectiveRate(), DiskRate: res.DiskRate}
+	est := cost.EstimateShared(p, rBlocks, res.IOChunk, cost.Requests{Disks: res.NumDisks, Positioning: res.DiskOverhead.Seconds()})
 	return est.Seconds, solo
 }
 
@@ -91,15 +92,5 @@ func soloPrice(cfg Config, res join.Resources, q Query) float64 {
 	if err != nil {
 		return math.Inf(1)
 	}
-	p := costParams(res, q.R.Region.N, q.S.Region.N, res.MemoryBlocks, res.DiskBlocks)
-	return cost.EstimateMethod(m.Symbol(), p).Seconds
-}
-
-// costParams are the model inputs for |R| = r, |S| = s on M = m and
-// D = d of the device complex res.
-func costParams(res join.Resources, r, s, m, d int64) cost.Params {
-	return cost.Params{
-		RBlocks: r, SBlocks: s, MBlocks: m, DBlocks: d,
-		TapeRate: res.Tape.EffectiveRate(), DiskRate: res.DiskRate,
-	}
+	return join.Rank([]join.Method{m}, q.R.Region.N, q.S.Region.N, res, join.AnyTapes)[0].Est.Seconds
 }

@@ -406,7 +406,7 @@ func soloMethod(q Query, spec join.Spec, res join.Resources) (m join.Method, sub
 		if err != nil {
 			return nil, false, err
 		}
-		if err := m.Check(spec, res); err == nil {
+		if err := join.Check(m, spec, res); err == nil {
 			return m, false, nil
 		}
 	}

@@ -783,13 +783,14 @@ func (s *System) runReport(res join.Resources, end sim.Time) *Report {
 }
 
 // CheckFeasible reports whether the method can run r ⋈ s on this
-// system, per the paper's Table 2 resource requirements.
+// system: whether its footprint (the paper's Table 2 row) fits M, D
+// and the cartridges' free space.
 func (s *System) CheckFeasible(method Method, r, bigS *Relation) error {
 	m, err := join.BySymbol(string(method))
 	if err != nil {
 		return err
 	}
-	return m.Check(join.Spec{R: r.rel, S: bigS.rel}, s.res)
+	return join.Check(m, join.Spec{R: r.rel, S: bigS.rel}, s.res)
 }
 
 // Estimate predicts a method's response time for relation sizes in MB
@@ -807,48 +808,41 @@ type Estimate struct {
 	RelativeCost float64
 }
 
-func (s *System) costParams(rMB, sMB int64) cost.Params {
-	return cost.Params{
-		RBlocks:   MB(rMB),
-		SBlocks:   MB(sMB),
-		MBlocks:   s.res.MemoryBlocks,
-		DBlocks:   s.res.DiskBlocks,
-		TapeRate:  s.tapeRate,
-		DiskRate:  s.res.DiskRate,
-		SkewAware: s.cfg.SkewAware,
+// estimates ranks methods for |R| = rMB, |S| = sMB on this system's
+// resources with free tape scratch.
+func (s *System) estimates(methods []join.Method, rMB, sMB int64, free join.Tapes) []Estimate {
+	p := cost.Params{SBlocks: MB(sMB), TapeRate: s.tapeRate}
+	var out []Estimate
+	for _, r := range join.Rank(methods, MB(rMB), MB(sMB), s.res, free) {
+		e := Estimate{Method: Method(r.Est.Method), Feasible: r.Est.Err == nil}
+		if e.Feasible {
+			e.Response = time.Duration(r.Est.Seconds * float64(time.Second))
+			e.StepI = time.Duration(r.Est.StepISeconds * float64(time.Second))
+			e.RelativeCost = r.Est.Relative(p)
+		} else {
+			e.Reason = r.Est.Err.Error()
+		}
+		out = append(out, e)
 	}
-}
-
-func toEstimate(e cost.Estimate, p cost.Params) Estimate {
-	out := Estimate{Method: Method(e.Method)}
-	if e.Err != nil {
-		out.Reason = e.Err.Error()
-		return out
-	}
-	out.Feasible = true
-	out.Response = time.Duration(e.Seconds * float64(time.Second))
-	out.StepI = time.Duration(e.StepISeconds * float64(time.Second))
-	out.RelativeCost = e.Relative(p)
 	return out
 }
 
-// Estimate predicts one method's cost for |R| = rMB, |S| = sMB.
+// Estimate predicts one method's cost for |R| = rMB, |S| = sMB, with
+// tape scratch unbounded. A method whose footprint does not fit M and
+// D, or that the model cannot price (SYM-H), reports Feasible = false.
 func (s *System) Estimate(method Method, rMB, sMB int64) Estimate {
-	p := s.costParams(rMB, sMB)
-	return toEstimate(cost.EstimateMethod(string(method), p), p)
+	m, err := join.BySymbol(string(method))
+	if err != nil {
+		return Estimate{Method: method, Reason: err.Error()}
+	}
+	return s.estimates([]join.Method{m}, rMB, sMB, join.AnyTapes)[0]
 }
 
 // Advise ranks all methods for |R| = rMB, |S| = sMB given the
-// available tape scratch space, returning the cheapest feasible method
-// first. It codifies the paper's conclusions: CTT-GH for very large
-// joins, CDT-GH with ample disk but little memory, CDT-NB when most of
-// R fits in memory.
+// available tape scratch space: the methods whose footprint fits, the
+// cheapest first, then the rest with their reasons. It codifies the
+// paper's conclusions: CTT-GH for very large joins, CDT-GH with ample
+// disk but little memory, CDT-NB when most of R fits in memory.
 func (s *System) Advise(rMB, sMB, rTapeScratchMB, sTapeScratchMB int64) []Estimate {
-	p := s.costParams(rMB, sMB)
-	adv := cost.Advise(p, cost.Scratch{RTape: MB(rTapeScratchMB), STape: MB(sTapeScratchMB)})
-	out := make([]Estimate, 0, len(adv.Ranked))
-	for _, e := range adv.Ranked {
-		out = append(out, toEstimate(e, p))
-	}
-	return out
+	return s.estimates(join.Methods(), rMB, sMB, join.Tapes{R: MB(rTapeScratchMB), S: MB(sTapeScratchMB)})
 }

@@ -171,10 +171,74 @@ func TestEstimateAndAdvise(t *testing.T) {
 			t.Fatalf("ranking violated: %+v", e)
 		}
 	}
-	// Infeasible methods carry a reason.
+	// Methods that do not fit carry a reason.
 	last := ranked[len(ranked)-1]
 	if last.Feasible || last.Reason == "" {
 		t.Fatalf("last = %+v, want infeasible with reason", last)
+	}
+}
+
+// TestEstimateAgreesWithCheckFeasible sweeps M, D and the relation
+// sizes over the seven paper methods: Estimate (tape scratch
+// unbounded) calls a method feasible exactly when CheckFeasible (with
+// ample scratch) accepts it, and Advise never recommends a method that
+// CheckFeasible refuses. Both read the one footprint per method.
+func TestEstimateAgreesWithCheckFeasible(t *testing.T) {
+	maker, err := NewSystem(Config{MemoryMB: 1, DiskMB: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer maker.Close()
+	const scratchMB = 256 // room for any method's hashed or sorted copies
+	type pair struct {
+		rMB, sMB int64
+		r, s     *Relation
+	}
+	var pairs []pair
+	for _, sz := range [][2]int64{{1, 4}, {4, 16}, {8, 64}, {16, 64}} {
+		rel := func(name string, mb int64) *Relation {
+			tp, err := maker.NewTape("tape-"+name, mb+scratchMB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := maker.CreateRelation(tp, RelationConfig{Name: name, SizeMB: mb})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}
+		pairs = append(pairs, pair{sz[0], sz[1], rel("R", sz[0]), rel("S", sz[1])})
+	}
+	cells := 0
+	for _, mem := range []float64{0.5, 1, 2, 4} {
+		for _, disk := range []float64{2, 4, 8, 16, 32} {
+			sys, err := NewSystem(Config{MemoryMB: mem, DiskMB: disk})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range pairs {
+				for _, m := range []Method{DTNB, CDTNBMB, CDTNBDB, DTGH, CDTGH, CTTGH, TTGH} {
+					est := sys.Estimate(m, p.rMB, p.sMB)
+					chk := sys.CheckFeasible(m, p.r, p.s)
+					if est.Feasible != (chk == nil) {
+						t.Errorf("M=%g D=%g |R|=%d |S|=%d %s: Estimate feasible=%v (%s), CheckFeasible: %v",
+							mem, disk, p.rMB, p.sMB, m, est.Feasible, est.Reason, chk)
+					}
+					cells++
+				}
+				best := sys.Advise(p.rMB, p.sMB, scratchMB, scratchMB)[0]
+				if best.Feasible {
+					if err := sys.CheckFeasible(best.Method, p.r, p.s); err != nil {
+						t.Errorf("M=%g D=%g |R|=%d |S|=%d: Advise picks %s, CheckFeasible: %v",
+							mem, disk, p.rMB, p.sMB, best.Method, err)
+					}
+				}
+			}
+			sys.Close()
+		}
+	}
+	if cells != 560 {
+		t.Fatalf("swept %d cells, want 560", cells)
 	}
 }
 
