@@ -29,8 +29,8 @@ const (
 	// ReasonInfeasible: no method fits the query on its resource
 	// partition (admission rejection).
 	ReasonInfeasible = workload.ReasonInfeasible
-	// ReasonDeviceFailed: the query failed again after a
-	// device-failure requeue.
+	// ReasonDeviceFailed: a device failure ended the query (with no
+	// requeue, or again after one).
 	ReasonDeviceFailed = workload.ReasonDeviceFailed
 	// ReasonDeadline: an online query's deadline passed before
 	// service started.

@@ -37,18 +37,22 @@ func TestBatchHonoursMethod(t *testing.T) {
 
 // TestBatchHonoursFaults: the fault schedule and the recovery switch
 // reach a batch — with recovery off, the first injected fault fails
-// it; with recovery on, the batch absorbs the fault and verifies.
+// its query (not the batch); with recovery on, the batch absorbs the
+// fault and verifies.
 func TestBatchHonoursFaults(t *testing.T) {
 	const faults = "transient=R:5:2"
-	_, err := runArgs(t, "-faults", faults, "-no-recover")
-	if err == nil || !strings.Contains(err.Error(), "injected transient") {
-		t.Fatalf("err = %v, want the injected transient fault", err)
+	out, err := runArgs(t, "-faults", faults, "-no-recover")
+	if err != nil {
+		t.Fatalf("a device fault aborted the batch: %v", err)
 	}
-	out, err := runArgs(t, "-faults", faults)
+	if !strings.Contains(out, "q0   FAILED: device-failed:") || !strings.Contains(out, "injected transient") {
+		t.Fatalf("q0 did not fail on the injected transient fault:\n%s", out)
+	}
+	out, err = runArgs(t, "-faults", faults)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "verification      ok") {
+	if strings.Contains(out, "FAILED") || !strings.Contains(out, "verification      ok") {
 		t.Fatalf("recovered batch did not verify:\n%s", out)
 	}
 }

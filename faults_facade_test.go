@@ -3,6 +3,7 @@ package tapejoin
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestConfigFaultsRecoverAndReport(t *testing.T) {
@@ -88,5 +89,44 @@ func TestConfigDisableRecoveryMakesFaultsFatal(t *testing.T) {
 	r, s := makeRelations(t, sys)
 	if _, err := sys.Join(DTNB, r, s); err == nil {
 		t.Fatal("transient fault with recovery disabled should fail the join")
+	}
+}
+
+// TestInjectedStallAppliedAndCounted: a stall directive holds the device
+// it names, whichever that is, and counts as one injected fault. The
+// sim backend's disk array takes a stall on the array-wide path and on
+// each drive; the file backend's store has no per-drive path.
+func TestInjectedStallAppliedAndCounted(t *testing.T) {
+	for _, c := range []struct{ backend, spec string }{
+		{"sim", "stall=R:5s:1"}, {"sim", "stall=disk:5s:1"}, {"sim", "stall=disk0:5s:1"},
+		{"file", "stall=R:5s:1"}, {"file", "stall=disk:5s:1"},
+	} {
+		t.Run(c.backend+"/"+c.spec, func(t *testing.T) {
+			run := func(faults string) Stats {
+				sys, err := NewSystem(Config{
+					MemoryMB: 1, DiskMB: 4, Profile: IdealTape,
+					Backend: c.backend, BackendDir: t.TempDir(), Faults: faults,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sys.Close()
+				r, s := makeRelations(t, sys)
+				res, err := sys.Join(DTNB, r, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res.Stats
+			}
+			clean, stalled := run(""), run(c.spec)
+			if stalled.Faults != 1 {
+				t.Errorf("Faults = %d, want 1", stalled.Faults)
+			}
+			// The file backend's transfers take measured wall time, so
+			// only the sim backend's response time is exact.
+			if c.backend == "sim" && stalled.Response < clean.Response+5*time.Second {
+				t.Errorf("response %v, want at least 5s above the clean %v", stalled.Response, clean.Response)
+			}
+		})
 	}
 }

@@ -9,8 +9,6 @@
 package device
 
 import (
-	"errors"
-
 	"repro/internal/block"
 	"repro/internal/device/ioengine"
 	"repro/internal/disk"
@@ -38,31 +36,6 @@ type (
 	DiskStats = disk.Stats
 	// StoreConfig describes a scratch store's geometry and rates.
 	StoreConfig = disk.Config
-)
-
-// ErrDiskFull is the store-out-of-space sentinel shared by every
-// backend (the same value as the disk package's, so errors.Is works
-// across both).
-var ErrDiskFull = disk.ErrDiskFull
-
-// ErrCorrupt marks data that failed checksum verification at the
-// device layer: a stored record whose bytes no longer match the
-// checksum written with them (torn write, bit rot, truncated tail).
-// Retry machinery treats it like a delivered-copy checksum miss —
-// worth re-reading — and typed fail-fast when the stored copy really
-// is gone.
-var ErrCorrupt = errors.New("device: stored record failed checksum verification")
-
-// Wall-clock fault sentinels, re-exported from the I/O engine (same
-// values, so errors.Is works without importing ioengine):
-var (
-	// ErrIOTimeout marks an operation that missed its per-op deadline.
-	ErrIOTimeout = ioengine.ErrTimeout
-	// ErrDeviceFailed marks a device whose circuit breaker tripped.
-	ErrDeviceFailed = ioengine.ErrDeviceFailed
-	// ErrWorkerClosed marks an operation submitted to a closed device
-	// worker.
-	ErrWorkerClosed = ioengine.ErrClosed
 )
 
 // DLT4000 returns the calibrated drive profile of the paper's

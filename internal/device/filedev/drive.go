@@ -1,7 +1,6 @@
 package filedev
 
 import (
-	"errors"
 	"fmt"
 	"path/filepath"
 
@@ -169,37 +168,18 @@ func (d *Drive) switchIn() {
 	d.pos = -1 // off-position: next request repositions
 }
 
-// consult asks the fault injector about one request while the drive
-// is held, charging stalls and marking permanent transport loss. The
-// injector's OS-level verdict, if any, is armed on the spool file so
-// it strikes the planned syscalls on the worker.
+// consult runs the fault step of one request while the drive is held.
+// The OS-level verdict, if any, is armed on the spool file so it
+// strikes the planned syscalls on the worker.
 func (d *Drive) consult(p *sim.Proc, write bool, addr device.Addr, n int64) (bool, error) {
-	dec := fault.Decide(d.inj, fault.Op{
-		Device: "tape:" + d.name, Write: write,
-		Addr: int64(addr), N: n, Now: p.Now(), OS: true,
-	})
-	if dec.Stall > 0 {
-		d.stats.Stalls++
-		d.stats.StallTime += dec.Stall
-		t0 := p.Now()
-		p.Hold(dec.Stall)
-		d.record(p, obs.Fault, t0, 0)
+	ef, err := d.stats.Step(p, d.inj, d.tracker, fault.Op{
+		Device: "tape:" + d.name, Write: write, Addr: int64(addr), N: n, OS: true,
+	}, "filedev: drive", d.name)
+	d.lost = d.lost || ef.Lost
+	if !ef.OS.Zero() {
+		d.spool.arm(ef.OS)
 	}
-	if dec.Err != nil {
-		d.stats.InjectedFaults++
-		if errors.Is(dec.Err, fault.ErrDriveLost) {
-			d.lost = true
-		}
-		return false, fmt.Errorf("filedev: drive %q: %w", d.name, dec.Err)
-	}
-	if dec.Corrupt {
-		d.stats.InjectedFaults++
-	}
-	if !dec.OS.Zero() {
-		d.stats.InjectedFaults++
-		d.spool.arm(dec.OS)
-	}
-	return dec.Corrupt, nil
+	return ef.Corrupt, err
 }
 
 // record emits a trace event spanning [from, now].
@@ -245,16 +225,14 @@ func (d *Drive) seekTo(p *sim.Proc, addr device.Addr, wantReverse bool) {
 func (d *Drive) transfer(p *sim.Proc, kind obs.Kind, entered sim.Time, n int64, write bool, op func() error) error {
 	tx := p.Now()
 	elapsed, err := doIO(p, d.w, paced(d.b.pace(d.cfg.EffectiveRate(), n), op))
-	switch {
-	case errors.Is(err, ioengine.ErrDeviceFailed):
-		// The worker's breaker tripped: the transport is gone for this
-		// run. Surface it as a drive loss so the session's degrade path
-		// rebuilds on a shared pair with fresh, healthy workers.
-		d.lost = true
-		return fmt.Errorf("filedev: drive %q: %w: %w", d.name, fault.ErrDriveLost, err)
-	case errors.Is(err, ioengine.ErrClosed):
-		return fmt.Errorf("filedev: drive %q: %w", d.name, err)
-	case err != nil:
+	if err != nil {
+		// A tripped breaker loses the transport for this run, so the
+		// session's degrade path rebuilds on a shared pair with fresh,
+		// healthy workers.
+		if lost := fault.Tripped(err, fault.ErrDriveLost); lost != nil {
+			d.lost = true
+			return fmt.Errorf("filedev: drive %q: %w", d.name, lost)
+		}
 		return err
 	}
 	d.stats.TransferTime += elapsed
@@ -300,7 +278,7 @@ func (d *Drive) ReadAt(p *sim.Proc, addr device.Addr, n int64) ([]block.Block, e
 	d.pos = addr + device.Addr(n)
 	blks := assemble(plan)
 	if corrupt {
-		corruptDelivered(blks)
+		fault.Flip(blks)
 	}
 	return blks, nil
 }
@@ -344,7 +322,7 @@ func (d *Drive) ReadRegionReverse(p *sim.Proc, r device.Region) ([]block.Block, 
 	d.pos = r.Start
 	blks := assemble(plan)
 	if corrupt {
-		corruptDelivered(blks)
+		fault.Flip(blks)
 	}
 	return blks, nil
 }
@@ -437,16 +415,4 @@ func (d *Drive) Close() error {
 	}
 	remove(d.dir)
 	return err
-}
-
-// corruptDelivered bit-flips one block of a delivered read without
-// touching the stored copy, so a re-read recovers.
-func corruptDelivered(blks []block.Block) {
-	if len(blks) == 0 {
-		return
-	}
-	i := len(blks) / 2
-	bad := append(block.Block(nil), blks[i]...)
-	bad[len(bad)-1] ^= 0xff
-	blks[i] = bad
 }

@@ -119,7 +119,7 @@ type Backend struct {
 	// fails with a typed, retryable error, repeated misses degrade the
 	// device's health, and TripAfter consecutive misses trip its
 	// circuit breaker (the device then fails fast with
-	// device.ErrDeviceFailed and the join's recovery machinery rebuilds
+	// fault.ErrDeviceFailed and the join's recovery machinery rebuilds
 	// on surviving resources). Zero disables deadlines. Ignored by the
 	// synchronous path, which has no worker to watchdog.
 	OpTimeout time.Duration
@@ -369,7 +369,7 @@ func (s *syncer) flush(f *faultfile.File) error {
 // Every record frame is [len u32][crc32(payload) u32][payload], both
 // little-endian, and every read verifies the payload against the CRC
 // captured at plan time: torn writes, bit rot and truncated tails all
-// surface as typed device.ErrCorrupt instead of silently joining wrong
+// surface as typed fault.ErrCorrupt instead of silently joining wrong
 // bytes. (The join layer re-verifies the block-level checksum on top —
 // the frame CRC catches corruption below the block encoding.)
 //
@@ -499,7 +499,7 @@ func (r *recFile) planRead(off, n int64) ([]readOp, error) {
 
 // execReads performs planned reads and verifies each record against
 // its stored checksum, converting short reads and payload mismatches
-// into typed device.ErrCorrupt. Safe to run off the control token:
+// into typed fault.ErrCorrupt. Safe to run off the control token:
 // verification is pure CPU over op-owned buffers.
 func (r *recFile) execReads(ops []readOp) error {
 	f := r.f.Load()
@@ -511,13 +511,13 @@ func (r *recFile) execReads(ops []readOp) error {
 		switch {
 		case errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF):
 			return fmt.Errorf("filedev: record %d truncated (%d of %d bytes): %w",
-				i, n, len(op.buf), device.ErrCorrupt)
+				i, n, len(op.buf), fault.ErrCorrupt)
 		case err != nil:
 			return fmt.Errorf("filedev: record %d: %w", i, err)
 		}
 		if got := crc32.ChecksumIEEE(op.buf); got != op.crc {
 			return fmt.Errorf("filedev: record %d: stored crc %08x, read %08x: %w",
-				i, op.crc, got, device.ErrCorrupt)
+				i, op.crc, got, fault.ErrCorrupt)
 		}
 	}
 	return nil

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/block"
 	"repro/internal/device"
+	"repro/internal/fault"
 	"repro/internal/sim"
 	"repro/internal/tape"
 )
@@ -214,7 +215,7 @@ func TestStoreDiskFull(t *testing.T) {
 			t.Fatal(err)
 		}
 		err := f.Append(p, mkBlocks(3, 1, 0))
-		if !errors.Is(err, device.ErrDiskFull) {
+		if !errors.Is(err, fault.ErrDiskFull) {
 			t.Fatalf("err = %v, want ErrDiskFull", err)
 		}
 	})

@@ -3,7 +3,7 @@ package filedev
 // OS-level fault injection through the real-file backend: the same
 // seeded -faults grammar that drives the device model strikes the
 // syscall layer here, and the per-record CRC framing turns silent
-// stored corruption into typed device.ErrCorrupt.
+// stored corruption into typed fault.ErrCorrupt.
 
 import (
 	"errors"
@@ -64,7 +64,7 @@ func TestStoreOSErrorRetriedByWorker(t *testing.T) {
 // TestStoreFlipStoredSurfacesErrCorrupt injects a bit-flip into the
 // stored bytes of a scratch write (corrupt-on-write). The frame CRC
 // captured at plan time no longer matches, so the read fails with
-// typed device.ErrCorrupt instead of delivering wrong bytes.
+// typed fault.ErrCorrupt instead of delivering wrong bytes.
 func TestStoreFlipStoredSurfacesErrCorrupt(t *testing.T) {
 	b := New(t.TempDir())
 	k := sim.NewKernel()
@@ -82,8 +82,8 @@ func TestStoreFlipStoredSurfacesErrCorrupt(t *testing.T) {
 		if err := f.Append(p, mkBlocks(1, 3, 0)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.ReadAt(p, 0, 3); !errors.Is(err, device.ErrCorrupt) {
-			t.Fatalf("read of flipped record: %v, want device.ErrCorrupt", err)
+		if _, err := f.ReadAt(p, 0, 3); !errors.Is(err, fault.ErrCorrupt) {
+			t.Fatalf("read of flipped record: %v, want fault.ErrCorrupt", err)
 		}
 	})
 }
@@ -107,8 +107,8 @@ func TestStoreCorruptOnReadSurfacesErrCorrupt(t *testing.T) {
 		// Arm after the append so the flip strikes the read delivery.
 		sched := mustSchedule(t, "flip=disk:0")
 		s.SetInjector(readFlipper{sched})
-		if _, err := f.ReadAt(p, 0, 3); !errors.Is(err, device.ErrCorrupt) {
-			t.Fatalf("read with flipped delivery: %v, want device.ErrCorrupt", err)
+		if _, err := f.ReadAt(p, 0, 3); !errors.Is(err, fault.ErrCorrupt) {
+			t.Fatalf("read with flipped delivery: %v, want fault.ErrCorrupt", err)
 		}
 		s.SetInjector(nil)
 		blks, err := f.ReadAt(p, 0, 3)
@@ -141,7 +141,7 @@ func mustSchedule(t *testing.T, spec string) *fault.Schedule {
 // TestStoreTornWriteTruncatedTail tears the final record of a scratch
 // file: only a prefix reaches the OS file, yet the write reports
 // success. The short read of the truncated tail surfaces as typed
-// device.ErrCorrupt.
+// fault.ErrCorrupt.
 func TestStoreTornWriteTruncatedTail(t *testing.T) {
 	b := New(t.TempDir())
 	k := sim.NewKernel()
@@ -159,8 +159,8 @@ func TestStoreTornWriteTruncatedTail(t *testing.T) {
 		if err := f.Append(p, mkBlocks(1, 1, 100)); err != nil {
 			t.Fatalf("torn write must report success: %v", err)
 		}
-		if _, err := f.ReadAt(p, 2, 1); !errors.Is(err, device.ErrCorrupt) {
-			t.Fatalf("read of torn tail: %v, want device.ErrCorrupt", err)
+		if _, err := f.ReadAt(p, 2, 1); !errors.Is(err, fault.ErrCorrupt) {
+			t.Fatalf("read of torn tail: %v, want fault.ErrCorrupt", err)
 		}
 		// Earlier records are untouched.
 		blks, err := f.ReadAt(p, 0, 2)
@@ -172,7 +172,7 @@ func TestStoreTornWriteTruncatedTail(t *testing.T) {
 
 // TestDriveOSFaults runs the same OS-level taxonomy through the tape
 // spool: oserr is absorbed by device retries, flip on the spooled copy
-// surfaces as device.ErrCorrupt.
+// surfaces as fault.ErrCorrupt.
 func TestDriveOSFaults(t *testing.T) {
 	b := New(t.TempDir())
 	k := sim.NewKernel()
@@ -201,8 +201,8 @@ func TestDriveOSFaults(t *testing.T) {
 		if err := d.WriteAt(p, 2, mkBlocks(2, 1, 200)); err != nil {
 			t.Fatalf("flipped write must report success: %v", err)
 		}
-		if _, err := d.ReadAt(p, 2, 1); !errors.Is(err, device.ErrCorrupt) {
-			t.Fatalf("read of flipped spool record: %v, want device.ErrCorrupt", err)
+		if _, err := d.ReadAt(p, 2, 1); !errors.Is(err, fault.ErrCorrupt) {
+			t.Fatalf("read of flipped spool record: %v, want fault.ErrCorrupt", err)
 		}
 	})
 }
@@ -228,13 +228,13 @@ func TestStallTimeoutsTripBreaker(t *testing.T) {
 			t.Fatal(err)
 		}
 		err = f.Append(p, mkBlocks(1, 2, 0))
-		if !errors.Is(err, device.ErrIOTimeout) {
-			t.Fatalf("stalled append: %v, want device.ErrIOTimeout", err)
+		if !errors.Is(err, fault.ErrTimeout) {
+			t.Fatalf("stalled append: %v, want fault.ErrTimeout", err)
 		}
 		// The breaker is open now: the next operation never reaches the
 		// stalled worker and surfaces the typed device-loss sentinel.
 		err = f.Append(p, mkBlocks(1, 2, 0))
-		if !errors.Is(err, fault.ErrDeviceLost) || !errors.Is(err, device.ErrDeviceFailed) {
+		if !errors.Is(err, fault.ErrDeviceLost) || !errors.Is(err, fault.ErrDeviceFailed) {
 			t.Fatalf("append after trip: %v, want ErrDeviceLost wrapping ErrDeviceFailed", err)
 		}
 	})
@@ -287,8 +287,8 @@ func TestSyncPathIgnoresDeadlines(t *testing.T) {
 		if err := f.Append(p, mkBlocks(1, 3, 0)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.ReadAt(p, 0, 3); !errors.Is(err, device.ErrCorrupt) {
-			t.Fatalf("inline read of flipped record: %v, want device.ErrCorrupt", err)
+		if _, err := f.ReadAt(p, 0, 3); !errors.Is(err, fault.ErrCorrupt) {
+			t.Fatalf("inline read of flipped record: %v, want fault.ErrCorrupt", err)
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package filedev
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -126,7 +125,7 @@ func (s *Store) Create(name string, _ []int) (device.File, error) {
 // charge accounts n newly allocated blocks against capacity.
 func (s *Store) charge(n int64) error {
 	if s.used+n > s.TotalCapacity() {
-		return fmt.Errorf("%w: need %d blocks, %d free", device.ErrDiskFull, n, s.Free())
+		return fmt.Errorf("%w: need %d blocks, %d free", fault.ErrDiskFull, n, s.Free())
 	}
 	s.used += n
 	if s.used > s.high {
@@ -136,30 +135,16 @@ func (s *Store) charge(n int64) error {
 	return nil
 }
 
-// consult asks the fault injector about one file operation. The
-// injector's OS-level verdict, if any, is armed on the file so it
-// strikes the planned syscalls on the worker.
+// consult runs the fault step of one file operation. The OS-level
+// verdict, if any, is armed on the file so it strikes the planned
+// syscalls on the worker.
 func (s *Store) consult(p *sim.Proc, name string, rf *recFile, write bool, off, n int64) (bool, error) {
-	dec := fault.Decide(s.inj, fault.Op{Device: "disk", Write: write, Addr: off, N: n, Now: p.Now(), OS: true})
-	if dec.Stall > 0 {
-		s.stats.Faults++
-		s.stats.StallTime += dec.Stall
-		t0 := p.Now()
-		p.Hold(dec.Stall)
-		s.tracker.Record(p, obs.Event{Device: "disk", Kind: obs.Fault, Start: t0, End: p.Now(), Note: "stall"})
+	ef, err := s.stats.Step(p, s.inj, s.tracker, fault.Op{Device: "disk", Write: write, Addr: off, N: n, OS: true},
+		"filedev: file", name)
+	if !ef.OS.Zero() {
+		rf.arm(ef.OS)
 	}
-	if dec.Err != nil {
-		s.stats.Faults++
-		return false, fmt.Errorf("filedev: file %q: %w", name, dec.Err)
-	}
-	if dec.Corrupt {
-		s.stats.Faults++
-	}
-	if !dec.OS.Zero() {
-		s.stats.Faults++
-		rf.arm(dec.OS)
-	}
-	return dec.Corrupt, nil
+	return ef.Corrupt, err
 }
 
 // transfer runs one planned file operation through the store's worker
@@ -168,15 +153,13 @@ func (s *Store) consult(p *sim.Proc, name string, rf *recFile, write bool, off, 
 func (s *Store) transfer(p *sim.Proc, n int64, write bool, op func() error) error {
 	tx := p.Now()
 	elapsed, err := doIO(p, s.w, paced(s.b.pace(s.cfg.AggregateRate, n), op))
-	switch {
-	case errors.Is(err, ioengine.ErrDeviceFailed):
-		// The shared disk worker's breaker tripped: all scratch is
-		// unreachable. Surface it as a device loss so unit recovery
-		// rebuilds the store (with a fresh worker) and re-stages.
-		return fmt.Errorf("filedev: disk store: %w: %w", fault.ErrDeviceLost, err)
-	case errors.Is(err, ioengine.ErrClosed):
-		return fmt.Errorf("filedev: disk store: %w", err)
-	case err != nil:
+	if err != nil {
+		// A tripped breaker on the shared disk worker makes all scratch
+		// unreachable, so unit recovery rebuilds the store (with a fresh
+		// worker) and re-stages.
+		if lost := fault.Tripped(err, fault.ErrDeviceLost); lost != nil {
+			return fmt.Errorf("filedev: disk store: %w", lost)
+		}
 		return err
 	}
 	s.busy += elapsed
@@ -290,7 +273,7 @@ func (f *File) ReadAt(p *sim.Proc, off, n int64) ([]block.Block, error) {
 	}
 	blks := assemble(plan)
 	if corrupt {
-		corruptDelivered(blks)
+		fault.Flip(blks)
 	}
 	return blks, nil
 }

@@ -191,7 +191,7 @@ func (w *Worker) run() {
 		if Health(w.state.Load()) == Failed {
 			// Breaker open: fail fast without touching the device (a
 			// timed-out zombie op may still own its buffers).
-			req.c.Post(0, fmt.Errorf("%s: %w", w.name, ErrDeviceFailed))
+			req.c.Post(0, fmt.Errorf("%s: %w", w.name, fault.ErrDeviceFailed))
 			continue
 		}
 		w.execute(req)
@@ -268,11 +268,11 @@ func (w *Worker) syncMetrics() {
 func (w *Worker) Submit(p *sim.Proc, op func() error) *sim.Completion {
 	c := p.StartIO(w.name)
 	if w.closed {
-		c.Post(0, notEnqueued{ErrClosed})
+		c.Post(0, notEnqueued{fmt.Errorf("%s: %w", w.name, ErrClosed)})
 		return c
 	}
 	if Health(w.state.Load()) == Failed {
-		c.Post(0, notEnqueued{fmt.Errorf("%s: %w", w.name, ErrDeviceFailed)})
+		c.Post(0, notEnqueued{fmt.Errorf("%s: %w", w.name, fault.ErrDeviceFailed)})
 		return c
 	}
 	w.queued++
@@ -305,7 +305,10 @@ func (w *Worker) Do(p *sim.Proc, op func() error) (sim.Duration, error) {
 	total, err := w.Await(p, w.Submit(p, op))
 	pol := w.e.policy.Retry
 	backoff := pol.Base
-	for attempt := 0; attempt < pol.Max && w.retryable(err); attempt++ {
+	// Deadline misses and transient faults are retried, but never once
+	// the breaker has tripped: a Failed device gets no further traffic.
+	for attempt := 0; attempt < pol.Max && err != nil && fault.Acts(fault.Retry, err) &&
+		Health(w.state.Load()) != Failed; attempt++ {
 		p.Hold(backoff + w.jitter(backoff))
 		w.retries.Add(1)
 		w.retryCtr.Inc()
@@ -317,16 +320,6 @@ func (w *Worker) Do(p *sim.Proc, op func() error) (sim.Duration, error) {
 		backoff *= 2
 	}
 	return total, err
-}
-
-// retryable reports whether Do should retry err at the device layer:
-// deadline misses and transient faults, but never once the breaker has
-// tripped — a Failed device gets no further traffic.
-func (w *Worker) retryable(err error) bool {
-	if err == nil || Health(w.state.Load()) == Failed {
-		return false
-	}
-	return errors.Is(err, ErrTimeout) || fault.IsTransient(err)
 }
 
 // jitter derives a deterministic backoff perturbation in [0, b/2) from

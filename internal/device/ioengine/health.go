@@ -1,10 +1,10 @@
 package ioengine
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/sim"
 )
 
@@ -15,21 +15,14 @@ import (
 //
 // The hard part of a deadline is the zombie: an op that overran it is
 // still running on some goroutine and still owns the buffers its plan
-// handed it. The worker therefore posts ErrTimeout to unblock the
+// handed it. The worker therefore posts a timeout to unblock the
 // submitter, then *waits out the zombie* for a bounded grace period
 // before serving the next request — worker serialization guarantees no
 // two ops touch the same plan buffers concurrently. Only when the
 // grace also expires does the worker declare the device Failed and
 // stop executing entirely, so the still-lingering zombie can never
-// race a later operation.
-
-// ErrTimeout is returned when an operation exceeds the per-op deadline.
-// It is retryable at the device layer.
-var ErrTimeout = errors.New("ioengine: op deadline exceeded")
-
-// ErrDeviceFailed is returned once a worker's circuit breaker has
-// tripped: the device is considered dead and all traffic fails fast.
-var ErrDeviceFailed = errors.New("ioengine: device failed")
+// race a later operation. Deadline misses fail with fault.ErrTimeout
+// and an open breaker with fault.ErrDeviceFailed.
 
 // Health is a worker's position in the healthy → degraded → failed
 // state machine. Deadline misses degrade; DefaultTripAfter consecutive
@@ -151,7 +144,7 @@ func (w *Worker) execute(req request) {
 	t1 := w.e.now()
 	w.e.record(w.name, t0, t1)
 	req.c.Post(sim.Duration(t1-t0),
-		fmt.Errorf("%s: op exceeded %v deadline: %w", w.name, timeout, ErrTimeout))
+		fmt.Errorf("%s: op exceeded %v deadline: %w", w.name, timeout, fault.ErrTimeout))
 	grace := time.NewTimer(w.e.policy.Grace)
 	select {
 	case <-done:

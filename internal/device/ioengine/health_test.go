@@ -27,7 +27,7 @@ func TestDeadlinePostsTypedTimeout(t *testing.T) {
 	defer w.Close()
 	k.Spawn("p", func(p *sim.Proc) {
 		_, err := w.Do(p, func() error { time.Sleep(40 * time.Millisecond); return nil })
-		if !errors.Is(err, ErrTimeout) {
+		if !errors.Is(err, fault.ErrTimeout) {
 			t.Errorf("want ErrTimeout, got %v", err)
 		}
 		if h := w.Health(); h != Degraded {
@@ -57,7 +57,7 @@ func TestBreakerTripsAfterConsecutiveTimeouts(t *testing.T) {
 	slow := func() error { time.Sleep(25 * time.Millisecond); return nil }
 	k.Spawn("p", func(p *sim.Proc) {
 		for i := 0; i < 2; i++ {
-			if _, err := w.Do(p, slow); !errors.Is(err, ErrTimeout) {
+			if _, err := w.Do(p, slow); !errors.Is(err, fault.ErrTimeout) {
 				t.Errorf("miss %d: want ErrTimeout, got %v", i, err)
 			}
 		}
@@ -67,7 +67,7 @@ func TestBreakerTripsAfterConsecutiveTimeouts(t *testing.T) {
 		// Breaker open: submissions fail fast with a typed error and
 		// never reach the device.
 		ran := false
-		if _, err := w.Do(p, func() error { ran = true; return nil }); !errors.Is(err, ErrDeviceFailed) {
+		if _, err := w.Do(p, func() error { ran = true; return nil }); !errors.Is(err, fault.ErrDeviceFailed) {
 			t.Errorf("want ErrDeviceFailed, got %v", err)
 		}
 		if ran {
@@ -87,7 +87,7 @@ func TestGraceExpiryTripsBreaker(t *testing.T) {
 	release := make(chan struct{})
 	k.Spawn("p", func(p *sim.Proc) {
 		_, err := w.Do(p, func() error { <-release; return nil })
-		if !errors.Is(err, ErrTimeout) {
+		if !errors.Is(err, fault.ErrTimeout) {
 			t.Errorf("want ErrTimeout, got %v", err)
 		}
 		// The zombie outlives the grace period: one stuck op is enough

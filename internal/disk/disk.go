@@ -64,13 +64,9 @@ func SCSI2Pair(totalBlocks int64) Config {
 	}
 }
 
-// ErrDiskFull is returned when an allocation exceeds the capacity of
-// the disks a file is placed on.
-var ErrDiskFull = errors.New("disk: out of space")
-
 // LostError reports an operation that needed a permanently failed
-// drive. It unwraps to fault.ErrDeviceLost so recovery layers can
-// match it with errors.Is.
+// drive. It unwraps to fault.ErrDeviceLost, the class recovery acts
+// on.
 type LostError struct {
 	Disk int
 }
@@ -89,8 +85,7 @@ type Stats struct {
 	TransferTime  sim.Duration
 	OverheadTime  sim.Duration
 	// Fault-injection activity (see internal/fault).
-	Faults    int64
-	StallTime sim.Duration
+	fault.Counts
 }
 
 type dev struct {
@@ -361,11 +356,11 @@ func (a *Array) markDead(p *sim.Proc, id int) {
 	})
 }
 
-// checkFaults consults the array's injector about one request before
-// any time is charged: first the array-wide transfer path ("disk"),
-// then each placement drive the request would touch (where a pending
+// checkFaults runs the fault steps of one request before any time is
+// charged: first the array-wide transfer path ("disk"), then each
+// placement drive the request would touch (where a pending
 // disk-failure rule can kill the drive). corrupt=true asks the caller
-// to bit-flip the delivered read data.
+// to Flip the delivered read data.
 func (f *File) checkFaults(p *sim.Proc, off, n int64, write bool) (corrupt bool, err error) {
 	if id, lost := f.lostOn(); lost {
 		return false, &LostError{Disk: id}
@@ -382,40 +377,26 @@ func (f *File) checkFaults(p *sim.Proc, off, n int64, write bool) (corrupt bool,
 	if f.a.inj == nil {
 		return false, nil
 	}
-	dec := fault.Decide(f.a.inj, fault.Op{Device: "disk", Write: write, Addr: off, N: n, Now: p.Now()})
-	if dec.Stall > 0 {
-		f.a.Stats.Faults++
-		f.a.Stats.StallTime += dec.Stall
-		t0 := p.Now()
-		p.Hold(dec.Stall)
-		f.a.tracker.Record(p, obs.Event{Device: "disk", Kind: obs.Fault, Start: t0, End: p.Now(), Note: "stall"})
+	a := f.a
+	ef, err := a.Stats.Step(p, a.inj, a.tracker, fault.Op{Device: "disk", Write: write, Addr: off, N: n}, "disk: file", f.name)
+	if err != nil {
+		return false, err
 	}
-	if dec.Err != nil {
-		f.a.Stats.Faults++
-		return false, fmt.Errorf("disk: file %q: %w", f.name, dec.Err)
-	}
-	if dec.Corrupt {
-		f.a.Stats.Faults++
-		corrupt = true
-	}
+	corrupt = ef.Corrupt
 	sh := f.shares(off, n)
 	for i, d := range f.disks {
 		if sh[i] == 0 {
 			continue
 		}
-		pd := fault.Decide(f.a.inj, fault.Op{
-			Device: d.name, Write: write,
-			Addr: off, N: sh[i], Now: p.Now(),
-		})
-		if pd.Err == nil {
-			continue
-		}
-		f.a.Stats.Faults++
-		if errors.Is(pd.Err, fault.ErrDeviceLost) {
-			f.a.markDead(p, d.id)
+		ef, err := a.Stats.Step(p, a.inj, a.tracker, fault.Op{Device: d.name, Write: write, Addr: off, N: sh[i]}, "disk: file", f.name)
+		if ef.Lost {
+			a.markDead(p, d.id)
 			return false, &LostError{Disk: d.id}
 		}
-		return false, fmt.Errorf("disk: file %q: %w", f.name, pd.Err)
+		if err != nil {
+			return false, err
+		}
+		corrupt = corrupt || ef.Corrupt
 	}
 	return corrupt, nil
 }
@@ -527,7 +508,7 @@ func (dp *drivePart) Step(c *sim.Proc) bool {
 }
 
 // Append writes blocks at the end of the file, blocking for the
-// striped transfer time. It fails with ErrDiskFull when the placement
+// striped transfer time. It fails with fault.ErrDiskFull when the placement
 // drives lack space.
 func (f *File) Append(p *sim.Proc, blks []block.Block) error {
 	if f.freed {
@@ -567,7 +548,7 @@ func (f *File) charge(n int64) error {
 	}
 	if free < n {
 		return fmt.Errorf("%w: file %q needs %d blocks, placement has %d free",
-			ErrDiskFull, f.name, n, free)
+			fault.ErrDiskFull, f.name, n, free)
 	}
 	wants := make([]int64, k)
 	remaining := n
@@ -644,13 +625,8 @@ func (f *File) ReadAt(p *sim.Proc, off, n int64) ([]block.Block, error) {
 	out := make([]block.Block, n)
 	copy(out, f.blocks[off:off+n])
 	f.doIO(p, off, n, false)
-	if corrupt && n > 0 {
-		// Bit-flip one delivered block without touching the stored
-		// copy (block slices alias storage), so a re-read recovers.
-		i := n / 2
-		bad := append(block.Block(nil), out[i]...)
-		bad[len(bad)-1] ^= 0xff
-		out[i] = bad
+	if corrupt {
+		fault.Flip(out)
 	}
 	return out, nil
 }

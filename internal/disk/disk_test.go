@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/block"
+	"repro/internal/fault"
 	"repro/internal/sim"
 )
 
@@ -225,7 +226,7 @@ func TestDiskFull(t *testing.T) {
 	a, _ := NewArray(k, cfg2(5)) // 10 blocks total
 	k.Spawn("w", func(p *sim.Proc) {
 		f, _ := a.Create("f", nil)
-		if err := f.Append(p, mkBlocks(11)); !errors.Is(err, ErrDiskFull) {
+		if err := f.Append(p, mkBlocks(11)); !errors.Is(err, fault.ErrDiskFull) {
 			t.Errorf("err = %v, want ErrDiskFull", err)
 		}
 		// A failed append charges nothing.
@@ -234,7 +235,7 @@ func TestDiskFull(t *testing.T) {
 		}
 		// Single-disk file bounded by that disk's capacity.
 		f1, _ := a.Create("f1", []int{0})
-		if err := f1.Append(p, mkBlocks(6)); !errors.Is(err, ErrDiskFull) {
+		if err := f1.Append(p, mkBlocks(6)); !errors.Is(err, fault.ErrDiskFull) {
 			t.Errorf("err = %v, want ErrDiskFull for single-disk overflow", err)
 		}
 	})
@@ -344,7 +345,7 @@ func TestQuickAllocatorConservation(t *testing.T) {
 						return
 					}
 					err = f.Append(p, mkBlocks(int(n)))
-					if errors.Is(err, ErrDiskFull) {
+					if errors.Is(err, fault.ErrDiskFull) {
 						if a.Free() >= n {
 							ok = false // spurious full
 							return

@@ -7,8 +7,7 @@ import (
 	"time"
 
 	tapejoin "repro"
-	"repro/internal/device"
-	"repro/internal/join"
+	"repro/internal/fault"
 )
 
 // ChaosRow is one scenario of the wall-clock fault-tolerance
@@ -227,7 +226,7 @@ var chaosScenarios = []chaosScenario{
 	},
 	{
 		// One stuck syscall outlives the op deadline; the watchdog
-		// fails the op with ErrIOTimeout and the device-layer retry
+		// fails the op with ErrTimeout and the device-layer retry
 		// reissues it clean.
 		name: "stuck worker healed by deadline", mode: "DT-GH",
 		faults: "oswait=disk:60ms:1",
@@ -240,11 +239,11 @@ var chaosScenarios = []chaosScenario{
 	{
 		// Every disk op stalls past the deadline with device-layer
 		// retries disabled: the first overrun must surface typed
-		// ErrIOTimeout and abort immediately — never hang.
+		// ErrTimeout and abort immediately — never hang.
 		name: "stuck worker fails fast", mode: "DT-GH",
 		faults: "oswait=disk:60ms:200",
 		expect: "fail-fast", quick: true,
-		wantErrs: []error{device.ErrIOTimeout},
+		wantErrs: []error{fault.ErrTimeout},
 		run: func(scale float64) (string, error) {
 			return chaosJoin(scale, tapejoin.DTGH, "oswait=disk:60ms:200",
 				func(cfg *tapejoin.Config) {
@@ -272,7 +271,7 @@ var chaosScenarios = []chaosScenario{
 		name: "corrupt block fails fast", mode: "DT-NB",
 		faults: "flip=disk:0",
 		expect: "fail-fast", quick: true,
-		wantErrs: []error{join.ErrFaultExhausted, device.ErrCorrupt},
+		wantErrs: []error{fault.ErrFaultExhausted, fault.ErrCorrupt},
 		run: func(scale float64) (string, error) {
 			return chaosJoin(scale, tapejoin.DTNB, "flip=disk:0", nil)
 		},

@@ -14,33 +14,11 @@
 package fault
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/sim"
 )
-
-// Sentinel errors classifying injected faults. Device layers wrap
-// these; recovery layers match them with errors.Is.
-var (
-	// ErrTransient marks a fault that a retry may clear (e.g. a tape
-	// read error that succeeds after repositioning).
-	ErrTransient = errors.New("transient device error")
-	// ErrMedia marks a hard, unrecoverable media error: the data at
-	// that address is gone and retries cannot help.
-	ErrMedia = errors.New("unrecoverable media error")
-	// ErrDeviceLost marks a permanently failed disk: every extent on
-	// it is lost and the device serves no further requests.
-	ErrDeviceLost = errors.New("device lost")
-	// ErrDriveLost marks a permanently failed tape drive: the
-	// transport is dead, though the cartridge itself survives and can
-	// be mounted elsewhere.
-	ErrDriveLost = errors.New("tape drive lost")
-)
-
-// IsTransient reports whether err stems from a retryable fault.
-func IsTransient(err error) bool { return errors.Is(err, ErrTransient) }
 
 // Op describes one device operation about to execute, as seen by an
 // Injector.
@@ -113,14 +91,6 @@ func (d OSDecision) Zero() bool {
 // be deterministic functions of the operation sequence.
 type Injector interface {
 	Decide(op Op) Decision
-}
-
-// Decide consults inj, tolerating a nil injector.
-func Decide(inj Injector, op Op) Decision {
-	if inj == nil {
-		return Decision{}
-	}
-	return inj.Decide(op)
 }
 
 // scope is the set of operations a kind's rules match once active.

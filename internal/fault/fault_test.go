@@ -24,7 +24,7 @@ func TestTransientRecoversAfterCount(t *testing.T) {
 	op := Op{Device: "tape:R", Addr: 90, N: 20}
 	for i := 0; i < 2; i++ {
 		d := s.Decide(op)
-		if d.Err == nil || !IsTransient(d.Err) {
+		if d.Err == nil || !errors.Is(d.Err, ErrTransient) {
 			t.Fatalf("attempt %d: want transient error, got %v", i, d.Err)
 		}
 	}
@@ -45,7 +45,7 @@ func TestRuleMatchingScope(t *testing.T) {
 			t.Fatalf("op %+v should not match, got %v", op, d.Err)
 		}
 	}
-	if d := s.Decide(Op{Device: "tape:S", Addr: 40, N: 20}); !IsTransient(d.Err) {
+	if d := s.Decide(Op{Device: "tape:S", Addr: 40, N: 20}); !errors.Is(d.Err, ErrTransient) {
 		t.Fatalf("overlapping read should fail, got %v", d.Err)
 	}
 }
@@ -57,7 +57,7 @@ func TestHardErrorPersists(t *testing.T) {
 		if !errors.Is(d.Err, ErrMedia) {
 			t.Fatalf("attempt %d: want media error, got %v", i, d.Err)
 		}
-		if IsTransient(d.Err) {
+		if errors.Is(d.Err, ErrTransient) {
 			t.Fatal("hard error must not be transient")
 		}
 	}
@@ -95,7 +95,7 @@ func TestParseRoundTrip(t *testing.T) {
 	if s.Len() != 6 {
 		t.Fatalf("want 6 rules, got %d", s.Len())
 	}
-	if d := s.Decide(Op{Device: "tape:S", Addr: 1000, N: 1}); !IsTransient(d.Err) {
+	if d := s.Decide(Op{Device: "tape:S", Addr: 1000, N: 1}); !errors.Is(d.Err, ErrTransient) {
 		t.Fatalf("transient directive: got %v", d.Err)
 	}
 	if d := s.Decide(Op{Device: "tape:S", Now: sim.Time(time.Hour)}); !errors.Is(d.Err, ErrDriveLost) {
@@ -145,7 +145,7 @@ func TestRandomIsDeterministic(t *testing.T) {
 
 func TestNilScheduleIsInert(t *testing.T) {
 	var s *Schedule
-	if d := Decide(s, Op{Device: "tape:R", Addr: 0, N: 1}); d != (Decision{}) {
+	if d := s.Decide(Op{Device: "tape:R", Addr: 0, N: 1}); d != (Decision{}) {
 		t.Fatalf("nil schedule decided %+v", d)
 	}
 	if s.Len() != 0 {

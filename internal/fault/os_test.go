@@ -36,10 +36,10 @@ func TestDeviceRulesLeaveOSVerdictZero(t *testing.T) {
 
 func TestOSErrorMatchesReadsAndWrites(t *testing.T) {
 	s := mustParse(t, "oserr=R:7:2")
-	if d := s.Decide(Op{Device: "tape:R", Addr: 0, N: 10, Write: true, OS: true}); !IsTransient(d.OS.Err) {
+	if d := s.Decide(Op{Device: "tape:R", Addr: 0, N: 10, Write: true, OS: true}); !errors.Is(d.OS.Err, ErrTransient) {
 		t.Fatalf("write covering addr 7: want transient OS error, got %+v", d)
 	}
-	if d := s.Decide(Op{Device: "tape:R", Addr: 7, N: 1, OS: true}); !IsTransient(d.OS.Err) {
+	if d := s.Decide(Op{Device: "tape:R", Addr: 7, N: 1, OS: true}); !errors.Is(d.OS.Err, ErrTransient) {
 		t.Fatalf("read at addr 7: want transient OS error, got %+v", d)
 	}
 	if d := s.Decide(Op{Device: "tape:R", Addr: 7, N: 1, OS: true}); !d.OS.Zero() {
@@ -80,8 +80,9 @@ func TestWallStallAnyAddressAndTime(t *testing.T) {
 }
 
 func TestNilInjectorHasNoOSVerdict(t *testing.T) {
-	if d := Decide(nil, Op{Device: "disk", OS: true}); !d.OS.Zero() {
-		t.Fatalf("nil injector: %+v", d)
+	var c Counts
+	if ef, err := c.Step(nil, nil, nil, Op{Device: "disk", OS: true}, "disk: file", "f"); ef != (Effect{}) || err != nil || c != (Counts{}) {
+		t.Fatalf("nil injector: %+v, %v, %+v", ef, err, c)
 	}
 	if inj := Instrument(nil, obs.NewRegistry(), nil); inj != nil {
 		t.Fatalf("instrumenting a nil schedule gave %T, want nil", inj)
@@ -96,7 +97,7 @@ func TestInstrumentForwardsOSVerdict(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	wrapped := Instrument(mustParse(t, "oserr=disk:1"), reg, obs.NewFlightRecorder(16))
-	if d := Decide(wrapped, Op{Device: "disk", Addr: 1, N: 1, OS: true}); !errors.Is(d.OS.Err, ErrTransient) {
+	if d := wrapped.Decide(Op{Device: "disk", Addr: 1, N: 1, OS: true}); !errors.Is(d.OS.Err, ErrTransient) {
 		t.Fatalf("instrumented injector should forward the OS verdict, got %+v", d)
 	}
 	// The clean device verdict counts as ok; the OS verdict as os-error.

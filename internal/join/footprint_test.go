@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/device"
-	"repro/internal/disk"
+	"repro/internal/fault"
 	"repro/internal/relation"
 	"repro/internal/tape"
 )
@@ -263,7 +263,7 @@ func TestCDTGHRunsWhereItFits(t *testing.T) {
 func TestCDTNBDBRefusedWhereItCannotRun(t *testing.T) {
 	spec := specWithSizes(t, 256, 1024, 2)
 	res := Resources{MemoryBlocks: 128, DiskBlocks: 256 + 116, Tape: tape.Ideal()}
-	if _, err := Run(CDTNBDB{}, spec, res, nil); !errors.Is(err, ErrNeedDiskForR) || errors.Is(err, disk.ErrDiskFull) {
+	if _, err := Run(CDTNBDB{}, spec, res, nil); !errors.Is(err, ErrNeedDiskForR) || errors.Is(err, fault.ErrDiskFull) {
 		t.Fatalf("err = %v, want a refusal before the run", err)
 	}
 }

@@ -3,6 +3,7 @@ package join
 import (
 	"repro/internal/block"
 	"repro/internal/device"
+	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -75,7 +76,10 @@ func (e *env) pipeline(p *sim.Proc, queue, producer string,
 	if pipeErr == nil {
 		return nil
 	}
-	if tail == nil || e.res.DisableRecovery || !e.unitRecoverable(pipeErr) {
+	// The tail takes over on the errors runUnit restarts on.
+	restart := fault.Acts(fault.Restart, pipeErr) ||
+		len(e.disks.DeadDisks()) > 0 && fault.Acts(fault.RestartAfterLoss, pipeErr)
+	if tail == nil || e.res.DisableRecovery || !restart {
 		return pipeErr
 	}
 	return tail(next)

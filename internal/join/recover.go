@@ -12,16 +12,11 @@ import (
 	"repro/internal/sim"
 )
 
-// ErrFaultExhausted marks a read whose retry budget ran out: the fault
-// persisted through every reposition + re-read attempt. It always
-// wraps the underlying cause, so errors.Is finds both.
-var ErrFaultExhausted = errors.New("join: retries exhausted")
-
 // The fault-recovery budgets of a join run (Resources.DisableRecovery
 // turns recovery off).
 const (
 	// maxReadRetries bounds re-read attempts per device read before
-	// the read fails with ErrFaultExhausted.
+	// the read fails with fault.ErrFaultExhausted.
 	maxReadRetries = 4
 	// retryBackoff is the virtual-time cost of the first reposition +
 	// re-read attempt; it doubles per attempt. Recovery is charged in
@@ -34,32 +29,6 @@ const (
 	// backoff before giving up regardless of retries left.
 	maxRecovery = 10 * time.Minute
 )
-
-// retryableRead reports whether a failed read may succeed on re-read:
-// injected transient faults, checksum mismatches in delivered data
-// (block-level or device-frame — the stored copy may be fine), and
-// per-op deadline misses that survived the device layer's own retries
-// (the device may only be degraded; if its breaker has tripped, the
-// re-read fails fast with a non-retryable loss error instead of
-// looping). Hard media errors, lost devices and simulator bugs are not
-// retryable.
-func retryableRead(err error) bool {
-	return fault.IsTransient(err) || errors.Is(err, block.ErrBadChecksum) ||
-		errors.Is(err, device.ErrCorrupt) || errors.Is(err, device.ErrIOTimeout)
-}
-
-// unitRecoverable reports whether an error is worth restarting a work
-// unit over: exhausted read retries (the unit can re-stage its inputs)
-// and lost disks (the unit can rebuild on the surviving array). Once a
-// disk has been lost, a full-disk error is recoverable too: in-flight
-// allocations sized for the original array may overflow the shrunken
-// one, and the restarted unit re-derives its sizing from effectiveD.
-func (e *env) unitRecoverable(err error) bool {
-	if errors.Is(err, ErrFaultExhausted) || errors.Is(err, fault.ErrDeviceLost) {
-		return true
-	}
-	return errors.Is(err, device.ErrDiskFull) && len(e.disks.DeadDisks()) > 0
-}
 
 // verifyBlocks checks every delivered block's checksum, converting
 // silent corruption into a typed error at the point of transfer.
@@ -76,7 +45,7 @@ func verifyBlocks(blks []block.Block) error {
 // through: execute the read, verify the delivered blocks, and on a
 // retryable failure reposition + re-read with bounded exponential
 // backoff charged in virtual time. A spent retry budget converts the
-// last cause into ErrFaultExhausted.
+// last cause into fault.ErrFaultExhausted.
 func (e *env) readDev(p *sim.Proc, device string, read func() ([]block.Block, error)) ([]block.Block, error) {
 	var deadline sim.Deadline
 	backoff := retryBackoff
@@ -95,7 +64,7 @@ func (e *env) readDev(p *sim.Proc, device string, read func() ([]block.Block, er
 				return blks, nil
 			}
 		}
-		if e.res.DisableRecovery || !retryableRead(err) {
+		if e.res.DisableRecovery || !fault.Acts(fault.Reread, err) {
 			return nil, err
 		}
 		if attempt == 0 {
@@ -103,7 +72,7 @@ func (e *env) readDev(p *sim.Proc, device string, read func() ([]block.Block, er
 		}
 		if attempt >= maxReadRetries || deadline.Exceeded(p) {
 			return nil, fmt.Errorf("%w after %d attempts on %s: %w",
-				ErrFaultExhausted, attempt+1, device, err)
+				fault.ErrFaultExhausted, attempt+1, device, err)
 		}
 		// Reposition + re-read: the backoff stands in for rewinding
 		// past the bad spot and restreaming, charged in virtual time.
@@ -183,7 +152,12 @@ func (e *env) runUnit(p *sim.Proc, name string, work func(*sim.Proc) error) erro
 		if err == nil || e.res.DisableRecovery {
 			return err
 		}
-		if !e.unitRecoverable(err) || attempt >= maxUnitRestarts {
+		// After a disk loss, allocations sized for the original array may
+		// overflow the shrunken one, and the restart re-derives its sizing
+		// from effectiveD.
+		restart := fault.Acts(fault.Restart, err) ||
+			len(e.disks.DeadDisks()) > 0 && fault.Acts(fault.RestartAfterLoss, err)
+		if !restart || attempt >= maxUnitRestarts {
 			return err
 		}
 		e.stats.UnitRestarts++

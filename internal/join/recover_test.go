@@ -152,7 +152,7 @@ func TestRecoveryDisabledFailsFast(t *testing.T) {
 	if err == nil {
 		t.Fatal("transient fault with recovery off should abort the join")
 	}
-	if !fault.IsTransient(err) {
+	if !errors.Is(err, fault.ErrTransient) {
 		t.Fatalf("err = %v, want transient cause preserved", err)
 	}
 	if result != nil && result.Stats.Retries != 0 {
@@ -169,7 +169,7 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	if err == nil {
 		t.Fatal("persistent fault should exhaust the retry budget")
 	}
-	if !errors.Is(err, ErrFaultExhausted) {
+	if !errors.Is(err, fault.ErrFaultExhausted) {
 		t.Fatalf("err = %v, want ErrFaultExhausted", err)
 	}
 }

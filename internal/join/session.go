@@ -278,7 +278,7 @@ func (s *Session) Exec(p *sim.Proc, m Method, spec Spec, sink Sink, opts ExecOpt
 		runErr = nil
 	}
 	if runErr != nil && !res.DisableRecovery &&
-		errors.Is(runErr, fault.ErrDriveLost) && !e.stats.DriveLost {
+		fault.Acts(fault.Degrade, runErr) && !e.stats.DriveLost {
 		if streaming && e.emitted > 0 {
 			runErr = fmt.Errorf("join: drive lost after %d pairs streamed; cannot re-plan delivered output: %w",
 				e.emitted, runErr)
@@ -327,12 +327,12 @@ func (s *Session) finishStats(e *env, now sim.Time, snap devSnapshot) {
 		st.TapeBlocksRead += ds.BlocksRead
 		st.TapeBlocksWritten += ds.BlocksWritten
 		st.TapeSeeks += ds.Seeks
-		st.Faults += ds.InjectedFaults
+		st.Faults += ds.Faults
 	}
 	st.TapeBlocksRead -= snap.rStats.BlocksRead + snap.sStats.BlocksRead
 	st.TapeBlocksWritten -= snap.rStats.BlocksWritten + snap.sStats.BlocksWritten
 	st.TapeSeeks -= snap.rStats.Seeks + snap.sStats.Seeks
-	st.Faults -= snap.rStats.InjectedFaults + snap.sStats.InjectedFaults
+	st.Faults -= snap.rStats.Faults + snap.sStats.Faults
 
 	deadIDs := map[int]bool{}
 	for _, a := range append([]device.Store{e.disks}, e.retiredArrays...) {

@@ -2,42 +2,17 @@ package join
 
 // Join-layer behavior of the wall-clock fault taxonomy on the file
 // backend: OS-level errors absorbed below the join, stored corruption
-// surfacing as typed device.ErrCorrupt through the PR-1 retry
+// surfacing as typed fault.ErrCorrupt through the join's retry
 // machinery, and recovery (or typed fail-fast) depending on whether
 // the method can re-stage the damaged scratch.
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
-	"repro/internal/block"
-	"repro/internal/device"
 	"repro/internal/device/filedev"
 	"repro/internal/fault"
 )
-
-func TestRetryableReadClassification(t *testing.T) {
-	cases := []struct {
-		err  error
-		want bool
-	}{
-		{fmt.Errorf("read: %w", fault.ErrTransient), true},
-		{fmt.Errorf("blk: %w", block.ErrBadChecksum), true},
-		{fmt.Errorf("filedev: record 3: %w", device.ErrCorrupt), true},
-		{fmt.Errorf("disk: deadline: %w", device.ErrIOTimeout), true},
-		{fmt.Errorf("gone: %w", fault.ErrDeviceLost), false},
-		{fmt.Errorf("gone: %w", fault.ErrDriveLost), false},
-		{fmt.Errorf("tripped: %w", device.ErrDeviceFailed), false},
-		{fmt.Errorf("media: %w", fault.ErrMedia), false},
-		{errors.New("plain"), false},
-	}
-	for _, c := range cases {
-		if got := retryableRead(c.err); got != c.want {
-			t.Errorf("retryableRead(%v) = %v, want %v", c.err, got, c.want)
-		}
-	}
-}
 
 // fileRes is fastRes on the file backend.
 func fileRes(t *testing.T, m, d int64) Resources {
@@ -71,7 +46,7 @@ func TestOSErrorsAbsorbedBelowJoin(t *testing.T) {
 // TestStoredCorruptionRecoversViaRestage flips a stored bit of scratch
 // block 0 (and, separately, tears its final write): every re-read of
 // the damaged record fails checksum verification with typed
-// device.ErrCorrupt, the read retry budget drains into
+// fault.ErrCorrupt, the read retry budget drains into
 // ErrFaultExhausted, and the unit restart re-stages the scratch from
 // tape — this time clean — for a correct join.
 func TestStoredCorruptionRecoversViaRestage(t *testing.T) {
@@ -98,7 +73,7 @@ func TestStoredCorruptionRecoversViaRestage(t *testing.T) {
 
 // TestStoredCorruptionFailsTyped runs the same stored flip through a
 // method whose staging is not re-run by unit restarts: the join must
-// fail fast with both ErrFaultExhausted and device.ErrCorrupt in the
+// fail fast with both ErrFaultExhausted and fault.ErrCorrupt in the
 // chain — never hang, never deliver wrong tuples.
 func TestStoredCorruptionFailsTyped(t *testing.T) {
 	sched, err := fault.Parse("flip=disk:0")
@@ -106,7 +81,7 @@ func TestStoredCorruptionFailsTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _, err = runWith(t, "DT-NB", fileRes(t, 10, 64), sched)
-	if !errors.Is(err, ErrFaultExhausted) || !errors.Is(err, device.ErrCorrupt) {
-		t.Fatalf("err = %v, want ErrFaultExhausted wrapping device.ErrCorrupt", err)
+	if !errors.Is(err, fault.ErrFaultExhausted) || !errors.Is(err, fault.ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrFaultExhausted wrapping fault.ErrCorrupt", err)
 	}
 }

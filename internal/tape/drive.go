@@ -103,9 +103,7 @@ type DriveStats struct {
 	Exchanges     int64
 	ExchangeTime  sim.Duration
 	// Fault-injection activity (see internal/fault).
-	Stalls         int64
-	StallTime      sim.Duration
-	InjectedFaults int64
+	fault.Counts
 }
 
 // Drive is a simulated tape drive. A drive serves one request at a
@@ -344,7 +342,7 @@ func (d *Drive) ReadAt(p *sim.Proc, addr Addr, n int64) ([]block.Block, error) {
 	d.met.blocksRead.Add(float64(n))
 	d.observe(p, t0)
 	if corrupt {
-		corruptDelivered(data)
+		fault.Flip(data)
 	}
 	return data, nil
 }
@@ -379,7 +377,7 @@ func (d *Drive) ReadRegionReverse(p *sim.Proc, r Region) ([]block.Block, error) 
 		return nil, err
 	}
 	if corrupt {
-		defer corruptDelivered(data)
+		defer fault.Flip(data)
 	}
 	// Reverse reading starts at the region's end: position there
 	// (free when the head is already there) and stream backward.

@@ -1,10 +1,6 @@
 package tape
 
 import (
-	"errors"
-	"fmt"
-
-	"repro/internal/block"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -14,51 +10,19 @@ import (
 // request (nil disables injection).
 func (d *Drive) SetInjector(inj fault.Injector) { d.inj = inj }
 
-// consult asks the injector about one request while the drive is held.
-// Stalls are charged immediately (the drive hiccups while holding the
-// transport); injected errors are returned wrapped with the drive
-// identity and charge no transfer time, like hard media errors.
-// corrupt=true asks the caller to bit-flip the delivered copy.
+// consult runs the fault step of one request while the drive is held:
+// corrupt=true asks the caller to Flip the delivered copy.
 func (d *Drive) consult(p *sim.Proc, write bool, addr Addr, n int64) (corrupt bool, err error) {
-	dec := fault.Decide(d.inj, fault.Op{
-		Device: "tape:" + d.name, Write: write,
-		Addr: int64(addr), N: n, Now: p.Now(),
-	})
-	if dec.Stall > 0 {
-		d.Stats.Stalls++
-		d.Stats.StallTime += dec.Stall
-		t0 := p.Now()
-		p.Hold(dec.Stall)
-		d.record(p, obs.Fault, t0, 0)
-	}
-	if dec.Err != nil {
-		d.Stats.InjectedFaults++
-		if errors.Is(dec.Err, fault.ErrDriveLost) {
-			d.lost = true
-		}
-		return false, fmt.Errorf("tape: drive %q: %w", d.name, dec.Err)
-	}
-	if dec.Corrupt {
-		d.Stats.InjectedFaults++
-	}
-	return dec.Corrupt, nil
+	ef, err := d.Stats.Step(p, d.inj, d.tracker, fault.Op{
+		Device: "tape:" + d.name, Write: write, Addr: int64(addr), N: n,
+	}, "tape: drive", d.name)
+	d.lost = d.lost || ef.Lost
+	return ef.Corrupt, err
 }
 
 // Lost reports whether an injected drive failure has killed this
 // drive's transport.
 func (d *Drive) Lost() bool { return d.lost }
-
-// corruptDelivered bit-flips one block of a delivered read without
-// touching the stored data, so a re-read of the same region recovers.
-func corruptDelivered(blks []block.Block) {
-	if len(blks) == 0 {
-		return
-	}
-	i := len(blks) / 2
-	bad := append(block.Block(nil), blks[i]...)
-	bad[len(bad)-1] ^= 0xff
-	blks[i] = bad
-}
 
 // transport is the single physical drive behind a shared drive pair.
 type transport struct {

@@ -88,7 +88,7 @@ func TestMultiVolumeTransientRecoversAcrossBoundary(t *testing.T) {
 			t.Error("first read should hit the transient fault")
 			return
 		}
-		if !fault.IsTransient(err) {
+		if !errors.Is(err, fault.ErrTransient) {
 			t.Errorf("err = %v, want transient classification", err)
 		}
 		if !strings.Contains(err.Error(), `"R"`) {
@@ -107,8 +107,8 @@ func TestMultiVolumeTransientRecoversAcrossBoundary(t *testing.T) {
 				t.Errorf("block %d: key %d, want %d", i, tuples[0].Key, want)
 			}
 		}
-		if d.Stats.InjectedFaults != 1 {
-			t.Errorf("InjectedFaults = %d, want 1", d.Stats.InjectedFaults)
+		if d.Stats.Faults != 1 {
+			t.Errorf("Faults = %d, want 1", d.Stats.Faults)
 		}
 	})
 	if err := k.Run(); err != nil {

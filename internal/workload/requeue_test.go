@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/device/filedev"
 	"repro/internal/fault"
 	"repro/internal/join"
 )
@@ -69,6 +70,53 @@ func TestRequeueExhaustedFailsTyped(t *testing.T) {
 	}
 	if q1.Failed || q1.Matches != b.expect["q1"] {
 		t.Fatalf("batch did not continue past failed query: %+v", q1)
+	}
+}
+
+// TestDeviceFailureContainedToQuery: every device-class failure fails
+// its own query, typed, and never the batch; a requeue needs recovery
+// on and a failure worth one. A hard media error is not worth one, and
+// with recovery off every fault fails its query at once — on the file
+// backend too, whose stored corruption used to earn a requeue there.
+func TestDeviceFailureContainedToQuery(t *testing.T) {
+	cases := []struct {
+		spec            string
+		noRecover, file bool
+		cause           string
+	}{
+		{"hard=R:3", false, false, "unrecoverable media error"},
+		{"transient=R:3:1", true, false, "injected transient read error"},
+		{"corrupt=R:3", true, false, "checksum mismatch"},
+		{"flip=disk:3", true, true, "failed checksum verification"},
+	}
+	for _, c := range cases {
+		t.Run(c.spec, func(t *testing.T) {
+			b := makeBatch(t, FIFO, 0)
+			b.cfg.Resources.DisableRecovery = c.noRecover
+			if c.file {
+				b.cfg.Resources.Backend = filedev.New(t.TempDir())
+			}
+			b, out := faultedBatch(t, b, 2, c.spec)
+			if out.Requeues != 0 {
+				t.Fatalf("Requeues = %d, want 0", out.Requeues)
+			}
+			q0 := out.Queries[0]
+			if !q0.Failed || q0.Requeued || q0.Matches != 0 {
+				t.Fatalf("q0: failed=%v requeued=%v matches=%d, want failed without requeue",
+					q0.Failed, q0.Requeued, q0.Matches)
+			}
+			if !strings.HasPrefix(q0.Reason, ReasonDeviceFailed+": ") || !strings.Contains(q0.Reason, c.cause) {
+				t.Fatalf("q0 reason %q, want %s: ...%s...", q0.Reason, ReasonDeviceFailed, c.cause)
+			}
+			for _, qr := range out.Queries[1:] {
+				if !qr.Failed && qr.Matches != b.expect[qr.ID] {
+					t.Fatalf("%s matches = %d, want %d", qr.ID, qr.Matches, b.expect[qr.ID])
+				}
+				if qr.Failed && !strings.Contains(qr.Reason, c.cause) {
+					t.Fatalf("%s failed with %q", qr.ID, qr.Reason)
+				}
+			}
+		})
 	}
 }
 

@@ -150,8 +150,8 @@ type QueryResult struct {
 	// CacheHit marks a query whose R copy came from the staging cache
 	// instead of tape.
 	CacheHit bool
-	// Failed marks a query no feasible method could serve — or one that
-	// failed again after a device-failure requeue; Reason explains.
+	// Failed marks a query no feasible method could serve — or one a
+	// device failure ended; Reason explains.
 	// Failed queries produce no output but do not abort the batch.
 	// Reason is always typed: "<kind>: <detail>" with kind one of the
 	// Reason* constants, so callers can switch on the class without
@@ -189,8 +189,9 @@ const (
 	// ReasonInfeasible marks a query no method could serve within its
 	// resource partition (the M/k and D budgets of admission control).
 	ReasonInfeasible = "infeasible"
-	// ReasonDeviceFailed marks a query that failed again on the
-	// surviving device complex after a device-class requeue.
+	// ReasonDeviceFailed marks a query a device failure ended: one not
+	// worth a requeue, one that failed again after its requeue, or any
+	// with recovery off.
 	ReasonDeviceFailed = "device-failed"
 	// ReasonDeadline marks a query whose deadline expired before
 	// service started (online scheduling only).
@@ -493,16 +494,23 @@ func (en *engine) release(s *staged) {
 	}
 }
 
-// deviceFailure classifies errors that indict the device complex
-// rather than the query: lost drives and stores, tripped wall-clock
-// breakers, unrecoverable stored corruption, and exhausted fault-retry
-// budgets. A query failing this way is re-admitted once on whatever
-// survives; anything else (infeasible plans, simulator bugs) aborts
-// the batch as before.
-func deviceFailure(err error) bool {
-	return errors.Is(err, fault.ErrDriveLost) || errors.Is(err, fault.ErrDeviceLost) ||
-		errors.Is(err, device.ErrDeviceFailed) || errors.Is(err, device.ErrCorrupt) ||
-		errors.Is(err, join.ErrFaultExhausted)
+// requeue reports whether a device failure earns its query a second
+// service on the surviving devices: recovery is on and the failure's
+// class is worth a requeue. Every other device failure fails only its
+// query (fault.Contain); anything else aborts the batch.
+func (en *engine) requeue(err error) bool {
+	return !en.session.Resources().DisableRecovery && fault.Acts(fault.Requeue, err)
+}
+
+// fail marks query qi Failed by the device failure err.
+func (en *engine) fail(p *sim.Proc, qi int, start sim.Duration, requeued bool, err error) {
+	q := en.queries[qi]
+	en.results[qi] = QueryResult{
+		ID: q.ID, Requested: q.Method, Requeued: requeued,
+		Failed: true, Reason: typedReason(ReasonDeviceFailed, err),
+		Start: start, End: sim.Duration(p.Now()), Wait: start,
+	}
+	en.logf(p, "query %s: failed (%v)", q.ID, err)
 }
 
 // syncDevices reconciles engine state after a query that may have
@@ -537,23 +545,18 @@ func (en *engine) runSingle(p *sim.Proc, qi int) error {
 		if err == nil {
 			return nil
 		}
-		if !deviceFailure(err) {
+		if !fault.Acts(fault.Contain, err) {
 			return fmt.Errorf("workload: query %s: %w", q.ID, err)
-		}
-		if attempt == 0 && q.StopAfter == 0 {
-			en.out.Requeues++
-			en.logf(p, "requeue %s on surviving devices after: %v", q.ID, err)
-			continue
 		}
 		// StopAfter queries are never requeued: part of their prefix may
 		// already have been streamed to the sink, and a rerun would
 		// double-deliver it.
-		en.results[qi] = QueryResult{
-			ID: q.ID, Requested: q.Method, Requeued: attempt > 0,
-			Failed: true, Reason: typedReason(ReasonDeviceFailed, err),
-			Start: start, End: sim.Duration(p.Now()), Wait: start,
+		if attempt == 0 && q.StopAfter == 0 && en.requeue(err) {
+			en.out.Requeues++
+			en.logf(p, "requeue %s on surviving devices after: %v", q.ID, err)
+			continue
 		}
-		en.logf(p, "query %s: failed (%v)", q.ID, err)
+		en.fail(p, qi, start, attempt > 0, err)
 		return nil
 	}
 }
@@ -633,11 +636,18 @@ func sinkHash(s join.Sink) uint64 {
 	return 0
 }
 
-// demote falls back from a failed shared pass to solo service: each
-// rider re-enters as a single query — with its own requeue budget — on
-// the surviving devices. A failed pass delivers nothing to its riders'
+// demote answers a shared pass's device failure. When the failure
+// earns a requeue, each rider re-enters solo service as a single query
+// — with its own requeue budget — on the surviving devices; otherwise
+// every rider fails. A failed pass delivers nothing to its riders'
 // sinks (join.SharedQuery.Sink), so no pair is double-delivered.
-func (en *engine) demote(p *sim.Proc, indices []int, cause error) error {
+func (en *engine) demote(p *sim.Proc, indices []int, start sim.Duration, cause error) error {
+	if !en.requeue(cause) {
+		for _, qi := range indices {
+			en.fail(p, qi, start, false, cause)
+		}
+		return nil
+	}
 	en.logf(p, "shared pass failed (%v); demoting %d riders to singles", cause, len(indices))
 	en.out.Demotions += len(indices)
 	for _, qi := range indices {
@@ -672,8 +682,8 @@ func (en *engine) runShared(p *sim.Proc, indices []int) error {
 				en.release(h)
 			}
 			en.syncDevices(p)
-			if deviceFailure(err) {
-				return en.demote(p, indices, err)
+			if fault.Acts(fault.Contain, err) {
+				return en.demote(p, indices, start, err)
 			}
 			return fmt.Errorf("workload: query %s: %w", q.ID, err)
 		}
@@ -696,8 +706,8 @@ func (en *engine) runShared(p *sim.Proc, indices []int) error {
 	}
 	en.syncDevices(p)
 	if err != nil {
-		if deviceFailure(err) {
-			return en.demote(p, indices, err)
+		if fault.Acts(fault.Contain, err) {
+			return en.demote(p, indices, start, err)
 		}
 		return fmt.Errorf("workload: shared pass over %s: %w", bigS.Name, err)
 	}

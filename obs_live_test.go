@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/device"
+	"repro/internal/fault"
 	"repro/internal/obs"
 )
 
@@ -177,8 +177,8 @@ func TestObsServerReportsTrippedDevice(t *testing.T) {
 	if err == nil {
 		t.Fatal("join should fail fast with every disk op stalling")
 	}
-	if !errors.Is(err, device.ErrIOTimeout) {
-		t.Fatalf("want ErrIOTimeout in the chain, got %v", err)
+	if !errors.Is(err, fault.ErrTimeout) {
+		t.Fatalf("want ErrTimeout in the chain, got %v", err)
 	}
 
 	code, body := httpGet(t, sys.ObsAddr(), "/health")

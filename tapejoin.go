@@ -140,9 +140,9 @@ type Config struct {
 	FileSynchronous bool
 	// FileOpTimeout, when positive, bounds each "file" backend device
 	// operation's wall-clock time: an operation that overruns fails
-	// with device.ErrIOTimeout, degrades the device's health, and
+	// with fault.ErrTimeout, degrades the device's health, and
 	// FileTripAfter consecutive misses trip its circuit breaker —
-	// further operations then fail fast with device.ErrDeviceFailed.
+	// further operations then fail fast with fault.ErrDeviceFailed.
 	// Zero disables deadlines (operations may block indefinitely on a
 	// stuck syscall).
 	FileOpTimeout time.Duration
