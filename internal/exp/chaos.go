@@ -142,7 +142,10 @@ func chaosBatch(scale float64, faults string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	sMB := scaleMB(16, scale)
+	// Each query expects about |R|·|S| matches (MB; 64 tuples per MB
+	// over 4096 keys). Below 4 MB of S a scaled-down query can expect
+	// none, and the oracle would be vacuous.
+	sMB := max(scaleMB(16, scale), 4)
 	rMB := scaleMB(4, scale)
 	tS, err := sys.NewTape("S1", 2*sMB+2)
 	if err != nil {

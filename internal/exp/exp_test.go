@@ -40,10 +40,7 @@ func TestTable3ShapeAndMonotoneRelCost(t *testing.T) {
 }
 
 func TestFigure4UtilizationNearFull(t *testing.T) {
-	points, err := Figure4(0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	points := paperRun(t, "figure4").([]Fig4Point)
 	if len(points) < 100 {
 		t.Fatalf("only %d trace points", len(points))
 	}
@@ -175,18 +172,9 @@ func TestExperiment3Shapes(t *testing.T) {
 }
 
 func TestExperiment3CompressionEffect(t *testing.T) {
-	base, err := Experiment3(0.1, tapejoin.Compress25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow, err := Experiment3(0.1, tapejoin.Compress0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := Experiment3(0.1, tapejoin.Compress50)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := paperRun(t, "experiment3").([]Exp3Row)
+	slow := paperRun(t, "figure10").([]Exp3Row)
+	fast := paperRun(t, "figure11").([]Exp3Row)
 	// Section 9: a slower tape reduces the concurrent methods' join
 	// overhead, a faster tape increases it. Compare CDT-GH at its
 	// sweet spot.
@@ -296,10 +284,7 @@ func TestFormatters(t *testing.T) {
 }
 
 func TestAblationsQuantifyDesignChoices(t *testing.T) {
-	rows, err := Ablations(0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := paperRun(t, "ablations").([]AblationRow)
 	if len(rows) != 6 {
 		t.Fatalf("%d ablations", len(rows))
 	}
@@ -341,10 +326,7 @@ func TestAblationsQuantifyDesignChoices(t *testing.T) {
 }
 
 func TestTable2MeasuredRequirements(t *testing.T) {
-	rows, err := Table2()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := paperRun(t, "table2").([]Table2Row)
 	if len(rows) != 9 {
 		t.Fatalf("%d rows", len(rows))
 	}

@@ -74,13 +74,8 @@ func FormatTable3(rows []Table3Row) string {
 // FormatFigure4 renders the utilization trace, downsampled to at most
 // maxRows lines.
 func FormatFigure4(points []Fig4Point, maxRows int) string {
-	if maxRows < 1 {
-		maxRows = 1
-	}
-	stride := len(points)/maxRows + 1
 	out := [][]string{}
-	for i := 0; i < len(points); i += stride {
-		p := points[i]
+	for _, p := range sampleFigure4(points, maxRows) {
 		out = append(out, []string{
 			fmt.Sprintf("%.0f", p.Seconds),
 			fmt.Sprintf("%.1f", p.EvenPct),
@@ -89,6 +84,17 @@ func FormatFigure4(points []Fig4Point, maxRows int) string {
 		})
 	}
 	return FormatTable([]string{"Time (s)", "Even iter (%)", "Odd iter (%)", "Total (%)"}, out)
+}
+
+// sampleFigure4 keeps at most maxRows evenly strided points of the
+// trace, the first among them.
+func sampleFigure4(points []Fig4Point, maxRows int) []Fig4Point {
+	stride := len(points)/max(maxRows, 1) + 1
+	var out []Fig4Point
+	for i := 0; i < len(points); i += stride {
+		out = append(out, points[i])
+	}
+	return out
 }
 
 // FormatFigure5 renders Experiment 2's two series.
@@ -176,14 +182,14 @@ func FormatFigure8(rows []Exp3Row) string {
 }
 
 // FormatOverhead renders the relative join overhead series (Figures
-// 9, 10 and 11).
-func FormatOverhead(rows []Exp3Row, title string) string {
+// 9, 10 and 11), under an empty title line.
+func FormatOverhead(rows []Exp3Row) string {
 	return exp3Series(rows, func(r Exp3Row) string {
 		if !r.Feasible {
 			return "infeasible"
 		}
 		return fmt.Sprintf("%.0f%%", 100*r.Overhead)
-	}, title)
+	}, "")
 }
 
 // FormatAnalytic renders one of Figures 1–3.

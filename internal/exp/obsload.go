@@ -6,13 +6,13 @@ import (
 	"time"
 
 	tapejoin "repro"
+	"repro/internal/join"
 	"repro/internal/obs"
 )
 
 // ObsloadRow is one check of the instrumentation-overhead experiment:
 // a measured value against its stated budget. A budget of "report"
-// marks a characterization row that informs thresholds elsewhere
-// (benchreg's wall-metric gate) but never fails the experiment.
+// marks a characterization row that never fails the experiment.
 type ObsloadRow struct {
 	Check  string
 	Value  string
@@ -49,7 +49,7 @@ const (
 // the wall-clock overhead on the file backend stays within budget;
 // microbenchmarks the flight recorder against its per-event budget;
 // and characterizes run-to-run variance of the wall metrics, the data
-// behind benchreg's wall-overlap threshold.
+// any wall-clock threshold must be set against.
 func Obsload(scale float64) ([]ObsloadRow, error) {
 	rMB := scaleMB(4, scale)
 	sMB := scaleMB(16, scale)
@@ -110,15 +110,14 @@ func Obsload(scale float64) ([]ObsloadRow, error) {
 
 	// 3. File-backend wall overhead: instrumentation on vs off, best of
 	// obsloadRuns each (min is the least noisy wall estimator), plus
-	// run-to-run variance of the wall metrics from the observed runs.
-	// The geometry mirrors BenchmarkFileBackendOverlap (paced device
-	// emulation, a disk-staging method) so the variance figures speak
-	// to the same wall-sec / wall-overlap series benchreg snapshots.
+	// run-to-run variance of the wall metrics from the observed runs:
+	// paced device emulation and a disk-staging method, so that the
+	// devices have transfers to overlap. M and D are floored at
+	// CDT-GH's footprint, which binds only well below scale 1.
 	fileOff := base
 	fileOff.Backend = "file"
 	fileOff.FilePace = 100
-	fileOff.MemoryMB = scaleMBf(2, scale)
-	fileOff.DiskMB = scaleMBf(16, scale)
+	fileOff.MemoryMB, fileOff.DiskMB = floorMB(join.CDTGH{}, rMB, sMB, scaleMBf(2, scale), scaleMBf(16, scale))
 	fileOn := fileOff
 	fileOn.Observe = true
 	var offWall, onWall, wallSecs, overlaps []float64

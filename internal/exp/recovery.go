@@ -1,8 +1,10 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"time"
 
 	tapejoin "repro"
@@ -53,9 +55,12 @@ var recoveryScenarios = []struct {
 // its fault schedule — and reports the recovery counters and the
 // response-time cost of the faults. Every faulted run must still
 // produce the correct join cardinality; Verified records the check.
+// The schedule's @TIME triggers scale with the workload, so a device
+// loss still lands inside the shrunken join.
 func FaultRecovery(scale float64) ([]RecoveryRow, error) {
 	rows := make([]RecoveryRow, 0, len(recoveryScenarios))
 	for _, sc := range recoveryScenarios {
+		faults := scaleTriggers(sc.faults, scale)
 		rMB := scaleMB(sc.rMB, scale)
 		sMB := scaleMB(sc.sMB, scale)
 		cfg := tapejoin.Config{
@@ -79,7 +84,7 @@ func FaultRecovery(scale float64) ([]RecoveryRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s (clean): %w", sc.name, err)
 		}
-		faulted, want, err := run(sc.faults)
+		faulted, want, err := run(faults)
 		if err != nil {
 			return nil, fmt.Errorf("%s (faulted): %w", sc.name, err)
 		}
@@ -87,7 +92,7 @@ func FaultRecovery(scale float64) ([]RecoveryRow, error) {
 		rows = append(rows, RecoveryRow{
 			Scenario:   sc.name,
 			Method:     string(sc.method),
-			Faults:     sc.faults,
+			Faults:     faults,
 			Clean:      clean.Stats.Response,
 			Faulted:    st.Response,
 			Injected:   st.Faults,
@@ -100,6 +105,40 @@ func FaultRecovery(scale float64) ([]RecoveryRow, error) {
 		})
 	}
 	return rows, nil
+}
+
+// scaleTriggers scales every @TIME trigger of a fault spec by scale; at
+// scale 1 the spec is returned as written.
+func scaleTriggers(spec string, scale float64) string {
+	if scale == 1 {
+		return spec
+	}
+	parts := strings.Split(spec, ",")
+	for i, p := range parts {
+		head, at, ok := strings.Cut(p, "@")
+		if d, err := time.ParseDuration(at); ok && err == nil {
+			parts[i] = head + "@" + time.Duration(float64(d)*scale).Round(time.Millisecond).String()
+		}
+	}
+	return strings.Join(parts, ",")
+}
+
+// RecoveryVerdict fails a scenario whose faulted run injected no fault
+// (it tested nothing), lost tuples, or lost a tape drive without
+// re-planning onto the one left.
+func RecoveryVerdict(rows []RecoveryRow) error {
+	var errs []error
+	for _, r := range rows {
+		switch {
+		case r.Injected == 0:
+			errs = append(errs, fmt.Errorf("recovery: %s: %s injected no fault", r.Scenario, r.Faults))
+		case !r.Verified:
+			errs = append(errs, fmt.Errorf("recovery: %s: wrong output cardinality", r.Scenario))
+		case strings.Contains(r.Faults, "drivefail=") && r.DegradedTo == "":
+			errs = append(errs, fmt.Errorf("recovery: %s: drive lost but the join never degraded", r.Scenario))
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // FormatRecovery renders the fault-recovery experiment as a table.

@@ -49,7 +49,7 @@ func skewGeometry(scale float64, quick bool) (rMB, sMB int64, memMB, diskMB floa
 	if quick {
 		return 4, 16, 0.75, 24
 	}
-	return 16, scaleMB(64, scale), 2.5, 96
+	return 16, max(scaleMB(64, scale), 16), 2.5, 96 // R must stay the smaller relation
 }
 
 // skewRun executes one join: Zipf(theta) keys when theta > 0, with or
@@ -142,6 +142,18 @@ func Skew(scale float64, quick bool) ([]SkewRow, error) {
 		}
 	}
 	return rows, nil
+}
+
+// simRows keeps the sim backend's rows: virtual time, unlike the
+// file backend's wall-clock responses.
+func simRows(rows []SkewRow) any {
+	var sim []SkewRow
+	for _, r := range rows {
+		if r.Backend == "sim" {
+			sim = append(sim, r)
+		}
+	}
+	return sim
 }
 
 // SkewVerdict enforces the experiment's contract on the sim backend:
