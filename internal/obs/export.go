@@ -137,7 +137,7 @@ func ChromeTrace(spans []*Span, events []Event) ([]byte, error) {
 // CheckChromeTrace decodes data as Chrome trace_event JSON and asserts
 // the invariants Perfetto relies on: a traceEvents array, known phase
 // letters, named threads for every track, non-negative timestamps and
-// durations. Used by cmd/tracecheck and the CI trace-schema step.
+// durations. Used by tapejoin check and the CI trace-schema step.
 func CheckChromeTrace(data []byte) error {
 	var doc struct {
 		TraceEvents []map[string]any `json:"traceEvents"`

@@ -20,7 +20,7 @@ import (
 // line, none are lost, none are duplicated — and reporting wall-clock
 // latency percentiles. Mount churn and shared-pass counts come from
 // FetchStats, so a driver can put fifo, mount-aware and shared-scan
-// side by side (see cmd/tapeload and the root service load test).
+// side by side (see tapejoin load and the root service load test).
 
 // LoadSpec describes a deterministic workload.
 type LoadSpec struct {
