@@ -359,11 +359,16 @@ type env struct {
 	// Recovery state. log stages output that may yet be discarded:
 	// always under wholeRun (so a drive-loss re-plan can rewind to
 	// zero), else only inside a staged unit; staging says whether emit
-	// stages right now. Retired devices keep contributing to final
-	// stats after a degrade swaps them out.
+	// stages right now. A whole-run-staged run whose sink is a Rewinder
+	// bypasses the log: rew is that sink, fed live by emit and rewound
+	// wherever the log is, and runMark is its state at run start.
+	// Retired devices keep contributing to final stats after a degrade
+	// swaps them out.
 	log           stageLog
 	wholeRun      bool
 	staging       bool
+	rew           Rewinder
+	runMark       any
 	retiredDrives []device.Drive
 	retiredArrays []device.Store
 	eodR, eodS    device.Addr // media EODs at run start, for scratch rollback
@@ -392,9 +397,13 @@ func (e *env) emit(p *sim.Proc, r, s block.Tuple) {
 		// poll unwinds the run. Delivered output is min(n, |R ⋈ S|).
 		return
 	}
-	if e.staging {
+	switch {
+	case e.rew != nil:
+		// Live into a rewindable sink; Exec stamps FirstTuple at commit.
+		e.sink.Emit(p, r, s)
+	case e.staging:
 		e.log.emit(r, s)
-	} else {
+	default:
 		e.deliver(p, r, s)
 	}
 	e.emitted++

@@ -16,7 +16,7 @@ func testSpec(t *testing.T) Spec {
 	return specWithSizes(t, 24, 96, 4)
 }
 
-func specWithSizes(t *testing.T, rBlocks, sBlocks int64, tuplesPerBlock int) Spec {
+func specWithSizes(t testing.TB, rBlocks, sBlocks int64, tuplesPerBlock int) Spec {
 	t.Helper()
 	mR := tape.NewMedia("tapeR", rBlocks+sBlocks+256)
 	mS := tape.NewMedia("tapeS", sBlocks+rBlocks+256)

@@ -114,23 +114,28 @@ func (e *env) readSrc(p *sim.Proc, src bucketSource, off, n int64) ([]block.Bloc
 // staged runs work with its output staged in the run's log: kept on
 // success — flushed at once by a streaming run, left for Exec's final
 // flush by a whole-run-staged one — and rewound to the savepoint on
-// failure, so a retried unit never double-delivers. A unit stopped by
-// the output cut-off commits what it emitted — those pairs are
-// delivered, the stop just cut the unit short — while a real failure
-// also rolls the emission count back so the restarted unit re-counts
-// from the committed baseline. Units do not nest. With recovery
-// disabled it runs work directly.
+// failure, so a retried unit never double-delivers; a Rewinder sink
+// fed live (e.rew) is rewound to its own mark alongside. A unit
+// stopped by the output cut-off commits what it emitted — those pairs
+// are delivered, the stop just cut the unit short — while a real
+// failure also rolls the emission count back so the restarted unit
+// re-counts from the committed baseline. Units do not nest. With
+// recovery disabled it runs work directly.
 func (e *env) staged(p *sim.Proc, work func() error) error {
 	if e.res.DisableRecovery {
 		return work()
 	}
 	mark := e.log.savepoint()
+	var sinkMark any
+	if e.rew != nil {
+		sinkMark = e.rew.Mark()
+	}
 	before := e.emitted
 	e.staging = true
 	err := work()
 	e.staging = e.wholeRun
 	if err == nil || errors.Is(err, ErrStopped) {
-		sp := e.span(p, "stage-commit", obs.AInt("pairs", e.log.pairs-mark.pairs))
+		sp := e.span(p, "stage-commit", obs.AInt("pairs", e.emitted-before))
 		if !e.wholeRun {
 			e.log.flush(p, e.deliver)
 		}
@@ -138,6 +143,9 @@ func (e *env) staged(p *sim.Proc, work func() error) error {
 		return err
 	}
 	e.log.rewind(mark)
+	if e.rew != nil {
+		e.rew.Rewind(sinkMark)
+	}
 	e.emitted = before
 	return err
 }
@@ -209,12 +217,16 @@ func (e *env) degradeRerun(p *sim.Proc, cause error) error {
 		Note: fmt.Sprintf("drive lost, re-planning: %v", cause),
 	})
 
-	// Discard the failed attempt: staged output, leaked memory
-	// accounting, disk space, and tape scratch garbage. The emission
-	// count and first-tuple stamp restart with the rerun — nothing the
-	// failed attempt produced was delivered (Exec only degrades when
-	// the whole run is staged or nothing streamed out yet).
+	// Discard the failed attempt: staged output (or what a Rewinder
+	// sink took live), leaked memory accounting, disk space, and tape
+	// scratch garbage. The emission count and first-tuple stamp
+	// restart with the rerun — nothing the failed attempt produced was
+	// delivered (Exec only degrades when the whole run is staged or
+	// nothing streamed out yet).
 	e.log.rewind(logMark{})
+	if e.rew != nil {
+		e.rew.Rewind(e.runMark)
+	}
 	e.emitted = 0
 	e.firstEmitSet = false
 	e.stats.FirstTuple = 0

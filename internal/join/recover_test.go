@@ -363,35 +363,63 @@ func commitPairs(t *testing.T, tr *obs.Tracker) []string {
 	return out
 }
 
+// deliveryCase is one way output can reach a sink: the sink, and a
+// function returning what it received in a comparable form.
+type deliveryCase struct {
+	name string
+	sink func() (Sink, func() any)
+}
+
+// countCase feeds a CountSink, a Rewinder: a whole-run-staged run
+// delivers to it live and rewinds it by mark.
+func countCase(name string) deliveryCase {
+	return deliveryCase{name, func() (Sink, func() any) {
+		c := &CountSink{}
+		return c, func() any { return *c }
+	}}
+}
+
+// logOnlyCase feeds an oracleSink, which has no Mark or Rewind: a
+// whole-run-staged run holds its pairs in the staging log. Its output
+// compares as a sorted multiset.
+func logOnlyCase(name string) deliveryCase {
+	return deliveryCase{name, func() (Sink, func() any) {
+		o := &oracleSink{}
+		return o, func() any { return o.sorted() }
+	}}
+}
+
 // TestUnitRestartDeliversExactlyOnce: a disk read fault that outlives
 // the read-retry budget fails an S-chunk unit after it has already
-// emitted pairs; the unit rewinds the staging log to its savepoint and
-// restarts. Under whole-run staging and under streaming alike the sink
-// must receive every pair exactly once, and each unit's stage-commit
-// span must report the unit's own pairs — the same sequence as the
-// fault-free run, not the log's running total.
+// emitted pairs; the unit rewinds its staged output — the staging log
+// to its savepoint, a live-fed Rewinder sink to its mark — and
+// restarts. Under whole-run staging on both paths and under streaming
+// the sink must receive every pair exactly once, and each unit's
+// stage-commit span must report the unit's own pairs — the same
+// sequence as the fault-free run, not a running total.
 func TestUnitRestartDeliversExactlyOnce(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		sink func() (Sink, *CountSink)
-	}{
-		{"whole-run staging", func() (Sink, *CountSink) { c := &CountSink{}; return c, c }},
+	for _, tc := range []deliveryCase{
+		countCase("whole-run staging"),
+		logOnlyCase("whole-run staging, log only"),
 		// A StreamSink that is never satisfied: streaming delivery,
 		// full output.
-		{"streaming", func() (Sink, *CountSink) { c := &CountSink{}; return &StopSink{Inner: c}, c }},
+		{"streaming", func() (Sink, func() any) {
+			c := &CountSink{}
+			return &StopSink{Inner: c}, func() any { return *c }
+		}},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(sched *fault.Schedule) (*Result, *CountSink, []string) {
+			run := func(sched *fault.Schedule) (*Result, any, []string) {
 				res := fastRes(10, 64)
 				res.Faults = sched
 				res.Spans = obs.NewTracker()
-				sink, count := tc.sink()
+				sink, got := tc.sink()
 				result, err := Run(mustMethod(t, "DT-NB"), testSpec(t), res, sink)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return result, count, commitPairs(t, res.Spans)
+				return result, got(), commitPairs(t, res.Spans)
 			}
 			clean, cleanSink, cleanCommits := run(nil)
 			if len(cleanCommits) < 2 || cleanCommits[0] == "0" {
@@ -405,8 +433,8 @@ func TestUnitRestartDeliversExactlyOnce(t *testing.T) {
 			if faulted.Stats.UnitRestarts != 1 {
 				t.Fatalf("UnitRestarts = %d, want 1", faulted.Stats.UnitRestarts)
 			}
-			if *sink != *cleanSink {
-				t.Fatalf("faulted sink %+v, clean %+v", *sink, *cleanSink)
+			if !reflect.DeepEqual(sink, cleanSink) {
+				t.Fatalf("faulted sink %+v, clean %+v", sink, cleanSink)
 			}
 			if faulted.Stats.OutputTuples != clean.Stats.OutputTuples {
 				t.Fatalf("OutputTuples = %d, clean %d", faulted.Stats.OutputTuples, clean.Stats.OutputTuples)
@@ -419,56 +447,126 @@ func TestUnitRestartDeliversExactlyOnce(t *testing.T) {
 }
 
 // TestDriveLossReplanDeliversExactlyOnce: a drive dies after units of
-// the first plan have committed into the whole-run log; the re-plan
-// rewinds the log to zero and the fallback method's output is the only
-// one delivered — byte for byte the fault-free multiset — with the
-// fallback's stage-commit spans adding up to it.
+// the first plan have committed into the whole-run staging — the log,
+// or a live-fed Rewinder sink; the re-plan rewinds it to the run's
+// start and the fallback method's output is the only one delivered —
+// byte for byte the fault-free multiset — with the fallback's
+// stage-commit spans adding up to it.
 func TestDriveLossReplanDeliversExactlyOnce(t *testing.T) {
-	res := fastRes(20, 500)
-	cleanSink := &CountSink{}
-	clean, err := Run(mustMethod(t, "CDT-GH"), specWithSizes(t, 320, 640, 4), res, cleanSink)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []deliveryCase{countCase("rewinder"), logOnlyCase("log only")} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			res := fastRes(20, 500)
+			cleanSink, cleanGot := tc.sink()
+			clean, err := Run(mustMethod(t, "CDT-GH"), specWithSizes(t, 320, 640, 4), res, cleanSink)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	res.Faults = mustFaults("drivefail=S@%v", clean.Stats.Response*2/3)
-	res.Spans = obs.NewTracker()
-	sink := &CountSink{}
-	faulted, err := Run(mustMethod(t, "CDT-GH"), specWithSizes(t, 320, 640, 4), res, sink)
-	if err != nil {
-		t.Fatalf("degraded run: %v", err)
+			res.Faults = mustFaults("drivefail=S@%v", clean.Stats.Response*2/3)
+			res.Spans = obs.NewTracker()
+			sink, got := tc.sink()
+			faulted, err := Run(mustMethod(t, "CDT-GH"), specWithSizes(t, 320, 640, 4), res, sink)
+			if err != nil {
+				t.Fatalf("degraded run: %v", err)
+			}
+			if faulted.Stats.DegradedTo == "" {
+				t.Fatal("no re-plan happened")
+			}
+			if !reflect.DeepEqual(got(), cleanGot()) {
+				t.Fatalf("degraded run delivered %d pairs, clean %d; outputs differ",
+					sink.Count(), cleanSink.Count())
+			}
+			// Span IDs grow in creation order.
+			var replanID, before, after int64
+			for _, sp := range res.Spans.Spans() {
+				if sp.Name == "degrade-replan" {
+					replanID = sp.ID
+				}
+			}
+			for _, sp := range res.Spans.Spans() {
+				if sp.Name != "stage-commit" {
+					continue
+				}
+				n, err := strconv.ParseInt(sp.Attrs[0].Value, 10, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sp.ID < replanID {
+					before += n
+				} else {
+					after += n
+				}
+			}
+			if before == 0 {
+				t.Fatal("no unit committed before the drive died; the test does not exercise the rewind")
+			}
+			if after != cleanSink.Count() {
+				t.Fatalf("fallback committed %d pairs, want %d", after, cleanSink.Count())
+			}
+		})
 	}
-	if faulted.Stats.DegradedTo == "" {
-		t.Fatal("no re-plan happened")
-	}
-	if *sink != *cleanSink {
-		t.Fatalf("degraded sink %+v, clean %+v", *sink, *cleanSink)
-	}
-	// Span IDs grow in creation order.
-	var replanID, before, after int64
-	for _, sp := range res.Spans.Spans() {
-		if sp.Name == "degrade-replan" {
-			replanID = sp.ID
-		}
-	}
-	for _, sp := range res.Spans.Spans() {
-		if sp.Name != "stage-commit" {
-			continue
-		}
-		n, err := strconv.ParseInt(sp.Attrs[0].Value, 10, 64)
+}
+
+// TestWholeRunFirstTupleAtCommit: a whole-run-staged run delivers its
+// first pair when it commits, at run end, whether its pairs waited in
+// the staging log or reached a Rewinder sink live.
+func TestWholeRunFirstTupleAtCommit(t *testing.T) {
+	for _, tc := range []deliveryCase{countCase("rewinder"), logOnlyCase("log only")} {
+		sink, _ := tc.sink()
+		result, err := Run(mustMethod(t, "DT-NB"), testSpec(t), fastRes(10, 64), sink)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sp.ID < replanID {
-			before += n
-		} else {
-			after += n
+		if st := result.Stats; st.OutputTuples == 0 || st.FirstTuple != st.Response {
+			t.Errorf("%s: FirstTuple %v, Response %v over %d pairs; want the commit time",
+				tc.name, st.FirstTuple, st.Response, st.OutputTuples)
 		}
 	}
-	if before == 0 {
-		t.Fatal("no unit committed before the drive died; the test does not exercise the rewind")
+}
+
+// tallySink is a CountSink that also tallies every Emit call. It keeps
+// CountSink's promoted Mark and Rewind on purpose: emits survives a
+// rewind, so it witnesses pairs a rewound sink no longer shows.
+type tallySink struct {
+	CountSink
+	emits int64
+}
+
+func (s *tallySink) Emit(p *sim.Proc, r, t block.Tuple) {
+	s.emits++
+	s.CountSink.Emit(p, r, t)
+}
+
+// TestFailedRunLeavesSinkUntouched: a whole-run-staged run whose
+// retries run out after it has emitted pairs returns an error and
+// leaves its sink as it found it — a live-fed Rewinder rewound to its
+// mark, a pair-keeping sink never fed from the log.
+func TestFailedRunLeavesSinkUntouched(t *testing.T) {
+	// SYM-H's tapeS schedule from TestConcurrentPipelineSchedule: the
+	// S transient outlives one read's retry budget after the pipelined
+	// phase has emitted pairs, and that phase has no unit to restart.
+	run := func(sink Sink) {
+		t.Helper()
+		spec := testSpec(t)
+		res, _ := pinResources(128, mustFaults("transient=S:%d:6", spec.S.Region.Start+40))
+		if _, err := Run(mustMethod(t, "SYM-H"), spec, res, sink); !errors.Is(err, fault.ErrFaultExhausted) {
+			t.Fatalf("%T: err = %v, want the exhausted-retry error", sink, err)
+		}
 	}
-	if after != cleanSink.Matches {
-		t.Fatalf("fallback committed %d pairs, want %d", after, cleanSink.Matches)
+	tally := &tallySink{}
+	run(tally)
+	if tally.emits == 0 {
+		t.Fatal("no pairs emitted before the failure; the test does not exercise the rewind")
+	}
+	c := &CountSink{}
+	run(c)
+	if *c != (CountSink{}) {
+		t.Fatalf("CountSink after a failed run = %+v, want zero", *c)
+	}
+	ps := &PairSink{}
+	run(ps)
+	if len(ps.Pairs) != 0 {
+		t.Fatalf("PairSink after a failed run holds %d pairs, want none", len(ps.Pairs))
 	}
 }

@@ -271,6 +271,11 @@ func (s *Session) Exec(p *sim.Proc, m Method, spec Spec, sink Sink, opts ExecOpt
 	// ExecOptions.StopAfter).
 	e.wholeRun = !res.DisableRecovery && !streaming
 	e.staging = e.wholeRun
+	// A sink that can rewind itself makes the copy needless: it takes
+	// the pairs live, and every discard point rewinds it instead.
+	if rw, ok := sink.(Rewinder); ok && e.wholeRun {
+		e.rew, e.runMark = rw, rw.Mark()
+	}
 
 	runErr := m.run(e, p)
 	if errors.Is(runErr, ErrStopped) {
@@ -301,7 +306,15 @@ func (s *Session) Exec(p *sim.Proc, m Method, spec Spec, sink Sink, opts ExecOpt
 	}
 	s.driveR, s.driveS, s.disks = e.driveR, e.driveS, e.disks
 	if runErr != nil {
+		// A failed run delivers nothing, live-fed sink included.
+		if e.rew != nil {
+			e.rew.Rewind(e.runMark)
+		}
 		return nil, fmt.Errorf("%s: %w", m.Symbol(), runErr)
+	}
+	// Commit: the first pair counts as delivered now, live-fed or not.
+	if e.rew != nil && e.emitted > 0 {
+		e.stats.FirstTuple = sim.Duration(p.Now() - e.t0)
 	}
 	e.log.flush(p, e.deliver)
 

@@ -9,6 +9,12 @@ import (
 // output to a downstream consumer at no I/O cost (Section 3.2); to
 // model locally stored output, reduce Resources.DiskRate as the paper
 // prescribes.
+//
+// With recovery on, a run that is not streaming holds its output in a
+// staging log and delivers it when the run has succeeded, so a failed
+// attempt never reaches the sink. A sink that implements Rewinder is
+// instead fed live and rewound on failure; either way a failed run
+// leaves the sink as it found it.
 type Sink interface {
 	// Emit delivers one matching pair (r ⋈ s). r, s and their payloads
 	// are valid only for the duration of the call — they may alias a
@@ -68,6 +74,12 @@ func (c *CountSink) Count() int64 { return c.Matches }
 // Hash implements Hasher.
 func (c *CountSink) Hash() uint64 { return c.PairSum }
 
+// Mark implements Rewinder: the mark is a copy of the sink.
+func (c *CountSink) Mark() any { return *c }
+
+// Rewind implements Rewinder.
+func (c *CountSink) Rewind(m any) { *c = m.(CountSink) }
+
 // Hasher is implemented by sinks that maintain an order-independent
 // digest of the emitted pairs (CountSink.PairSum). Schedulers use it to
 // surface a per-query OutputHash without knowing the sink's concrete
@@ -75,6 +87,26 @@ func (c *CountSink) Hash() uint64 { return c.PairSum }
 // be compared byte for byte.
 type Hasher interface {
 	Hash() uint64
+}
+
+// Rewinder is implemented by sinks whose whole state can be saved and
+// restored cheaply. A whole-run-staged run (recovery on, not
+// streaming) whose sink is a Rewinder delivers pairs to it as they are
+// emitted instead of copying them into the staging log, and rewinds it
+// to a mark wherever it would have rewound the log: a failed unit, a
+// drive-loss re-plan and a failed run. Stats.FirstTuple is still
+// stamped when the run commits.
+//
+// A type that embeds a Rewinder (such as CountSink) and adds state of
+// its own must override Mark and Rewind to cover that state too: the
+// promoted methods restore only the embedded part, and a restarted
+// unit would then leave the added state with a failed attempt's pairs.
+type Rewinder interface {
+	// Mark returns the sink's current state.
+	Mark() any
+	// Rewind restores the state a Mark returned, discarding every pair
+	// emitted since.
+	Rewind(mark any)
 }
 
 // StreamSink is a Sink with a backpressure/stop signal: once Satisfied
@@ -86,7 +118,9 @@ type Hasher interface {
 // inside the join itself. Note that while a recoverable unit's output
 // is staged (see Recovery), pairs reach the sink only at unit commit,
 // so a Satisfied signal derived from delivered pairs flips at unit
-// granularity.
+// granularity. A StreamSink puts the run in streaming mode, so the
+// join never treats it as a Rewinder: its units' output goes through
+// the staging log, and nothing marks or rewinds the sink.
 type StreamSink interface {
 	Sink
 	// Satisfied reports that the consumer needs no more output.

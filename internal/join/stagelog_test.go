@@ -227,3 +227,33 @@ func BenchmarkStageLogEmitCommit(b *testing.B) {
 		benchPairs += l.flush(nil, sink.Emit)
 	}
 }
+
+// logOnly hides a sink's Rewinder methods, so a whole-run-staged run
+// holds its pairs in the staging log.
+type logOnly struct{ Sink }
+
+// BenchmarkWholeRunEmit is one small dense DT-NB join with recovery on
+// and no streaming: "rewinder" feeds a CountSink live, "log" the same
+// sink behind logOnly, through the staging log and a final flush. The
+// gap in B/op is the log's copy of every output pair.
+func BenchmarkWholeRunEmit(b *testing.B) {
+	spec := specWithSizes(b, 24, 96, 16)
+	for _, tc := range []struct {
+		name string
+		sink func(*CountSink) Sink
+	}{
+		{"rewinder", func(c *CountSink) Sink { return c }},
+		{"log", func(c *CountSink) Sink { return logOnly{c} }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c := &CountSink{}
+				if _, err := Run(DTNB{}, spec, fastRes(10, 64), tc.sink(c)); err != nil {
+					b.Fatal(err)
+				}
+				benchPairs += c.Matches
+			}
+		})
+	}
+}

@@ -260,6 +260,11 @@ const streamWindow = 4096
 // point — unwinds the query with a clean partial result. Only this
 // query stops; the resident kernel and every other tenant's work are
 // untouched.
+//
+// It inherits CountSink's join.Rewinder methods, which would not
+// rewind ch or dropped. That is safe only because a StreamSink always
+// runs in streaming mode, never whole-run staged, so the join layer
+// never marks or rewinds it.
 type streamSink struct {
 	join.CountSink
 	ch        chan [2]uint64

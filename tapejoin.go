@@ -650,6 +650,23 @@ type sampleSink struct {
 	pairs []SampledPair
 }
 
+// sampleMark is a sampleSink's state: its counts and how many pairs it
+// has sampled.
+type sampleMark struct {
+	count   join.CountSink
+	sampled int
+}
+
+// Mark implements join.Rewinder. It shadows CountSink's promoted Mark,
+// which would not cover the sample.
+func (s *sampleSink) Mark() any { return sampleMark{s.CountSink, len(s.pairs)} }
+
+// Rewind implements join.Rewinder, dropping the pairs sampled since m.
+func (s *sampleSink) Rewind(m any) {
+	mk := m.(sampleMark)
+	s.CountSink, s.pairs = mk.count, s.pairs[:mk.sampled]
+}
+
 // Emit implements join.Sink.
 func (s *sampleSink) Emit(p *sim.Proc, r, t block.Tuple) {
 	s.CountSink.Emit(p, r, t)

@@ -303,6 +303,61 @@ func TestMBConversion(t *testing.T) {
 	}
 }
 
+// TestSampleSurvivesUnitRestart: a DT-NB unit that fails after
+// emitting pairs and restarts must leave the facade's sample, match
+// count and output hash exactly as the clean run leaves them — the
+// failed attempt's pairs are neither counted nor sampled.
+func TestSampleSurvivesUnitRestart(t *testing.T) {
+	run := func(faults string) *Result {
+		sys, err := NewSystem(Config{MemoryMB: 1, DiskMB: 4, Profile: IdealTape, Faults: faults})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tR, err := sys.NewTape("R-tape", 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tS, err := sys.NewTape("S-tape", 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A dense key space, so the unit the fault fails has already
+		// emitted pairs.
+		r, err := sys.CreateRelation(tR, RelationConfig{Name: "R", SizeMB: 2, KeySpace: 200, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := sys.CreateRelation(tS, RelationConfig{Name: "S", SizeMB: 8, KeySpace: 200, Seed: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sys.JoinWith(DTNB, r, s, JoinOptions{Sample: 1000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	clean := run("")
+	// Disk block 12 lies mid-scan of R's disk copy: the read outlives
+	// its retry budget (1 + 4 attempts) and fails the unit once.
+	faulted := run("transient=disk:12:6")
+	if faulted.Stats.UnitRestarts != 1 {
+		t.Fatalf("UnitRestarts = %d, want 1", faulted.Stats.UnitRestarts)
+	}
+	if clean.Stats.Matches == 0 || len(clean.Sample) != int(clean.Stats.Matches) {
+		t.Fatalf("clean run sampled %d of %d matches; want all of a non-empty output",
+			len(clean.Sample), clean.Stats.Matches)
+	}
+	if faulted.Stats.Matches != clean.Stats.Matches || faulted.Stats.OutputHash != clean.Stats.OutputHash {
+		t.Fatalf("faulted matches/hash %d/%x, clean %d/%x", faulted.Stats.Matches,
+			faulted.Stats.OutputHash, clean.Stats.Matches, clean.Stats.OutputHash)
+	}
+	if !reflect.DeepEqual(faulted.Sample, clean.Sample) {
+		t.Fatalf("faulted run sampled %d pairs, clean %d; samples differ",
+			len(faulted.Sample), len(clean.Sample))
+	}
+}
+
 // TestSampleSinkKeepsNothingFromEmit enforces the join.Sink lifetime
 // rule on the facade's sink: pairs delivered from scratch memory that
 // is overwritten right after each Emit leave the same digest and the
