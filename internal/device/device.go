@@ -11,6 +11,7 @@ package device
 import (
 	"repro/internal/block"
 	"repro/internal/device/ioengine"
+	"repro/internal/device/meter"
 	"repro/internal/disk"
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -31,9 +32,9 @@ type (
 	// DriveConfig is the drive performance profile.
 	DriveConfig = tape.DriveConfig
 	// DriveStats is the per-drive activity snapshot.
-	DriveStats = tape.DriveStats
+	DriveStats = meter.Stats
 	// DiskStats is the per-store activity snapshot.
-	DiskStats = disk.Stats
+	DiskStats = meter.Stats
 	// StoreConfig describes a scratch store's geometry and rates.
 	StoreConfig = disk.Config
 )
@@ -68,8 +69,6 @@ type Drive interface {
 	Load(m Medium)
 	// ReadAt reads n blocks starting at addr.
 	ReadAt(p *sim.Proc, addr Addr, n int64) ([]block.Block, error)
-	// ReadRegion reads an entire region front to back.
-	ReadRegion(p *sim.Proc, r Region) ([]block.Block, error)
 	// ReadRegionReverse reads a region while the head travels
 	// backward, returning blocks in forward order. Fails unless the
 	// drive profile is BiDirectional.
@@ -80,8 +79,6 @@ type Drive interface {
 	// WriteAt overwrites blocks starting at addr, extending end of
 	// data when the write runs past it.
 	WriteAt(p *sim.Proc, addr Addr, blks []block.Block) error
-	// Rewind repositions the head to block 0.
-	Rewind(p *sim.Proc)
 	// BusyTime is the total time the drive was held.
 	BusyTime() sim.Duration
 	// DriveStats snapshots the drive's cumulative activity counters.
@@ -125,8 +122,6 @@ type Store interface {
 	TotalCapacity() int64
 	// Free is the unallocated space in blocks.
 	Free() int64
-	// Used is the currently allocated space in blocks.
-	Used() int64
 	// HighWater is the peak allocated space since the last reset.
 	HighWater() int64
 	// ResetHighWater restarts peak tracking from current usage.
@@ -137,8 +132,6 @@ type Store interface {
 	DiskStats() DiskStats
 	// DeadDisks lists permanently failed drive indices.
 	DeadDisks() []int
-	// LiveDisks counts surviving drives.
-	LiveDisks() int
 	Instrumented
 	// Close releases the store's OS resources (I/O worker, scratch
 	// files); a no-op for purely virtual backends. Safe to call more

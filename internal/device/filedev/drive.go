@@ -7,6 +7,7 @@ import (
 	"repro/internal/block"
 	"repro/internal/device"
 	"repro/internal/device/ioengine"
+	"repro/internal/device/meter"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -15,15 +16,17 @@ import (
 // Drive is a file-backed tape drive: the mounted medium's blocks live
 // in a sequential spool file, reads and writes stream real bytes
 // through the OS and charge their measured wall time, and head
-// repositioning charges the profile's modeled seek latency.
+// repositioning charges the profile's modeled seek latency. The
+// embedded meter accounts every request exactly as the simulated
+// drive's does.
 //
 // Transfers are planned under the control token (index updates,
 // offset reservation) and executed on the drive's I/O worker while
 // the proc yields, so independent drives' transfers overlap in
 // wall-clock time.
 type Drive struct {
+	meter.Meter
 	name string
-	k    *sim.Kernel
 	cfg  device.DriveConfig
 	res  *sim.Resource
 	dir  string
@@ -36,26 +39,11 @@ type Drive struct {
 	reverse bool
 	loadErr error
 
-	inj    fault.Injector
 	lost   bool
-	shared *transport
 	closed bool
-
-	tracker *obs.Tracker
-	met     driveMetrics
-	stats   device.DriveStats
 }
 
 var _ device.Drive = (*Drive)(nil)
-
-// driveMetrics mirrors the simulator drive's exported series so
-// dashboards and trace checks work unchanged across backends.
-type driveMetrics struct {
-	blocksRead    *obs.Counter
-	blocksWritten *obs.Counter
-	seeks         *obs.Counter
-	latency       *obs.Histogram
-}
 
 // Name implements device.Drive.
 func (d *Drive) Name() string { return d.name }
@@ -68,32 +56,6 @@ func (d *Drive) Media() device.Medium { return d.m }
 
 // BusyTime implements device.Drive.
 func (d *Drive) BusyTime() sim.Duration { return d.res.BusyTime }
-
-// DriveStats implements device.Drive.
-func (d *Drive) DriveStats() device.DriveStats { return d.stats }
-
-// SetTracker implements device.Drive.
-func (d *Drive) SetTracker(t *obs.Tracker) { d.tracker = t }
-
-// SetInjector implements device.Drive.
-func (d *Drive) SetInjector(inj fault.Injector) { d.inj = inj }
-
-// SetMetrics implements device.Drive.
-func (d *Drive) SetMetrics(reg *obs.Registry) {
-	d.w.SetMetrics(reg)
-	if reg == nil {
-		d.met = driveMetrics{}
-		return
-	}
-	l := obs.A("drive", d.name)
-	d.met = driveMetrics{
-		blocksRead:    reg.Counter("tape_blocks_read_total", "Blocks read from tape.", l),
-		blocksWritten: reg.Counter("tape_blocks_written_total", "Blocks written to tape.", l),
-		seeks:         reg.Counter("tape_seeks_total", "Head repositioning seeks.", l),
-		latency: reg.Histogram("tape_request_seconds",
-			"Latency of tape requests, queueing included.", obs.DeviceLatencyBuckets, l),
-	}
-}
 
 // Load implements device.Drive: it respools the medium's current
 // contents into the drive's spool file, so the OS copy always matches
@@ -157,24 +119,22 @@ func (d *Drive) checkRead(addr device.Addr, n int64) error {
 	return nil
 }
 
-// switchIn claims a shared transport, forcing the next positioning to
-// pay a full seek when the other logical drive used it last.
-func (d *Drive) switchIn() {
-	if d.shared == nil || d.shared.last == d {
-		return
+// take holds the drive for one request. On a shared pair it takes the
+// transport, exchanging cartridges when the other drive had it; the
+// fresh cartridge's head sits at its start. The caller releases d.res.
+func (d *Drive) take(p *sim.Proc) {
+	d.res.Acquire(p)
+	if d.SwitchIn(p, d.cfg.ExchangeTime) {
+		d.pos = 0
+		d.reverse = false
 	}
-	d.shared.last = d
-	d.reverse = false
-	d.pos = -1 // off-position: next request repositions
 }
 
-// consult runs the fault step of one request while the drive is held.
+// step runs the fault step of one request while the drive is held.
 // The OS-level verdict, if any, is armed on the spool file so it
 // strikes the planned syscalls on the worker.
-func (d *Drive) consult(p *sim.Proc, write bool, addr device.Addr, n int64) (bool, error) {
-	ef, err := d.stats.Step(p, d.inj, d.tracker, fault.Op{
-		Device: "tape:" + d.name, Write: write, Addr: int64(addr), N: n, OS: true,
-	}, "filedev: drive", d.name)
+func (d *Drive) step(p *sim.Proc, write bool, addr device.Addr, n int64) (bool, error) {
+	ef, err := d.Step(p, fault.Op{Write: write, Addr: int64(addr), N: n}, d.name)
 	d.lost = d.lost || ef.Lost
 	if !ef.OS.Zero() {
 		d.spool.arm(ef.OS)
@@ -182,47 +142,19 @@ func (d *Drive) consult(p *sim.Proc, write bool, addr device.Addr, n int64) (boo
 	return ef.Corrupt, err
 }
 
-// record emits a trace event spanning [from, now].
-func (d *Drive) record(p *sim.Proc, kind obs.Kind, from sim.Time, blocks int64) {
-	d.tracker.Record(p, obs.Event{
-		Device: "tape:" + d.name, Kind: kind,
-		Start: from, End: p.Now(), Blocks: blocks,
-	})
-}
-
 // seekTo charges the modeled reposition latency to addr. The spool
 // file repositions for free; the transport this backend stands in for
 // does not, so the profile's seek model is retained as virtual time.
 func (d *Drive) seekTo(p *sim.Proc, addr device.Addr, wantReverse bool) {
-	if addr == d.pos && d.reverse == wantReverse {
-		return
-	}
-	if addr != d.pos {
-		dist := int64(addr - d.pos)
-		if dist < 0 {
-			dist = -dist
-		}
-		if d.pos < 0 {
-			dist = int64(addr) // off-position after a transport switch
-		}
-		st := d.cfg.SeekFixed + sim.Duration(dist)*d.cfg.SeekPerBlock
-		if st > 0 {
-			d.stats.Seeks++
-			d.stats.SeekTime += st
-			d.met.seeks.Inc()
-			t0 := p.Now()
-			p.Hold(st)
-			d.record(p, obs.TapeSeek, t0, 0)
-		}
-		d.pos = addr
-	}
+	d.Seek(p, d.cfg.SeekTime(d.pos, addr))
+	d.pos = addr
 	d.reverse = wantReverse
 }
 
 // transfer runs one planned spool operation through the drive's
 // worker (or inline when synchronous) and charges its measured wall
 // duration, updating the counters shared by every read/write path.
-func (d *Drive) transfer(p *sim.Proc, kind obs.Kind, entered sim.Time, n int64, write bool, op func() error) error {
+func (d *Drive) transfer(p *sim.Proc, write bool, entered sim.Time, n int64, op func() error) error {
 	tx := p.Now()
 	elapsed, err := doIO(p, d.w, paced(d.b.pace(d.cfg.EffectiveRate(), n), op))
 	if err != nil {
@@ -235,17 +167,8 @@ func (d *Drive) transfer(p *sim.Proc, kind obs.Kind, entered sim.Time, n int64, 
 		}
 		return err
 	}
-	d.stats.TransferTime += elapsed
-	d.stats.Requests++
-	if write {
-		d.stats.BlocksWritten += n
-		d.met.blocksWritten.Add(float64(n))
-	} else {
-		d.stats.BlocksRead += n
-		d.met.blocksRead.Add(float64(n))
-	}
-	d.record(p, kind, tx, n)
-	d.met.latency.Observe(sim.Duration(p.Now() - entered).Seconds())
+	d.Transfer(p, write, obs.Event{Start: tx, Blocks: n}, elapsed)
+	d.Done(p, write, n, entered)
 	return nil
 }
 
@@ -258,10 +181,9 @@ func (d *Drive) ReadAt(p *sim.Proc, addr device.Addr, n int64) ([]block.Block, e
 		return nil, err
 	}
 	entered := p.Now()
-	d.res.Acquire(p)
+	d.take(p)
 	defer d.res.Release(p)
-	d.switchIn()
-	corrupt, err := d.consult(p, false, addr, n)
+	corrupt, err := d.step(p, false, addr, n)
 	if err != nil {
 		return nil, err
 	}
@@ -270,7 +192,7 @@ func (d *Drive) ReadAt(p *sim.Proc, addr device.Addr, n int64) ([]block.Block, e
 	if err != nil {
 		return nil, err
 	}
-	if err := d.transfer(p, obs.TapeRead, entered, n, false, func() error {
+	if err := d.transfer(p, false, entered, n, func() error {
 		return d.spool.execReads(plan)
 	}); err != nil {
 		return nil, err
@@ -281,11 +203,6 @@ func (d *Drive) ReadAt(p *sim.Proc, addr device.Addr, n int64) ([]block.Block, e
 		fault.Flip(blks)
 	}
 	return blks, nil
-}
-
-// ReadRegion implements device.Drive.
-func (d *Drive) ReadRegion(p *sim.Proc, r device.Region) ([]block.Block, error) {
-	return d.ReadAt(p, r.Start, r.N)
 }
 
 // ReadRegionReverse implements device.Drive: the head positions at
@@ -302,10 +219,9 @@ func (d *Drive) ReadRegionReverse(p *sim.Proc, r device.Region) ([]block.Block, 
 		return nil, err
 	}
 	entered := p.Now()
-	d.res.Acquire(p)
+	d.take(p)
 	defer d.res.Release(p)
-	d.switchIn()
-	corrupt, err := d.consult(p, false, r.Start, r.N)
+	corrupt, err := d.step(p, false, r.Start, r.N)
 	if err != nil {
 		return nil, err
 	}
@@ -314,7 +230,7 @@ func (d *Drive) ReadRegionReverse(p *sim.Proc, r device.Region) ([]block.Block, 
 	if err != nil {
 		return nil, err
 	}
-	if err := d.transfer(p, obs.TapeRead, entered, r.N, false, func() error {
+	if err := d.transfer(p, false, entered, r.N, func() error {
 		return d.spool.execReads(plan)
 	}); err != nil {
 		return nil, err
@@ -335,11 +251,10 @@ func (d *Drive) Append(p *sim.Proc, blks []block.Block) (device.Region, error) {
 		return device.Region{}, err
 	}
 	entered := p.Now()
-	d.res.Acquire(p)
+	d.take(p)
 	defer d.res.Release(p)
-	d.switchIn()
 	eod := d.m.EOD()
-	if _, err := d.consult(p, true, eod, int64(len(blks))); err != nil {
+	if _, err := d.step(p, true, eod, int64(len(blks))); err != nil {
 		return device.Region{}, err
 	}
 	reg, err := d.m.AppendSetup(blks)
@@ -351,7 +266,7 @@ func (d *Drive) Append(p *sim.Proc, blks []block.Block) (device.Region, error) {
 	if err != nil {
 		return device.Region{}, err
 	}
-	if err := d.transfer(p, obs.TapeWrite, entered, reg.N, true, func() error {
+	if err := d.transfer(p, true, entered, reg.N, func() error {
 		return d.spool.execWrites(plan)
 	}); err != nil {
 		return device.Region{}, err
@@ -367,10 +282,9 @@ func (d *Drive) WriteAt(p *sim.Proc, addr device.Addr, blks []block.Block) error
 		return err
 	}
 	entered := p.Now()
-	d.res.Acquire(p)
+	d.take(p)
 	defer d.res.Release(p)
-	d.switchIn()
-	if _, err := d.consult(p, true, addr, int64(len(blks))); err != nil {
+	if _, err := d.step(p, true, addr, int64(len(blks))); err != nil {
 		return err
 	}
 	if err := d.m.WriteSetup(addr, blks); err != nil {
@@ -381,21 +295,13 @@ func (d *Drive) WriteAt(p *sim.Proc, addr device.Addr, blks []block.Block) error
 	if err != nil {
 		return err
 	}
-	if err := d.transfer(p, obs.TapeWrite, entered, int64(len(blks)), true, func() error {
+	if err := d.transfer(p, true, entered, int64(len(blks)), func() error {
 		return d.spool.execWrites(plan)
 	}); err != nil {
 		return err
 	}
 	d.pos = addr + device.Addr(len(blks))
 	return nil
-}
-
-// Rewind implements device.Drive.
-func (d *Drive) Rewind(p *sim.Proc) {
-	d.res.Acquire(p)
-	defer d.res.Release(p)
-	d.switchIn()
-	d.seekTo(p, 0, false)
 }
 
 // Close implements device.Drive: it stops the drive's I/O worker

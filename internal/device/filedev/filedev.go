@@ -47,6 +47,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/device/faultfile"
 	"repro/internal/device/ioengine"
+	"repro/internal/device/meter"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -279,16 +280,17 @@ func (b *Backend) NewDrive(k *sim.Kernel, name string, cfg device.DriveConfig) (
 	if err != nil {
 		return nil, err
 	}
-	return &Drive{name: name, k: k, cfg: cfg, dir: dir, b: b,
+	d := &Drive{Meter: meter.Tape("filedev: drive", name), name: name, cfg: cfg, dir: dir, b: b,
 		w:   b.worker("tape:" + name),
-		res: sim.NewResource(k, "tape:"+name, 1)}, nil
+		res: sim.NewResource(k, "tape:"+name, 1)}
+	d.OS(d.w)
+	return d, nil
 }
 
 // NewSharedDrivePair implements device.Backend: two logical drives
 // serialized on one transport resource, for the post-drive-loss
 // degraded configuration. Switching the transport between the drives
-// forces a reposition on the next request, like moving one physical
-// head between two mounted cartridges.
+// charges a cartridge exchange, as on the simulator.
 func (b *Backend) NewSharedDrivePair(k *sim.Kernel, nameA, nameB string, cfg device.DriveConfig) (device.Drive, device.Drive, error) {
 	da, err := b.NewDrive(k, nameA, cfg)
 	if err != nil {
@@ -300,8 +302,7 @@ func (b *Backend) NewSharedDrivePair(k *sim.Kernel, nameA, nameB string, cfg dev
 		return nil, nil, err
 	}
 	a, bb := da.(*Drive), db.(*Drive)
-	t := &transport{res: a.res}
-	a.shared, bb.shared = t, t
+	meter.Share(&a.Meter, &bb.Meter)
 	bb.res = a.res
 	return a, bb, nil
 }
@@ -315,13 +316,9 @@ func (b *Backend) NewStore(k *sim.Kernel, cfg device.StoreConfig) (device.Store,
 	if err != nil {
 		return nil, err
 	}
-	return &Store{k: k, cfg: cfg, dir: dir, b: b, w: b.worker("disk")}, nil
-}
-
-// transport is the shared-head state of a degraded drive pair.
-type transport struct {
-	res  *sim.Resource
-	last *Drive
+	s := &Store{Meter: meter.Disk("filedev: file"), cfg: cfg, dir: dir, b: b, w: b.worker("disk")}
+	s.OS(s.w)
+	return s, nil
 }
 
 // syncer applies the backend's SyncPolicy to one file. It is touched

@@ -63,9 +63,9 @@ func TestDriveSpoolRoundTrip(t *testing.T) {
 			t.Fatalf("region = %+v", reg)
 		}
 		// Forward read through the OS-file spool.
-		blks, err := d.ReadRegion(p, reg)
+		blks, err := d.ReadAt(p, reg.Start, reg.N)
 		if err != nil || len(blks) != 10 {
-			t.Fatalf("ReadRegion: %d blocks, err %v", len(blks), err)
+			t.Fatalf("ReadAt: %d blocks, err %v", len(blks), err)
 		}
 		if keyOf(t, blks[3]) != 3 {
 			t.Errorf("block 3 key = %d", keyOf(t, blks[3]))
@@ -183,8 +183,8 @@ func TestStoreRoundTripAndBounds(t *testing.T) {
 		if err := f.Append(p, mkBlocks(3, 7, 0)); err != nil {
 			t.Fatal(err)
 		}
-		if f.Len() != 7 || st.Used() != 7 {
-			t.Fatalf("len %d used %d", f.Len(), st.Used())
+		if used := st.TotalCapacity() - st.Free(); f.Len() != 7 || used != 7 {
+			t.Fatalf("len %d used %d", f.Len(), used)
 		}
 		blks, err := f.ReadAt(p, 2, 3)
 		if err != nil || len(blks) != 3 || keyOf(t, blks[0]) != 2 {
@@ -197,8 +197,8 @@ func TestStoreRoundTripAndBounds(t *testing.T) {
 			t.Error("want error for negative offset")
 		}
 		f.Free()
-		if st.Used() != 0 {
-			t.Errorf("used %d after Free", st.Used())
+		if used := st.TotalCapacity() - st.Free(); used != 0 {
+			t.Errorf("used %d after Free", used)
 		}
 	})
 }

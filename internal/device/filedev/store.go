@@ -8,6 +8,7 @@ import (
 	"repro/internal/block"
 	"repro/internal/device"
 	"repro/internal/device/ioengine"
+	"repro/internal/device/meter"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -17,7 +18,8 @@ import (
 // file read and written at direct offsets, with the array geometry
 // kept only for capacity accounting (NumDisks * BlocksPerDisk). Reads
 // and writes charge their measured wall time; there is no seek model
-// — that is what makes it a disk.
+// — that is what makes it a disk. The embedded meter accounts every
+// request and the allocated space.
 //
 // All of the store's files share one I/O worker, so disk requests
 // serialize against each other in wall-clock time (one array, one
@@ -25,32 +27,16 @@ import (
 // worker orders a file's planned writes before any later read of the
 // same records.
 type Store struct {
-	k   *sim.Kernel
-	cfg device.StoreConfig
-	dir string
-	b   *Backend
-	w   *ioengine.Worker // nil when the backend is synchronous
-	seq int
-
-	used, high int64
-	busy       sim.Duration
-	stats      device.DiskStats
-	closed     bool
-
-	tracker *obs.Tracker
-	met     storeMetrics
-	inj     fault.Injector
+	meter.Meter
+	cfg    device.StoreConfig
+	dir    string
+	b      *Backend
+	w      *ioengine.Worker // nil when the backend is synchronous
+	seq    int
+	closed bool
 }
 
 var _ device.Store = (*Store)(nil)
-
-// storeMetrics mirrors the simulator array's exported series.
-type storeMetrics struct {
-	blocksRead    *obs.Counter
-	blocksWritten *obs.Counter
-	latency       *obs.Histogram
-	used          *obs.Gauge
-}
 
 // Config implements device.Store.
 func (s *Store) Config() device.StoreConfig { return s.cfg }
@@ -61,50 +47,13 @@ func (s *Store) TotalCapacity() int64 {
 }
 
 // Free implements device.Store.
-func (s *Store) Free() int64 { return s.TotalCapacity() - s.used }
+func (s *Store) Free() int64 { return s.TotalCapacity() - s.Used() }
 
-// Used implements device.Store.
-func (s *Store) Used() int64 { return s.used }
-
-// HighWater implements device.Store.
-func (s *Store) HighWater() int64 { return s.high }
-
-// ResetHighWater implements device.Store.
-func (s *Store) ResetHighWater() { s.high = s.used }
-
-// BusyTime implements device.Store.
-func (s *Store) BusyTime() sim.Duration { return s.busy }
-
-// DiskStats implements device.Store.
-func (s *Store) DiskStats() device.DiskStats { return s.stats }
+// BusyTime implements device.Store: the measured transfer time.
+func (s *Store) BusyTime() sim.Duration { return s.Stats.TransferTime }
 
 // DeadDisks implements device.Store: OS files do not lose platters.
 func (s *Store) DeadDisks() []int { return nil }
-
-// LiveDisks implements device.Store.
-func (s *Store) LiveDisks() int { return s.cfg.NumDisks }
-
-// SetTracker implements device.Store.
-func (s *Store) SetTracker(t *obs.Tracker) { s.tracker = t }
-
-// SetInjector implements device.Store.
-func (s *Store) SetInjector(inj fault.Injector) { s.inj = inj }
-
-// SetMetrics implements device.Store.
-func (s *Store) SetMetrics(reg *obs.Registry) {
-	s.w.SetMetrics(reg)
-	if reg == nil {
-		s.met = storeMetrics{}
-		return
-	}
-	s.met = storeMetrics{
-		blocksRead:    reg.Counter("disk_blocks_read_total", "Blocks read from the disk array."),
-		blocksWritten: reg.Counter("disk_blocks_written_total", "Blocks written to the disk array."),
-		latency: reg.Histogram("disk_request_seconds",
-			"Latency of disk requests.", obs.DeviceLatencyBuckets),
-		used: reg.Gauge("disk_used_blocks", "Blocks currently allocated on the array."),
-	}
-}
 
 // Create implements device.Store. placement is accepted for interface
 // compatibility and ignored: OS files have no meaningful stripe
@@ -124,23 +73,18 @@ func (s *Store) Create(name string, _ []int) (device.File, error) {
 
 // charge accounts n newly allocated blocks against capacity.
 func (s *Store) charge(n int64) error {
-	if s.used+n > s.TotalCapacity() {
+	if n > s.Free() {
 		return fmt.Errorf("%w: need %d blocks, %d free", fault.ErrDiskFull, n, s.Free())
 	}
-	s.used += n
-	if s.used > s.high {
-		s.high = s.used
-	}
-	s.met.used.Set(float64(s.used))
+	s.Alloc(n)
 	return nil
 }
 
-// consult runs the fault step of one file operation. The OS-level
+// step runs the fault step of one file operation. The OS-level
 // verdict, if any, is armed on the file so it strikes the planned
 // syscalls on the worker.
-func (s *Store) consult(p *sim.Proc, name string, rf *recFile, write bool, off, n int64) (bool, error) {
-	ef, err := s.stats.Step(p, s.inj, s.tracker, fault.Op{Device: "disk", Write: write, Addr: off, N: n, OS: true},
-		"filedev: file", name)
+func (s *Store) step(p *sim.Proc, name string, rf *recFile, write bool, off, n int64) (bool, error) {
+	ef, err := s.Step(p, fault.Op{Write: write, Addr: off, N: n}, name)
 	if !ef.OS.Zero() {
 		rf.arm(ef.OS)
 	}
@@ -162,29 +106,9 @@ func (s *Store) transfer(p *sim.Proc, n int64, write bool, op func() error) erro
 		}
 		return err
 	}
-	s.busy += elapsed
-	s.stats.Requests++
-	s.stats.TransferTime += elapsed
-	if write {
-		s.stats.BlocksWritten += n
-		s.met.blocksWritten.Add(float64(n))
-	} else {
-		s.stats.BlocksRead += n
-		s.met.blocksRead.Add(float64(n))
-	}
-	s.tracker.Record(p, obs.Event{
-		Device: "disk", Kind: kindOf(write),
-		Start: tx, End: p.Now(), Blocks: n,
-	})
-	s.met.latency.Observe(sim.Duration(p.Now() - tx).Seconds())
+	s.Transfer(p, write, obs.Event{Start: tx, Blocks: n}, elapsed)
+	s.Done(p, write, n, tx)
 	return nil
-}
-
-func kindOf(write bool) obs.Kind {
-	if write {
-		return obs.DiskWrite
-	}
-	return obs.DiskRead
 }
 
 // Close implements device.Store: it stops the store's I/O worker and
@@ -228,7 +152,7 @@ func (f *File) Append(p *sim.Proc, blks []block.Block) error {
 		return fmt.Errorf("filedev: append to %q: %w", f.name, ErrFreed)
 	}
 	n := int64(len(blks))
-	corrupt, err := f.s.consult(p, f.name, f.rf, true, f.Len(), n)
+	corrupt, err := f.s.step(p, f.name, f.rf, true, f.Len(), n)
 	if err != nil {
 		return err
 	}
@@ -258,7 +182,7 @@ func (f *File) ReadAt(p *sim.Proc, off, n int64) ([]block.Block, error) {
 	if off < 0 || n < 0 || off+n > f.Len() {
 		return nil, fmt.Errorf("filedev: read [%d,%d) beyond len %d of %q", off, off+n, f.Len(), f.name)
 	}
-	corrupt, err := f.s.consult(p, f.name, f.rf, false, off, n)
+	corrupt, err := f.s.step(p, f.name, f.rf, false, off, n)
 	if err != nil {
 		return nil, err
 	}
@@ -284,8 +208,7 @@ func (f *File) Free() {
 		return
 	}
 	f.freed = true
-	f.s.used -= f.Len()
-	f.s.met.used.Set(float64(f.s.used))
+	f.s.Release(f.Len())
 	f.rf.close()
 	if f.path != "" {
 		os.Remove(f.path)

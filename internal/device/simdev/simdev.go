@@ -11,23 +11,18 @@ import (
 	"repro/internal/tape"
 )
 
-// Drive wraps the simulated tape drive. Everything promotes from the
-// embedded drive; only the stats snapshot needs an accessor method
-// over the public Stats field.
+// Drive wraps the simulated tape drive; everything but Close promotes
+// from it.
 type Drive struct {
 	*tape.Drive
 }
-
-// DriveStats implements device.Drive.
-func (d Drive) DriveStats() device.DriveStats { return d.Drive.Stats }
 
 // Close implements device.Drive: a simulated drive holds no OS
 // resources.
 func (d Drive) Close() error { return nil }
 
-// Store wraps the simulated striped disk array. The accessor methods
-// shadow the array's public accounting fields so the interface stays
-// read-only, and Create rewraps the concrete file type.
+// Store wraps the simulated striped disk array. Create rewraps the
+// concrete file type.
 type Store struct {
 	*disk.Array
 }
@@ -40,15 +35,6 @@ func (s Store) Create(name string, placement []int) (device.File, error) {
 	}
 	return f, nil
 }
-
-// Used implements device.Store.
-func (s Store) Used() int64 { return s.Array.Used }
-
-// HighWater implements device.Store.
-func (s Store) HighWater() int64 { return s.Array.HighWater }
-
-// DiskStats implements device.Store.
-func (s Store) DiskStats() device.DiskStats { return s.Array.Stats }
 
 // Close implements device.Store: a simulated array holds no OS
 // resources.

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/block"
+	"repro/internal/device/meter"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -77,17 +78,6 @@ func (e *LostError) Error() string { return fmt.Sprintf("disk: drive disk%d lost
 // Unwrap classifies the loss.
 func (e *LostError) Unwrap() error { return fault.ErrDeviceLost }
 
-// Stats accumulates array-wide activity.
-type Stats struct {
-	BlocksRead    int64
-	BlocksWritten int64
-	Requests      int64 // per-disk requests issued
-	TransferTime  sim.Duration
-	OverheadTime  sim.Duration
-	// Fault-injection activity (see internal/fault).
-	fault.Counts
-}
-
 type dev struct {
 	id   int
 	name string // "disk<id>", the resource, trace and fault-op name
@@ -96,30 +86,14 @@ type dev struct {
 	dead bool // permanently failed; extents on it are lost
 }
 
-// Array is a simulated disk array with explicit placement control.
+// Array is a simulated disk array with explicit placement control. The
+// embedded meter accounts every per-disk request and the allocated
+// space.
 type Array struct {
-	k     *sim.Kernel
-	cfg   Config
-	disks []*dev
-
-	// Used is the total blocks currently allocated; HighWater its max.
-	Used      int64
-	HighWater int64
-	Stats     Stats
-
-	tracker  *obs.Tracker
-	met      arrayMetrics
-	inj      fault.Injector
+	meter.Meter
+	cfg      Config
+	disks    []*dev
 	nextFile int
-}
-
-// arrayMetrics are the array's series exported to an obs.Registry.
-// The handles are nil-safe, so instrumentation calls unconditionally.
-type arrayMetrics struct {
-	blocksRead    *obs.Counter
-	blocksWritten *obs.Counter
-	latency       *obs.Histogram
-	used          *obs.Gauge
 }
 
 // NewArray returns an array attached to the kernel.
@@ -127,7 +101,7 @@ func NewArray(k *sim.Kernel, cfg Config) (*Array, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	a := &Array{k: k, cfg: cfg}
+	a := &Array{Meter: meter.Disk("disk: file"), cfg: cfg}
 	for i := 0; i < cfg.NumDisks; i++ {
 		name := fmt.Sprintf("disk%d", i)
 		a.disks = append(a.disks, &dev{id: i, name: name, res: sim.NewResource(k, name, 1)})
@@ -137,30 +111,6 @@ func NewArray(k *sim.Kernel, cfg Config) (*Array, error) {
 
 // Config returns the array configuration.
 func (a *Array) Config() Config { return a.cfg }
-
-// SetTracker attaches the run tracker that records device events
-// (nil disables tracing).
-func (a *Array) SetTracker(t *obs.Tracker) { a.tracker = t }
-
-// SetInjector attaches a fault injector consulted on every file
-// operation (nil disables injection).
-func (a *Array) SetInjector(inj fault.Injector) { a.inj = inj }
-
-// SetMetrics registers the array's counters, per-request latency
-// histogram, and occupancy gauge in reg (nil detaches).
-func (a *Array) SetMetrics(reg *obs.Registry) {
-	if reg == nil {
-		a.met = arrayMetrics{}
-		return
-	}
-	a.met = arrayMetrics{
-		blocksRead:    reg.Counter("disk_blocks_read_total", "Blocks read from the disk array."),
-		blocksWritten: reg.Counter("disk_blocks_written_total", "Blocks written to the disk array."),
-		latency: reg.Histogram("disk_request_seconds",
-			"Virtual latency of per-drive disk requests.", obs.DeviceLatencyBuckets),
-		used: reg.Gauge("disk_used_blocks", "Blocks currently allocated on the array."),
-	}
-}
 
 // DeadDisks returns the ids of permanently failed drives, in order.
 func (a *Array) DeadDisks() []int {
@@ -173,8 +123,8 @@ func (a *Array) DeadDisks() []int {
 	return out
 }
 
-// LiveDisks returns the number of surviving drives.
-func (a *Array) LiveDisks() int {
+// liveDisks returns the number of surviving drives.
+func (a *Array) liveDisks() int {
 	n := 0
 	for _, d := range a.disks {
 		if !d.dead {
@@ -184,34 +134,14 @@ func (a *Array) LiveDisks() int {
 	return n
 }
 
-// record emits a per-drive trace event stamped with span — captured by
-// the caller, because striped transfers run on helper tasks that carry
-// no span stack of their own.
-func (a *Array) record(p *sim.Proc, d *dev, write bool, from sim.Time, blocks, span int64) {
-	kind := obs.DiskRead
-	if write {
-		kind = obs.DiskWrite
-	}
-	a.tracker.Record(p, obs.Event{
-		Device: d.name, Kind: kind,
-		Start: from, End: p.Now(), Blocks: blocks, Span: span,
-	})
-}
-
 // TotalCapacity returns the array capacity in blocks across surviving
 // drives — a disk failure shrinks the effective D the planner sees.
 func (a *Array) TotalCapacity() int64 {
-	return int64(a.LiveDisks()) * a.cfg.BlocksPerDisk
+	return int64(a.liveDisks()) * a.cfg.BlocksPerDisk
 }
 
 // Free returns unallocated blocks across the whole array.
-func (a *Array) Free() int64 { return a.TotalCapacity() - a.Used }
-
-// ResetHighWater restarts peak-space tracking from the current usage.
-// A session running several joins on one array calls this between
-// runs so each reports its own disk footprint rather than the
-// session's maximum.
-func (a *Array) ResetHighWater() { a.HighWater = a.Used }
+func (a *Array) Free() int64 { return a.TotalCapacity() - a.Used() }
 
 // BusyTime returns the summed busy time of all drives.
 func (a *Array) BusyTime() sim.Duration {
@@ -350,10 +280,7 @@ func (a *Array) markDead(p *sim.Proc, id int) {
 		return
 	}
 	d.dead = true
-	a.tracker.Record(p, obs.Event{
-		Device: d.name, Kind: obs.Fault,
-		Start: p.Now(), End: p.Now(), Note: "disk lost",
-	})
+	a.Fault(p, d.name, "disk lost")
 }
 
 // checkFaults runs the fault steps of one request before any time is
@@ -374,11 +301,11 @@ func (f *File) checkFaults(p *sim.Proc, off, n int64, write bool) (corrupt bool,
 	if alive == 0 {
 		return false, &LostError{Disk: f.disks[0].id}
 	}
-	if f.a.inj == nil {
+	a := f.a
+	if a.Injector() == nil {
 		return false, nil
 	}
-	a := f.a
-	ef, err := a.Stats.Step(p, a.inj, a.tracker, fault.Op{Device: "disk", Write: write, Addr: off, N: n}, "disk: file", f.name)
+	ef, err := a.Step(p, fault.Op{Write: write, Addr: off, N: n}, f.name)
 	if err != nil {
 		return false, err
 	}
@@ -388,7 +315,7 @@ func (f *File) checkFaults(p *sim.Proc, off, n int64, write bool) (corrupt bool,
 		if sh[i] == 0 {
 			continue
 		}
-		ef, err := a.Stats.Step(p, a.inj, a.tracker, fault.Op{Device: d.name, Write: write, Addr: off, N: sh[i]}, "disk: file", f.name)
+		ef, err := a.Step(p, fault.Op{Device: d.name, Write: write, Addr: off, N: sh[i]}, f.name)
 		if ef.Lost {
 			a.markDead(p, d.id)
 			return false, &LostError{Disk: d.id}
@@ -402,8 +329,7 @@ func (f *File) checkFaults(p *sim.Proc, off, n int64, write bool) (corrupt bool,
 }
 
 // doIO charges an n-block transfer at offset off across the file's
-// drives, overlapping the per-drive requests in virtual time. write
-// selects which stat to bump.
+// drives, overlapping the per-drive requests in virtual time.
 func (f *File) doIO(p *sim.Proc, off, n int64, write bool) {
 	if n <= 0 {
 		return
@@ -417,44 +343,37 @@ func (f *File) doIO(p *sim.Proc, off, n int64, write bool) {
 			singles++
 		}
 	}
-	span := f.a.tracker.ActiveSpan(p)
+	span := f.a.Span(p)
 	if singles == 1 {
 		// Fast path: one drive involved, no helper task needed.
-		t := f.a.transferTime(n)
-		f.a.Stats.Requests++
-		f.a.Stats.OverheadTime += f.a.cfg.RequestOverhead
-		f.a.Stats.TransferTime += t - f.a.cfg.RequestOverhead
 		single.res.Acquire(p)
 		t0 := p.Now()
-		p.Hold(t)
-		f.a.record(p, single, write, t0, n, span)
-		f.a.met.latency.Observe(sim.Duration(p.Now() - t0).Seconds())
+		p.Hold(f.a.transferTime(n))
+		f.a.done(p, single, write, t0, n, span)
 		single.res.Release(p)
-	} else {
-		// One helper task per participating drive, queued in drive
-		// order; the last share to finish wakes p.
-		s := &stripe{f: f, parent: p, write: write, span: span, pending: singles,
-			parts: make([]drivePart, 0, singles)}
-		for i, d := range f.disks {
-			if sh[i] == 0 {
-				continue
-			}
-			t := f.a.transferTime(sh[i])
-			f.a.Stats.Requests++
-			f.a.Stats.OverheadTime += f.a.cfg.RequestOverhead
-			f.a.Stats.TransferTime += t - f.a.cfg.RequestOverhead
-			s.parts = append(s.parts, drivePart{s: s, d: d, n: sh[i], t: t})
-			p.Kernel().SpawnTask(f.name, &s.parts[len(s.parts)-1])
+		return
+	}
+	// One helper task per participating drive, queued in drive order;
+	// the last share to finish wakes p.
+	s := &stripe{f: f, parent: p, write: write, span: span, pending: singles,
+		parts: make([]drivePart, 0, singles)}
+	for i, d := range f.disks {
+		if sh[i] == 0 {
+			continue
 		}
-		p.Park("disk-io")
+		s.parts = append(s.parts, drivePart{s: s, d: d, n: sh[i], t: f.a.transferTime(sh[i])})
+		p.Kernel().SpawnTask(f.name, &s.parts[len(s.parts)-1])
 	}
-	if write {
-		f.a.Stats.BlocksWritten += n
-		f.a.met.blocksWritten.Add(float64(n))
-	} else {
-		f.a.Stats.BlocksRead += n
-		f.a.met.blocksRead.Add(float64(n))
-	}
+	p.Park("disk-io")
+}
+
+// done accounts one per-drive request of n blocks that held drive d
+// from t0 until now, on behalf of phase span.
+func (a *Array) done(p *sim.Proc, d *dev, write bool, t0 sim.Time, n, span int64) {
+	a.Stats.OverheadTime += a.cfg.RequestOverhead
+	a.Transfer(p, write, obs.Event{Device: d.name, Start: t0, Blocks: n, Span: span},
+		sim.Duration(p.Now()-t0)-a.cfg.RequestOverhead)
+	a.Done(p, write, n, t0)
 }
 
 // stripe is one striped request in flight: its per-drive parts and the
@@ -497,9 +416,7 @@ func (dp *drivePart) Step(c *sim.Proc) bool {
 		return false
 	}
 	s := dp.s
-	a := s.f.a
-	a.record(c, dp.d, s.write, dp.t0, dp.n, s.span)
-	a.met.latency.Observe(sim.Duration(c.Now() - dp.t0).Seconds())
+	s.f.a.done(c, dp.d, s.write, dp.t0, dp.n, s.span)
 	dp.d.res.Release(c)
 	if s.pending--; s.pending == 0 {
 		s.parent.Unpark()
@@ -586,11 +503,7 @@ func (f *File) charge(n int64) error {
 		d.used += wants[i]
 		f.perDisk[i] += wants[i]
 	}
-	f.a.Used += n
-	if f.a.Used > f.a.HighWater {
-		f.a.HighWater = f.a.Used
-	}
-	f.a.met.used.Set(float64(f.a.Used))
+	f.a.Alloc(n)
 	return nil
 }
 
@@ -641,8 +554,7 @@ func (f *File) Free() {
 			d.used -= f.perDisk[i]
 		}
 	}
-	f.a.Used -= int64(len(f.blocks))
-	f.a.met.used.Set(float64(f.a.Used))
+	f.a.Release(int64(len(f.blocks)))
 	f.blocks = nil
 	f.perDisk = nil
 	f.freed = true

@@ -196,28 +196,28 @@ func TestSpaceAccounting(t *testing.T) {
 	k.Spawn("w", func(p *sim.Proc) {
 		f1, _ := a.Create("f1", nil)
 		f1.Append(p, mkBlocks(12))
-		if a.Used != 12 || a.Free() != 8 {
-			t.Errorf("used=%d free=%d", a.Used, a.Free())
+		if a.Used() != 12 || a.Free() != 8 {
+			t.Errorf("used=%d free=%d", a.Used(), a.Free())
 		}
 		f2, _ := a.Create("f2", nil)
 		f2.Append(p, mkBlocks(6))
-		if a.HighWater != 18 {
-			t.Errorf("high water = %d, want 18", a.HighWater)
+		if a.HighWater() != 18 {
+			t.Errorf("high water = %d, want 18", a.HighWater())
 		}
 		f1.Free()
-		if a.Used != 6 {
-			t.Errorf("used after free = %d, want 6", a.Used)
+		if a.Used() != 6 {
+			t.Errorf("used after free = %d, want 6", a.Used())
 		}
 		f1.Free() // double free is a no-op
-		if a.Used != 6 {
-			t.Errorf("used after double free = %d", a.Used)
+		if a.Used() != 6 {
+			t.Errorf("used after double free = %d", a.Used())
 		}
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if a.HighWater != 18 {
-		t.Fatalf("high water = %d, want 18", a.HighWater)
+	if a.HighWater() != 18 {
+		t.Fatalf("high water = %d, want 18", a.HighWater())
 	}
 }
 
@@ -230,8 +230,8 @@ func TestDiskFull(t *testing.T) {
 			t.Errorf("err = %v, want ErrDiskFull", err)
 		}
 		// A failed append charges nothing.
-		if a.Used != 0 {
-			t.Errorf("used = %d after failed append", a.Used)
+		if a.Used() != 0 {
+			t.Errorf("used = %d after failed append", a.Used())
 		}
 		// Single-disk file bounded by that disk's capacity.
 		f1, _ := a.Create("f1", []int{0})
@@ -364,7 +364,7 @@ func TestQuickAllocatorConservation(t *testing.T) {
 					live[idx].Free()
 					live = append(live[:idx], live[idx+1:]...)
 				}
-				if a.Used != ledger || a.Free() != a.TotalCapacity()-ledger {
+				if a.Used() != ledger || a.Free() != a.TotalCapacity()-ledger {
 					ok = false
 					return
 				}

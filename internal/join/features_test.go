@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/block"
+	"repro/internal/fault"
 	"repro/internal/relation"
 	"repro/internal/tape"
 )
@@ -25,15 +27,19 @@ func TestCorruptInputSurfacesChecksumError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mS.Corrupt(50) // silent corruption mid-relation
+	// Silent corruption mid-relation; with recovery off no re-read
+	// heals it.
+	res := fastRes(10, 64)
+	res.DisableRecovery = true
+	res.Faults = mustFaults("corrupt=S:50")
 
 	m, _ := BySymbol("DT-NB")
-	_, err = Run(m, Spec{R: r, S: s}, fastRes(10, 64), nil)
+	_, err = Run(m, Spec{R: r, S: s}, res, nil)
 	if err == nil {
 		t.Fatal("corrupted input should fail the join")
 	}
-	if !strings.Contains(err.Error(), "checksum") {
-		t.Fatalf("error should mention the checksum: %v", err)
+	if !errors.Is(err, block.ErrBadChecksum) || !strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("error should be the checksum error: %v", err)
 	}
 }
 
@@ -46,13 +52,13 @@ func TestHardMediaErrorSurfaces(t *testing.T) {
 	s, _ := relation.WriteToTape(relation.Config{
 		Name: "S", Tag: 2, Blocks: 96, TuplesPerBlock: 2, KeySpace: 100, Seed: 2,
 	}, mS)
-	mediaErr := errors.New("unrecoverable read error")
-	mR.InjectReadError(10, mediaErr)
+	res := fastRes(10, 64)
+	res.Faults = mustFaults("hard=R:10")
 
 	m, _ := BySymbol("DT-GH")
-	_, err := Run(m, Spec{R: r, S: s}, fastRes(10, 64), nil)
-	if err == nil || !strings.Contains(err.Error(), "unrecoverable read error") {
-		t.Fatalf("err = %v, want injected media error", err)
+	_, err := Run(m, Spec{R: r, S: s}, res, nil)
+	if !errors.Is(err, fault.ErrMedia) {
+		t.Fatalf("err = %v, want fault.ErrMedia", err)
 	}
 }
 

@@ -9,10 +9,14 @@ import (
 	"time"
 
 	"repro/internal/block"
+	"repro/internal/device"
+	"repro/internal/device/filedev"
+	"repro/internal/device/simdev"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/sim"
+	"repro/internal/tape"
 )
 
 // runWith runs method symbol over a fresh small spec with the given
@@ -568,5 +572,61 @@ func TestFailedRunLeavesSinkUntouched(t *testing.T) {
 	run(ps)
 	if len(ps.Pairs) != 0 {
 		t.Fatalf("PairSink after a failed run holds %d pairs, want none", len(ps.Pairs))
+	}
+}
+
+// TestDriveLossSharedTransportAlikeOnBackends degrades a DT-NB join
+// onto one shared transport (drivefail=S@0s) on both backends: the
+// transport switches must cost the same cartridge exchanges and seeks
+// in the degraded drives' stats and in the event stream.
+func TestDriveLossSharedTransportAlikeOnBackends(t *testing.T) {
+	type counts struct{ exchanges, seeks, exchangeEvents, seekEvents int64 }
+	run := func(b device.Backend) counts {
+		spec := specWithSizes(t, 32, 128, 4)
+		res := fastRes(64, 256)
+		res.Tape = tape.DLT4000()
+		res.Backend = b
+		res.Faults = mustFaults("drivefail=S@0s")
+		res.Spans = obs.NewTracker()
+		s, err := NewSession(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		var result *Result
+		s.Kernel().Spawn("join", func(p *sim.Proc) {
+			result, err = s.Exec(p, mustMethod(t, "DT-NB"), spec, &CountSink{}, ExecOptions{})
+		})
+		if kerr := s.Kernel().Run(); kerr != nil {
+			t.Fatal(kerr)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name(), err)
+		}
+		if result.Stats.DegradedTo != "DT-NB" {
+			t.Fatalf("%s: degraded to %q, want DT-NB", b.Name(), result.Stats.DegradedTo)
+		}
+		var c counts
+		for _, d := range []device.Drive{s.DriveR(), s.DriveS()} {
+			c.exchanges += d.DriveStats().Exchanges
+			c.seeks += d.DriveStats().Seeks
+		}
+		for _, e := range res.Spans.Events() {
+			switch e.Kind {
+			case obs.TapeExchange:
+				c.exchangeEvents++
+			case obs.TapeSeek:
+				c.seekEvents++
+			}
+		}
+		return c
+	}
+	simC := run(simdev.Backend{})
+	fileC := run(filedev.New(t.TempDir()))
+	if simC != fileC {
+		t.Errorf("shared transport: sim %+v, file %+v", simC, fileC)
+	}
+	if simC.exchanges == 0 || simC.exchangeEvents != simC.exchanges {
+		t.Errorf("sim shared transport: %+v, want exchanges charged and traced", simC)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/block"
+	"repro/internal/device/meter"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -66,6 +67,20 @@ func (c DriveConfig) Validate() error {
 	return nil
 }
 
+// SeekTime is the repositioning time from block from to block to:
+// SeekFixed plus SeekPerBlock per block of travel, zero when the head
+// is already there.
+func (c DriveConfig) SeekTime(from, to Addr) sim.Duration {
+	if from == to {
+		return 0
+	}
+	dist := int64(to - from)
+	if dist < 0 {
+		dist = -dist
+	}
+	return c.SeekFixed + sim.Duration(dist)*c.SeekPerBlock
+}
+
 // DLT4000 returns a drive profile calibrated against the paper's
 // experimental platform (Quantum DLT-4000, 20 GB mode). The native
 // rate is chosen so that 25%-compressible data streams at ~1.676 MB/s,
@@ -90,28 +105,13 @@ func Ideal() DriveConfig {
 	return DriveConfig{NativeRate: 1.257e6, CompressionFactor: 1.33}
 }
 
-// DriveStats accumulates device activity for a run.
-type DriveStats struct {
-	BlocksRead    int64
-	BlocksWritten int64
-	Requests      int64
-	Seeks         int64
-	SeekTime      sim.Duration
-	TransferTime  sim.Duration
-	StartStops    int64
-	StartStopTime sim.Duration
-	Exchanges     int64
-	ExchangeTime  sim.Duration
-	// Fault-injection activity (see internal/fault).
-	fault.Counts
-}
-
 // Drive is a simulated tape drive. A drive serves one request at a
 // time (FIFO): concurrent processes sharing a drive serialize on it,
-// which is how read/append contention on one cartridge costs time.
+// which is how read/append contention on one cartridge costs time. The
+// embedded meter accounts every request.
 type Drive struct {
+	meter.Meter
 	name  string
-	k     *sim.Kernel
 	cfg   DriveConfig
 	res   *sim.Resource
 	media Medium
@@ -121,24 +121,6 @@ type Drive struct {
 	lastEnd sim.Time // virtual time the last transfer finished
 	started bool     // at least one transfer has run
 	reverse bool     // head is oriented for reverse reading
-
-	inj    fault.Injector // optional fault schedule
-	lost   bool           // an injected drive failure killed the transport
-	shared *transport     // non-nil when two drives share one transport
-
-	tracker *obs.Tracker
-	met     driveMetrics
-	Stats   DriveStats
-}
-
-// driveMetrics are the per-drive series exported to an obs.Registry.
-// The handles are nil-safe, so instrumentation calls unconditionally.
-type driveMetrics struct {
-	blocksRead    *obs.Counter
-	blocksWritten *obs.Counter
-	seeks         *obs.Counter
-	exchanges     *obs.Counter
-	latency       *obs.Histogram
 }
 
 // NewDrive returns a drive attached to the kernel with the given
@@ -147,7 +129,27 @@ func NewDrive(k *sim.Kernel, name string, cfg DriveConfig) *Drive {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Drive{name: name, k: k, cfg: cfg, res: sim.NewResource(k, "tape:"+name, 1)}
+	return newDrive(name, cfg, sim.NewResource(k, "tape:"+name, 1))
+}
+
+// NewSharedDrivePair returns two logical drives multiplexed onto ONE
+// physical transport — the degraded configuration after a drive
+// failure leaves a two-tape join with a single working drive. The
+// drives serialize on the shared transport, and switching between them
+// charges a media exchange (the robot swaps cartridges) plus the
+// repositioning seek back to where that cartridge's head was needed.
+func NewSharedDrivePair(k *sim.Kernel, nameA, nameB string, cfg DriveConfig) (*Drive, *Drive) {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
+	res := sim.NewResource(k, "tape:"+nameA+"+"+nameB, 1)
+	a, b := newDrive(nameA, cfg, res), newDrive(nameB, cfg, res)
+	meter.Share(&a.Meter, &b.Meter)
+	return a, b
+}
+
+func newDrive(name string, cfg DriveConfig, res *sim.Resource) *Drive {
+	return &Drive{Meter: meter.Tape("tape: drive", name), name: name, cfg: cfg, res: res}
 }
 
 // Name returns the drive name.
@@ -170,43 +172,6 @@ func (d *Drive) Load(m Medium) {
 	d.reverse = false
 }
 
-// SetTracker attaches the run tracker that records device events
-// (nil disables tracing).
-func (d *Drive) SetTracker(t *obs.Tracker) { d.tracker = t }
-
-// SetMetrics registers this drive's counters and request-latency
-// histogram in reg (nil detaches).
-func (d *Drive) SetMetrics(reg *obs.Registry) {
-	if reg == nil {
-		d.met = driveMetrics{}
-		return
-	}
-	l := obs.A("drive", d.name)
-	d.met = driveMetrics{
-		blocksRead:    reg.Counter("tape_blocks_read_total", "Blocks read from tape.", l),
-		blocksWritten: reg.Counter("tape_blocks_written_total", "Blocks written to tape.", l),
-		seeks:         reg.Counter("tape_seeks_total", "Head repositioning seeks.", l),
-		exchanges:     reg.Counter("tape_exchanges_total", "Robot cartridge exchanges.", l),
-		latency: reg.Histogram("tape_request_seconds",
-			"Virtual latency of tape requests, queueing included.", obs.DeviceLatencyBuckets, l),
-	}
-}
-
-// observe records a completed request's latency, measured from entry
-// (queueing on the drive included) to completion.
-func (d *Drive) observe(p *sim.Proc, t0 sim.Time) {
-	d.met.latency.Observe(sim.Duration(p.Now() - t0).Seconds())
-}
-
-// record emits a trace event spanning [from, now], stamped with the
-// issuing process's phase span.
-func (d *Drive) record(p *sim.Proc, kind obs.Kind, from sim.Time, blocks int64) {
-	d.tracker.Record(p, obs.Event{
-		Device: "tape:" + d.name, Kind: kind,
-		Start: from, End: p.Now(), Blocks: blocks,
-	})
-}
-
 // BusyTime returns total virtual time the drive was held.
 func (d *Drive) BusyTime() sim.Duration { return d.res.BusyTime }
 
@@ -224,14 +189,7 @@ func (d *Drive) exchangeTo(p *sim.Proc, addr Addr) {
 	if vol == d.curVol {
 		return
 	}
-	if d.cfg.ExchangeTime > 0 {
-		t0 := p.Now()
-		p.Hold(d.cfg.ExchangeTime)
-		d.record(p, obs.TapeExchange, t0, 0)
-	}
-	d.Stats.Exchanges++
-	d.Stats.ExchangeTime += d.cfg.ExchangeTime
-	d.met.exchanges.Inc()
+	d.Exchange(p, d.cfg.ExchangeTime)
 	d.curVol = vol
 	// A fresh cartridge starts at its first block.
 	d.pos = d.media.volumeSpan(vol).Start
@@ -240,22 +198,7 @@ func (d *Drive) exchangeTo(p *sim.Proc, addr Addr) {
 
 // seekWithin charges a head repositioning within the current volume.
 func (d *Drive) seekWithin(p *sim.Proc, addr Addr) {
-	if addr == d.pos {
-		return
-	}
-	dist := int64(addr - d.pos)
-	if dist < 0 {
-		dist = -dist
-	}
-	st := d.cfg.SeekFixed + sim.Duration(dist)*d.cfg.SeekPerBlock
-	if st > 0 {
-		d.Stats.Seeks++
-		d.Stats.SeekTime += st
-		d.met.seeks.Inc()
-		t0 := p.Now()
-		p.Hold(st)
-		d.record(p, obs.TapeSeek, t0, 0)
-	}
+	d.Seek(p, d.cfg.SeekTime(d.pos, addr))
 	d.pos = addr
 }
 
@@ -277,10 +220,22 @@ func (d *Drive) position(p *sim.Proc, addr Addr, wantReverse bool) {
 	}
 }
 
+// stream holds the drive for an n-block transfer beginning at the
+// head and leaves the head at end.
+func (d *Drive) stream(p *sim.Proc, write bool, n int64, end Addr) {
+	t := d.TransferTime(n)
+	t0 := p.Now()
+	p.Hold(t)
+	d.Transfer(p, write, obs.Event{Start: t0, Blocks: n}, t)
+	d.pos = end
+	d.lastEnd = p.Now()
+	d.started = true
+}
+
 // transferSegments walks the volume-contiguous segments of [addr,
 // addr+n), charging exchanges between them and the transfer time of
 // each.
-func (d *Drive) transferSegments(p *sim.Proc, addr Addr, n int64, kind obs.Kind) {
+func (d *Drive) transferSegments(p *sim.Proc, addr Addr, n int64, write bool) {
 	for n > 0 {
 		d.position(p, addr, false)
 		span := d.media.volumeSpan(d.curVol)
@@ -288,16 +243,9 @@ func (d *Drive) transferSegments(p *sim.Proc, addr Addr, n int64, kind obs.Kind)
 		if rest := int64(span.End() - addr); take > rest {
 			take = rest
 		}
-		t := d.TransferTime(take)
-		t0 := p.Now()
-		p.Hold(t)
-		d.record(p, kind, t0, take)
-		d.Stats.TransferTime += t
 		addr += Addr(take)
 		n -= take
-		d.pos = addr
-		d.lastEnd = p.Now()
-		d.started = true
+		d.stream(p, write, take, addr)
 	}
 }
 
@@ -318,6 +266,22 @@ func (d *Drive) checkRead(addr Addr, n int64) error {
 	return nil
 }
 
+// take holds the drive for one request; on a shared pair it takes the
+// transport, exchanging cartridges when the other drive had it. The
+// caller releases d.res.
+func (d *Drive) take(p *sim.Proc) {
+	d.res.Acquire(p)
+	if d.SwitchIn(p, d.cfg.ExchangeTime) {
+		// A freshly mounted cartridge rewinds to the start of its
+		// current volume.
+		if d.media != nil {
+			d.pos = d.media.volumeSpan(d.curVol).Start
+		}
+		d.started = false
+		d.reverse = false
+	}
+}
+
 // ReadAt reads n blocks starting at addr, holding the drive for
 // seeks, exchanges and transfer time, and returns the block data.
 func (d *Drive) ReadAt(p *sim.Proc, addr Addr, n int64) ([]block.Block, error) {
@@ -325,10 +289,9 @@ func (d *Drive) ReadAt(p *sim.Proc, addr Addr, n int64) ([]block.Block, error) {
 		return nil, err
 	}
 	t0 := p.Now()
-	d.res.Acquire(p)
+	d.take(p)
 	defer d.res.Release(p)
-	d.switchIn(p)
-	corrupt, err := d.consult(p, false, addr, n)
+	ef, err := d.Step(p, fault.Op{Addr: int64(addr), N: n}, d.name)
 	if err != nil {
 		return nil, err
 	}
@@ -336,20 +299,12 @@ func (d *Drive) ReadAt(p *sim.Proc, addr Addr, n int64) ([]block.Block, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.transferSegments(p, addr, n, obs.TapeRead)
-	d.Stats.Requests++
-	d.Stats.BlocksRead += n
-	d.met.blocksRead.Add(float64(n))
-	d.observe(p, t0)
-	if corrupt {
+	d.transferSegments(p, addr, n, false)
+	d.Done(p, false, n, t0)
+	if ef.Corrupt {
 		fault.Flip(data)
 	}
 	return data, nil
-}
-
-// ReadRegion reads an entire region.
-func (d *Drive) ReadRegion(p *sim.Proc, r Region) ([]block.Block, error) {
-	return d.ReadAt(p, r.Start, r.N)
 }
 
 // ReadRegionReverse reads a region while the head travels backward,
@@ -365,10 +320,9 @@ func (d *Drive) ReadRegionReverse(p *sim.Proc, r Region) ([]block.Block, error) 
 		return nil, fmt.Errorf("tape: drive %q cannot read in reverse", d.name)
 	}
 	t0 := p.Now()
-	d.res.Acquire(p)
+	d.take(p)
 	defer d.res.Release(p)
-	d.switchIn(p)
-	corrupt, err := d.consult(p, false, r.Start, r.N)
+	ef, err := d.Step(p, fault.Op{Addr: int64(r.Start), N: r.N}, d.name)
 	if err != nil {
 		return nil, err
 	}
@@ -376,32 +330,18 @@ func (d *Drive) ReadRegionReverse(p *sim.Proc, r Region) ([]block.Block, error) 
 	if err != nil {
 		return nil, err
 	}
-	if corrupt {
-		defer fault.Flip(data)
-	}
 	// Reverse reading starts at the region's end: position there
 	// (free when the head is already there) and stream backward.
+	// Turning around is free on a serpentine drive; moving isn't.
 	end := r.End()
 	d.exchangeTo(p, end)
-	if d.pos != end || !d.reverse {
-		// Turning around is free on a serpentine drive; moving isn't.
-		if d.pos != end {
-			d.seekWithin(p, end)
-		}
-		d.reverse = true
+	d.seekWithin(p, end)
+	d.reverse = true
+	d.stream(p, false, r.N, r.Start)
+	d.Done(p, false, r.N, t0)
+	if ef.Corrupt {
+		fault.Flip(data)
 	}
-	t := d.TransferTime(r.N)
-	tx := p.Now()
-	p.Hold(t)
-	d.record(p, obs.TapeRead, tx, r.N)
-	d.Stats.TransferTime += t
-	d.pos = r.Start
-	d.lastEnd = p.Now()
-	d.started = true
-	d.Stats.Requests++
-	d.Stats.BlocksRead += r.N
-	d.met.blocksRead.Add(float64(r.N))
-	d.observe(p, t0)
 	return data, nil
 }
 
@@ -413,22 +353,18 @@ func (d *Drive) Append(p *sim.Proc, blks []block.Block) (Region, error) {
 		return Region{}, fmt.Errorf("tape: drive %q has no cartridge", d.name)
 	}
 	t0 := p.Now()
-	d.res.Acquire(p)
+	d.take(p)
 	defer d.res.Release(p)
-	d.switchIn(p)
 	eod := d.media.EOD()
-	if _, err := d.consult(p, true, eod, int64(len(blks))); err != nil {
+	if _, err := d.Step(p, fault.Op{Write: true, Addr: int64(eod), N: int64(len(blks))}, d.name); err != nil {
 		return Region{}, err
 	}
 	reg, err := d.media.append(blks)
 	if err != nil {
 		return Region{}, err
 	}
-	d.transferSegments(p, eod, reg.N, obs.TapeWrite)
-	d.Stats.Requests++
-	d.Stats.BlocksWritten += reg.N
-	d.met.blocksWritten.Add(float64(reg.N))
-	d.observe(p, t0)
+	d.transferSegments(p, eod, reg.N, true)
+	d.Done(p, true, reg.N, t0)
 	return reg, nil
 }
 
@@ -441,29 +377,16 @@ func (d *Drive) WriteAt(p *sim.Proc, addr Addr, blks []block.Block) error {
 		return fmt.Errorf("tape: drive %q has no cartridge", d.name)
 	}
 	t0 := p.Now()
-	d.res.Acquire(p)
+	d.take(p)
 	defer d.res.Release(p)
-	d.switchIn(p)
-	if _, err := d.consult(p, true, addr, int64(len(blks))); err != nil {
+	n := int64(len(blks))
+	if _, err := d.Step(p, fault.Op{Write: true, Addr: int64(addr), N: n}, d.name); err != nil {
 		return err
 	}
 	if err := d.media.writeAt(addr, blks); err != nil {
 		return err
 	}
-	d.transferSegments(p, addr, int64(len(blks)), obs.TapeWrite)
-	d.Stats.Requests++
-	d.Stats.BlocksWritten += int64(len(blks))
-	d.met.blocksWritten.Add(float64(int64(len(blks))))
-	d.observe(p, t0)
+	d.transferSegments(p, addr, n, true)
+	d.Done(p, true, n, t0)
 	return nil
-}
-
-// Rewind repositions the head to block 0 of the current cartridge,
-// charging seek time.
-func (d *Drive) Rewind(p *sim.Proc) {
-	d.res.Acquire(p)
-	defer d.res.Release(p)
-	start := d.media.volumeSpan(d.curVol).Start
-	d.seekWithin(p, start)
-	d.reverse = false
 }

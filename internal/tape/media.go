@@ -42,16 +42,6 @@ type Media struct {
 	name     string
 	capacity int64
 	blocks   []block.Block
-	// readErrs holds injected hard media errors in insertion order —
-	// an ordered slice, not a map, so error reporting is deterministic
-	// when several injected errors overlap one read.
-	readErrs []mediaErr
-}
-
-// mediaErr is one injected hard error on a media block.
-type mediaErr struct {
-	addr Addr
-	err  error
 }
 
 // ErrTapeFull is returned when an append exceeds media capacity.
@@ -92,11 +82,6 @@ func (m *Media) read(addr Addr, n int64) ([]block.Block, error) {
 	if addr < 0 || n < 0 || addr+Addr(n) > m.EOD() {
 		return nil, fmt.Errorf("tape: read [%d,%d) beyond EOD %d on %q", addr, addr+Addr(n), m.EOD(), m.name)
 	}
-	for _, me := range m.readErrs {
-		if me.addr >= addr && me.addr < addr+Addr(n) {
-			return nil, fmt.Errorf("tape: %q block %d: %w", m.name, me.addr, me.err)
-		}
-	}
 	out := make([]block.Block, n)
 	copy(out, m.blocks[addr:addr+Addr(n)])
 	return out, nil
@@ -125,23 +110,6 @@ func (m *Media) writeAt(addr Addr, blks []block.Block) error {
 		}
 	}
 	return nil
-}
-
-// InjectReadError makes any read covering addr fail with err — a hard
-// media error, for failure-injection tests.
-func (m *Media) InjectReadError(addr Addr, err error) {
-	m.readErrs = append(m.readErrs, mediaErr{addr: addr, err: err})
-}
-
-// Corrupt flips bits in the stored block at addr, simulating silent
-// media corruption that only the block checksum catches.
-func (m *Media) Corrupt(addr Addr) {
-	if addr < 0 || addr >= m.EOD() {
-		panic(fmt.Sprintf("tape: corrupt %d beyond EOD %d", addr, m.EOD()))
-	}
-	bad := append(block.Block(nil), m.blocks[addr]...)
-	bad[len(bad)-1] ^= 0xff
-	m.blocks[addr] = bad
 }
 
 // AppendSetup writes blocks at end of data outside of simulated time.

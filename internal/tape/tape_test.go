@@ -260,31 +260,6 @@ func TestTwoDrivesOverlap(t *testing.T) {
 	}
 }
 
-func TestDriveRewind(t *testing.T) {
-	cfg := idealCfg()
-	cfg.SeekFixed = time.Second
-	cfg.SeekPerBlock = 10 * time.Millisecond
-	k := sim.NewKernel()
-	d := NewDrive(k, "r", cfg)
-	m := NewMedia("t", 100)
-	m.append(mkBlocks(1, 50, 0))
-	d.Load(m)
-	k.Spawn("p", func(p *sim.Proc) {
-		d.ReadAt(p, 0, 50) // ends t=50, head at 50
-		d.Rewind(p)        // 1s + 50*10ms = 1.5s
-		if p.Now() != sim.Time(51500*time.Millisecond) {
-			t.Errorf("now = %v, want 51.5s", p.Now())
-		}
-		d.Rewind(p) // already at 0: free
-		if p.Now() != sim.Time(51500*time.Millisecond) {
-			t.Errorf("now = %v after no-op rewind", p.Now())
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDriveNoMedia(t *testing.T) {
 	k := sim.NewKernel()
 	d := NewDrive(k, "r", idealCfg())
@@ -357,9 +332,6 @@ func TestDriveReadOutOfRange(t *testing.T) {
 		} {
 			if _, err := d.ReadAt(p, Addr(c.addr), c.n); err == nil {
 				t.Errorf("ReadAt(%d, %d): want out-of-range error", c.addr, c.n)
-			}
-			if _, err := d.ReadRegion(p, Region{Start: Addr(c.addr), N: c.n}); err == nil {
-				t.Errorf("ReadRegion(%d, %d): want out-of-range error", c.addr, c.n)
 			}
 			if _, err := d.ReadRegionReverse(p, Region{Start: Addr(c.addr), N: c.n}); err == nil {
 				t.Errorf("ReadRegionReverse(%d, %d): want out-of-range error", c.addr, c.n)

@@ -81,9 +81,6 @@ func NewMultiVolume(name string, vols ...*Media) (*MultiVolume, error) {
 // Name implements Medium.
 func (mv *MultiVolume) Name() string { return mv.name }
 
-// Volumes returns the number of cartridges.
-func (mv *MultiVolume) Volumes() int { return len(mv.vols) }
-
 // Capacity implements Medium.
 func (mv *MultiVolume) Capacity() int64 {
 	return int64(mv.prefix[len(mv.vols)])

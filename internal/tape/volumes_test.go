@@ -22,8 +22,8 @@ func mkVolumes(t *testing.T, name string, n int, capEach int64) *MultiVolume {
 
 func TestMultiVolumeAppendSpansVolumes(t *testing.T) {
 	mv := mkVolumes(t, "set", 3, 10)
-	if mv.Capacity() != 30 || mv.Volumes() != 3 || mv.Free() != 30 {
-		t.Fatalf("capacity=%d vols=%d free=%d", mv.Capacity(), mv.Volumes(), mv.Free())
+	if mv.Capacity() != 30 || len(mv.vols) != 3 || mv.Free() != 30 {
+		t.Fatalf("capacity=%d vols=%d free=%d", mv.Capacity(), len(mv.vols), mv.Free())
 	}
 	reg, err := mv.AppendSetup(mkBlocks(1, 25, 0))
 	if err != nil {
