@@ -16,7 +16,7 @@ import (
 func TestCLIFlagsPinned(t *testing.T) {
 	want := map[string]string{
 		"": "backend=sim backend-dir= batch=0 cache=0 compress=25 disk=100 disks=2 " +
-			"events-out= faults= file-pace=0 file-sync=interval file-synchronous=false " +
+			"events-out= faults= file-pace=0 file-sync=interval " +
 			"file-timeout=0s ideal=false keyspace=1048576 limit=0 mem=16 method=CTT-GH " +
 			"metrics-out= no-recover=false obs-addr= phases=false policy=mount-aware " +
 			"r=100 s=1000 seed=42 speed-ratio=2 split-buffer=false stop-after=0 " +

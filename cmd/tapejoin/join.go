@@ -29,7 +29,7 @@ func joinCmd(fs *flag.FlagSet) func(io.Writer, []string) error {
 	batch := fs.Int("batch", 0, "run a synthetic batch of this many queries through the workload engine (0 = single join)")
 	flags := systemFlags(fs, defaults{memMB: 16, diskMB: 100},
 		"mem", "disk", "disks", "speed-ratio", "compress", "ideal", "split-buffer",
-		"faults", "no-recover", "backend", "backend-dir", "file-sync", "file-synchronous",
+		"faults", "no-recover", "backend", "backend-dir", "file-sync",
 		"file-pace", "file-timeout", "obs-addr", "policy", "cache")
 
 	return func(w io.Writer, _ []string) error {

@@ -147,8 +147,6 @@ func systemFlags(fs *flag.FlagSet, d defaults, names ...string) *sysFlags {
 			fs.StringVar(&c.BackendDir, name, "", "scratch directory for -backend=file (default: the OS temp directory)")
 		case "file-sync":
 			fs.StringVar(&c.FileSync, name, "interval", "-backend=file fsync policy: none, interval or always")
-		case "file-synchronous":
-			fs.BoolVar(&c.FileSynchronous, name, false, "-backend=file: disable the async I/O engine (transfers serialize in wall-clock time)")
 		case "file-pace":
 			fs.Float64Var(&c.FilePace, name, 0, "-backend=file: emulate modeled device bandwidths sped up this factor in wall-clock (0 = page-cache speed)")
 		case "file-timeout":

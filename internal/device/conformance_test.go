@@ -1,14 +1,18 @@
 package device_test
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/block"
 	"repro/internal/device"
 	"repro/internal/device/filedev"
 	"repro/internal/device/simdev"
+	"repro/internal/disk"
+	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/tape"
@@ -124,11 +128,185 @@ func runScript(t *testing.T, b device.Backend) report {
 	return rep
 }
 
-// TestBackendsMeterAlike runs one request script on the simulator and
-// the file backend: both must count the same requests, blocks, seeks
-// and exchanges, emit the same event kinds, and export the same
-// device series.
+// runProc runs fn as the only proc of k.
+func runProc(t *testing.T, k *sim.Kernel, fn func(p *sim.Proc)) {
+	t.Helper()
+	k.Spawn("case", fn)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// newDrive builds a DLT-4000 drive on b, closed when the test ends.
+func newDrive(t *testing.T, b device.Backend, k *sim.Kernel, name string) device.Drive {
+	t.Helper()
+	d, err := b.NewDrive(k, name, device.DLT4000())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	return d
+}
+
+// newStore builds a store of n disks on b, closed when the test ends.
+func newStore(t *testing.T, b device.Backend, k *sim.Kernel, n int) device.Store {
+	t.Helper()
+	st, err := b.NewStore(k, device.StoreConfig{
+		NumDisks: n, AggregateRate: 2e6, RequestOverhead: 1, BlocksPerDisk: 64,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
+// errText is err's message, or "" for nil.
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// multiVolumeRead reads across the boundary of a two-cartridge volume
+// set: the drive must exchange cartridges once.
+func multiVolumeRead(t *testing.T, b device.Backend) any {
+	k := sim.NewKernel()
+	d := newDrive(t, b, k, "V")
+	v0, v1 := tape.NewMedia("v0", 50), tape.NewMedia("v1", 50)
+	v0.AppendSetup(blocks(50))
+	v1.AppendSetup(blocks(10))
+	mv, err := tape.NewMultiVolume("set", v0, v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Load(mv)
+	var keys []uint64
+	runProc(t, k, func(p *sim.Proc) {
+		blks, err := d.ReadAt(p, 45, 10)
+		if err != nil {
+			t.Error(err)
+		}
+		for _, b := range blks {
+			_, ts := b.MustDecode()
+			keys = append(keys, ts[0].Key)
+		}
+	})
+	s := d.DriveStats()
+	if s.Exchanges != 1 {
+		t.Errorf("%s: %d exchanges, want 1", b.Name(), s.Exchanges)
+	}
+	return []any{keys, s.Requests, s.BlocksRead, s.Seeks, s.Exchanges, s.StartStops}
+}
+
+// idleGap resumes a stream in place after an idle gap beyond the
+// drive buffer's StartStopHide: the drive must charge one stop/start.
+func idleGap(t *testing.T, b device.Backend) any {
+	k := sim.NewKernel()
+	d := newDrive(t, b, k, "T")
+	m := tape.NewMedia("m", 100)
+	m.AppendSetup(blocks(40))
+	d.Load(m)
+	runProc(t, k, func(p *sim.Proc) {
+		if _, err := d.ReadAt(p, 0, 10); err != nil {
+			t.Error(err)
+		}
+		p.Hold(d.Config().StartStopHide + time.Second)
+		if _, err := d.ReadAt(p, 10, 10); err != nil {
+			t.Error(err)
+		}
+	})
+	s := d.DriveStats()
+	if s.StartStops != 1 {
+		t.Errorf("%s: %d stop/starts, want 1", b.Name(), s.StartStops)
+	}
+	return []any{s.Requests, s.Seeks, s.StartStops, s.StartStopTime}
+}
+
+// diskLoss kills disk 1 of a two-disk store (diskfail=1@0s) under a
+// striped file: the file is lost, the store reports the dead disk and
+// a halved capacity, and a file created afterwards lives on the
+// survivor.
+func diskLoss(t *testing.T, b device.Backend) any {
+	k := sim.NewKernel()
+	st := newStore(t, b, k, 2)
+	sched, err := fault.Parse("diskfail=1@0s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []any
+	runProc(t, k, func(p *sim.Proc) {
+		f, err := st.Create("striped", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Append(p, blocks(8)); err != nil {
+			t.Error(err)
+		}
+		st.SetInjector(sched)
+		_, err = f.ReadAt(p, 0, 8)
+		if !errors.Is(err, fault.ErrDeviceLost) || !f.Lost() || !reflect.DeepEqual(st.DeadDisks(), []int{1}) {
+			t.Errorf("%s: read after diskfail: %v, lost %v, dead disks %v", b.Name(), err, f.Lost(), st.DeadDisks())
+		}
+		out = append(out, errText(err), errors.Is(err, fault.ErrDeviceLost), f.Lost(),
+			st.DeadDisks(), st.TotalCapacity(), st.Free())
+		g, err := st.Create("after", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = g.Append(p, blocks(4))
+		out = append(out, g.Name(), errText(err), g.Lost(), st.Free())
+	})
+	return out
+}
+
+// freedRead reads a freed scratch file: a typed error on every
+// backend.
+func freedRead(t *testing.T, b device.Backend) any {
+	k := sim.NewKernel()
+	st := newStore(t, b, k, 1)
+	var out []any
+	runProc(t, k, func(p *sim.Proc) {
+		f, err := st.Create("gone", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Append(p, blocks(4)); err != nil {
+			t.Error(err)
+		}
+		f.Free()
+		_, err = f.ReadAt(p, 0, 2)
+		if !errors.Is(err, disk.ErrFreed) {
+			t.Errorf("%s: read of a freed file: %v, want disk.ErrFreed", b.Name(), err)
+		}
+		out = append(out, errText(err), errors.Is(err, disk.ErrFreed), st.Free())
+	})
+	return out
+}
+
+// TestBackendsMeterAlike runs the same request scripts on the
+// simulator and the file backend: both must count the same requests,
+// blocks, seeks, exchanges and stop/starts, emit the same event kinds,
+// export the same device series, lose the same disks and fail the
+// same requests.
 func TestBackendsMeterAlike(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		run  func(*testing.T, device.Backend) any
+	}{
+		{"multi-volume read", multiVolumeRead},
+		{"idle gap", idleGap},
+		{"disk loss", diskLoss},
+		{"freed file", freedRead},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sim, file := c.run(t, simdev.Backend{}), c.run(t, filedev.New(t.TempDir()))
+			if !reflect.DeepEqual(sim, file) {
+				t.Errorf("backends disagree:\nsim:  %v\nfile: %v", sim, file)
+			}
+		})
+	}
 	sim := runScript(t, simdev.Backend{})
 	file := runScript(t, filedev.New(t.TempDir()))
 	if !reflect.DeepEqual(sim, file) {

@@ -1,15 +1,14 @@
-// Package device defines the narrow storage interfaces the join code
-// runs against: tape-like drives (sequential block transfer with
-// positioning cost, forward and reverse region scans, append-only
-// scratch), disk-like stores (scratch-file allocate/free with direct
-// offsets), and a backend that constructs both. The join methods,
-// recovery machinery and workload engine speak only these interfaces;
+// Package device names the storage the join code runs against: the
+// tape drive (sequential block transfer with positioning cost, forward
+// and reverse region scans, append-only scratch), the disk store
+// (scratch-file allocate/free with direct offsets), and a backend that
+// constructs both. The drive and store own the paper's device model;
 // the virtual-time simulator (device/simdev) and the real-OS-file
-// runtime (device/filedev) are interchangeable backends behind them.
+// runtime (device/filedev) are interchangeable backends that only
+// move the bytes under it.
 package device
 
 import (
-	"repro/internal/block"
 	"repro/internal/device/ioengine"
 	"repro/internal/device/meter"
 	"repro/internal/disk"
@@ -55,89 +54,22 @@ type Instrumented interface {
 	SetInjector(inj fault.Injector)
 }
 
-// Drive is a tape-like device: one mounted medium, a head position,
-// and sequential block transfer with positioning cost. A drive serves
-// one request at a time; concurrent processes sharing it serialize.
-type Drive interface {
-	// Name identifies the drive.
-	Name() string
-	// Config returns the drive's performance profile.
-	Config() DriveConfig
-	// Media returns the mounted medium, or nil.
-	Media() Medium
-	// Load mounts a medium and positions the head at block 0.
-	Load(m Medium)
-	// ReadAt reads n blocks starting at addr.
-	ReadAt(p *sim.Proc, addr Addr, n int64) ([]block.Block, error)
-	// ReadRegionReverse reads a region while the head travels
-	// backward, returning blocks in forward order. Fails unless the
-	// drive profile is BiDirectional.
-	ReadRegionReverse(p *sim.Proc, r Region) ([]block.Block, error)
-	// Append writes blocks at end of data and returns the region
-	// written.
-	Append(p *sim.Proc, blks []block.Block) (Region, error)
-	// WriteAt overwrites blocks starting at addr, extending end of
-	// data when the write runs past it.
-	WriteAt(p *sim.Proc, addr Addr, blks []block.Block) error
-	// BusyTime is the total time the drive was held.
-	BusyTime() sim.Duration
-	// DriveStats snapshots the drive's cumulative activity counters.
-	DriveStats() DriveStats
-	Instrumented
-	// Close releases the drive's OS resources (I/O worker, scratch
-	// files); a no-op for purely virtual backends. Safe to call more
-	// than once.
-	Close() error
-}
-
-// File is one scratch file on a store: append-only growth, direct
-// positioned reads, explicit free.
-type File interface {
-	// Name identifies the file.
-	Name() string
-	// Len is the current length in blocks.
-	Len() int64
-	// Append adds blocks at the end of the file.
-	Append(p *sim.Proc, blks []block.Block) error
-	// ReadAt reads n blocks starting at block offset off.
-	ReadAt(p *sim.Proc, off, n int64) ([]block.Block, error)
-	// Free releases the file's space.
-	Free()
-	// Lost reports whether the file lost extents to a dead drive.
-	Lost() bool
-}
-
-// Store is the scratch space shared by joins: a bounded pool of
-// blocks served as named files, with space accounting and failure
-// tracking.
-type Store interface {
-	// Create allocates an empty file. placement, when non-nil,
-	// restricts the file to the given drive indices.
-	Create(name string, placement []int) (File, error)
-	// Config returns the store's construction-time configuration, for
-	// building an equivalent replacement store.
-	Config() StoreConfig
-	// TotalCapacity is the store's live capacity in blocks (dead
-	// drives excluded).
-	TotalCapacity() int64
-	// Free is the unallocated space in blocks.
-	Free() int64
-	// HighWater is the peak allocated space since the last reset.
-	HighWater() int64
-	// ResetHighWater restarts peak tracking from current usage.
-	ResetHighWater()
-	// BusyTime is the cumulative busy time across the store's drives.
-	BusyTime() sim.Duration
-	// DiskStats snapshots the store's cumulative activity counters.
-	DiskStats() DiskStats
-	// DeadDisks lists permanently failed drive indices.
-	DeadDisks() []int
-	Instrumented
-	// Close releases the store's OS resources (I/O worker, scratch
-	// files); a no-op for purely virtual backends. Safe to call more
-	// than once.
-	Close() error
-}
+// There is one tape drive, one disk store and one scratch file type;
+// a backend supplies only the byte movers under them.
+type (
+	// Drive is a tape drive: one mounted medium, a head position, and
+	// sequential block transfer with positioning cost. A drive serves
+	// one request at a time; concurrent processes sharing it
+	// serialize.
+	Drive = *tape.Drive
+	// Store is the scratch space shared by joins: a bounded pool of
+	// blocks on n drives served as named files, with space accounting
+	// and failure tracking.
+	Store = *disk.Array
+	// File is one scratch file on a store: append-only growth, direct
+	// positioned reads, explicit free.
+	File = *disk.File
+)
 
 // Backend constructs a device complex. Implementations: simdev (the
 // paper's virtual-time simulator) and filedev (real OS files with

@@ -1,34 +1,31 @@
-// Package filedev is the real-I/O backend: cartridges and disk
-// scratch map to OS files, and transfers cost the wall-clock time the
-// OS actually took, charged into the simulation clock so phase spans
-// and stats report honest hardware numbers.
+// Package filedev is the real-I/O backend. It builds the same
+// tape.Drive and disk.Array as the simulator — one device model owns
+// exchanges, seeks, stop/start, placement, capacity, dead disks, the
+// fault step and metering — and supplies only the byte movers under
+// them: cartridges and disk scratch map to OS files, and a transfer
+// costs the wall-clock time the OS actually took, charged into the
+// simulation clock so phase spans and stats report honest hardware
+// numbers.
 //
-// Tape files are sequential-only: every read and write streams
-// length-prefixed block records through an OS file, and head
-// repositioning charges the drive profile's modeled seek latency
-// (SeekFixed + distance * SeekPerBlock) — an OS file seeks for free,
-// a tape transport does not, so the position model is the one part of
-// the virtual cost model that survives into this backend. Disk
-// scratch files are direct-offset: any block is one pread away and
-// only the measured transfer time is charged.
+// A drive's mover streams length-prefixed, CRC-framed block records
+// through a spool file; a store's mover keeps one record file per
+// scratch file, read and written at direct offsets. Transfers run
+// through per-device ioengine workers: the calling proc plans the
+// operation while it holds the simulation's control token (index
+// bookkeeping, offset reservation), submits the pure OS syscalls to
+// the device's worker goroutine, and yields the token until the worker
+// posts completion. Independent devices therefore overlap in
+// wall-clock time — the paper's max() cost composition — while the
+// kernel's virtual schedule stays deterministic. OS-level fault
+// verdicts from the device's fault step are armed on the record file
+// the planned syscalls touch.
 //
-// Transfers run through per-device ioengine workers: the calling proc
-// plans the operation while it holds the simulation's control token
-// (index bookkeeping, offset reservation), submits the pure OS
-// syscalls to the device's worker goroutine, and yields the token
-// until the worker posts completion. Independent devices therefore
-// overlap in wall-clock time — the paper's max() cost composition —
-// while the kernel's virtual schedule stays deterministic. Setting
-// Backend.Synchronous restores the old inline path, where every
-// transfer runs under the token and devices take strict turns.
-//
-// The mounted tape.Medium stays authoritative for content: appends
-// and overwrites dual-write through the medium's setup interface, and
-// Load respools the medium's current contents into the drive's
-// spool file. That keeps media state consistent across unload/reload,
-// shared-transport degrades, and the workload engine's mount
-// scheduling, while every in-run transfer still moves real bytes
-// through the OS.
+// The mounted tape.Medium stays authoritative for content: the drive
+// records appends and overwrites on it, and a mount respools the
+// medium's current contents into the drive's spool file. That keeps
+// media state consistent across unload/reload, shared-transport
+// degrades, and the workload engine's mount scheduling, while every
+// in-run transfer still moves real bytes through the OS.
 package filedev
 
 import (
@@ -47,16 +44,12 @@ import (
 	"repro/internal/device"
 	"repro/internal/device/faultfile"
 	"repro/internal/device/ioengine"
-	"repro/internal/device/meter"
+	"repro/internal/disk"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/tape"
 )
-
-// ErrFreed is returned for operations on a freed scratch file. It is a
-// plain error, not a panic: a join that races recovery against cleanup
-// must degrade through the recovery machinery, not crash the process.
-var ErrFreed = errors.New("filedev: file freed")
 
 // SyncPolicy controls when written data is fsynced to the underlying
 // device. Without syncing, OS writes land in the page cache and the
@@ -108,10 +101,6 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 type Backend struct {
 	// Dir is the root scratch directory; it is created on demand.
 	Dir string
-	// Synchronous disables the async I/O engine: transfers run inline
-	// under the control token and serialize in wall-clock time. Used
-	// by equivalence tests and as an escape hatch.
-	Synchronous bool
 	// Sync selects the fsync policy for written data (default
 	// SyncInterval).
 	Sync SyncPolicy
@@ -121,8 +110,7 @@ type Backend struct {
 	// device's health, and TripAfter consecutive misses trip its
 	// circuit breaker (the device then fails fast with
 	// fault.ErrDeviceFailed and the join's recovery machinery rebuilds
-	// on surviving resources). Zero disables deadlines. Ignored by the
-	// synchronous path, which has no worker to watchdog.
+	// on surviving resources). Zero disables deadlines.
 	OpTimeout time.Duration
 	// TripAfter overrides the consecutive-timeout count that trips a
 	// device's breaker (ioengine.DefaultTripAfter when zero).
@@ -164,15 +152,12 @@ func New(dir string) *Backend { return &Backend{Dir: dir} }
 // Name implements device.Backend.
 func (b *Backend) Name() string { return "file" }
 
-// Engine returns the backend's async I/O engine, or nil when the
-// backend is synchronous. The engine is shared by every device the
-// backend builds, so its wall stats cover the whole device complex. It
-// is built on first use under the backend's lock, because a telemetry
-// scrape may read it while a join builds its devices.
+// Engine returns the backend's async I/O engine. The engine is shared
+// by every device the backend builds, so its wall stats cover the
+// whole device complex. It is built on first use under the backend's
+// lock, because a telemetry scrape may read it while a join builds its
+// devices.
 func (b *Backend) Engine() *ioengine.Engine {
-	if b.Synchronous {
-		return nil
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.engine == nil {
@@ -198,8 +183,7 @@ func (b *Backend) built() *ioengine.Engine {
 }
 
 // DeviceHealths implements device.HealthReporter: the live health of
-// every device worker the backend has built. Nil for a synchronous
-// backend (no workers, nothing to watchdog).
+// every device worker the backend has built.
 func (b *Backend) DeviceHealths() []ioengine.DeviceHealth {
 	if e := b.built(); e != nil {
 		return e.DeviceHealths()
@@ -208,8 +192,8 @@ func (b *Backend) DeviceHealths() []ioengine.DeviceHealth {
 }
 
 // WallStats implements device.WallStatser: merged wall-clock busy time
-// per device and the cross-device overlap fraction. Zero for a
-// synchronous backend.
+// per device and the cross-device overlap fraction. Zero before the
+// first device is built.
 func (b *Backend) WallStats() ioengine.WallStats {
 	if e := b.built(); e != nil {
 		return e.WallStats()
@@ -225,12 +209,9 @@ func (b *Backend) PublishWallMetrics(reg *obs.Registry) {
 	}
 }
 
-// worker builds a device worker, or nil for a synchronous backend.
+// worker builds a device worker.
 func (b *Backend) worker(name string) *ioengine.Worker {
-	if e := b.Engine(); e != nil {
-		return e.Worker(name)
-	}
-	return nil
+	return b.Engine().Worker(name)
 }
 
 // syncBytes returns the effective SyncInterval threshold.
@@ -276,35 +257,35 @@ func (b *Backend) NewDrive(k *sim.Kernel, name string, cfg device.DriveConfig) (
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	dir, err := b.scratch("tape", name)
+	mv, err := b.newSpool(name)
 	if err != nil {
 		return nil, err
 	}
-	d := &Drive{Meter: meter.Tape("filedev: drive", name), name: name, cfg: cfg, dir: dir, b: b,
-		w:   b.worker("tape:" + name),
-		res: sim.NewResource(k, "tape:"+name, 1)}
-	d.OS(d.w)
+	d := tape.NewDrive(k, name, cfg, mv)
+	d.OS(mv.w)
 	return d, nil
 }
 
 // NewSharedDrivePair implements device.Backend: two logical drives
-// serialized on one transport resource, for the post-drive-loss
-// degraded configuration. Switching the transport between the drives
-// charges a cartridge exchange, as on the simulator.
+// behind one transport, each with its own spool, for the
+// post-drive-loss degraded configuration.
 func (b *Backend) NewSharedDrivePair(k *sim.Kernel, nameA, nameB string, cfg device.DriveConfig) (device.Drive, device.Drive, error) {
-	da, err := b.NewDrive(k, nameA, cfg)
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
+	}
+	ma, err := b.newSpool(nameA)
 	if err != nil {
 		return nil, nil, err
 	}
-	db, err := b.NewDrive(k, nameB, cfg)
+	mb, err := b.newSpool(nameB)
 	if err != nil {
-		da.Close() // release the first drive's worker and scratch dir
+		ma.Close() // release the first drive's worker and scratch dir
 		return nil, nil, err
 	}
-	a, bb := da.(*Drive), db.(*Drive)
-	meter.Share(&a.Meter, &bb.Meter)
-	bb.res = a.res
-	return a, bb, nil
+	da, db := tape.NewSharedDrivePair(k, nameA, nameB, cfg, ma, mb)
+	da.OS(ma.w)
+	db.OS(mb.w)
+	return da, db, nil
 }
 
 // NewStore implements device.Backend.
@@ -316,15 +297,20 @@ func (b *Backend) NewStore(k *sim.Kernel, cfg device.StoreConfig) (device.Store,
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{Meter: meter.Disk("filedev: file"), cfg: cfg, dir: dir, b: b, w: b.worker("disk")}
-	s.OS(s.w)
-	return s, nil
+	mv := &store{b: b, dir: dir, w: b.worker("disk")}
+	a, err := disk.NewArray(k, cfg, mv)
+	if err != nil {
+		mv.Close()
+		return nil, err
+	}
+	mv.a = a
+	a.OS(mv.w)
+	return a, nil
 }
 
 // syncer applies the backend's SyncPolicy to one file. It is touched
 // only by the goroutine executing that file's writes — the device
-// worker, or the token holder in synchronous mode — so it needs no
-// locking.
+// worker, or the token holder at mount time — so it needs no locking.
 type syncer struct {
 	policy SyncPolicy
 	every  int64
@@ -435,8 +421,8 @@ type readOp struct {
 // reserves their file offsets, returning the write ops to execute;
 // pos may repoint existing entries or extend the index by exactly one
 // record at a time. The index is updated before any byte is written —
-// the ops must be submitted to the file's worker (or run inline)
-// before the token is released.
+// the ops must be submitted to the file's worker before the token is
+// released.
 func (r *recFile) planAppend(pos int64, blks []block.Block) ([]writeOp, error) {
 	ops := make([]writeOp, 0, len(blks))
 	for _, blk := range blks {
@@ -529,8 +515,7 @@ func assemble(ops []readOp) []block.Block {
 	return out
 }
 
-// appendRecords plans and executes inline — for mount-time respooling
-// and the synchronous path.
+// appendRecords plans and executes inline, for mount-time respooling.
 func (r *recFile) appendRecords(pos int64, blks []block.Block) error {
 	ops, err := r.planAppend(pos, blks)
 	if err != nil {
@@ -547,31 +532,18 @@ func (r *recFile) close() error {
 	return f.Close()
 }
 
-// hold charges the measured wall-clock duration of a completed OS
-// operation into the simulation clock.
-func hold(p *sim.Proc, t0 time.Time) sim.Duration {
-	d := sim.Duration(time.Since(t0))
-	if d > 0 {
-		p.Hold(d)
-	}
-	return d
-}
-
-// pace returns the minimum wall-clock occupancy of an n-block
-// transfer on a device sustaining rate bytes/second, or zero when
-// pacing is off.
-func (b *Backend) pace(rate float64, n int64) time.Duration {
-	if b.PaceScale <= 0 || rate <= 0 {
+// pace returns the minimum wall-clock occupancy of a transfer the
+// device model times at model, or zero when pacing is off.
+func (b *Backend) pace(model sim.Duration) time.Duration {
+	if b.PaceScale <= 0 {
 		return 0
 	}
-	secs := float64(n) * block.VirtualSize / rate / b.PaceScale
-	return time.Duration(secs * float64(time.Second))
+	return time.Duration(float64(model) / b.PaceScale)
 }
 
 // paced wraps op so it occupies at least min of wall-clock time. The
-// sleep runs wherever the op runs — the device worker in async mode —
-// so paced transfers on independent devices overlap like the hardware
-// they emulate.
+// sleep runs on the device worker, so paced transfers on independent
+// devices overlap like the hardware they emulate.
 func paced(min time.Duration, op func() error) func() error {
 	if min <= 0 {
 		return op
@@ -584,20 +556,6 @@ func paced(min time.Duration, op func() error) func() error {
 		}
 		return err
 	}
-}
-
-// doIO runs one planned device operation: through the worker when the
-// backend is async (the proc yields the control token while the
-// worker performs the syscalls), inline under the token otherwise.
-// Either way the measured wall duration is charged to virtual time
-// and returned.
-func doIO(p *sim.Proc, w *ioengine.Worker, op func() error) (sim.Duration, error) {
-	if w != nil {
-		return w.Do(p, op)
-	}
-	t0 := time.Now()
-	err := op()
-	return hold(p, t0), err
 }
 
 // remove deletes a device's scratch directory, ignoring errors — the

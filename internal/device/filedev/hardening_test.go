@@ -9,6 +9,8 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/device/faultfile"
+	"repro/internal/device/simdev"
+	"repro/internal/disk"
 	"repro/internal/sim"
 	"repro/internal/tape"
 )
@@ -33,16 +35,23 @@ func countScratchDirs(t *testing.T, root string) int {
 	return n
 }
 
-// TestFreedFileReturnsErrors: operations on a freed scratch file must
-// be errors, not panics, so a fault-injected join that races recovery
-// against cleanup degrades instead of crashing the process.
+// TestFreedFileReturnsErrors: on either backend, operations on a freed
+// scratch file must be typed errors, not panics, so a fault-injected
+// join that races recovery against cleanup degrades instead of
+// crashing the process.
 func TestFreedFileReturnsErrors(t *testing.T) {
-	b := New(t.TempDir())
+	for _, b := range []device.Backend{simdev.Backend{}, New(t.TempDir())} {
+		t.Run(b.Name(), func(t *testing.T) { freedFileReturnsErrors(t, b) })
+	}
+}
+
+func freedFileReturnsErrors(t *testing.T, b device.Backend) {
 	k := sim.NewKernel()
 	st, err := b.NewStore(k, device.StoreConfig{NumDisks: 1, AggregateRate: 4, BlocksPerDisk: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer st.Close()
 	run(t, k, func(p *sim.Proc) {
 		f, err := st.Create("victim", nil)
 		if err != nil {
@@ -53,10 +62,10 @@ func TestFreedFileReturnsErrors(t *testing.T) {
 		}
 		f.Free()
 		f.Free() // double free stays a no-op
-		if err := f.Append(p, mkBlocks(3, 1, 0)); !errors.Is(err, ErrFreed) {
+		if err := f.Append(p, mkBlocks(3, 1, 0)); !errors.Is(err, disk.ErrFreed) {
 			t.Errorf("Append after Free: err = %v, want ErrFreed", err)
 		}
-		if _, err := f.ReadAt(p, 0, 1); !errors.Is(err, ErrFreed) {
+		if _, err := f.ReadAt(p, 0, 1); !errors.Is(err, disk.ErrFreed) {
 			t.Errorf("ReadAt after Free: err = %v, want ErrFreed", err)
 		}
 	})
@@ -215,7 +224,7 @@ func TestSyncerIntervalResets(t *testing.T) {
 
 // runWorkload exercises one backend with two drives and a store doing
 // interleaved transfers from two procs, returning the keys read back.
-func runWorkload(t *testing.T, b *Backend) []uint64 {
+func runWorkload(t *testing.T, b device.Backend) []uint64 {
 	t.Helper()
 	k := sim.NewKernel()
 	dR, err := b.NewDrive(k, "R", biDirCfg())
@@ -281,23 +290,21 @@ func runWorkload(t *testing.T, b *Backend) []uint64 {
 }
 
 // TestSyncAsyncEquivalence: the async submit path must deliver the
-// same bytes as the inline synchronous path for an interleaved
-// two-drive workload. The two procs' results are compared as sets:
-// async mode legitimately interleaves their completions differently
-// (that is the point), but every block must arrive intact.
+// same bytes as the simulator for an interleaved two-drive workload.
+// The two procs' results are compared as sets: the file backend
+// legitimately interleaves their completions differently (wall-clock
+// transfer times), but every block must arrive intact.
 func TestSyncAsyncEquivalence(t *testing.T) {
 	async := runWorkload(t, New(t.TempDir()))
-	syncb := New(t.TempDir())
-	syncb.Synchronous = true
-	syncKeys := runWorkload(t, syncb)
+	ref := runWorkload(t, simdev.Backend{})
 	slices.Sort(async)
-	slices.Sort(syncKeys)
-	if len(async) != len(syncKeys) {
-		t.Fatalf("async read %d keys, sync %d", len(async), len(syncKeys))
+	slices.Sort(ref)
+	if len(async) != len(ref) {
+		t.Fatalf("async read %d keys, sim %d", len(async), len(ref))
 	}
 	for i := range async {
-		if async[i] != syncKeys[i] {
-			t.Fatalf("key %d: async %d vs sync %d", i, async[i], syncKeys[i])
+		if async[i] != ref[i] {
+			t.Fatalf("key %d: async %d vs sim %d", i, async[i], ref[i])
 		}
 	}
 	if len(async) != 64 {
@@ -305,9 +312,8 @@ func TestSyncAsyncEquivalence(t *testing.T) {
 	}
 }
 
-// TestWallStatsExposure: an async backend reports per-device wall
-// busy time through the WallStatser interface; a synchronous backend
-// reports zeros.
+// TestWallStatsExposure: the backend reports per-device wall busy
+// time through the WallStatser interface.
 func TestWallStatsExposure(t *testing.T) {
 	b := New(t.TempDir())
 	runWorkload(t, b)
@@ -327,12 +333,5 @@ func TestWallStatsExposure(t *testing.T) {
 	}
 	if o := st.Overlap(); o < 0 || o >= 1 {
 		t.Errorf("Overlap() = %v, want [0,1)", o)
-	}
-
-	syncb := New(t.TempDir())
-	syncb.Synchronous = true
-	runWorkload(t, syncb)
-	if st := syncb.WallStats(); st.Busy != 0 {
-		t.Errorf("synchronous backend WallStats = %+v, want zero", st)
 	}
 }

@@ -264,31 +264,3 @@ func TestStallRecoveredByRetry(t *testing.T) {
 		}
 	})
 }
-
-// TestSyncPathIgnoresDeadlines confirms the synchronous escape hatch
-// still works with OS faults armed: no worker, no watchdog, faults
-// apply inline.
-func TestSyncPathIgnoresDeadlines(t *testing.T) {
-	b := New(t.TempDir())
-	b.Synchronous = true
-	b.OpTimeout = time.Millisecond
-	k := sim.NewKernel()
-	s := newStore(t, b, k)
-	sched, err := fault.Parse("flip=disk:1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetInjector(sched)
-	run(t, k, func(p *sim.Proc) {
-		f, err := s.Create("scratch", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Append(p, mkBlocks(1, 3, 0)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.ReadAt(p, 0, 3); !errors.Is(err, fault.ErrCorrupt) {
-			t.Fatalf("inline read of flipped record: %v, want fault.ErrCorrupt", err)
-		}
-	})
-}

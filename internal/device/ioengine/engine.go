@@ -204,35 +204,23 @@ func (w *Worker) Name() string { return w.name }
 // Health returns the worker's current health state. Safe from any
 // goroutine.
 func (w *Worker) Health() Health {
-	if w == nil {
-		return Healthy
-	}
 	return Health(w.state.Load())
 }
 
 // Timeouts returns the number of operations that missed the deadline.
 func (w *Worker) Timeouts() int64 {
-	if w == nil {
-		return 0
-	}
 	return w.timeouts.Load()
 }
 
 // Retries returns the number of device-layer retries Do performed.
 func (w *Worker) Retries() int64 {
-	if w == nil {
-		return 0
-	}
 	return w.retries.Load()
 }
 
 // SetMetrics registers the worker's gauges and counters in reg (nil
 // detaches): queue depth, health state, deadline misses, and
-// device-layer retries. A nil worker (synchronous backend) is a no-op.
+// device-layer retries.
 func (w *Worker) SetMetrics(reg *obs.Registry) {
-	if w == nil {
-		return
-	}
 	if reg == nil {
 		w.gauge, w.healthGauge, w.timeoutCtr, w.retryCtr = nil, nil, nil, nil
 		return

@@ -2,10 +2,9 @@
 // cost. A Meter owns the device's tape_* or disk_* series (names, HELP
 // texts, labels and registration order), its obs events for every
 // transfer, seek and exchange, its fault step, its cumulative Stats,
-// and a store's space ledger. The simulated tape drive and disk array
-// and the file backend's drive and store each embed one, so both
-// backends account I/O the same way and the device.Instrumented
-// wiring is written once.
+// and a store's space ledger. The one tape drive (tape.Drive) and the
+// one disk store (disk.Array) each embed one, so both backends account
+// I/O the same way and the device.Instrumented wiring is written once.
 package meter
 
 import (
@@ -15,13 +14,14 @@ import (
 )
 
 // Stats accumulates a device's activity. Fields a device does not
-// model stay zero (a disk never seeks; only the simulated tape charges
-// start/stops and only the simulated array a per-request overhead).
+// model stay zero (a disk never seeks or exchanges; only the
+// simulator's disk mover charges a per-request overhead).
 type Stats struct {
 	BlocksRead    int64
 	BlocksWritten int64
-	// Requests counts requests served: per drive request on tape,
-	// per member-drive request on a striped array.
+	// Requests counts requests served: per drive request on tape;
+	// on a disk array, per member-drive request on the simulator and
+	// per file request on the file backend (one OS file per file).
 	Requests      int64
 	Seeks         int64
 	SeekTime      sim.Duration

@@ -1,7 +1,7 @@
-// Package simdev adapts the virtual-time tape and disk simulators to
-// the device interfaces. It is the default backend: all timing is
-// virtual, fully deterministic, and calibrated to the paper's
-// experimental platform.
+// Package simdev is the default backend: the tape drives and disk
+// store keep their blocks in memory and hold every transfer for its
+// modelled time, so all timing is virtual, fully deterministic, and
+// calibrated to the paper's experimental platform.
 package simdev
 
 import (
@@ -10,35 +10,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/tape"
 )
-
-// Drive wraps the simulated tape drive; everything but Close promotes
-// from it.
-type Drive struct {
-	*tape.Drive
-}
-
-// Close implements device.Drive: a simulated drive holds no OS
-// resources.
-func (d Drive) Close() error { return nil }
-
-// Store wraps the simulated striped disk array. Create rewraps the
-// concrete file type.
-type Store struct {
-	*disk.Array
-}
-
-// Create implements device.Store.
-func (s Store) Create(name string, placement []int) (device.File, error) {
-	f, err := s.Array.Create(name, placement)
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// Close implements device.Store: a simulated array holds no OS
-// resources.
-func (s Store) Close() error { return nil }
 
 // Backend builds simulated drives and arrays.
 type Backend struct{}
@@ -53,7 +24,7 @@ func (Backend) NewDrive(k *sim.Kernel, name string, cfg device.DriveConfig) (dev
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return Drive{tape.NewDrive(k, name, cfg)}, nil
+	return tape.NewDrive(k, name, cfg, nil), nil
 }
 
 // NewSharedDrivePair implements device.Backend.
@@ -61,15 +32,11 @@ func (Backend) NewSharedDrivePair(k *sim.Kernel, nameA, nameB string, cfg device
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
-	a, b := tape.NewSharedDrivePair(k, nameA, nameB, cfg)
-	return Drive{a}, Drive{b}, nil
+	a, b := tape.NewSharedDrivePair(k, nameA, nameB, cfg, nil, nil)
+	return a, b, nil
 }
 
 // NewStore implements device.Backend.
 func (Backend) NewStore(k *sim.Kernel, cfg device.StoreConfig) (device.Store, error) {
-	a, err := disk.NewArray(k, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return Store{a}, nil
+	return disk.NewArray(k, cfg, nil)
 }

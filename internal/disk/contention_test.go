@@ -24,7 +24,7 @@ func contendedRun(t *testing.T) string {
 		RequestOverhead: 10 * time.Millisecond,
 		BlocksPerDisk:   100,
 	}
-	a, err := NewArray(k, cfg)
+	a, err := NewArray(k, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ end=24.15s requests=34
 func BenchmarkDiskStripedRead(b *testing.B) {
 	b.ReportAllocs()
 	k := sim.NewKernel()
-	a, err := NewArray(k, SCSI2Pair(64))
+	a, err := NewArray(k, SCSI2Pair(64), nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -86,22 +86,57 @@ type dev struct {
 	dead bool // permanently failed; extents on it are lost
 }
 
-// Array is a simulated disk array with explicit placement control. The
-// embedded meter accounts every per-disk request and the allocated
-// space.
+// ErrFreed is returned for a request on a freed scratch file: a join
+// that races recovery against cleanup degrades through the recovery
+// machinery instead of crashing the process.
+var ErrFreed = errors.New("disk: file freed")
+
+// Mover moves the bytes of an array's scratch files; the array decides
+// everything else. Before an extent sees a request the array has
+// checked it, run the fault steps (where a drive can die), and charged
+// the space on the file's placement drives.
+type Mover interface {
+	// Create opens the bytes of new file f.
+	Create(f *File) (Extent, error)
+	// Close releases the mover's OS resources. Safe to call more than
+	// once.
+	Close() error
+}
+
+// Extent holds one scratch file's bytes. Write and Read hold p for the
+// transfer and meter it through the array.
+type Extent interface {
+	// Arm queues an OS-level fault verdict against the next transfer.
+	Arm(dec fault.OSDecision)
+	// Write moves blks to the file at block offset off, its end.
+	Write(p *sim.Proc, off int64, blks []block.Block) error
+	// Read delivers n blocks at block offset off.
+	Read(p *sim.Proc, off, n int64) ([]block.Block, error)
+	// Free releases the bytes.
+	Free()
+}
+
+// Array is a disk array with explicit placement control: the paper's
+// cost model of n drives over a byte mover. The embedded meter
+// accounts every request and the allocated space.
 type Array struct {
 	meter.Meter
 	cfg      Config
+	mv       Mover
 	disks    []*dev
 	nextFile int
 }
 
-// NewArray returns an array attached to the kernel.
-func NewArray(k *sim.Kernel, cfg Config) (*Array, error) {
+// NewArray returns an array attached to the kernel, moving its bytes
+// through mv (nil: the simulator's in-memory mover).
+func NewArray(k *sim.Kernel, cfg Config, mv Mover) (*Array, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	a := &Array{Meter: meter.Disk("disk: file"), cfg: cfg}
+	if mv == nil {
+		mv = simMover{}
+	}
+	a := &Array{Meter: meter.Disk("disk: file"), cfg: cfg, mv: mv}
 	for i := 0; i < cfg.NumDisks; i++ {
 		name := fmt.Sprintf("disk%d", i)
 		a.disks = append(a.disks, &dev{id: i, name: name, res: sim.NewResource(k, name, 1)})
@@ -111,6 +146,10 @@ func NewArray(k *sim.Kernel, cfg Config) (*Array, error) {
 
 // Config returns the array configuration.
 func (a *Array) Config() Config { return a.cfg }
+
+// Close releases the mover's OS resources (I/O worker, scratch
+// files); a no-op on the simulator. Safe to call more than once.
+func (a *Array) Close() error { return a.mv.Close() }
 
 // DeadDisks returns the ids of permanently failed drives, in order.
 func (a *Array) DeadDisks() []int {
@@ -143,13 +182,10 @@ func (a *Array) TotalCapacity() int64 {
 // Free returns unallocated blocks across the whole array.
 func (a *Array) Free() int64 { return a.TotalCapacity() - a.Used() }
 
-// BusyTime returns the summed busy time of all drives.
+// BusyTime returns the summed busy time of all drives: every metered
+// transfer plus its positioning overhead.
 func (a *Array) BusyTime() sim.Duration {
-	var t sim.Duration
-	for _, d := range a.disks {
-		t += d.res.BusyTime
-	}
-	return t
+	return a.Stats.TransferTime + a.Stats.OverheadTime
 }
 
 // perDiskRate returns one drive's sustained rate.
@@ -174,7 +210,8 @@ type File struct {
 	a       *Array
 	name    string
 	disks   []*dev // placement, round-robin targets
-	blocks  []block.Block
+	ext     Extent
+	n       int64   // length in blocks
 	perDisk []int64 // blocks charged to each placement drive
 	freed   bool
 
@@ -199,7 +236,7 @@ func (a *Array) Create(name string, placement []int) (*File, error) {
 		if len(f.disks) == 0 {
 			return nil, fmt.Errorf("disk: file %q: no surviving drives", name)
 		}
-		return f, nil
+		return a.open(f)
 	}
 	if len(placement) == 0 {
 		return nil, fmt.Errorf("disk: file %q: empty placement", name)
@@ -213,6 +250,16 @@ func (a *Array) Create(name string, placement []int) (*File, error) {
 		}
 		f.disks = append(f.disks, a.disks[id])
 	}
+	return a.open(f)
+}
+
+// open gives a placed file its bytes.
+func (a *Array) open(f *File) (*File, error) {
+	ext, err := a.mv.Create(f)
+	if err != nil {
+		return nil, fmt.Errorf("disk: file %q: %w", f.name, err)
+	}
+	f.ext = ext
 	return f, nil
 }
 
@@ -220,7 +267,7 @@ func (a *Array) Create(name string, placement []int) (*File, error) {
 func (f *File) Name() string { return f.name }
 
 // Len returns the file length in blocks.
-func (f *File) Len() int64 { return int64(len(f.blocks)) }
+func (f *File) Len() int64 { return f.n }
 
 // shares splits an n-block transfer round-robin over the file's
 // surviving drives, starting at the drive owning block offset off. The
@@ -286,8 +333,9 @@ func (a *Array) markDead(p *sim.Proc, id int) {
 // checkFaults runs the fault steps of one request before any time is
 // charged: first the array-wide transfer path ("disk"), then each
 // placement drive the request would touch (where a pending
-// disk-failure rule can kill the drive). corrupt=true asks the caller
-// to Flip the delivered read data.
+// disk-failure rule can kill the drive). OS-level verdicts are armed on
+// the file's extent; corrupt=true asks the caller to Flip the
+// delivered read data.
 func (f *File) checkFaults(p *sim.Proc, off, n int64, write bool) (corrupt bool, err error) {
 	if id, lost := f.lostOn(); lost {
 		return false, &LostError{Disk: id}
@@ -305,7 +353,7 @@ func (f *File) checkFaults(p *sim.Proc, off, n int64, write bool) (corrupt bool,
 	if a.Injector() == nil {
 		return false, nil
 	}
-	ef, err := a.Step(p, fault.Op{Write: write, Addr: off, N: n}, f.name)
+	ef, err := f.step(p, fault.Op{Write: write, Addr: off, N: n})
 	if err != nil {
 		return false, err
 	}
@@ -315,7 +363,7 @@ func (f *File) checkFaults(p *sim.Proc, off, n int64, write bool) (corrupt bool,
 		if sh[i] == 0 {
 			continue
 		}
-		ef, err := a.Step(p, fault.Op{Device: d.name, Write: write, Addr: off, N: sh[i]}, f.name)
+		ef, err := f.step(p, fault.Op{Device: d.name, Write: write, Addr: off, N: sh[i]})
 		if ef.Lost {
 			a.markDead(p, d.id)
 			return false, &LostError{Disk: d.id}
@@ -326,6 +374,44 @@ func (f *File) checkFaults(p *sim.Proc, off, n int64, write bool) (corrupt bool,
 		corrupt = corrupt || ef.Corrupt
 	}
 	return corrupt, nil
+}
+
+// step runs one fault step of a request on f.
+func (f *File) step(p *sim.Proc, op fault.Op) (fault.Effect, error) {
+	ef, err := f.a.Step(p, op, f.name)
+	if !ef.OS.Zero() {
+		f.ext.Arm(ef.OS)
+	}
+	return ef, err
+}
+
+// simMover is the simulator's mover: each file's blocks in memory,
+// moved by striped per-drive requests in the modelled time.
+type simMover struct{}
+
+func (simMover) Create(f *File) (Extent, error) { return &memFile{f: f}, nil }
+func (simMover) Close() error                   { return nil }
+
+// memFile is a file's bytes on the simulator.
+type memFile struct {
+	f      *File
+	blocks []block.Block
+}
+
+func (m *memFile) Arm(fault.OSDecision) {}
+func (m *memFile) Free()                { m.blocks = nil }
+
+func (m *memFile) Write(p *sim.Proc, off int64, blks []block.Block) error {
+	m.blocks = append(m.blocks, blks...)
+	m.f.doIO(p, off, int64(len(blks)), true)
+	return nil
+}
+
+func (m *memFile) Read(p *sim.Proc, off, n int64) ([]block.Block, error) {
+	out := make([]block.Block, n)
+	copy(out, m.blocks[off:off+n])
+	m.f.doIO(p, off, n, false)
+	return out, nil
 }
 
 // doIO charges an n-block transfer at offset off across the file's
@@ -425,26 +511,25 @@ func (dp *drivePart) Step(c *sim.Proc) bool {
 }
 
 // Append writes blocks at the end of the file, blocking for the
-// striped transfer time. It fails with fault.ErrDiskFull when the placement
+// transfer time. It fails with fault.ErrDiskFull when the placement
 // drives lack space.
 func (f *File) Append(p *sim.Proc, blks []block.Block) error {
 	if f.freed {
-		panic(fmt.Sprintf("disk: append to freed file %q", f.name))
+		return fmt.Errorf("disk: append to %q: %w", f.name, ErrFreed)
 	}
 	n := int64(len(blks))
 	if n == 0 {
 		return nil
 	}
-	off := int64(len(f.blocks))
+	off := f.n
 	if _, err := f.checkFaults(p, off, n, true); err != nil {
 		return err
 	}
 	if err := f.charge(n); err != nil {
 		return err
 	}
-	f.blocks = append(f.blocks, blks...)
-	f.doIO(p, off, n, true)
-	return nil
+	f.n += n
+	return f.ext.Write(p, off, blks)
 }
 
 // charge allocates n blocks of space on the file's drives, filling the
@@ -522,11 +607,11 @@ func countFull(disks []*dev, wants []int64, capPerDisk int64) int {
 	return full
 }
 
-// ReadAt reads n blocks at offset off, blocking for the striped
-// transfer time.
+// ReadAt reads n blocks at offset off, blocking for the transfer
+// time.
 func (f *File) ReadAt(p *sim.Proc, off, n int64) ([]block.Block, error) {
 	if f.freed {
-		panic(fmt.Sprintf("disk: read of freed file %q", f.name))
+		return nil, fmt.Errorf("disk: read from %q: %w", f.name, ErrFreed)
 	}
 	if off < 0 || n < 0 || off+n > f.Len() {
 		return nil, fmt.Errorf("disk: read [%d,%d) beyond len %d of %q", off, off+n, f.Len(), f.name)
@@ -535,9 +620,10 @@ func (f *File) ReadAt(p *sim.Proc, off, n int64) ([]block.Block, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]block.Block, n)
-	copy(out, f.blocks[off:off+n])
-	f.doIO(p, off, n, false)
+	out, err := f.ext.Read(p, off, n)
+	if err != nil {
+		return nil, err
+	}
 	if corrupt {
 		fault.Flip(out)
 	}
@@ -554,8 +640,9 @@ func (f *File) Free() {
 			d.used -= f.perDisk[i]
 		}
 	}
-	f.a.Release(int64(len(f.blocks)))
-	f.blocks = nil
+	f.a.Release(f.n)
+	f.ext.Free()
+	f.n = 0
 	f.perDisk = nil
 	f.freed = true
 }

@@ -630,3 +630,51 @@ func TestDriveLossSharedTransportAlikeOnBackends(t *testing.T) {
 		t.Errorf("sim shared transport: %+v, want exchanges charged and traced", simC)
 	}
 }
+
+// TestDiskLossAlikeOnBackends loses disk 1 at time zero (in Step I)
+// and in the middle of Step II, under DT-GH and CDT-GH on both
+// backends: every run must lose that one disk, recover, and deliver
+// the clean run's output. A loss in Step I restarts the hash-R unit; a
+// loss in DT-GH's Step II restarts its S chunk, while CDT-GH's
+// pipeline hands the chunk to its sequential tail, which Stats does
+// not count as a unit restart. The file backend is paced, so its
+// virtual clock never runs ahead of the simulator's divided by the
+// pace: the simulator's mid-Step-II instant so divided still falls
+// inside the file run.
+func TestDiskLossAlikeOnBackends(t *testing.T) {
+	const pace = 2000
+	for _, method := range []string{"DT-GH", "CDT-GH"} {
+		run := func(b device.Backend, faults *fault.Schedule) (*Result, uint64) {
+			res := fastRes(12, 400)
+			res.Backend = b
+			res.Faults = faults
+			sink := &CountSink{}
+			r, err := Run(mustMethod(t, method), specWithSizes(t, 32, 128, 4), res, sink)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", method, b.Name(), err)
+			}
+			return r, sink.Hash()
+		}
+		clean, want := run(simdev.Backend{}, nil)
+		mid := clean.Stats.StepI + (clean.Stats.Response-clean.Stats.StepI)/2
+		for _, c := range []struct {
+			at       sim.Duration
+			restarts bool
+		}{{0, true}, {mid, method == "DT-GH"}} {
+			for _, file := range []bool{false, true} {
+				var b device.Backend = simdev.Backend{}
+				at := c.at
+				if file {
+					fb := filedev.New(t.TempDir())
+					fb.PaceScale = pace
+					b, at = fb, at/pace
+				}
+				r, got := run(b, mustFaults("diskfail=1@%v", at))
+				if r.Stats.DisksLost != 1 || c.restarts && r.Stats.UnitRestarts < 1 || got != want {
+					t.Errorf("%s on %s, disk 1 lost at %v: %d disks lost, %d unit restarts, output %x (clean %x)",
+						method, b.Name(), at, r.Stats.DisksLost, r.Stats.UnitRestarts, got, want)
+				}
+			}
+		}
+	}
+}

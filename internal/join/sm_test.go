@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/block"
-	"repro/internal/device/simdev"
 	"repro/internal/relation"
 	"repro/internal/sim"
 	"repro/internal/tape"
@@ -179,7 +178,7 @@ func TestSMFanIn(t *testing.T) {
 func TestSMWorkspaceOverwriteReuse(t *testing.T) {
 	k := simNewKernelForSM()
 	cfg := tape.DriveConfig{NativeRate: 64 * 1024, CompressionFactor: 1}
-	d := simdev.Drive{Drive: tape.NewDrive(k, "w", cfg)}
+	d := tape.NewDrive(k, "w", cfg, nil)
 	m := tape.NewMedia("t", 100)
 	m.AppendSetup(mkSMBlocks(5, 0))
 	d.Load(m)

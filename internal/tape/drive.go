@@ -105,16 +105,64 @@ func Ideal() DriveConfig {
 	return DriveConfig{NativeRate: 1.257e6, CompressionFactor: 1.33}
 }
 
-// Drive is a simulated tape drive. A drive serves one request at a
-// time (FIFO): concurrent processes sharing a drive serialize on it,
-// which is how read/append contention on one cartridge costs time. The
-// embedded meter accounts every request.
+// Mover moves the bytes of a drive's transfers; the drive decides
+// everything else. Before a mover sees a transfer the drive has
+// checked the request, taken the transport, run the fault step and
+// positioned the head (exchanges, seeks, stop/start), and after it the
+// drive meters the transfer. A mover holds p for the transfer and
+// returns the time it charged: the simulator's mover holds the
+// modelled time, the file backend's the wall time its OS I/O took.
+type Mover interface {
+	// Mount makes m (nil: none) the medium the mover serves.
+	Mount(m Medium) error
+	// Arm queues an OS-level fault verdict against the next transfer.
+	Arm(dec fault.OSDecision)
+	// Read delivers blocks [addr, addr+n) of m, which the drive
+	// modelled as taking model.
+	Read(p *sim.Proc, m Medium, addr Addr, n int64, model sim.Duration) ([]block.Block, sim.Duration, error)
+	// Write moves blks, which the medium already records at addr.
+	Write(p *sim.Proc, addr Addr, blks []block.Block, model sim.Duration) (sim.Duration, error)
+	// Close releases the mover's OS resources. Safe to call more than
+	// once.
+	Close() error
+}
+
+// simMover is the simulator's mover: the medium's in-memory blocks,
+// moved in the modelled transfer time.
+type simMover struct{}
+
+func (simMover) Mount(Medium) error   { return nil }
+func (simMover) Arm(fault.OSDecision) {}
+func (simMover) Close() error         { return nil }
+func (simMover) Write(p *sim.Proc, _ Addr, _ []block.Block, model sim.Duration) (sim.Duration, error) {
+	p.Hold(model)
+	return model, nil
+}
+
+func (simMover) Read(p *sim.Proc, m Medium, addr Addr, n int64, model sim.Duration) ([]block.Block, sim.Duration, error) {
+	data, err := m.read(addr, n)
+	if err != nil {
+		return nil, 0, err
+	}
+	p.Hold(model)
+	return data, model, nil
+}
+
+// Drive is a tape drive: the paper's cost model of one transport over
+// a byte mover. A drive serves one request at a time (FIFO):
+// concurrent processes sharing a drive serialize on it, which is how
+// read/append contention on one cartridge costs time. The embedded
+// meter accounts every request.
 type Drive struct {
 	meter.Meter
 	name  string
 	cfg   DriveConfig
 	res   *sim.Resource
+	mv    Mover
 	media Medium
+	// mountErr is the mover's failure to mount media, reported by
+	// every request until the next Load.
+	mountErr error
 
 	pos     Addr     // head position
 	curVol  int      // cartridge currently in the drive
@@ -124,12 +172,13 @@ type Drive struct {
 }
 
 // NewDrive returns a drive attached to the kernel with the given
-// profile and no cartridge loaded.
-func NewDrive(k *sim.Kernel, name string, cfg DriveConfig) *Drive {
+// profile and no cartridge loaded, moving its bytes through mv (nil:
+// the simulator's in-memory mover).
+func NewDrive(k *sim.Kernel, name string, cfg DriveConfig, mv Mover) *Drive {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return newDrive(name, cfg, sim.NewResource(k, "tape:"+name, 1))
+	return newDrive(name, cfg, sim.NewResource(k, "tape:"+name, 1), mv)
 }
 
 // NewSharedDrivePair returns two logical drives multiplexed onto ONE
@@ -138,18 +187,21 @@ func NewDrive(k *sim.Kernel, name string, cfg DriveConfig) *Drive {
 // drives serialize on the shared transport, and switching between them
 // charges a media exchange (the robot swaps cartridges) plus the
 // repositioning seek back to where that cartridge's head was needed.
-func NewSharedDrivePair(k *sim.Kernel, nameA, nameB string, cfg DriveConfig) (*Drive, *Drive) {
+func NewSharedDrivePair(k *sim.Kernel, nameA, nameB string, cfg DriveConfig, mvA, mvB Mover) (*Drive, *Drive) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	res := sim.NewResource(k, "tape:"+nameA+"+"+nameB, 1)
-	a, b := newDrive(nameA, cfg, res), newDrive(nameB, cfg, res)
+	a, b := newDrive(nameA, cfg, res, mvA), newDrive(nameB, cfg, res, mvB)
 	meter.Share(&a.Meter, &b.Meter)
 	return a, b
 }
 
-func newDrive(name string, cfg DriveConfig, res *sim.Resource) *Drive {
-	return &Drive{Meter: meter.Tape("tape: drive", name), name: name, cfg: cfg, res: res}
+func newDrive(name string, cfg DriveConfig, res *sim.Resource, mv Mover) *Drive {
+	if mv == nil {
+		mv = simMover{}
+	}
+	return &Drive{Meter: meter.Tape("tape: drive", name), name: name, cfg: cfg, res: res, mv: mv}
 }
 
 // Name returns the drive name.
@@ -163,14 +215,23 @@ func (d *Drive) Media() Medium { return d.media }
 
 // Load mounts a medium and positions the head at block 0. The paper
 // assumes tapes are loaded before the join begins, so Load costs no
-// virtual time.
+// virtual time. A mover that fails to mount the medium fails every
+// request until the next Load.
 func (d *Drive) Load(m Medium) {
 	d.media = m
 	d.pos = 0
 	d.curVol = 0
 	d.started = false
 	d.reverse = false
+	d.mountErr = nil
+	if err := d.mv.Mount(m); err != nil {
+		d.mountErr = fmt.Errorf("tape: drive %q mount: %w", d.name, err)
+	}
 }
+
+// Close releases the mover's OS resources (I/O worker, spool file); a
+// no-op on the simulator. Safe to call more than once.
+func (d *Drive) Close() error { return d.mv.Close() }
 
 // BusyTime returns total virtual time the drive was held.
 func (d *Drive) BusyTime() sim.Duration { return d.res.BusyTime }
@@ -202,62 +263,81 @@ func (d *Drive) seekWithin(p *sim.Proc, addr Addr) {
 	d.pos = addr
 }
 
-// position moves the head to addr (exchanging cartridges if needed)
-// and charges a stop/start penalty when a forward stream resumes after
-// an idle gap the drive buffer cannot hide.
-func (d *Drive) position(p *sim.Proc, addr Addr, wantReverse bool) {
+// segment positions the head at addr for a forward transfer
+// (exchanging cartridges if needed, and charging a stop/start penalty
+// when a stream resumes after an idle gap the drive buffer cannot
+// hide), and returns how many of n blocks lie on addr's cartridge.
+func (d *Drive) segment(p *sim.Proc, addr Addr, n int64) int64 {
 	d.exchangeTo(p, addr)
-	if addr != d.pos || d.reverse != wantReverse {
+	if addr != d.pos || d.reverse {
 		d.seekWithin(p, addr)
-		d.reverse = wantReverse
-		return
-	}
-	if d.started && d.cfg.StartStopPenalty > 0 &&
+		d.reverse = false
+	} else if d.started && d.cfg.StartStopPenalty > 0 &&
 		p.Now() > d.lastEnd+sim.Time(d.cfg.StartStopHide) {
 		d.Stats.StartStops++
 		d.Stats.StartStopTime += d.cfg.StartStopPenalty
 		p.Hold(d.cfg.StartStopPenalty)
 	}
+	if rest := int64(d.media.volumeSpan(d.curVol).End() - addr); n > rest {
+		return rest
+	}
+	return n
 }
 
-// stream holds the drive for an n-block transfer beginning at the
-// head and leaves the head at end.
-func (d *Drive) stream(p *sim.Proc, write bool, n int64, end Addr) {
-	t := d.TransferTime(n)
+// stream moves n blocks at addr through the mover, with the head
+// positioned, and leaves the head at end. blks are a write's blocks;
+// a read returns the blocks it delivered.
+func (d *Drive) stream(p *sim.Proc, write bool, addr Addr, n int64, blks []block.Block, end Addr) ([]block.Block, error) {
+	model := d.TransferTime(n)
 	t0 := p.Now()
-	p.Hold(t)
+	var t sim.Duration
+	var err error
+	if write {
+		t, err = d.mv.Write(p, addr, blks, model)
+	} else {
+		blks, t, err = d.mv.Read(p, d.media, addr, n, model)
+	}
+	if err != nil {
+		return nil, err
+	}
 	d.Transfer(p, write, obs.Event{Start: t0, Blocks: n}, t)
 	d.pos = end
 	d.lastEnd = p.Now()
 	d.started = true
+	return blks, nil
 }
 
-// transferSegments walks the volume-contiguous segments of [addr,
-// addr+n), charging exchanges between them and the transfer time of
-// each.
-func (d *Drive) transferSegments(p *sim.Proc, addr Addr, n int64, write bool) {
-	for n > 0 {
-		d.position(p, addr, false)
-		span := d.media.volumeSpan(d.curVol)
-		take := n
-		if rest := int64(span.End() - addr); take > rest {
-			take = rest
+// writeSegments moves blks, which the medium records at addr, one
+// volume-contiguous segment at a time.
+func (d *Drive) writeSegments(p *sim.Proc, addr Addr, blks []block.Block) error {
+	for len(blks) > 0 {
+		take := d.segment(p, addr, int64(len(blks)))
+		if _, err := d.stream(p, true, addr, take, blks[:take], addr+Addr(take)); err != nil {
+			return err
 		}
 		addr += Addr(take)
-		n -= take
-		d.stream(p, write, take, addr)
+		blks = blks[take:]
 	}
+	return nil
+}
+
+// ready rejects a request on a drive with no cartridge, or whose
+// mover failed to mount it.
+func (d *Drive) ready() error {
+	if d.media == nil {
+		return fmt.Errorf("tape: drive %q has no cartridge", d.name)
+	}
+	return d.mountErr
 }
 
 // checkRead validates a read request against the mounted medium: the
 // requested range must lie entirely within recorded data. Returning a
-// typed error here (rather than trusting the medium to reject it)
-// keeps out-of-range requests from reaching the positioning model,
-// and gives file-backed drives the same contract without relying on
-// OS short-read behavior.
+// typed error here (rather than trusting the medium or an OS short
+// read to reject it) keeps out-of-range requests from reaching the
+// positioning model.
 func (d *Drive) checkRead(addr Addr, n int64) error {
-	if d.media == nil {
-		return fmt.Errorf("tape: drive %q has no cartridge", d.name)
+	if err := d.ready(); err != nil {
+		return err
 	}
 	if eod := d.media.EOD(); addr < 0 || n < 0 || addr+Addr(n) > eod {
 		return fmt.Errorf("tape: drive %q read [%d,%d) out of range [0,%d)",
@@ -282,6 +362,16 @@ func (d *Drive) take(p *sim.Proc) {
 	}
 }
 
+// step runs the fault step of one request with the drive held,
+// arming an OS-level verdict on the mover.
+func (d *Drive) step(p *sim.Proc, op fault.Op) (corrupt bool, err error) {
+	ef, err := d.Step(p, op, d.name)
+	if !ef.OS.Zero() {
+		d.mv.Arm(ef.OS)
+	}
+	return ef.Corrupt, err
+}
+
 // ReadAt reads n blocks starting at addr, holding the drive for
 // seeks, exchanges and transfer time, and returns the block data.
 func (d *Drive) ReadAt(p *sim.Proc, addr Addr, n int64) ([]block.Block, error) {
@@ -291,17 +381,26 @@ func (d *Drive) ReadAt(p *sim.Proc, addr Addr, n int64) ([]block.Block, error) {
 	t0 := p.Now()
 	d.take(p)
 	defer d.res.Release(p)
-	ef, err := d.Step(p, fault.Op{Addr: int64(addr), N: n}, d.name)
+	corrupt, err := d.step(p, fault.Op{Addr: int64(addr), N: n})
 	if err != nil {
 		return nil, err
 	}
-	data, err := d.media.read(addr, n)
-	if err != nil {
-		return nil, err
+	var data []block.Block
+	for at, end := addr, addr+Addr(n); at < end; {
+		take := d.segment(p, at, int64(end-at))
+		blks, err := d.stream(p, false, at, take, nil, at+Addr(take))
+		if err != nil {
+			return nil, err
+		}
+		if data == nil {
+			data = blks
+		} else {
+			data = append(data, blks...)
+		}
+		at += Addr(take)
 	}
-	d.transferSegments(p, addr, n, false)
 	d.Done(p, false, n, t0)
-	if ef.Corrupt {
+	if corrupt {
 		fault.Flip(data)
 	}
 	return data, nil
@@ -322,11 +421,7 @@ func (d *Drive) ReadRegionReverse(p *sim.Proc, r Region) ([]block.Block, error) 
 	t0 := p.Now()
 	d.take(p)
 	defer d.res.Release(p)
-	ef, err := d.Step(p, fault.Op{Addr: int64(r.Start), N: r.N}, d.name)
-	if err != nil {
-		return nil, err
-	}
-	data, err := d.media.read(r.Start, r.N)
+	corrupt, err := d.step(p, fault.Op{Addr: int64(r.Start), N: r.N})
 	if err != nil {
 		return nil, err
 	}
@@ -337,9 +432,12 @@ func (d *Drive) ReadRegionReverse(p *sim.Proc, r Region) ([]block.Block, error) 
 	d.exchangeTo(p, end)
 	d.seekWithin(p, end)
 	d.reverse = true
-	d.stream(p, false, r.N, r.Start)
+	data, err := d.stream(p, false, r.Start, r.N, nil, r.Start)
+	if err != nil {
+		return nil, err
+	}
 	d.Done(p, false, r.N, t0)
-	if ef.Corrupt {
+	if corrupt {
 		fault.Flip(data)
 	}
 	return data, nil
@@ -349,21 +447,23 @@ func (d *Drive) ReadRegionReverse(p *sim.Proc, r Region) ([]block.Block, error) 
 // holding the drive for the seek to EOD plus the transfer, and returns
 // the region written.
 func (d *Drive) Append(p *sim.Proc, blks []block.Block) (Region, error) {
-	if d.media == nil {
-		return Region{}, fmt.Errorf("tape: drive %q has no cartridge", d.name)
+	if err := d.ready(); err != nil {
+		return Region{}, err
 	}
 	t0 := p.Now()
 	d.take(p)
 	defer d.res.Release(p)
 	eod := d.media.EOD()
-	if _, err := d.Step(p, fault.Op{Write: true, Addr: int64(eod), N: int64(len(blks))}, d.name); err != nil {
+	if _, err := d.step(p, fault.Op{Write: true, Addr: int64(eod), N: int64(len(blks))}); err != nil {
 		return Region{}, err
 	}
 	reg, err := d.media.append(blks)
 	if err != nil {
 		return Region{}, err
 	}
-	d.transferSegments(p, eod, reg.N, true)
+	if err := d.writeSegments(p, eod, blks); err != nil {
+		return Region{}, err
+	}
 	d.Done(p, true, reg.N, t0)
 	return reg, nil
 }
@@ -373,20 +473,22 @@ func (d *Drive) Append(p *sim.Proc, blks []block.Block) (Region, error) {
 // time. Used by algorithms that reuse fixed tape workspaces, e.g. the
 // sort-merge baseline's ping-pong merge passes.
 func (d *Drive) WriteAt(p *sim.Proc, addr Addr, blks []block.Block) error {
-	if d.media == nil {
-		return fmt.Errorf("tape: drive %q has no cartridge", d.name)
+	if err := d.ready(); err != nil {
+		return err
 	}
 	t0 := p.Now()
 	d.take(p)
 	defer d.res.Release(p)
 	n := int64(len(blks))
-	if _, err := d.Step(p, fault.Op{Write: true, Addr: int64(addr), N: n}, d.name); err != nil {
+	if _, err := d.step(p, fault.Op{Write: true, Addr: int64(addr), N: n}); err != nil {
 		return err
 	}
 	if err := d.media.writeAt(addr, blks); err != nil {
 		return err
 	}
-	d.transferSegments(p, addr, n, true)
+	if err := d.writeSegments(p, addr, blks); err != nil {
+		return err
+	}
 	d.Done(p, true, n, t0)
 	return nil
 }

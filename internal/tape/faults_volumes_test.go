@@ -37,7 +37,7 @@ func TestMultiVolumeMediaErrorNamesCartridge(t *testing.T) {
 	}
 
 	k := sim.NewKernel()
-	d := NewDrive(k, "R", idealCfg())
+	d := NewDrive(k, "R", idealCfg(), nil)
 	d.Load(mv)
 	d.SetInjector(sched)
 	k.Spawn("p", func(p *sim.Proc) {
@@ -79,7 +79,7 @@ func TestMultiVolumeTransientRecoversAcrossBoundary(t *testing.T) {
 	}
 
 	k := sim.NewKernel()
-	d := NewDrive(k, "R", idealCfg())
+	d := NewDrive(k, "R", idealCfg(), nil)
 	d.Load(mv)
 	d.SetInjector(sched)
 	k.Spawn("p", func(p *sim.Proc) {

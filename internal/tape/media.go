@@ -125,14 +125,6 @@ func (m *Media) ReadSetup(r Region) ([]block.Block, error) {
 	return m.read(r.Start, r.N)
 }
 
-// WriteSetup overwrites blocks starting at addr outside of simulated
-// time, with writeAt's gap rule (addr <= EOD). File-backed drives use
-// it to keep the authoritative medium in sync with their on-disk
-// copy; the transfer itself is charged by the drive, not here.
-func (m *Media) WriteSetup(addr Addr, blks []block.Block) error {
-	return m.writeAt(addr, blks)
-}
-
 // Truncate discards all data from addr onward, releasing scratch
 // space. Used between experiment runs to reset a cartridge.
 func (m *Media) Truncate(addr Addr) {

@@ -96,7 +96,7 @@ func idealCfg() DriveConfig {
 
 func TestDriveTransferTime(t *testing.T) {
 	k := sim.NewKernel()
-	d := NewDrive(k, "r", idealCfg())
+	d := NewDrive(k, "r", idealCfg(), nil)
 	m := NewMedia("t", 1000)
 	m.append(mkBlocks(1, 100, 0))
 	d.Load(m)
@@ -124,7 +124,7 @@ func TestDriveCompressionSpeedsTransfers(t *testing.T) {
 	cfg := idealCfg()
 	cfg.CompressionFactor = 2
 	k := sim.NewKernel()
-	d := NewDrive(k, "r", cfg)
+	d := NewDrive(k, "r", cfg, nil)
 	m := NewMedia("t", 100)
 	m.append(mkBlocks(1, 20, 0))
 	d.Load(m)
@@ -144,7 +144,7 @@ func TestDriveSeekCharged(t *testing.T) {
 	cfg.SeekFixed = 5 * time.Second
 	cfg.SeekPerBlock = 100 * time.Millisecond
 	k := sim.NewKernel()
-	d := NewDrive(k, "r", cfg)
+	d := NewDrive(k, "r", cfg, nil)
 	m := NewMedia("t", 1000)
 	m.append(mkBlocks(1, 200, 0))
 	d.Load(m)
@@ -169,7 +169,7 @@ func TestDriveStartStopPenalty(t *testing.T) {
 	cfg := idealCfg()
 	cfg.StartStopPenalty = 2 * time.Second
 	k := sim.NewKernel()
-	d := NewDrive(k, "r", cfg)
+	d := NewDrive(k, "r", cfg, nil)
 	m := NewMedia("t", 100)
 	m.append(mkBlocks(1, 30, 0))
 	d.Load(m)
@@ -194,7 +194,7 @@ func TestDriveAppendSeeksToEOD(t *testing.T) {
 	cfg := idealCfg()
 	cfg.SeekFixed = 3 * time.Second
 	k := sim.NewKernel()
-	d := NewDrive(k, "r", cfg)
+	d := NewDrive(k, "r", cfg, nil)
 	m := NewMedia("t", 1000)
 	m.append(mkBlocks(1, 100, 0))
 	d.Load(m)
@@ -227,7 +227,7 @@ func TestDriveAppendSeeksToEOD(t *testing.T) {
 func TestDriveSerializesConcurrentRequests(t *testing.T) {
 	// A reader and an appender sharing one drive serialize.
 	k := sim.NewKernel()
-	d := NewDrive(k, "r", idealCfg())
+	d := NewDrive(k, "r", idealCfg(), nil)
 	m := NewMedia("t", 1000)
 	m.append(mkBlocks(1, 100, 0))
 	d.Load(m)
@@ -243,8 +243,8 @@ func TestDriveSerializesConcurrentRequests(t *testing.T) {
 
 func TestTwoDrivesOverlap(t *testing.T) {
 	k := sim.NewKernel()
-	d1 := NewDrive(k, "r", idealCfg())
-	d2 := NewDrive(k, "s", idealCfg())
+	d1 := NewDrive(k, "r", idealCfg(), nil)
+	d2 := NewDrive(k, "s", idealCfg(), nil)
 	m1, m2 := NewMedia("t1", 100), NewMedia("t2", 100)
 	m1.append(mkBlocks(1, 50, 0))
 	m2.append(mkBlocks(2, 50, 0))
@@ -262,7 +262,7 @@ func TestTwoDrivesOverlap(t *testing.T) {
 
 func TestDriveNoMedia(t *testing.T) {
 	k := sim.NewKernel()
-	d := NewDrive(k, "r", idealCfg())
+	d := NewDrive(k, "r", idealCfg(), nil)
 	k.Spawn("p", func(p *sim.Proc) {
 		if _, err := d.ReadAt(p, 0, 1); err == nil {
 			t.Error("read with no cartridge should fail")
@@ -316,7 +316,7 @@ func TestDriveReadOutOfRange(t *testing.T) {
 	k := sim.NewKernel()
 	cfg := idealCfg()
 	cfg.BiDirectional = true
-	d := NewDrive(k, "r", cfg)
+	d := NewDrive(k, "r", cfg, nil)
 	m := NewMedia("t", 100)
 	m.append(mkBlocks(1, 10, 0))
 	d.Load(m)

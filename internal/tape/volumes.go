@@ -21,12 +21,11 @@ type Medium interface {
 	EOD() Addr
 	// Free is the remaining scratch space in blocks.
 	Free() int64
-	// ReadSetup, AppendSetup and WriteSetup move data outside
-	// simulated time (preparing inputs, verifying outputs, and the
-	// file backend's medium-of-record bookkeeping).
+	// ReadSetup and AppendSetup move data outside simulated time
+	// (preparing inputs, verifying outputs, and a file mover's respool
+	// at mount).
 	ReadSetup(r Region) ([]block.Block, error)
 	AppendSetup(blks []block.Block) (Region, error)
-	WriteSetup(addr Addr, blks []block.Block) error
 
 	// read, append and writeAt are the in-simulation accessors used
 	// by Drive.
@@ -201,9 +200,4 @@ func (mv *MultiVolume) ReadSetup(r Region) ([]block.Block, error) {
 // AppendSetup implements Medium.
 func (mv *MultiVolume) AppendSetup(blks []block.Block) (Region, error) {
 	return mv.append(blks)
-}
-
-// WriteSetup implements Medium.
-func (mv *MultiVolume) WriteSetup(addr Addr, blks []block.Block) error {
-	return mv.writeAt(addr, blks)
 }

@@ -92,7 +92,7 @@ func TestDriveChargesMediaExchange(t *testing.T) {
 	mv.AppendSetup(mkBlocks(1, 20, 0))
 
 	k := sim.NewKernel()
-	d := NewDrive(k, "r", cfg)
+	d := NewDrive(k, "r", cfg, nil)
 	d.Load(mv)
 	k.Spawn("p", func(p *sim.Proc) {
 		// Read 20 blocks across the boundary: 20 s of transfer plus
@@ -123,7 +123,7 @@ func TestDriveExchangeBackAndForth(t *testing.T) {
 	mv.AppendSetup(mkBlocks(1, 20, 0))
 
 	k := sim.NewKernel()
-	d := NewDrive(k, "r", cfg)
+	d := NewDrive(k, "r", cfg, nil)
 	d.Load(mv)
 	k.Spawn("p", func(p *sim.Proc) {
 		d.ReadAt(p, 12, 3) // exchange to vol 1 (+30), read 3
@@ -149,7 +149,7 @@ func TestReadRegionReverseAvoidsSeek(t *testing.T) {
 	m.AppendSetup(mkBlocks(1, 40, 0))
 
 	k := sim.NewKernel()
-	d := NewDrive(k, "r", cfg)
+	d := NewDrive(k, "r", cfg, nil)
 	d.Load(m)
 	k.Spawn("p", func(p *sim.Proc) {
 		// Forward read of [0,40): head at 40, t=40.
@@ -191,7 +191,7 @@ func TestReverseReadRequiresBiDirectionalDrive(t *testing.T) {
 	m := NewMedia("t", 10)
 	m.AppendSetup(mkBlocks(1, 5, 0))
 	k := sim.NewKernel()
-	d := NewDrive(k, "r", idealCfg())
+	d := NewDrive(k, "r", idealCfg(), nil)
 	d.Load(m)
 	k.Spawn("p", func(p *sim.Proc) {
 		if _, err := d.ReadRegionReverse(p, Region{Start: 0, N: 5}); err == nil {
@@ -210,7 +210,7 @@ func TestForwardReadAfterReverseSeeksOnce(t *testing.T) {
 	m := NewMedia("t", 100)
 	m.AppendSetup(mkBlocks(1, 20, 0))
 	k := sim.NewKernel()
-	d := NewDrive(k, "r", cfg)
+	d := NewDrive(k, "r", cfg, nil)
 	d.Load(m)
 	k.Spawn("p", func(p *sim.Proc) {
 		d.ReadAt(p, 0, 20)                               // t=20, head at 20

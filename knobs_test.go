@@ -23,7 +23,7 @@ var knobSurface = []struct {
 	fields []string
 }{
 	{reflect.TypeOf(Config{}), []string{
-		"Backend", "BackendDir", "FileSync", "FileSynchronous", "FileOpTimeout",
+		"Backend", "BackendDir", "FileSync", "FileOpTimeout",
 		"FileTripAfter", "FileRetryMax", "FilePace", "MemoryMB", "DiskMB",
 		"NumDisks", "Profile", "Compression", "DiskTapeSpeedRatio",
 		"SplitBuffering", "SkewAware", "ProbeNarrow", "BiDirectionalTape",
@@ -35,7 +35,7 @@ var knobSurface = []struct {
 		"ProbeNarrow", "Faults", "DisableRecovery", "Spans", "Metrics", "Flight",
 	}},
 	{reflect.TypeOf(filedev.Backend{}), []string{
-		"Dir", "Synchronous", "Sync", "OpTimeout", "TripAfter", "RetryMax",
+		"Dir", "Sync", "OpTimeout", "TripAfter", "RetryMax",
 		"PaceScale", "Flight",
 	}},
 	{reflect.TypeOf(workload.Config{}), []string{

@@ -133,11 +133,6 @@ type Config struct {
 	// FileSync selects the "file" backend's fsync policy: "interval"
 	// (default: flush every few MiB written), "none", or "always".
 	FileSync string
-	// FileSynchronous disables the "file" backend's async I/O engine:
-	// transfers then run inline under the simulation's control token
-	// and serialize in wall-clock time (the pre-engine behavior, kept
-	// for comparison and debugging).
-	FileSynchronous bool
 	// FileOpTimeout, when positive, bounds each "file" backend device
 	// operation's wall-clock time: an operation that overruns fails
 	// with fault.ErrTimeout, degrades the device's health, and
@@ -301,7 +296,6 @@ func NewSystem(cfg Config) (*System, error) {
 			return nil, fmt.Errorf("tapejoin: %w", err)
 		}
 		fb.Sync = pol
-		fb.Synchronous = cfg.FileSynchronous
 		fb.PaceScale = cfg.FilePace
 		fb.OpTimeout = cfg.FileOpTimeout
 		fb.TripAfter = cfg.FileTripAfter
