@@ -17,30 +17,25 @@ import (
 // paperCmd regenerates the tables and figures of the paper's
 // evaluation (Myllymaki & Livny, ICDE 1997) and this reproduction's
 // extensions, one experiment or all (-exp table2, table3, fig1..fig11,
-// ablations, recovery, overlap, workload, firsttuple, chaos, obsload,
-// skew, all). The names, titles, runs and verdicts all come from one
-// table, exp.Experiments. -scale shrinks the workloads (1.0 = the
-// paper's sizes; see package repro/internal/exp for what each
-// experiment scales). -quick restricts firsttuple, chaos and skew to
-// their CI smoke subsets. -format json writes the raw rows as one
-// document. -backend picks the overlap experiment's backend. -obs-addr
-// serves live telemetry for whichever experiment run is in flight.
+// ablations, recovery, overlap, workload, firsttuple, skew, all). The
+// names, titles, runs and verdicts all come from one table,
+// exp.Experiments. -scale shrinks the workloads (1.0 = the paper's
+// sizes; see package repro/internal/exp for what each experiment
+// scales). -quick restricts firsttuple and skew to their CI smoke
+// subsets. -format json writes the raw rows as one document. -backend
+// picks the overlap experiment's backend. -obs-addr serves live
+// telemetry for whichever experiment run is in flight.
 //
-// Four experiments carry a verdict, and a failed one makes the command
+// Two experiments carry a verdict, and a failed one makes the command
 // exit nonzero after the output. recovery fails a scenario whose fault
 // never fired, whose output is wrong, or whose lost drive forced no
-// re-plan. chaos runs a fault matrix (transient syscall EIO, stuck
-// workers, stored corruption, a device death mid-batch) against the
-// file backend: every scenario either completes with the clean
-// reference's exact payload hash or fails fast with a typed error —
-// never a hang, never wrong tuples. obsload holds the
-// instrumentation's costs to their budgets, and skew requires the
-// skew-aware planner to win on the simulator.
+// re-plan. skew requires the skew-aware planner to win on the
+// simulator.
 func paperCmd(fs *flag.FlagSet) func(io.Writer, []string) error {
 	which := fs.String("exp", "all", "experiment: "+exp.Names())
 	scale := fs.Float64("scale", 1.0, "workload scale factor (1.0 = paper sizes)")
 	format := fs.String("format", "text", "output format: text or json")
-	quick := fs.Bool("quick", false, "run only the CI smoke subset of firsttuple, chaos and skew")
+	quick := fs.Bool("quick", false, "run only the CI smoke subset of firsttuple and skew")
 	flags := systemFlags(fs, defaults{}, "backend", "obs-addr")
 
 	return func(w io.Writer, _ []string) error {

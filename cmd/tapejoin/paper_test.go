@@ -9,14 +9,19 @@ import (
 	"repro/internal/exp"
 )
 
+// TestUnknownExperimentListsEveryName: a name outside the table, such
+// as the wall-clock checks that moved to tests, is an error listing
+// every experiment.
 func TestUnknownExperimentListsEveryName(t *testing.T) {
-	err := run([]string{"paper", "-exp", "fig12"}, &bytes.Buffer{})
-	if err == nil {
-		t.Fatal("unknown experiment accepted")
-	}
-	for _, e := range exp.Experiments {
-		if !strings.Contains(err.Error(), e.Name) {
-			t.Errorf("error %q does not list %s", err, e.Name)
+	for _, name := range []string{"fig12", "chaos", "obsload"} {
+		err := run([]string{"paper", "-exp", name}, &bytes.Buffer{})
+		if err == nil {
+			t.Fatalf("unknown experiment %s accepted", name)
+		}
+		for _, e := range exp.Experiments {
+			if !strings.Contains(err.Error(), e.Name) {
+				t.Errorf("error %q does not list %s", err, e.Name)
+			}
 		}
 	}
 }

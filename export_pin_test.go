@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -11,11 +13,14 @@ import (
 // two faulted sim runs. Any change to the device event stream, the
 // span tree, the metric registry or an exporter's encoding moves a
 // digest; a refactor that claims to preserve behaviour must keep them.
+// exchanges is the run's tape-exchange event count, which the metrics
+// text's tape_exchanges_total series must sum to.
 var exportPins = []struct {
-	name   string
-	method Method
-	faults string
-	want   map[string]string
+	name      string
+	method    Method
+	faults    string
+	exchanges int
+	want      map[string]string
 }{
 	{
 		name: "CDT-GH transient", method: CDTGH, faults: "transient=R:50:2",
@@ -28,12 +33,15 @@ var exportPins = []struct {
 		},
 	},
 	{
-		// The drive loss degrades the run: device "-" gains a row.
+		// The drive loss degrades the run: device "-" gains a row, and
+		// the surviving drive's one switch of the shared transport is an
+		// exchange.
 		name: "CTT-GH drive loss", method: CTTGH, faults: "corrupt=disk:3,drivefail=S@20s",
+		exchanges: 1,
 		want: map[string]string{
 			"chrome":   "02edeb696c3733ded3b69ca9d95f30b3add1481254fab9341f82ebdf6014a76c",
 			"jsonl":    "f7f691ae5a6799fdacc17b3e21717fb688b67810f8f7dadeda4bb013b7da6af3",
-			"metrics":  "2053a048aa2330abc5a01628d0c5d781cebe38a84ac61f825a0cbfa5ebbb6093",
+			"metrics":  "e67d30f47e317c702f8e7477de4d4d201dbb97e87b245c73d847381ef7273a13",
 			"timeline": "1cbaaf3d939dcb8446e0385148d65d4abfdd936367f304446c321d7432fd51b8",
 			"summary":  "54b181fbe362632b2b8fe339f97e3ed351e496d65d594c2f0734e17e4df67e70",
 		},
@@ -110,6 +118,30 @@ func TestExportDigestsPinned(t *testing.T) {
 					t.Errorf("%s digest = %s, want %s", k, got[k], want)
 				}
 			}
+			if n := strings.Count(jsonl.String(), `"kind":"tape-exchange"`); n != tc.exchanges {
+				t.Errorf("%d tape-exchange events, want %d", n, tc.exchanges)
+			}
+			if n := exchangesTotal(t, res.Report.MetricsText()); n != tc.exchanges {
+				t.Errorf("tape_exchanges_total sums to %d, want %d", n, tc.exchanges)
+			}
 		})
 	}
+}
+
+// exchangesTotal sums the tape_exchanges_total series of a metrics
+// exposition.
+func exchangesTotal(t *testing.T, text string) int {
+	t.Helper()
+	sum := 0
+	for _, line := range strings.Split(text, "\n") {
+		if !strings.HasPrefix(line, "tape_exchanges_total{") {
+			continue
+		}
+		v, err := strconv.Atoi(line[strings.LastIndexByte(line, ' ')+1:])
+		if err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+		sum += v
+	}
+	return sum
 }

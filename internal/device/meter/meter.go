@@ -162,20 +162,16 @@ func (m *Meter) Seek(p *sim.Proc, d sim.Duration) {
 }
 
 // Exchange charges a robot cartridge exchange taking d, for a request
-// that crosses onto another cartridge of a volume set.
+// that crosses onto another cartridge of a volume set or a switch of a
+// shared transport: it holds p for d, records a tape-exchange event and
+// counts the exchange in Stats and tape_exchanges_total.
 func (m *Meter) Exchange(p *sim.Proc, d sim.Duration) {
-	m.exchange(p, d)
-	m.met.exchanges.Inc()
-}
-
-// exchange holds p for d, records a tape-exchange event and counts the
-// exchange in Stats.
-func (m *Meter) exchange(p *sim.Proc, d sim.Duration) {
 	if d > 0 {
 		m.hold(p, obs.TapeExchange, d)
 	}
 	m.Stats.Exchanges++
 	m.Stats.ExchangeTime += d
+	m.met.exchanges.Inc()
 }
 
 // hold holds p for d and records it as one event of kind.
@@ -198,10 +194,8 @@ func Share(a, b *Meter) {
 
 // SwitchIn makes m its transport's active drive, with the transport
 // held. The first use is free; each later switch charges d as a
-// cartridge exchange (in Stats and the event stream, not in
-// tape_exchanges_total, which counts volume-set exchanges) and reports
-// true: the caller's head then sits at the start of the cartridge. A
-// dedicated drive never switches.
+// cartridge Exchange and reports true: the caller's head then sits at
+// the start of the cartridge. A dedicated drive never switches.
 func (m *Meter) SwitchIn(p *sim.Proc, d sim.Duration) bool {
 	t := m.shared
 	if t == nil || t.active == m {
@@ -212,7 +206,7 @@ func (m *Meter) SwitchIn(p *sim.Proc, d sim.Duration) bool {
 	if prev == nil {
 		return false
 	}
-	m.exchange(p, d)
+	m.Exchange(p, d)
 	return true
 }
 

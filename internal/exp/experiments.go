@@ -12,7 +12,7 @@ import (
 type Options struct {
 	Scale   float64
 	Backend string // the overlap experiment's storage backend: "sim" or "file"
-	Quick   bool   // the CI subset of firsttuple, chaos and skew
+	Quick   bool   // the CI subset of firsttuple and skew
 }
 
 // An Experiment is one -exp name of tapejoin paper: one table or figure of
@@ -28,8 +28,7 @@ type Experiment struct {
 	// nonzero; nil when the experiment has none.
 	Verdict func(any) error
 	// pin returns the part of the value that is virtual time and exact
-	// counts, which TestPaperGolden compares exactly; nil when the whole
-	// value is wall-clock.
+	// counts, which TestPaperGolden compares exactly.
 	pin func(any) any
 }
 
@@ -71,11 +70,6 @@ var Experiments = []Experiment{
 	def("firsttuple", "firsttuple", "First tuple: streaming SYM-H vs materializing methods, StopAfter=k",
 		func(o Options) ([]FirstTupleRow, error) { return FirstTuple(o.Scale, o.Quick) },
 		FormatFirstTuple, nil, whole),
-	def("chaos", "chaos", "Chaos: wall-clock fault tolerance on the file backend",
-		func(o Options) ([]ChaosRow, error) { return Chaos(o.Scale, o.Quick), nil },
-		FormatChaos, ChaosVerdict, nil),
-	def("obsload", "obsload", "Obsload: instrumentation overhead against its stated budgets",
-		func(o Options) ([]ObsloadRow, error) { return Obsload(o.Scale) }, FormatObsload, ObsloadVerdict, nil),
 	def("skew", "skew", "Skew: uniform vs Zipf 0.99 keys, uniform planner vs skew-aware partitioning",
 		func(o Options) ([]SkewRow, error) { return Skew(o.Scale, o.Quick) }, FormatSkew, SkewVerdict, simRows),
 }
@@ -85,19 +79,17 @@ var Experiments = []Experiment{
 const fig4Rows = 40
 
 // def builds an experiment from its typed run, rendering, verdict and
-// pin; verdict and pin may be nil.
+// pin; verdict may be nil.
 func def[T any](name, key, title string, run func(Options) (T, error), text func(T) string,
 	verdict func(T) error, pin func(T) any) Experiment {
 	e := Experiment{
 		Name: name, Key: key, Title: title,
 		Run:  func(o Options) (any, error) { return run(o) },
 		Text: func(v any) string { return text(v.(T)) },
+		pin:  func(v any) any { return pin(v.(T)) },
 	}
 	if verdict != nil {
 		e.Verdict = func(v any) error { return verdict(v.(T)) }
-	}
-	if pin != nil {
-		e.pin = func(v any) any { return pin(v.(T)) }
 	}
 	return e
 }

@@ -167,10 +167,13 @@ func (mv *MultiVolume) append(blks []block.Block) (Region, error) {
 }
 
 // writeAt implements Medium, splitting across volumes. Overwrites may
-// not leave gaps within any volume.
+// not leave gaps, and a write that does not fit changes nothing.
 func (mv *MultiVolume) writeAt(addr Addr, blks []block.Block) error {
 	if addr < 0 || addr > mv.EOD() {
 		return fmt.Errorf("tape: write at %d beyond EOD %d on %q", addr, mv.EOD(), mv.name)
+	}
+	if end := int64(addr) + int64(len(blks)); end > mv.Capacity() {
+		return fmt.Errorf("%w: %q write [%d,%d) beyond capacity %d", ErrTapeFull, mv.name, addr, end, mv.Capacity())
 	}
 	rest := blks
 	for len(rest) > 0 {
@@ -179,9 +182,6 @@ func (mv *MultiVolume) writeAt(addr Addr, blks []block.Block) error {
 		take := int64(len(rest))
 		if room := int64(mv.vols[vol].Capacity()) - int64(local); take > room {
 			take = room
-		}
-		if take == 0 {
-			return fmt.Errorf("%w: %q write past capacity", ErrTapeFull, mv.name)
 		}
 		if err := mv.vols[vol].writeAt(local, rest[:take]); err != nil {
 			return err

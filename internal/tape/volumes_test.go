@@ -1,6 +1,7 @@
 package tape
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -230,4 +231,48 @@ func TestForwardReadAfterReverseSeeksOnce(t *testing.T) {
 	if d.Stats.Seeks != 0 {
 		t.Fatalf("seeks = %d, want 0 (turnarounds are free)", d.Stats.Seeks)
 	}
+}
+
+// TestMultiVolumeWriteAt overwrites a run that straddles three
+// cartridges in place, as TT-SM's WriteAt does on a volume set, and
+// reads every block back. Writes that start past EOD or end past the
+// set's capacity are rejected and change nothing.
+func TestMultiVolumeWriteAt(t *testing.T) {
+	mv := mkVolumes(t, "set", 3, 10)
+	if _, err := mv.AppendSetup(mkBlocks(1, 25, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := mv.writeAt(7, mkBlocks(1, 16, 100)); err != nil {
+		t.Fatal(err)
+	}
+	wantKey := func(a Addr) uint64 {
+		if a >= 7 && a < 23 {
+			return 100 + uint64(a-7)
+		}
+		return uint64(a)
+	}
+	check := func() {
+		t.Helper()
+		if mv.EOD() != 25 {
+			t.Fatalf("EOD = %d, want 25", mv.EOD())
+		}
+		for a := Addr(0); a < 25; a++ {
+			blks, err := mv.ReadSetup(Region{Start: a, N: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, tuples := blks[0].MustDecode(); tuples[0].Key != wantKey(a) {
+				t.Fatalf("block %d: key %d, want %d", a, tuples[0].Key, wantKey(a))
+			}
+		}
+	}
+	check()
+
+	if err := mv.writeAt(26, mkBlocks(1, 1, 900)); err == nil {
+		t.Fatal("write past EOD accepted")
+	}
+	if err := mv.writeAt(25, mkBlocks(1, 6, 900)); !errors.Is(err, ErrTapeFull) {
+		t.Fatalf("write past capacity: err = %v, want ErrTapeFull", err)
+	}
+	check()
 }

@@ -24,7 +24,7 @@ var knobSurface = []struct {
 }{
 	{reflect.TypeOf(Config{}), []string{
 		"Backend", "BackendDir", "FileSync", "FileOpTimeout",
-		"FileTripAfter", "FileRetryMax", "FilePace", "MemoryMB", "DiskMB",
+		"FilePace", "MemoryMB", "DiskMB",
 		"NumDisks", "Profile", "Compression", "DiskTapeSpeedRatio",
 		"SplitBuffering", "SkewAware", "ProbeNarrow", "BiDirectionalTape",
 		"Observe", "Faults", "DisableRecovery", "ObsAddr", "ObsServer",

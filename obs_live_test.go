@@ -107,7 +107,7 @@ func TestObsServerScrapeDuringJoin(t *testing.T) {
 	// No virtual-response comparison: the file backend charges measured
 	// wall time into the virtual clock, so Response legitimately varies
 	// run to run there. Determinism of Response under instrumentation
-	// is asserted on the sim backend by tapejoin paper -exp obsload.
+	// is asserted on the sim backend by TestObserveLeavesResultUnperturbed.
 
 	// The final scrape is valid Prometheus text and carries the device
 	// engine's health gauges and the server's own scrape counter.
@@ -163,8 +163,8 @@ func TestObsServerReportsTrippedDevice(t *testing.T) {
 		MemoryMB: 1, DiskMB: 4, Profile: IdealTape,
 		Faults:          "oswait=disk:60ms:200",
 		FileOpTimeout:   5 * time.Millisecond,
-		FileTripAfter:   1,
-		FileRetryMax:    -1,
+		fileTripAfter:   1,
+		fileRetryMax:    -1,
 		DisableRecovery: true,
 		ObsAddr:         "127.0.0.1:0",
 	})

@@ -107,6 +107,34 @@ func TestObserveOffLeavesReportNil(t *testing.T) {
 	}
 }
 
+// TestObserveLeavesResultUnperturbed runs each method on the simulator
+// with Observe off and on: recording spans, events and metrics must not
+// move the virtual result, so every Stats field (response time,
+// matches, output hash, tape and disk traffic, seeks, peaks) is equal.
+func TestObserveLeavesResultUnperturbed(t *testing.T) {
+	for _, m := range Methods() {
+		var stats [2]Stats
+		for i, observe := range []bool{false, true} {
+			sys, err := NewSystem(Config{MemoryMB: 1, DiskMB: 8, Observe: observe})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, s := makeRelations(t, sys)
+			res, err := sys.Join(m, r, s)
+			if err != nil {
+				t.Fatalf("%s observe=%v: %v", m, observe, err)
+			}
+			stats[i] = res.Stats
+		}
+		if stats[0].Matches == 0 || stats[0].TapeReadMB == 0 {
+			t.Fatalf("%s: vacuous run: %+v", m, stats[0])
+		}
+		if stats[0] != stats[1] {
+			t.Errorf("%s: Observe moved the result:\n off %+v\n on  %+v", m, stats[0], stats[1])
+		}
+	}
+}
+
 func TestObserveWithFaultsCountsDecisions(t *testing.T) {
 	res := observedJoin(t, CTTGH, Config{
 		MemoryMB: 1, DiskMB: 4, Profile: IdealTape,

@@ -135,20 +135,11 @@ type Config struct {
 	FileSync string
 	// FileOpTimeout, when positive, bounds each "file" backend device
 	// operation's wall-clock time: an operation that overruns fails
-	// with fault.ErrTimeout, degrades the device's health, and
-	// FileTripAfter consecutive misses trip its circuit breaker —
-	// further operations then fail fast with fault.ErrDeviceFailed.
-	// Zero disables deadlines (operations may block indefinitely on a
-	// stuck syscall).
+	// with fault.ErrTimeout, degrades the device's health, and three
+	// consecutive misses trip its circuit breaker — further operations
+	// then fail fast with fault.ErrDeviceFailed. Zero disables
+	// deadlines (operations may block indefinitely on a stuck syscall).
 	FileOpTimeout time.Duration
-	// FileTripAfter overrides the consecutive-timeout count that trips
-	// a "file" backend device's breaker (default 3).
-	FileTripAfter int
-	// FileRetryMax overrides the "file" backend's device-layer retry
-	// count for timed-out or transiently failed operations: zero keeps
-	// the default, negative disables device-layer retries entirely so
-	// every fault surfaces to the join's own recovery machinery.
-	FileRetryMax int
 	// FilePace, when positive, paces the "file" backend's transfers to
 	// emulate the modeled device bandwidths sped up FilePace× in
 	// wall-clock time. Local files run at page-cache speed, so without
@@ -225,6 +216,14 @@ type Config struct {
 	// sources at each run's registry and its flight recorder. The
 	// caller owns the server's lifecycle. Implies Observe.
 	ObsServer *obsserver.Server
+
+	// fileTripAfter overrides the consecutive-timeout count that trips
+	// a "file" backend device's breaker (three when zero); a test hook.
+	fileTripAfter int
+	// fileRetryMax overrides the "file" backend's device-layer retry
+	// count (negative disables those retries, so every fault reaches
+	// the join's own recovery); a test hook.
+	fileRetryMax int
 }
 
 // System is a configured tertiary-storage device complex on which
@@ -298,8 +297,8 @@ func NewSystem(cfg Config) (*System, error) {
 		fb.Sync = pol
 		fb.PaceScale = cfg.FilePace
 		fb.OpTimeout = cfg.FileOpTimeout
-		fb.TripAfter = cfg.FileTripAfter
-		fb.RetryMax = cfg.FileRetryMax
+		fb.TripAfter = cfg.fileTripAfter
+		fb.RetryMax = cfg.fileRetryMax
 		res.Backend = fb
 	default:
 		return nil, fmt.Errorf("tapejoin: unknown backend %q (want \"sim\" or \"file\")", cfg.Backend)
