@@ -55,7 +55,6 @@ var chaosScenarios = []struct {
 		faults: "oswait=disk:60ms:200",
 		mutate: func(cfg *Config) {
 			cfg.FileOpTimeout = 5 * time.Millisecond
-			cfg.fileRetryMax = -1
 			cfg.DisableRecovery = true
 		},
 		wantErrs: []error{fault.ErrTimeout},

@@ -92,6 +92,28 @@ func TestConfigDisableRecoveryMakesFaultsFatal(t *testing.T) {
 	}
 }
 
+// TestDisableRecoveryFatalOnFileBackend: with recovery disabled the
+// first device fault aborts the join on the file backend too. The
+// backend's own retry of a failed syscall is recovery as well, so it
+// must not absorb the fault.
+func TestDisableRecoveryFatalOnFileBackend(t *testing.T) {
+	sys, err := NewSystem(Config{
+		Backend: "file", BackendDir: t.TempDir(),
+		MemoryMB: 1, DiskMB: 4, Profile: IdealTape,
+		Faults:          "oserr=disk:2",
+		DisableRecovery: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	r, s := makeRelations(t, sys)
+	res, err := sys.Join(DTGH, r, s)
+	if err == nil {
+		t.Fatalf("join succeeded with Faults=%d; an OS fault with recovery disabled should fail it", res.Stats.Faults)
+	}
+}
+
 // TestInjectedStallAppliedAndCounted: a stall directive holds the device
 // it names, whichever that is, and counts as one injected fault. The
 // sim backend's disk array takes a stall on the array-wide path and on

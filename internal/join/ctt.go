@@ -1,6 +1,7 @@
 package join
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/block"
@@ -46,7 +47,8 @@ func planTapeTape(rBlocks, mBlocks, dBlocks int64) (hashutil.Plan, error) {
 // each batch of blocks before the tape write (with eof set on the last
 // batch so a stateful transform can flush) — the skew spool uses it to
 // project one partition out of a bucket file. When pipelined, disk
-// reads overlap tape writes through a small queue (the concurrent
+// reads overlap tape writes on the pipeline skeleton, the reader one
+// batch ahead and stopping after a failed write (the concurrent
 // methods); otherwise the two alternate in one process (the sequential
 // TT-GH).
 func appendFileToTape(e *env, p *sim.Proc, f device.File, dst device.Drive, pipelined bool,
@@ -93,45 +95,30 @@ func appendFileToTape(e *env, p *sim.Proc, f device.File, dst device.Drive, pipe
 		return region, nil
 	}
 
-	type readMsg struct {
-		blks []block.Block
-		err  error
-	}
-	q := sim.NewQueue[readMsg](e.k, "append-pipe", 2)
-	reader := e.k.Spawn("bucket-reader", func(rp *sim.Proc) {
-		err := read(rp, func(blks []block.Block) error {
-			q.Send(rp, readMsg{blks: blks})
-			return nil
-		})
-		if err != nil {
-			q.Send(rp, readMsg{err: err})
-		}
-		q.Close(rp)
-	})
-	var pipeErr error
-	for {
-		m, ok := q.Recv(p)
-		if !ok {
-			break
-		}
-		if m.err != nil || pipeErr != nil {
-			if m.err != nil && pipeErr == nil {
-				pipeErr = m.err
+	err := e.pipeline(p, "append-pipe", "bucket-reader",
+		func(rp *sim.Proc, q *sim.Queue[chunk], stop *bool) {
+			err := read(rp, func(blks []block.Block) error {
+				q.Send(rp, chunk{blks: blks})
+				if *stop {
+					return errSpoolStopped
+				}
+				return nil
+			})
+			if err != nil {
+				q.Send(rp, chunk{err: err})
 			}
-			continue
-		}
-		if err := write(p, m.blks); err != nil {
-			pipeErr = err
-		}
-	}
-	if err := p.Wait(reader); err != nil {
+		},
+		func(c chunk) error { return write(p, c.blks) },
+		func(chunk) {}, nil)
+	if err != nil {
 		return device.Region{}, err
-	}
-	if pipeErr != nil {
-		return device.Region{}, pipeErr
 	}
 	return region, nil
 }
+
+// errSpoolStopped ends a pipelined spool's disk reads once a tape write
+// has failed; the pipeline drops it, reporting the write's error.
+var errSpoolStopped = errors.New("join: spool stopped")
 
 // hashRelationToTape implements Step I of the tape–tape methods: the
 // source relation is hash-partitioned into plan.B buckets, a disk-load

@@ -421,6 +421,7 @@ func ghJoinPipeline(e *env, p *sim.Proc, plan hashutil.Plan, sLay layout, chunkC
 		})
 		if err == nil {
 			e.stats.RScans++
+			e.stats.Iterations++
 		}
 		return err
 	}

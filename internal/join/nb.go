@@ -223,7 +223,11 @@ func (CDTNBMB) run(e *env, p *sim.Proc) error {
 			if err := table.addBlocks(c.blks, e.filterS()); err != nil {
 				return err
 			}
-			return e.staged(p, func() error { return scanRAndProbe(e, p, fR, mr, table) })
+			if err := e.staged(p, func() error { return scanRAndProbe(e, p, fR, mr, table) }); err != nil {
+				return err
+			}
+			e.stats.Iterations++
+			return nil
 		},
 		func(c chunk) { e.dropBlocks(p, bufs, c) },
 		// Finish the rest of S sequentially, DT-NB style, re-staging R
@@ -420,7 +424,11 @@ func (CDTNBDB) run(e *env, p *sim.Proc) error {
 			dbuf.Release(p, c.iter, g)
 		}
 		c.file.Free()
-		return e.staged(p, func() error { return scanRAndProbe(e, p, fR, mr, table) })
+		if err := e.staged(p, func() error { return scanRAndProbe(e, p, fR, mr, table) }); err != nil {
+			return err
+		}
+		e.stats.Iterations++
+		return nil
 	}
 	// Finish the rest of S sequentially with direct tape reads,
 	// memory-sized chunks at a time.

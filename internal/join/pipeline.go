@@ -33,10 +33,10 @@ type chunk struct {
 // The first failure wins: a poisoned chunk or a failed consume sets
 // the stop flag produce polls, and every later chunk goes to drop,
 // which must return whatever buffer space and scratch the chunk holds.
-// Each consumed chunk counts one iteration. Once the producer has
-// finished, a recoverable failure hands off to tail at the end of the
-// last consumed chunk, which finishes the work sequentially; a nil
-// tail, disabled recovery or an unrecoverable failure returns it.
+// Once the producer has finished, a recoverable failure hands off to
+// tail at the end of the last consumed chunk, which finishes the work
+// sequentially; a nil tail, disabled recovery or an unrecoverable
+// failure returns it. A consumer that counts iterations counts its own.
 func (e *env) pipeline(p *sim.Proc, queue, producer string,
 	produce func(hp *sim.Proc, q *sim.Queue[chunk], stop *bool),
 	consume func(c chunk) error, drop func(c chunk), tail func(next int64) error) error {
@@ -67,7 +67,6 @@ func (e *env) pipeline(p *sim.Proc, queue, producer string,
 			stop = true
 			continue
 		}
-		e.stats.Iterations++
 		next = c.off + c.n
 	}
 	if err := p.Wait(prod); err != nil {

@@ -209,3 +209,65 @@ func TestConcurrentPipelineSchedule(t *testing.T) {
 		})
 	}
 }
+
+// TestSpoolReaderStopsAfterFailedWrite fails a tape write in the middle
+// of CTT-GH's Step I spool — the pipelined copy of a disk bucket onto
+// R's tape — by losing R's drive, with recovery off. The spool's disk
+// reader runs at most one batch ahead of the tape writes, and once a
+// write has failed it must read no further: of the disk reads starting
+// when the failed write is issued or later, only the batch the reader
+// was already fetching may remain.
+func TestSpoolReaderStopsAfterFailedWrite(t *testing.T) {
+	run := func(sched *fault.Schedule) ([]obs.Event, error) {
+		spec := specWithSizes(t, 96, 192, 4)
+		res := fastRes(12, 200)
+		res.IOChunk = 1 // one block per spool batch
+		res.DisableRecovery = true
+		res.Faults = sched
+		tr := obs.NewTracker()
+		res.Spans = tr
+		s, err := NewSession(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		var runErr error
+		s.Kernel().Spawn("join", func(p *sim.Proc) {
+			_, runErr = s.Exec(p, CTTGH{}, spec, &CountSink{}, ExecOptions{})
+		})
+		if err := s.Kernel().Run(); err != nil {
+			t.Fatal(err)
+		}
+		s.Finish()
+		return tr.Events(), runErr
+	}
+	clean, err := run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var writes []sim.Time
+	for _, ev := range clean {
+		if ev.Device == "tape:R" && ev.Kind == obs.TapeWrite {
+			writes = append(writes, ev.Start)
+		}
+	}
+	if len(writes) < 3 {
+		t.Fatalf("clean run spooled %d tape writes", len(writes))
+	}
+	// Up to the drive loss the faulted run is the clean run, so the
+	// third spool write is issued at the same instant and fails.
+	failAt := writes[2]
+	events, err := run(mustFaults("drivefail=R@%dns", int64(failAt)))
+	if err == nil {
+		t.Fatal("spool survived the loss of its tape drive with recovery off")
+	}
+	var after int
+	for _, ev := range events {
+		if ev.Kind == obs.DiskRead && ev.Start >= failAt {
+			after++
+		}
+	}
+	if after > 1 {
+		t.Errorf("the spool reader issued %d disk reads from the failed write on, want at most the one batch in hand", after)
+	}
+}

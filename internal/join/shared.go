@@ -108,7 +108,11 @@ func (s *Session) ExecShared(p *sim.Proc, bigS *relation.Relation, queries []Sha
 		},
 		func(c chunk) error {
 			defer e.dropBlocks(p, bufs, c)
-			return sharedJoinChunk(e, p, c.blks, c.off, queries, held)
+			if err := sharedJoinChunk(e, p, c.blks, c.off, queries, held); err != nil {
+				return err
+			}
+			e.stats.Iterations++
+			return nil
 		},
 		func(c chunk) { e.dropBlocks(p, bufs, c) }, nil)
 	sp.Close(p)

@@ -158,6 +158,9 @@ func Replay(baseURL string, clients int, queries []Request) *Report {
 	}
 	wg.Wait()
 	rep.Wall = time.Since(start)
+	// A connection the transport dialed but never used would hold the
+	// daemon's graceful shutdown until it is 5 s old.
+	httpc.CloseIdleConnections()
 
 	var lats, firsts []time.Duration
 	for _, o := range outcomes {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -326,5 +327,85 @@ func TestServiceDeadline(t *testing.T) {
 	}
 	if res.Failed && !strings.HasPrefix(res.Reason, workload.ReasonDeadline+":") {
 		t.Errorf("failed with untyped reason %q", res.Reason)
+	}
+}
+
+// TestStatsWireKeysPinned pins the key set of the GET /stats document,
+// engine snapshot included: the wire names are a contract with every
+// client, whatever Go types carry them.
+func TestStatsWireKeysPinned(t *testing.T) {
+	f := makeFixture(t, workload.MountAware)
+	s, err := New(f.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain()
+	base = "http://" + base
+	if code, _, res := postJoin(t, base, Request{R: "R1", S: "S1"}); code != 200 || res.Failed {
+		t.Fatalf("join failed: %d %v", code, res)
+	}
+	resp, err := http.Get(base + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var doc map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	keys := func(m map[string]any) string {
+		var out []string
+		for k := range m {
+			out = append(out, k)
+		}
+		sort.Strings(out)
+		return strings.Join(out, " ")
+	}
+	engine, ok := doc["engine"].(map[string]any)
+	if !ok {
+		t.Fatalf("stats document has no engine object: %v", doc)
+	}
+	for _, c := range []struct{ name, got, want string }{
+		{"stats", keys(doc), "accepted draining engine outstanding policy rejected"},
+		{"engine", keys(engine), "CacheEvictions CacheHits CacheMisses Demotions DiskHighWater Expired Failed InFlight " +
+			"Mounts Queued RMounts Requeues SMounts ScheduleDropped ScheduleTail Served SharedPasses SharedRiders " +
+			"TapeBlocksRead TapeBlocksWritten VirtualNow"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s keys:\n got  %s\n want %s", c.name, c.got, c.want)
+		}
+	}
+}
+
+// TestDrainPromptAfterReplay drains the daemon right after a 500-client
+// replay. Drain waits in http.Server.Shutdown for every connection to
+// go idle, and a connection the replay's transport dialed but never
+// used counts as active until it is 5 s old: Replay must close its idle
+// connections before it returns.
+func TestDrainPromptAfterReplay(t *testing.T) {
+	f := makeFixture(t, workload.MountAware)
+	s, err := New(f.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := GenLoad(LoadSpec{Seed: 3, Queries: 500}, []string{"R1", "R2"}, []string{"S1", "S2"})
+	rep := Replay("http://"+base, 500, reqs)
+	if rep.OK != len(reqs) {
+		t.Fatalf("replay: %d of %d ok", rep.OK, len(reqs))
+	}
+	start := time.Now()
+	if err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Errorf("Drain took %v after the replay, want < 2s", took)
 	}
 }

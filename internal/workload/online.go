@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -11,19 +13,20 @@ import (
 	"repro/internal/sim"
 )
 
-// This file is the online half of the workload engine: the same
-// scheduler machinery as the batch Run — mounts, admission control,
-// shared S-scans, the staging cache — hosted on one long-lived
-// join.Session so queries can arrive continuously instead of as a
-// closed batch. The bridge between wall-clock arrivals and the
-// virtual-time kernel is the sim package's external-completion
-// protocol: the scheduler proc parks in Await on an "arrival"
-// completion whenever the queue is empty (or a merge window is open),
-// and Submit — called from any goroutine — posts it with the measured
-// wall wait, which the kernel charges as virtual time. Idle time on
-// the service's clock is therefore real idle time, and everything the
-// batch engine made real — head positions, cache hits, mount churn —
-// persists across the service's lifetime.
+// This file is the scheduler loop of the workload engine. One engine
+// serves both modes: a batch (Run) is the engine started with every
+// query already queued and the engine already draining; the resident
+// service (StartOnline) is the same engine fed by Submit while it
+// runs. Both host their queries on one long-lived join.Session, and
+// both pick every unit of work with the one picker, pick. The bridge
+// between wall-clock arrivals and the virtual-time kernel is the sim
+// package's external-completion protocol: the scheduler proc parks in
+// Await on an "arrival" completion whenever the queue is empty (or a
+// merge window is open), and Submit — called from any goroutine —
+// posts it with the measured wall wait, which the kernel charges as
+// virtual time. Idle time on the service's clock is therefore real
+// idle time, and everything the engine makes real — head positions,
+// cache hits, mount churn — persists across the service's lifetime.
 
 // ErrDraining is returned by Submit once Drain has been called (or the
 // engine's kernel has stopped): the service finishes admitted work but
@@ -42,7 +45,7 @@ type OnlineQuery struct {
 	// the service layer; the engine only echoes it).
 	Tenant string
 	// Priority orders the queue: higher runs first; equal priorities
-	// run in arrival order. Zero is the default class.
+	// run in the policy's order. Zero is the default class.
 	Priority int
 	// Deadline, when non-zero, expires the query if service has not
 	// started by that wall-clock instant: it then fails with a typed
@@ -81,10 +84,11 @@ type OnlineConfig struct {
 	// Config is the batch configuration: resources, policy, cache,
 	// mount time, MaxShared.
 	Config
-	// MergeWindow holds a shared-scan seed query back for up to this
-	// wall-clock duration so later same-S arrivals can merge into its
-	// pass. Zero merges only what is already queued. Ignored by the
-	// fifo and mount-aware policies and while draining.
+	// MergeWindow holds a shared-scan unit back for up to this
+	// wall-clock duration from its oldest query's arrival, while it has
+	// fewer than MaxShared queries, so later same-S arrivals can merge
+	// into its pass. Zero merges only what is already queued. Ignored
+	// by the fifo and mount-aware policies and while draining.
 	MergeWindow time.Duration
 }
 
@@ -96,14 +100,11 @@ type OnlineStats struct {
 	Queued, InFlight int
 	Served, Failed   int64
 	Expired          int64
-	// Batch-engine counters, cumulative since Start.
-	Mounts, RMounts, SMounts               int
-	SharedPasses                           int
-	SharedRiders                           int64
-	Requeues, Demotions                    int
-	CacheHits, CacheMisses, CacheEvictions int64
-	TapeBlocksRead, TapeBlocksWritten      int64
-	DiskHighWater                          int64
+	// Counters are cumulative since Start; DiskHighWater is the peak
+	// over every disk array the engine has used.
+	Counters
+	// SharedRiders counts queries served on shared passes.
+	SharedRiders int64
 	// VirtualNow is the session clock; ScheduleTail the most recent
 	// schedule-log lines (at most onlineLogLines).
 	VirtualNow      sim.Duration
@@ -111,13 +112,17 @@ type OnlineStats struct {
 	ScheduleDropped int64
 }
 
-// pendingQ is one queued online query with its delivery channel.
+// pendingQ is one queued query with its delivery channel.
 type pendingQ struct {
-	q       OnlineQuery
-	seq     int64
-	arrived time.Time
-	started time.Time
-	ch      chan OnlineResult
+	q   OnlineQuery
+	seq int64
+	// sRank and rRank place the query in mount-aware order: the seq of
+	// the oldest query still queued on its S cartridge, and on its S
+	// and R cartridges, when it arrived (its own seq if none was).
+	sRank, rRank int64
+	arrived      time.Time
+	started      time.Time
+	ch           chan OnlineResult
 }
 
 // arrivalWaiter is the armed wakeup of a parked scheduler proc. It is
@@ -129,13 +134,13 @@ type arrivalWaiter struct {
 	armed time.Time
 }
 
-// OnlineEngine is a resident scheduler serving continuously-arriving
-// join queries on one long-lived session. Start it with StartOnline,
-// feed it with Submit, stop it with Drain.
+// OnlineEngine is the workload scheduler: a queue of join queries
+// served on one long-lived session by the scheduler proc. Start a
+// resident one with StartOnline, feed it with Submit, stop it with
+// Drain; Run serves a closed batch on one.
 type OnlineEngine struct {
-	cfg     OnlineConfig
-	session *join.Session
-	en      *engine
+	engine
+	mergeWindow time.Duration
 
 	mu       sync.Mutex
 	queue    []*pendingQ
@@ -143,63 +148,90 @@ type OnlineEngine struct {
 	waiter   *arrivalWaiter
 	draining bool
 	nextSeq  int64
-	stats    OnlineStats
-	runErr   error
+	// last is the last query of the unit served most recently: pick's
+	// anchor.
+	last   *Query
+	stats  OnlineStats
+	runErr error
 
 	done chan struct{}
+}
+
+// newEngine builds the device complex and an idle engine over it; Run
+// and StartOnline both start from here. scheduleCap bounds the
+// schedule log to its most recent lines (0 = unbounded).
+func newEngine(cfg OnlineConfig, scheduleCap int) (*OnlineEngine, error) {
+	cfg.Config = cfg.Config.withDefaults()
+	session, err := join.NewSession(cfg.Resources)
+	if err != nil {
+		return nil, err
+	}
+	if d := session.Resources().DiskBlocks; cfg.CacheBlocks < 0 || cfg.CacheBlocks >= d {
+		session.Close()
+		return nil, fmt.Errorf("workload: CacheBlocks %d outside [0, D=%d)", cfg.CacheBlocks, d)
+	}
+	reg := session.Resources().Metrics
+	return &OnlineEngine{
+		engine: engine{
+			cfg: cfg.Config, session: session,
+			scheduleCap: scheduleCap,
+			array:       session.Disks(),
+			cache:       newStagingCache(cfg.CacheBlocks),
+			out:         &BatchResult{Policy: cfg.Policy},
+			queueWait: reg.Histogram("workload_queue_wait_seconds",
+				"Virtual time queries waited before service started.", obs.BackoffBuckets),
+			mountsC: reg.Counter("workload_mounts_total", "Cartridge switches charged by the scheduler."),
+			hitsC:   reg.Counter("workload_cache_hits_total", "Staging-cache hits (R copies served from disk)."),
+			missesC: reg.Counter("workload_cache_misses_total", "Staging-cache misses (R copies read from tape)."),
+			sharedC: reg.Counter("workload_shared_passes_total", "Shared S-scan passes executed."),
+		},
+		mergeWindow: cfg.MergeWindow,
+		done:        make(chan struct{}),
+	}, nil
 }
 
 // StartOnline builds the device complex and starts the resident
 // scheduler. The caller must eventually call Drain (or Close) to stop
 // the kernel and release the session's devices.
 func StartOnline(cfg OnlineConfig) (*OnlineEngine, error) {
-	cfg.Config = cfg.Config.withDefaults()
-	session, err := join.NewSession(cfg.Resources)
+	e, err := newEngine(cfg, onlineLogLines)
 	if err != nil {
 		return nil, err
 	}
-	res := session.Resources()
-	if cfg.CacheBlocks < 0 || cfg.CacheBlocks >= res.DiskBlocks {
-		session.Close()
-		return nil, fmt.Errorf("workload: CacheBlocks %d outside [0, D=%d)", cfg.CacheBlocks, res.DiskBlocks)
-	}
-	reg := res.Metrics
-	e := &OnlineEngine{
-		cfg: cfg, session: session,
-		done: make(chan struct{}),
-	}
-	e.en = &engine{
-		cfg: cfg.Config, session: session,
-		scheduleCap: onlineLogLines,
-		array:       session.Disks(),
-		cache:       newStagingCache(cfg.CacheBlocks),
-		out:         &BatchResult{Policy: cfg.Policy},
-		queueWait: reg.Histogram("workload_queue_wait_seconds",
-			"Virtual time queries waited before service started.", obs.BackoffBuckets),
-		mountsC: reg.Counter("workload_mounts_total", "Cartridge switches charged by the scheduler."),
-		hitsC:   reg.Counter("workload_cache_hits_total", "Staging-cache hits (R copies served from disk)."),
-		missesC: reg.Counter("workload_cache_misses_total", "Staging-cache misses (R copies read from tape)."),
-		sharedC: reg.Counter("workload_shared_passes_total", "Shared S-scan passes executed."),
-	}
-	session.Kernel().Spawn("online-scheduler", func(p *sim.Proc) {
-		for {
-			grp := e.nextGroup(p)
-			if grp == nil {
-				return
-			}
-			e.serveGroup(p, grp)
-		}
-	})
+	e.start()
+	return e, nil
+}
+
+// start runs the scheduler proc on the kernel in the background; when
+// the kernel stops, the session is released and every undelivered
+// query fails typed.
+func (e *OnlineEngine) start() {
+	e.session.Kernel().Spawn("online-scheduler", func(p *sim.Proc) { e.schedule(p) })
 	go func() {
-		err := session.Kernel().Run()
-		session.Finish()
-		if cerr := session.Close(); err == nil {
+		err := e.session.Kernel().Run()
+		e.session.Finish()
+		if cerr := e.session.Close(); err == nil {
 			err = cerr
 		}
 		e.shutdownSweep(err)
 		close(e.done)
 	}()
-	return e, nil
+}
+
+// schedule is the scheduler proc: it serves unit after unit until the
+// engine is draining and the queue is empty. A non-device error fails
+// its step's queries and does not stop the loop; the first one is
+// returned.
+func (e *OnlineEngine) schedule(p *sim.Proc) error {
+	var first error
+	for unit := e.nextUnit(p); unit != nil; unit = e.nextUnit(p) {
+		for _, st := range unit {
+			if err := e.serveStep(p, st); first == nil {
+				first = err
+			}
+		}
+	}
+	return first
 }
 
 // Submit enqueues one query and returns the channel its single result
@@ -218,22 +250,37 @@ func (e *OnlineEngine) Submit(q OnlineQuery) (<-chan OnlineResult, error) {
 		}
 	}
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.draining {
-		e.mu.Unlock()
 		return nil, ErrDraining
 	}
+	pq := e.enqueueLocked(q)
+	e.fireLocked()
+	return pq.ch, nil
+}
+
+// enqueueLocked appends q to the queue, in the S- and R-cartridge
+// groups of the queries already queued. Call with e.mu held.
+func (e *OnlineEngine) enqueueLocked(q OnlineQuery) *pendingQ {
 	e.nextSeq++
 	if q.ID == "" {
 		q.ID = fmt.Sprintf("oq%d", e.nextSeq)
 	}
 	pq := &pendingQ{
-		q: q, seq: e.nextSeq, arrived: time.Now(),
-		ch: make(chan OnlineResult, 1),
+		q: q, seq: e.nextSeq, sRank: e.nextSeq, rRank: e.nextSeq,
+		arrived: time.Now(), ch: make(chan OnlineResult, 1),
+	}
+	for _, o := range e.queue {
+		if o.q.S.Media != q.S.Media {
+			continue
+		}
+		pq.sRank = min(pq.sRank, o.sRank)
+		if o.q.R.Media == q.R.Media {
+			pq.rRank = min(pq.rRank, o.rRank)
+		}
 	}
 	e.queue = append(e.queue, pq)
-	e.fireLocked()
-	e.mu.Unlock()
-	return pq.ch, nil
+	return pq
 }
 
 // Drain stops admission, serves everything already queued, and shuts
@@ -252,7 +299,7 @@ func (e *OnlineEngine) Drain() error {
 }
 
 // Stats returns the engine's latest published snapshot. It is updated
-// after every served group, so a mid-pass scrape lags by at most one
+// after every served step, so a mid-pass scrape lags by at most one
 // scheduling step.
 func (e *OnlineEngine) Stats() OnlineStats {
 	e.mu.Lock()
@@ -294,11 +341,10 @@ func (e *OnlineEngine) park(p *sim.Proc, window time.Duration) {
 	p.Await(w.c)
 }
 
-// nextGroup blocks until there is work and returns the next group to
-// serve — one query, or several same-S queries admitted onto a shared
-// pass. A nil return means the engine is draining and the queue is
+// nextUnit blocks until there is work and returns the next unit to
+// serve. A nil return means the engine is draining and the queue is
 // empty: the scheduler proc should exit.
-func (e *OnlineEngine) nextGroup(p *sim.Proc) []*pendingQ {
+func (e *OnlineEngine) nextUnit(p *sim.Proc) []step {
 	for {
 		e.mu.Lock()
 		e.expireLocked()
@@ -310,18 +356,19 @@ func (e *OnlineEngine) nextGroup(p *sim.Proc) []*pendingQ {
 			e.park(p, 0) // releases e.mu
 			continue
 		}
-		grp, wait, notes := e.pickLocked()
+		unit, wait := e.pickLocked()
 		if wait > 0 {
 			e.park(p, wait) // releases e.mu
 			continue
 		}
-		e.removeLocked(grp)
-		e.serving = append(e.serving, grp...)
-		e.mu.Unlock()
-		for _, n := range notes {
-			e.en.logf(p, "%s", n)
+		for _, st := range unit {
+			e.queue = without(e.queue, st.members)
+			e.serving = append(e.serving, st.members...)
 		}
-		return grp
+		last := unit[len(unit)-1].members
+		e.last = &last[len(last)-1].q.Query
+		e.mu.Unlock()
+		return unit
 	}
 }
 
@@ -332,17 +379,7 @@ func (e *OnlineEngine) expireLocked() {
 	kept := e.queue[:0]
 	for _, pq := range e.queue {
 		if !pq.q.Deadline.IsZero() && now.After(pq.q.Deadline) {
-			pq.ch <- OnlineResult{
-				QueryResult: QueryResult{
-					ID: pq.q.ID, Requested: pq.q.Method,
-					Failed: true,
-					Reason: typedReason(ReasonDeadline, fmt.Errorf("queued %v", now.Sub(pq.arrived).Round(time.Millisecond))),
-				},
-				Tenant:  pq.q.Tenant,
-				Arrived: pq.arrived, Finished: now,
-			}
-			close(pq.ch)
-			e.stats.Failed++
+			e.deliverLocked(pq, pq.failed(ReasonDeadline, fmt.Errorf("queued %v", now.Sub(pq.arrived).Round(time.Millisecond))), now)
 			e.stats.Expired++
 			continue
 		}
@@ -351,176 +388,108 @@ func (e *OnlineEngine) expireLocked() {
 	e.queue = kept
 }
 
-// pickLocked chooses the next group under the policy. It returns
-// either a non-empty group, or a positive wait meaning "park for up to
-// this long — a merge window is still open". notes are admission's
-// priced rejections for the schedule log. Call with e.mu held.
-func (e *OnlineEngine) pickLocked() (grp []*pendingQ, wait time.Duration, notes []string) {
-	seed := e.queue[0]
-	for _, pq := range e.queue[1:] {
-		if pq.q.Priority > seed.q.Priority {
-			seed = pq
-		}
-	}
-	if e.cfg.Policy != FIFO {
-		// Mount-awareness, online: among the seed's priority band,
-		// prefer a query whose S cartridge is already in the drive —
-		// the online analogue of the batch S-grouping.
-		loaded := e.session.DriveS().Media()
-		if loaded != nil && seed.q.S.Media != loaded {
-			for _, pq := range e.queue {
-				if pq.q.Priority == seed.q.Priority && pq.q.S.Media == loaded {
-					seed = pq
-					break
-				}
-			}
-		}
-	}
-	if e.cfg.Policy != SharedScan || seed.q.StopAfter > 0 {
-		// StopAfter queries run solo (see Query.StopAfter): a shared pass
-		// streams the whole S scan to every rider.
-		return []*pendingQ{seed}, 0, nil
-	}
-
-	// Shared-scan: gather queued queries over the seed's S relation, in
-	// queue order, and let admission control pack them onto one pass.
-	cand := []*pendingQ{seed}
+// pickLocked adds the online-only rules to pick: only the highest
+// queued priority band is offered to it, and a shared-scan unit with
+// room for more riders waits out the merge window of its oldest query.
+// It returns either a unit, or a positive wait meaning "park for up to
+// this long". Call with e.mu held.
+func (e *OnlineEngine) pickLocked() (unit []step, wait time.Duration) {
+	top := slices.MaxFunc(e.queue, func(a, b *pendingQ) int { return cmp.Compare(a.q.Priority, b.q.Priority) }).q.Priority
+	var band []*pendingQ
 	for _, pq := range e.queue {
-		if pq != seed && pq.q.S == seed.q.S && pq.q.StopAfter == 0 && len(cand) < e.cfg.MaxShared {
-			cand = append(cand, pq)
+		if pq.q.Priority == top {
+			band = append(band, pq)
 		}
 	}
-	if len(cand) < e.cfg.MaxShared && !e.draining && e.cfg.MergeWindow > 0 {
-		if open := e.cfg.MergeWindow - time.Since(seed.arrived); open > 0 {
-			return nil, open, nil
+	unit = pick(e.cfg, e.session.Resources(), band, e.last)
+	if e.cfg.Policy != SharedScan || e.draining || e.mergeWindow <= 0 {
+		return unit, 0
+	}
+	var members []*pendingQ
+	for _, st := range unit {
+		members = append(members, st.members...)
+	}
+	oldest := slices.MinFunc(members, func(a, b *pendingQ) int { return cmp.Compare(a.seq, b.seq) })
+	if len(members) < e.cfg.MaxShared && oldest.q.StopAfter == 0 {
+		if open := e.mergeWindow - time.Since(oldest.arrived); open > 0 {
+			return nil, open
 		}
 	}
-	if len(cand) == 1 {
-		return cand, 0, nil
-	}
-	qs := make([]Query, len(cand))
-	idx := make([]int, len(cand))
-	for i, pq := range cand {
-		qs[i], idx[i] = pq.q.Query, i
-	}
-	admitted, _, notes := admitShared(e.cfg.Config, e.session.Resources(), qs, idx)
-	if len(admitted) < 2 {
-		return []*pendingQ{seed}, 0, notes
-	}
-	for _, i := range admitted {
-		grp = append(grp, cand[i])
-	}
-	return grp, 0, notes
+	return unit, 0
 }
 
-// removeLocked deletes the group's members from the queue. Call with
-// e.mu held.
-func (e *OnlineEngine) removeLocked(grp []*pendingQ) {
-	drop := make(map[*pendingQ]bool, len(grp))
-	for _, pq := range grp {
-		drop[pq] = true
+// without returns set minus drop, in place.
+func without(set, drop []*pendingQ) []*pendingQ {
+	gone := make(map[*pendingQ]bool, len(drop))
+	for _, pq := range drop {
+		gone[pq] = true
 	}
-	kept := e.queue[:0]
-	for _, pq := range e.queue {
-		if !drop[pq] {
+	kept := set[:0]
+	for _, pq := range set {
+		if !gone[pq] {
 			kept = append(kept, pq)
 		}
 	}
-	e.queue = kept
+	return kept
 }
 
-// serveGroup runs one scheduling step on the engine — a solo query or
-// a shared pass — and delivers each member's result. Non-device errors
-// fail the group's queries with a typed reason instead of killing the
-// resident service.
-func (e *OnlineEngine) serveGroup(p *sim.Proc, grp []*pendingQ) {
+// serveStep runs one step — a solo query or a shared pass — and
+// delivers each member's result. A non-device error fails the step's
+// queries with a typed reason instead of killing the resident service,
+// and is returned.
+func (e *OnlineEngine) serveStep(p *sim.Proc, st step) error {
+	for _, n := range st.notes {
+		e.logf(p, "%s", n)
+	}
 	started := time.Now()
-	base := len(e.en.queries)
-	qis := make([]int, len(grp))
-	for i, pq := range grp {
+	base := len(e.queries)
+	qis := make([]int, len(st.members))
+	for i, pq := range st.members {
 		pq.started = started
-		e.en.queries = append(e.en.queries, pq.q.Query)
-		e.en.results = append(e.en.results, QueryResult{})
+		e.queries = append(e.queries, pq.q.Query)
+		e.results = append(e.results, QueryResult{})
 		qis[i] = base + i
 	}
 	var err error
-	if len(grp) > 1 {
-		err = e.en.runShared(p, qis)
+	if st.shared {
+		err = e.runShared(p, qis)
 	} else {
-		err = e.en.runSingle(p, qis[0])
+		err = e.runSingle(p, qis[0])
 	}
 	finished := time.Now()
 	e.mu.Lock()
-	if len(grp) > 1 {
-		e.stats.SharedRiders += int64(len(grp))
+	defer e.mu.Unlock()
+	if st.shared {
+		e.stats.SharedRiders += int64(len(st.members))
 	}
-	for i, pq := range grp {
-		res := e.en.results[qis[i]]
+	for i, pq := range st.members {
+		res := e.results[qis[i]]
 		if err != nil && res.ID == "" {
-			res = QueryResult{
-				ID: pq.q.ID, Requested: pq.q.Method,
-				Failed: true, Reason: typedReason(ReasonInternal, err),
-			}
+			res = pq.failed(ReasonInternal, err)
 		}
-		pq.ch <- OnlineResult{
-			QueryResult: res,
-			Tenant:      pq.q.Tenant,
-			Arrived:     pq.arrived, Started: pq.started, Finished: finished,
-		}
-		close(pq.ch)
-		if res.Failed {
-			e.stats.Failed++
-		} else {
-			e.stats.Served++
-		}
+		e.deliverLocked(pq, res, finished)
 	}
-	e.unserveLocked(grp)
+	e.serving = without(e.serving, st.members)
 	e.publishLocked()
-	e.mu.Unlock()
+	return err
 }
 
-// unserveLocked drops delivered queries from the serving set. Call
-// with e.mu held.
-func (e *OnlineEngine) unserveLocked(grp []*pendingQ) {
-	drop := make(map[*pendingQ]bool, len(grp))
-	for _, pq := range grp {
-		drop[pq] = true
-	}
-	kept := e.serving[:0]
-	for _, pq := range e.serving {
-		if !drop[pq] {
-			kept = append(kept, pq)
-		}
-	}
-	e.serving = kept
-}
-
-// publishLocked refreshes the stats snapshot from the batch engine's
-// counters and the session's devices. Runs on the scheduler proc with
-// e.mu held, so readers never see a torn update.
+// publishLocked refreshes the stats snapshot from the engine's
+// counters. Runs on the scheduler proc with e.mu held, so readers
+// never see a torn update.
 func (e *OnlineEngine) publishLocked() {
-	out := e.en.out
-	e.stats.Mounts, e.stats.RMounts, e.stats.SMounts = out.Mounts, out.RMounts, out.SMounts
-	e.stats.SharedPasses = out.SharedPasses
-	e.stats.Requeues, e.stats.Demotions = out.Requeues, out.Demotions
-	e.stats.CacheHits = e.en.cache.Hits
-	e.stats.CacheMisses = e.en.cache.Misses
-	e.stats.CacheEvictions = e.en.cache.Evictions
-	rStats, sStats := e.session.DriveR().DriveStats(), e.session.DriveS().DriveStats()
-	e.stats.TapeBlocksRead = rStats.BlocksRead + sStats.BlocksRead
-	e.stats.TapeBlocksWritten = rStats.BlocksWritten + sStats.BlocksWritten
-	if hw := e.session.Disks().HighWater(); hw > e.stats.DiskHighWater {
-		e.stats.DiskHighWater = hw
-	}
+	c := e.counters()
+	c.DiskHighWater = max(c.DiskHighWater, e.stats.DiskHighWater)
+	e.stats.Counters = c
 	e.stats.VirtualNow = sim.Duration(e.session.Kernel().Now())
 	// Copy the tail: the scheduler proc keeps appending to the live log
 	// outside the lock, so the snapshot must not alias it.
-	tail := out.Schedule
+	tail := e.out.Schedule
 	if len(tail) > 100 {
 		tail = tail[len(tail)-100:]
 	}
 	e.stats.ScheduleTail = append(e.stats.ScheduleTail[:0], tail...)
-	e.stats.ScheduleDropped = out.ScheduleDropped
+	e.stats.ScheduleDropped = e.out.ScheduleDropped
 }
 
 // shutdownSweep runs after the kernel has stopped: it records the run
@@ -538,17 +507,29 @@ func (e *OnlineEngine) shutdownSweep(runErr error) {
 	now := time.Now()
 	for _, set := range [][]*pendingQ{e.queue, e.serving} {
 		for _, pq := range set {
-			pq.ch <- OnlineResult{
-				QueryResult: QueryResult{
-					ID: pq.q.ID, Requested: pq.q.Method,
-					Failed: true, Reason: typedReason(ReasonShutdown, cause),
-				},
-				Tenant:  pq.q.Tenant,
-				Arrived: pq.arrived, Started: pq.started, Finished: now,
-			}
-			close(pq.ch)
-			e.stats.Failed++
+			e.deliverLocked(pq, pq.failed(ReasonShutdown, cause), now)
 		}
 	}
 	e.queue, e.serving = nil, nil
+}
+
+// failed is the result of a query that fails unserved, of the given
+// reason kind.
+func (pq *pendingQ) failed(kind string, err error) QueryResult {
+	return QueryResult{ID: pq.q.ID, Requested: pq.q.Method, Failed: true, Reason: typedReason(kind, err)}
+}
+
+// deliverLocked sends pq its one result, closes its channel and counts
+// the outcome. Call with e.mu held.
+func (e *OnlineEngine) deliverLocked(pq *pendingQ, res QueryResult, finished time.Time) {
+	pq.ch <- OnlineResult{
+		QueryResult: res, Tenant: pq.q.Tenant,
+		Arrived: pq.arrived, Started: pq.started, Finished: finished,
+	}
+	close(pq.ch)
+	if res.Failed {
+		e.stats.Failed++
+	} else {
+		e.stats.Served++
+	}
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -237,5 +238,49 @@ func TestOnlineDrainRejects(t *testing.T) {
 	}
 	if err := e.Drain(); err != nil {
 		t.Errorf("second drain: %v", err)
+	}
+}
+
+// TestOnlineAtZeroEqualsBatch queues a batch fixture on a resident
+// engine before its first pick: the engine, not draining, must serve it
+// exactly as Run does — the same schedule log line for line and the
+// same result for every query.
+func TestOnlineAtZeroEqualsBatch(t *testing.T) {
+	builds := map[string]func(*testing.T, Policy, int64) *batch{
+		"sharing": makeSharingBatch, "mixed": makeMixedBatch,
+	}
+	for name, build := range builds {
+		for _, policy := range []Policy{FIFO, MountAware, SharedScan} {
+			t.Run(name+"/"+policy.String(), func(t *testing.T) {
+				b := build(t, policy, 32)
+				ref, err := Run(b.cfg, b.queries)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b = build(t, policy, 32)
+				e, err := newEngine(OnlineConfig{Config: b.cfg}, onlineLogLines)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var pending []*pendingQ
+				e.mu.Lock()
+				for _, q := range b.queries {
+					pending = append(pending, e.enqueueLocked(OnlineQuery{Query: q}))
+				}
+				e.mu.Unlock()
+				e.start()
+				for i, pq := range pending {
+					if got := (<-pq.ch).QueryResult; !reflect.DeepEqual(got, ref.Queries[i]) {
+						t.Errorf("query %s online:\n %+v\nbatch:\n %+v", pq.q.ID, got, ref.Queries[i])
+					}
+				}
+				if err := e.Drain(); err != nil {
+					t.Fatal(err)
+				}
+				if got, want := strings.Join(e.out.Schedule, "\n"), strings.Join(ref.Schedule, "\n"); got != want {
+					t.Errorf("schedule logs differ:\n--- online\n%s\n--- batch\n%s", got, want)
+				}
+			})
+		}
 	}
 }

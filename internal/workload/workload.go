@@ -14,10 +14,12 @@
 //   - a disk staging cache retaining copied-R partitions across
 //     queries with LRU eviction, so repeated joins skip the tape.
 //
-// The whole batch runs inside one join.Session: a single simulation
-// kernel whose drive head positions and disk files persist across
-// queries, which is what makes mounts, seeks and cache hits real
-// effects rather than bookkeeping.
+// A batch and the resident service are one engine (online.go), and
+// pick (schedule.go) is the one definition of the policies: a batch is
+// the engine with every query queued at t = 0. Its queries run inside
+// one join.Session: a single simulation kernel whose drive head
+// positions and disk files persist across queries, which is what makes
+// mounts, seeks and cache hits real effects rather than bookkeeping.
 package workload
 
 import (
@@ -206,13 +208,10 @@ func typedReason(kind string, err error) string {
 	return kind + ": " + err.Error()
 }
 
-// BatchResult reports a whole batch run.
-type BatchResult struct {
-	// Policy echoes the scheduler used.
-	Policy Policy
-	// Makespan is the virtual time from batch arrival to the last
-	// query's completion.
-	Makespan sim.Duration
+// Counters are the engine's cumulative scheduling, cache and device
+// counters; a batch reports them once, the resident engine in every
+// stats snapshot.
+type Counters struct {
 	// Mounts counts cartridge switches charged (RMounts + SMounts).
 	Mounts, RMounts, SMounts int
 	// SharedPasses counts shared S-scans executed.
@@ -223,10 +222,20 @@ type BatchResult struct {
 	Requeues, Demotions int
 	// Staging-cache activity.
 	CacheHits, CacheMisses, CacheEvictions int64
-	// Tape traffic across both drives for the whole batch.
+	// Tape traffic across both drives.
 	TapeBlocksRead, TapeBlocksWritten int64
-	// DiskHighWater is the batch's peak disk footprint, cache included.
+	// DiskHighWater is the peak disk footprint, cache included.
 	DiskHighWater int64
+}
+
+// BatchResult reports a whole batch run.
+type BatchResult struct {
+	// Policy echoes the scheduler used.
+	Policy Policy
+	// Makespan is the virtual time from batch arrival to the last
+	// query's completion.
+	Makespan sim.Duration
+	Counters
 	// Queries holds per-query results in submission order.
 	Queries []QueryResult
 	// Schedule is the deterministic, human-readable schedule log: one
@@ -238,11 +247,14 @@ type BatchResult struct {
 	ScheduleDropped int64
 }
 
-// engine is the per-batch runtime state.
+// engine is the service half of the scheduler: it runs the steps that
+// pick chooses on one session, with mounts, the staging cache and
+// device-failure containment.
 type engine struct {
 	cfg     Config
 	session *join.Session
 	cache   *stagingCache
+	// queries and results are indexed alike, in service order.
 	queries []Query
 	results []QueryResult
 	out     *BatchResult
@@ -262,23 +274,21 @@ type engine struct {
 }
 
 // Run executes the batch under the configured policy and returns
-// per-query and batch-level results. The run is deterministic: the
-// same config and queries produce byte-identical schedules, traces
-// and results.
+// per-query and batch-level results. A batch is the engine with every
+// query queued at t = 0 and the engine already draining: its scheduler
+// proc picks and serves units until the queue is empty. The run is
+// deterministic: the same config and queries produce byte-identical
+// schedules, traces and results. A non-device error fails the run.
 func Run(cfg Config, queries []Query) (*BatchResult, error) {
-	cfg = cfg.withDefaults()
 	if len(queries) == 0 {
 		return nil, errors.New("workload: empty batch")
 	}
-	session, err := join.NewSession(cfg.Resources)
+	e, err := newEngine(OnlineConfig{Config: cfg}, 0)
 	if err != nil {
 		return nil, err
 	}
-	defer session.Close()
-	res := session.Resources()
-	if cfg.CacheBlocks < 0 || cfg.CacheBlocks >= res.DiskBlocks {
-		return nil, fmt.Errorf("workload: CacheBlocks %d outside [0, D=%d)", cfg.CacheBlocks, res.DiskBlocks)
-	}
+	defer e.session.Close()
+	pending := make([]*pendingQ, len(queries))
 	for i := range queries {
 		if queries[i].ID == "" {
 			queries[i].ID = fmt.Sprintf("q%d", i)
@@ -287,58 +297,38 @@ func Run(cfg Config, queries []Query) (*BatchResult, error) {
 		if err := spec.Validate(); err != nil {
 			return nil, fmt.Errorf("workload: query %s: %w", queries[i].ID, err)
 		}
+		pending[i] = e.enqueueLocked(OnlineQuery{Query: queries[i]})
 	}
-
-	reg := res.Metrics
-	en := &engine{
-		cfg: cfg, session: session, queries: queries,
-		array:   session.Disks(),
-		cache:   newStagingCache(cfg.CacheBlocks),
-		results: make([]QueryResult, len(queries)),
-		out:     &BatchResult{Policy: cfg.Policy},
-		queueWait: reg.Histogram("workload_queue_wait_seconds",
-			"Virtual time queries waited before service started.", obs.BackoffBuckets),
-		mountsC: reg.Counter("workload_mounts_total", "Cartridge switches charged by the scheduler."),
-		hitsC:   reg.Counter("workload_cache_hits_total", "Staging-cache hits (R copies served from disk)."),
-		missesC: reg.Counter("workload_cache_misses_total", "Staging-cache misses (R copies read from tape)."),
-		sharedC: reg.Counter("workload_shared_passes_total", "Shared S-scan passes executed."),
-	}
-	steps := plan(cfg, res, queries)
+	e.draining = true
 
 	var runErr error
-	session.Kernel().Spawn("workload", func(p *sim.Proc) {
-		for _, st := range steps {
-			for _, n := range st.notes {
-				en.logf(p, "%s", n)
-			}
-			if st.shared {
-				runErr = en.runShared(p, st.indices)
-			} else {
-				runErr = en.runSingle(p, st.indices[0])
-			}
-			if runErr != nil {
-				return
-			}
-		}
-	})
-	if err := session.Kernel().Run(); err != nil {
+	e.session.Kernel().Spawn("workload", func(p *sim.Proc) { runErr = e.schedule(p) })
+	if err := e.session.Kernel().Run(); err != nil {
 		return nil, fmt.Errorf("workload: simulation: %w", err)
 	}
-	session.Finish()
+	e.session.Finish()
 	if runErr != nil {
 		return nil, runErr
 	}
+	out := e.out
+	out.Makespan = sim.Duration(e.session.Kernel().Now())
+	out.Counters = e.counters()
+	for _, pq := range pending {
+		out.Queries = append(out.Queries, (<-pq.ch).QueryResult)
+	}
+	return out, nil
+}
 
-	en.out.Makespan = sim.Duration(session.Kernel().Now())
-	en.out.Queries = en.results
-	en.out.CacheHits = en.cache.Hits
-	en.out.CacheMisses = en.cache.Misses
-	en.out.CacheEvictions = en.cache.Evictions
-	rStats, sStats := session.DriveR().DriveStats(), session.DriveS().DriveStats()
-	en.out.TapeBlocksRead = rStats.BlocksRead + sStats.BlocksRead
-	en.out.TapeBlocksWritten = rStats.BlocksWritten + sStats.BlocksWritten
-	en.out.DiskHighWater = session.Disks().HighWater()
-	return en.out, nil
+// counters reads the engine's cumulative counters; the tape and disk
+// ones come from the session's current devices.
+func (en *engine) counters() Counters {
+	c := en.out.Counters
+	c.CacheHits, c.CacheMisses, c.CacheEvictions = en.cache.Hits, en.cache.Misses, en.cache.Evictions
+	rStats, sStats := en.session.DriveR().DriveStats(), en.session.DriveS().DriveStats()
+	c.TapeBlocksRead = rStats.BlocksRead + sStats.BlocksRead
+	c.TapeBlocksWritten = rStats.BlocksWritten + sStats.BlocksWritten
+	c.DiskHighWater = en.session.Disks().HighWater()
+	return c
 }
 
 // logf appends one line to the deterministic schedule log, stamped

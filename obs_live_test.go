@@ -164,7 +164,6 @@ func TestObsServerReportsTrippedDevice(t *testing.T) {
 		Faults:          "oswait=disk:60ms:200",
 		FileOpTimeout:   5 * time.Millisecond,
 		fileTripAfter:   1,
-		fileRetryMax:    -1,
 		DisableRecovery: true,
 		ObsAddr:         "127.0.0.1:0",
 	})

@@ -220,10 +220,6 @@ type Config struct {
 	// fileTripAfter overrides the consecutive-timeout count that trips
 	// a "file" backend device's breaker (three when zero); a test hook.
 	fileTripAfter int
-	// fileRetryMax overrides the "file" backend's device-layer retry
-	// count (negative disables those retries, so every fault reaches
-	// the join's own recovery); a test hook.
-	fileRetryMax int
 }
 
 // System is a configured tertiary-storage device complex on which
@@ -298,7 +294,11 @@ func NewSystem(cfg Config) (*System, error) {
 		fb.PaceScale = cfg.FilePace
 		fb.OpTimeout = cfg.FileOpTimeout
 		fb.TripAfter = cfg.fileTripAfter
-		fb.RetryMax = cfg.fileRetryMax
+		if cfg.DisableRecovery {
+			// The device layer's retry of a failed syscall is recovery
+			// too: with it on, the first fault would not abort the join.
+			fb.RetryMax = -1
+		}
 		res.Backend = fb
 	default:
 		return nil, fmt.Errorf("tapejoin: unknown backend %q (want \"sim\" or \"file\")", cfg.Backend)
