@@ -85,6 +85,7 @@ func joinBucketPair(e *env, p *sim.Proc, r, s bucketSource, maxLoad, scanBuf int
 				return err
 			}
 			table := newHashTable(n, e.spec.R.TuplesPerBlock)
+			defer table.release()
 			if err := table.addBlocks(rBlks, nil); err != nil {
 				return err
 			}

@@ -128,6 +128,7 @@ func nbJoinChunks(e *env, p *sim.Proc, fR *device.File, ensureR func(*sim.Proc) 
 				return err
 			}
 			table := newHashTable(n, e.spec.S.TuplesPerBlock)
+			defer table.release()
 			if err := table.addBlocks(blks, e.filterS()); err != nil {
 				return err
 			}
@@ -220,6 +221,7 @@ func (CDTNBMB) run(e *env, p *sim.Proc) error {
 			sp := e.span(p, "join-chunk", obs.AInt("off", c.off))
 			defer sp.Close(p)
 			table := newHashTable(c.n, e.spec.S.TuplesPerBlock)
+			defer table.release()
 			if err := table.addBlocks(c.blks, e.filterS()); err != nil {
 				return err
 			}
@@ -409,6 +411,7 @@ func (CDTNBDB) run(e *env, p *sim.Proc) error {
 		e.mem.acquire(c.n)
 		defer e.mem.release(c.n)
 		table := newHashTable(c.n, e.spec.S.TuplesPerBlock)
+		defer table.release()
 		keepS := e.filterS()
 		for sub := int64(0); sub < c.n; sub += e.res.IOChunk {
 			g := min(e.res.IOChunk, c.n-sub)

@@ -144,6 +144,7 @@ func sharedJoinChunk(e *env, p *sim.Proc, blks []block.Block, off int64, queries
 	sp := e.span(p, "join-chunk", obs.AInt("off", off))
 	defer sp.Close(p)
 	table := newHashTable(int64(len(blks)), e.spec.S.TuplesPerBlock)
+	defer table.release()
 	if err := table.addBlocks(blks, nil); err != nil {
 		return err
 	}

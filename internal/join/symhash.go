@@ -302,6 +302,12 @@ func (SymHash) run(e *env, p *sim.Proc) error {
 	}
 	err := p.WaitAll(readR, readS)
 	sp.Close(p)
+	// The stream is over: hand the resident tables back to the pool,
+	// where the cleanup pass's bucket loads pick them up.
+	for i := range rTabs {
+		rTabs[i].release()
+		sTabs[i].release()
+	}
 	if err != nil {
 		return err
 	}
@@ -310,15 +316,14 @@ func (SymHash) run(e *env, p *sim.Proc) error {
 	}
 	e.stats.RScans++
 
-	// Flush spill tails, drop the resident tables, and hand the whole
-	// memory budget to the cleanup pass.
+	// Flush spill tails and hand the whole memory budget to the cleanup
+	// pass.
 	if err := spillR.finish(p); err != nil {
 		return err
 	}
 	if err := spillS.finish(p); err != nil {
 		return err
 	}
-	rTabs, sTabs = nil, nil
 	releaseStreamMem()
 	e.markStepI(p)
 

@@ -3,6 +3,7 @@ package join
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"repro/internal/block"
 	"repro/internal/device"
@@ -19,43 +20,89 @@ import (
 // key to its first tuple, and next chains a key's tuples in insertion
 // order, so a probe emits duplicates in the order they were built.
 // Index 0 of the parallel arrays is a sentinel: link 0 means "none".
+//
+// A one-hash bitset with 8 bits per slot prefilters probes: a clear bit
+// means the key was never inserted, so a miss usually costs one cached
+// bit instead of a walk of the slot run and its tuples. Tables are
+// pooled; a build site calls release once its table is dead.
 type hashTable struct {
 	tuples []block.Tuple
-	next   []int32 // next[i]: the tuple after i with the same key
-	tail   []int32 // tail[i]: for the first tuple of a key, the last one
-	slots  []int32 // first tuple of the key hashed here; 0 = empty
-	shift  uint    // 64 - log2(len(slots))
+	next   []int32  // next[i]: the tuple after i with the same key
+	tail   []int32  // tail[i]: for the first tuple of a key, the last one
+	slots  []int32  // first tuple of the key hashed here; 0 = empty
+	shift  uint     // 64 - log2(len(slots))
+	filter []uint64 // key prefilter, 8 bits per slot
+	fshift uint     // 64 - log2(bits in filter)
 }
+
+// Multiplicative hash constants: slotMul places a key in slots,
+// filterMul picks its prefilter bit. Both take the top bits of the
+// product and are independent of each other and of hashutil.Bucket,
+// so they stay well mixed within one Grace bucket.
+const (
+	slotMul   = 0x9E3779B97F4A7C15
+	filterMul = 0xC2B2AE3D27D4EB4F
+)
+
+var tablePool = sync.Pool{New: func() any { return new(hashTable) }}
 
 // newHashTable sizes a table for the build side it is about to hold,
 // blocks of tuplesPerBlock tuples; a build that exceeds the plan grows
-// by doubling.
+// by doubling. The table comes from a pool: call release once it is
+// dead.
 func newHashTable(blocks int64, tuplesPerBlock int) *hashTable {
-	n := int(blocks) * tuplesPerBlock
-	h := &hashTable{
-		tuples: make([]block.Tuple, 1, n+1),
-		next:   make([]int32, 1, n+1),
-		tail:   make([]int32, 1, n+1),
-	}
+	h := tablePool.Get().(*hashTable)
+	h.reset(int(blocks) * tuplesPerBlock)
+	return h
+}
+
+// reset empties h and sizes it for n tuples, reusing every array that
+// is large enough. Of the parallel arrays only the sentinel is cleared:
+// append overwrites the rest before it is read.
+func (h *hashTable) reset(n int) {
+	h.tuples = cleared(h.tuples, 1, n+1)
+	h.next = cleared(h.next, 1, n+1)
+	h.tail = cleared(h.tail, 1, n+1)
 	size := 8
 	for size < 2*n {
 		size *= 2
 	}
 	h.setSlots(size)
-	return h
 }
 
+// cleared returns n zero elements with room for c, in s's array when it
+// is large enough.
+func cleared[T any](s []T, n, c int) []T {
+	if cap(s) < c {
+		return make([]T, n, c)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// setSlots replaces the slot array and the prefilter with empty ones
+// for size slots, reusing the current arrays when they are large
+// enough.
 func (h *hashTable) setSlots(size int) {
-	h.slots = make([]int32, size)
+	h.slots = cleared(h.slots, size, size)
 	h.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	h.filter = cleared(h.filter, size/8, size/8) // 8 bits per slot
+	h.fshift = uint(64 - bits.TrailingZeros(uint(size*8)))
+}
+
+// release clears h's tuples, so a pooled table pins no block payload,
+// and returns h to the pool. h must not be used afterwards.
+func (h *hashTable) release() {
+	clear(h.tuples)
+	tablePool.Put(h)
 }
 
 // slotFor returns the slot holding key, or the empty slot where key
-// belongs. The multiplicative hash is independent of hashutil.Bucket,
-// so it stays well mixed within one Grace bucket.
+// belongs.
 func (h *hashTable) slotFor(key uint64) *int32 {
 	mask := uint64(len(h.slots) - 1)
-	for i := (key * 0x9E3779B97F4A7C15) >> h.shift; ; i = (i + 1) & mask {
+	for i := (key * slotMul) >> h.shift; ; i = (i + 1) & mask {
 		sl := &h.slots[i]
 		if *sl == 0 || h.tuples[*sl].Key == key {
 			return sl
@@ -63,14 +110,29 @@ func (h *hashTable) slotFor(key uint64) *int32 {
 	}
 }
 
+// filterBit returns the prefilter word holding key's bit, and the bit.
+func (h *hashTable) filterBit(key uint64) (*uint64, uint64) {
+	b := (key * filterMul) >> h.fshift
+	return &h.filter[b>>6], 1 << (b & 63)
+}
+
+// mark sets key's prefilter bit.
+func (h *hashTable) mark(key uint64) {
+	w, bit := h.filterBit(key)
+	*w |= bit
+}
+
 // insert appends t, after any earlier tuple with the same key.
 func (h *hashTable) insert(t block.Tuple) {
 	if 2*len(h.tuples) > len(h.slots) {
 		old := h.slots
+		h.slots = nil // setSlots must not reuse old while it is read
 		h.setSlots(2 * len(old))
 		for _, head := range old {
 			if head != 0 {
-				*h.slotFor(h.tuples[head].Key) = head
+				key := h.tuples[head].Key
+				*h.slotFor(key) = head
+				h.mark(key)
 			}
 		}
 	}
@@ -80,6 +142,7 @@ func (h *hashTable) insert(t block.Tuple) {
 	h.tail = append(h.tail, i)
 	if sl := h.slotFor(t.Key); *sl == 0 {
 		*sl = i
+		h.mark(t.Key)
 	} else {
 		h.next[h.tail[*sl]] = i
 		h.tail[*sl] = i
@@ -87,8 +150,14 @@ func (h *hashTable) insert(t block.Tuple) {
 }
 
 // first returns the index of the first tuple with key, 0 when there is
-// none; h.next[i] continues the chain.
-func (h *hashTable) first(key uint64) int32 { return *h.slotFor(key) }
+// none; h.next[i] continues the chain. A clear prefilter bit answers 0
+// without touching slots or tuples.
+func (h *hashTable) first(key uint64) int32 {
+	if w, bit := h.filterBit(key); *w&bit == 0 {
+		return 0
+	}
+	return *h.slotFor(key)
+}
 
 // addBlocks inserts the tuples of blks that survive keep (nil keeps
 // all), block by block; see forEachTuple for corrupt blocks.

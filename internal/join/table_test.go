@@ -56,11 +56,39 @@ func randomBlocks(rng *rand.Rand, n, perBlock int, keySpace uint64) []block.Bloc
 	return blks
 }
 
+// matchesMap fails t unless h holds exactly ref's tuples: the same
+// tuples per key in the same (insertion) order, and the same len.
+func matchesMap(t *testing.T, h *hashTable, ref mapTable) {
+	t.Helper()
+	total := 0
+	for key, want := range ref {
+		total += len(want)
+		got := h.chain(key)
+		if len(got) != len(want) {
+			t.Fatalf("key %d: %d tuples, want %d", key, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Key != key || !bytes.Equal(got[i].Payload, want[i].Payload) {
+				t.Fatalf("key %d: tuple %d out of insertion order", key, i)
+			}
+		}
+	}
+	if h.len() != total {
+		t.Fatalf("len() = %d, want %d", h.len(), total)
+	}
+	if 8*len(h.filter) != len(h.slots) {
+		t.Fatalf("prefilter of %d words for %d slots, want 8 bits per slot", len(h.filter), len(h.slots))
+	}
+}
+
 // TestFlatTableMatchesMapSemantics is the differential test of the
 // flat table against the old map: same tuples per key in the same
 // (insertion) order, same misses, same len — with heavy duplication,
 // with unique keys, with a filtered build, when the sizing hint is
-// exact, and when the build grows far past a zero or too-small hint.
+// exact, and when the build grows far past a zero or too-small hint,
+// which rebuilds the key prefilter. The pooled-table cases reuse one
+// table across builds that shrink and grow, probe empty tables, and
+// check that a released table pins no payload.
 func TestFlatTableMatchesMapSemantics(t *testing.T) {
 	evenKeys := func(t block.Tuple) bool { return t.Key%2 == 0 }
 	for _, tc := range []struct {
@@ -93,22 +121,7 @@ func TestFlatTableMatchesMapSemantics(t *testing.T) {
 			if err := h.addBlocks(blks[half:], tc.keep); err != nil {
 				t.Fatal(err)
 			}
-			total := 0
-			for key, want := range ref {
-				total += len(want)
-				got := h.chain(key)
-				if len(got) != len(want) {
-					t.Fatalf("key %d: %d tuples, want %d", key, len(got), len(want))
-				}
-				for i := range want {
-					if got[i].Key != key || !bytes.Equal(got[i].Payload, want[i].Payload) {
-						t.Fatalf("key %d: tuple %d out of insertion order", key, i)
-					}
-				}
-			}
-			if h.len() != total {
-				t.Fatalf("len() = %d, want %d", h.len(), total)
-			}
+			matchesMap(t, h, ref)
 			for i := 0; i < 2000; i++ {
 				key := rng.Uint64()
 				if _, ok := ref[key]; !ok && h.first(key) != 0 {
@@ -118,8 +131,78 @@ func TestFlatTableMatchesMapSemantics(t *testing.T) {
 			if 2*len(h.tuples) > len(h.slots)+2 {
 				t.Fatalf("%d tuples in %d slots: more than half full", h.len(), len(h.slots))
 			}
+			h.release()
 		})
 	}
+
+	t.Run("pooled table reused across shrinking and growing builds", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(7))
+		h := newHashTable(0, 100)
+		defer h.release()
+		var earlier []uint64
+		for round, b := range []struct {
+			n    int
+			hint int64 // blocks; below n/100 the build outgrows its plan
+		}{{5000, 50}, {300, 3}, {0, 0}, {20000, 20}, {40, 200}, {9000, 1}} {
+			// Each round's keys live in their own range, so any key of
+			// an earlier round found now is a stale slot or prefilter bit.
+			base := uint64(round+1) << 40
+			blks := randomBlocks(rng, b.n, 100, 4*uint64(b.n)+1)
+			for i, blk := range blks {
+				bld := block.NewBuilder(1)
+				_, tuples := blk.MustDecode()
+				for _, tu := range tuples {
+					bld.Append(block.Tuple{Key: base + tu.Key, Payload: tu.Payload})
+				}
+				blks[i] = bld.Finish()
+			}
+			ref := mapTable{}
+			ref.addBlocks(blks, nil)
+			// release then newHashTable, kept on this one table rather
+			// than whichever the pool hands back.
+			clear(h.tuples)
+			h.reset(int(b.hint) * 100)
+			if err := h.addBlocks(blks, nil); err != nil {
+				t.Fatal(err)
+			}
+			matchesMap(t, h, ref)
+			for _, key := range earlier {
+				if h.first(key) != 0 {
+					t.Fatalf("round %d: key %d of an earlier build found", round, key)
+				}
+			}
+			for key := range ref {
+				earlier = append(earlier, key)
+			}
+		}
+	})
+
+	t.Run("probe of an empty table", func(t *testing.T) {
+		for _, hint := range []int64{0, 1, 64} {
+			h := newHashTable(hint, 100)
+			for _, key := range []uint64{0, 1, 1 << 40, ^uint64(0)} {
+				if i := h.first(key); i != 0 {
+					t.Fatalf("hint %d: empty table finds key %d at %d", hint, key, i)
+				}
+			}
+			h.release()
+		}
+	})
+
+	t.Run("released table pins no payload", func(t *testing.T) {
+		blks := randomBlocks(rand.New(rand.NewSource(9)), 3000, 100, 500)
+		h := newHashTable(4, 100) // outgrows its plan, so tuples reallocate
+		if err := h.addBlocks(blks, nil); err != nil {
+			t.Fatal(err)
+		}
+		held := h.tuples[:cap(h.tuples)]
+		h.release()
+		for i, tu := range held {
+			if tu.Payload != nil {
+				t.Fatalf("released table still holds the payload of tuple %d", i)
+			}
+		}
+	})
 }
 
 // TestFlatTableCorruptBlockAddsNothing: a block with broken framing
@@ -204,5 +287,44 @@ func BenchmarkHashTableBuildProbe(b *testing.B) {
 				benchPairs++
 			}
 		}
+	}
+}
+
+// BenchmarkHashTableProbe times probes alone, the build excluded, at
+// the benchmark's two solo geometries: hit is one memory load of dense
+// blocks (28 672 tuples, key space 2^17, as solo-sim-match), where
+// about a fifth of the probes find a key; miss is a sparse load
+// (50 176 tuples, key space 2^30, as solo-file-scan), where nearly
+// every probe misses. It reports ns/probe.
+func BenchmarkHashTableProbe(b *testing.B) {
+	for _, g := range []struct {
+		name     string
+		tuples   int
+		keySpace uint64
+	}{
+		{"hit", 28672, 1 << 17},
+		{"miss", 50176, 1 << 30},
+	} {
+		b.Run(g.name, func(b *testing.B) {
+			const perBlock = 512
+			rng := rand.New(rand.NewSource(1))
+			blks := randomBlocks(rng, g.tuples, perBlock, g.keySpace)
+			h := newHashTable(int64(len(blks)), perBlock)
+			defer h.release()
+			if err := h.addBlocks(blks, nil); err != nil {
+				b.Fatal(err)
+			}
+			probes := make([]uint64, 1<<16)
+			for i := range probes {
+				probes[i] = rng.Uint64() % g.keySpace
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := h.first(probes[i&(len(probes)-1)]); j != 0; j = h.next[j] {
+					benchPairs++
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/probe")
+		})
 	}
 }

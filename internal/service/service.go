@@ -19,6 +19,7 @@ import (
 	"net"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -82,6 +83,11 @@ type Server struct {
 
 	drainOnce sync.Once
 	drainErr  error
+
+	// cancelled, when non-nil, is called with a streaming query's ID
+	// once its handler has cancelled it after the client went away. It
+	// is a test hook: tests order other work after the cancellation.
+	cancelled func(id string)
 }
 
 // New starts the resident engine and returns the daemon wrapped around
@@ -404,8 +410,10 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	// result arrives are flushed by the drain loop below.
 	var streamed int64
 	var res workload.OnlineResult
+	var pairBuf []byte
 	writePair := func(p [2]uint64) {
-		enc.Encode(PairLine{Type: "pair", R: fmt.Sprintf("%d", p[0]), S: fmt.Sprintf("%d", p[1])})
+		pairBuf = appendPairLine(pairBuf[:0], p[0], p[1])
+		w.Write(pairBuf)
 		if streamed++; streamed%64 == 0 {
 			flush()
 		}
@@ -424,6 +432,9 @@ wait:
 		case <-ctxDone:
 			if ssink != nil {
 				ssink.cancel()
+				if s.cancelled != nil {
+					s.cancelled(id)
+				}
 			}
 			ctxDone = nil
 		case got, ok := <-resCh:
@@ -463,6 +474,17 @@ drain:
 	}
 	enc.Encode(line)
 	flush()
+}
+
+// appendPairLine appends the JSONL line of PairLine{Type: "pair", R: r,
+// S: s} to dst, byte for byte what a json.Encoder writes for it, with
+// no reflection or formatting allocations.
+func appendPairLine(dst []byte, r, s uint64) []byte {
+	dst = append(dst, `{"type":"pair","r":"`...)
+	dst = strconv.AppendUint(dst, r, 10)
+	dst = append(dst, `","s":"`...)
+	dst = strconv.AppendUint(dst, s, 10)
+	return append(dst, "\"}\n"...)
 }
 
 // RelationInfo is one row of GET /relations.

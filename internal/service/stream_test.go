@@ -1,8 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"math"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +14,7 @@ import (
 	"repro/internal/block"
 	"repro/internal/join"
 	"repro/internal/relation"
+	"repro/internal/sim"
 	"repro/internal/tape"
 	"repro/internal/workload"
 )
@@ -71,14 +76,25 @@ func TestServiceStopAfterWire(t *testing.T) {
 	}
 }
 
+// gateSink is a CountSink whose Emit waits for gate to close: it holds
+// the scheduler proc, and so every query queued behind it, mid-run.
+type gateSink struct {
+	join.CountSink
+	gate <-chan struct{}
+}
+
+// Emit implements join.Sink.
+func (g *gateSink) Emit(p *sim.Proc, r, s block.Tuple) {
+	<-g.gate
+	g.CountSink.Emit(p, r, s)
+}
+
 // TestServiceClientCancelStopsDeviceWork covers the mid-flight client
 // disconnect: a streamed query whose connection dies is cancelled
 // through its sink's satisfied flag, so the engine serves it with far
 // fewer tape reads than a full run — the drives stop working for a
 // client that went away, while other tenants' queries are untouched.
 func TestServiceClientCancelStopsDeviceWork(t *testing.T) {
-	// A larger S than the shared fixture so the hold query keeps the
-	// engine busy long enough for the cancellation to land in queue.
 	mS := tape.NewMedia("S1", 4096)
 	mR := tape.NewMedia("RA", 4096)
 	rS, err := relation.WriteToTape(relation.Config{
@@ -116,6 +132,12 @@ func TestServiceClientCancelStopsDeviceWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	victimCancelled := make(chan struct{})
+	s.cancelled = func(id string) {
+		if id == "victim" {
+			close(victimCancelled)
+		}
+	}
 	base, err := s.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -141,21 +163,17 @@ func TestServiceClientCancelStopsDeviceWork(t *testing.T) {
 	waitServed(1)
 	fullRead := s.Stats().Engine.TapeBlocksRead
 
-	// Hold the FIFO engine with a second full query, then submit the
-	// victim behind it and kill its connection immediately: the cancel
-	// flips the sink while the victim is still queued, so its run stops
-	// at the first poll.
-	holdDone := make(chan struct{})
-	go func() {
-		defer close(holdDone)
-		postJoin(t, base, Request{ID: "hold", R: "R1", S: "S1"})
-	}()
-	deadline := time.Now().Add(10 * time.Second)
-	for s.Stats().Accepted < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("hold query never accepted")
-		}
-		time.Sleep(time.Millisecond)
+	// Hold the FIFO engine with a second full query whose sink blocks
+	// the scheduler at its first pair, then submit the victim behind it
+	// and kill its connection. The hold is released only once the
+	// server has cancelled the victim, so the victim's run starts with
+	// its sink already satisfied and stops at the first poll.
+	gate := make(chan struct{})
+	holdDone, err := s.eng.Submit(workload.OnlineQuery{Query: workload.Query{
+		ID: "hold", R: rR, S: rS, Sink: &gateSink{gate: gate},
+	}})
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -174,8 +192,17 @@ func TestServiceClientCancelStopsDeviceWork(t *testing.T) {
 	// context watcher while the victim is still behind the hold query.
 	cancel()
 	resp.Body.Close()
+	select {
+	case <-victimCancelled:
+	case <-time.After(30 * time.Second):
+		close(gate)
+		t.Fatal("server never cancelled the disconnected victim")
+	}
+	close(gate)
 
-	<-holdDone
+	if res := <-holdDone; res.Failed {
+		t.Fatalf("hold query failed: %s", res.Reason)
+	}
 	waitServed(3)
 
 	totalRead := s.Stats().Engine.TapeBlocksRead
@@ -184,13 +211,18 @@ func TestServiceClientCancelStopsDeviceWork(t *testing.T) {
 		t.Errorf("cancelled query read %d tape blocks, full run reads %d; cancellation saved no device work",
 			victimRead, fullRead)
 	}
-	if out := s.Stats().Outstanding; len(out) != 0 {
-		t.Errorf("outstanding queries leaked: %v", out)
-	}
 
 	// The daemon is still healthy for the next tenant.
 	if code, _, res := postJoin(t, base, Request{ID: "after", R: "R1", S: "S1"}); code != 200 || res.Failed {
 		t.Fatalf("post-cancel query: %d %v", code, res)
+	}
+	// Drain waits for every handler, the victim's included, so its
+	// quota slot must be back by then.
+	if err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if out := s.Stats().Outstanding; len(out) != 0 {
+		t.Errorf("outstanding queries leaked: %v", out)
 	}
 }
 
@@ -230,6 +262,27 @@ func TestStreamSinkKeepsNothingFromEmit(t *testing.T) {
 	for i := range wantKeys {
 		if gotKeys[i] != wantKeys[i] {
 			t.Fatalf("streamed pair %d = %v, want %v", i, gotKeys[i], wantKeys[i])
+		}
+	}
+}
+
+// TestPairLineMatchesEncoder pins the hand-written pair line to what
+// json.Encoder writes for the PairLine it stands for, across the key
+// range.
+func TestPairLineMatchesEncoder(t *testing.T) {
+	keys := []uint64{0, 1, 10, 1 << 32, math.MaxUint64}
+	for _, r := range keys {
+		for _, s := range keys {
+			var want bytes.Buffer
+			err := json.NewEncoder(&want).Encode(PairLine{
+				Type: "pair", R: strconv.FormatUint(r, 10), S: strconv.FormatUint(s, 10),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := appendPairLine(nil, r, s); !bytes.Equal(got, want.Bytes()) {
+				t.Errorf("r=%d s=%d: line %q, encoder writes %q", r, s, got, want.Bytes())
+			}
 		}
 	}
 }
