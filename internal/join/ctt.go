@@ -35,11 +35,24 @@ func assemblableBucket(d int64) int64 {
 	return v
 }
 
-// planTapeTape computes the bucket plan for a tape-tape method:
-// buckets are bounded both by memory (join phase) and by the disk
-// assembly area (Step I).
-func planTapeTape(rBlocks, mBlocks, dBlocks int64) (hashutil.Plan, error) {
-	return hashutil.PlanBucketsBounded(rBlocks, mBlocks, assemblableBucket(dBlocks))
+// planTapeTape computes CTT-GH's bucket plan: buckets are bounded both
+// by memory (join phase) and by the disk assembly area (Step I).
+func planTapeTape(r, _ int64, res Resources) (hashutil.Plan, error) {
+	return needMemory(hashutil.PlanBucketsBounded(r, res.MemoryBlocks, assemblableBucket(res.DiskBlocks)))
+}
+
+// planTT plans TT-GH's buckets: the same B partitions both relations,
+// so a bucket of either side must fit the disk assembly area. S is the
+// larger side, so it sets the bound: bucket_R <= R/S * assemblable(D).
+func planTT(r, s int64, res Resources) (hashutil.Plan, error) {
+	bound := assemblableBucket(res.DiskBlocks)
+	// Scale the R-side bucket bound so the corresponding S bucket
+	// (about |S|/|R| times larger) also fits.
+	rBound := bound * r / s
+	if rBound < 1 {
+		rBound = 1
+	}
+	return needMemory(hashutil.PlanBucketsBounded(r, res.MemoryBlocks, rBound))
 }
 
 // appendFileToTape streams a disk file to the drive's end of data and
@@ -282,86 +295,4 @@ func windowBuckets(d, est int64) int64 {
 		g = (d - est) / est
 	}
 	return g
-}
-
-// CTTGH is Concurrent Tape–Tape Grace Hash Join (Section 5.2.1): R is
-// hashed from tape to tape using disk as an assembly area, then S is
-// hashed to disk a chunk at a time (double-buffered) and joined with
-// the tape-resident R buckets. The only method whose disk requirement
-// is independent of |R| — the paper's sole candidate for very large
-// joins.
-type CTTGH struct{}
-
-// Name implements Method.
-func (CTTGH) Name() string { return "Concurrent Tape-Tape Grace Hash Join" }
-
-// Symbol implements Method.
-func (CTTGH) Symbol() string { return "CTT-GH" }
-
-// footprint implements Method: M >= sqrt(|R|); D assembles one R
-// bucket with headroom in Step I and, in Step II, buffers an S chunk
-// of at least one block over B buckets; R's tape has scratch for its
-// hashed copy (T_R = |R| in Table 2, plus a partial block per bucket).
-func (CTTGH) footprint(r, _ int64, res Resources) (Need, error) {
-	plan, err := planTapeTape(r, res.MemoryBlocks, res.DiskBlocks)
-	if err != nil {
-		return Need{}, fmt.Errorf("%w: %v", ErrNeedMemory, err)
-	}
-	b := int64(plan.B)
-	need := Need{M: b + 1, TR: r + b}
-	need.D, need.dWhy = 2*estBucketBlocks(r, plan.B), "two R buckets"
-	chunk := b + 1
-	if res.Discipline == SplitHalves {
-		chunk *= 2 // a chunk gets half the buffer
-	}
-	if chunk > need.D {
-		need.D, need.dWhy = chunk, "B+1"
-	}
-	return need, nil
-}
-
-func (CTTGH) run(e *env, p *sim.Proc) error {
-	plan, err := planTapeTape(e.spec.R.Region.N, e.res.MemoryBlocks, e.res.DiskBlocks)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrNeedMemory, err)
-	}
-	// Step I: hash R from the R tape back onto the R tape's scratch
-	// space, assembling a disk-load of buckets per scan.
-	var skp *hashutil.SkewPlan
-	rRegions, err := hashRelationToTape(e, p, e.driveR, e.spec.R.Region,
-		e.spec.R.TuplesPerBlock, e.spec.R.Tag, plan, e.driveR, true, e.filterR(), &e.stats.RScans, &skp, true)
-	if err != nil {
-		return err
-	}
-	e.markStepI(p)
-
-	sLay := probeLayout(plan, skp, e.res.MemoryBlocks)
-
-	// Step II: all of the (surviving) disk space double-buffers the S
-	// buckets (|S_i| = d = D).
-	dbuf := e.newDoubleBuffer("s-buckets", e.effectiveD())
-	chunkCap := dbuf.ChunkCapacity() - int64(sLay.parts)
-	if chunkCap < 1 {
-		return fmt.Errorf("%w: D=%d cannot buffer S over %d buckets", ErrNeedDisk, e.effectiveD(), sLay.parts)
-	}
-
-	// With a bi-directional drive, alternate the bucket scan direction
-	// each iteration: the head finishes iteration i exactly where
-	// iteration i+1 begins, eliminating the long seek back across the
-	// hashed-R run (the paper's footnote-2 observation that the
-	// algorithms are independent of scan direction).
-	//
-	// The sequential tail's hashed R buckets live on tape, untouched by
-	// any disk loss, so its ensureR is a no-op and chunk sizing gets the
-	// whole surviving disk.
-	return ghJoinPipeline(e, p, plan, sLay, chunkCap, dbuf, e.driveR.Config().BiDirectional,
-		func(b int, backward bool) bucketSource {
-			return tapeBucket{drive: e.driveR, region: rRegions[b], reverse: backward}
-		},
-		func(next int64) error {
-			return ghStepIISeq(e, p, plan, sLay, next,
-				func(*sim.Proc) error { return nil },
-				func(b int) bucketSource { return tapeBucket{drive: e.driveR, region: rRegions[b]} },
-				func() int64 { return 0 })
-		})
 }

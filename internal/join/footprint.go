@@ -9,15 +9,17 @@ import (
 )
 
 // Need is a method's footprint for one geometry: the paper's Table 2
-// row with the executor's own rounding, derived from the plan functions
-// the kernels call. It is the one place that knows what a method needs;
-// Check, the ranking, admission, the analytic figures and Table 2 all
-// read it. All fields are blocks.
+// row with the executor's own rounding, derived from the plan row and
+// the bucket planners the executor calls. It is the one place that
+// knows what a method needs; Check, the ranking, admission, the
+// analytic figures and Table 2 all read it. All fields are blocks.
 type Need struct {
 	// M is the memory floor of the method's plan; footprint refuses
-	// less with an error wrapping ErrNeedMemory. D is the peak disk
-	// scratch the run holds; TR and TS are the scratch it appends to
-	// R's and S's cartridges.
+	// less with an error wrapping ErrNeedMemory. It is a floor, not a
+	// peak: CDT-GH and CTT-GH hash chunk i+1 while the joiner holds an
+	// R bucket, so their MemHighWater can reach 2M (EXPERIMENTS.md
+	// deviation 4). D is the peak disk scratch the run holds; TR and TS
+	// are the scratch it appends to R's and S's cartridges.
 	M, D, TR, TS int64
 
 	// dWhy names D's formula in the shortfall error; forR marks a D

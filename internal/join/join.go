@@ -288,7 +288,9 @@ type Result struct {
 	BufferCapacity int64
 }
 
-// Method is a tertiary join method.
+// Method is a tertiary join method. The paper's seven are names for
+// rows of Table 2 (plan), which one executor runs; TT-SM and SYM-H
+// run their own.
 type Method interface {
 	// Name is the long name, e.g. "Concurrent Tape-Tape Grace Hash Join".
 	Name() string

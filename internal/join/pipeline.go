@@ -11,14 +11,13 @@ import (
 // chunk is one piece of S (or, for SYM-H, of either relation) handed
 // from a concurrent method's producer to its consumer. Which payload
 // field is set depends on where the producer buffered the chunk: blks
-// in memory, file on a disk staging area, files as hashed bucket files.
+// in memory, files on disk (one staged copy, or the hashed buckets).
 // A chunk with err set poisons the pipeline.
 type chunk struct {
 	iter  int64 // producer iteration: the double-buffer half it fills
 	off   int64 // first block of the chunk within its relation
 	n     int64 // blocks in the chunk
 	blks  []block.Block
-	file  device.File
 	files []device.File
 	fromR bool // SYM-H: read from R's drive
 	eof   bool // SYM-H: the reader's end-of-stream marker

@@ -117,11 +117,11 @@ func stepIBuckets(t *testing.T, c stepICase) int {
 	var err error
 	switch c.sym {
 	case "CTT-GH":
-		plan, err = planTapeTape(spec.R.Region.N, res.MemoryBlocks, res.DiskBlocks)
+		plan, err = planTapeTape(spec.R.Region.N, spec.S.Region.N, res)
 	case "TT-GH":
 		plan, err = planTT(spec.R.Region.N, spec.S.Region.N, res)
 	default:
-		plan, err = ghPlan(spec.R.Region.N, res)
+		plan, err = ghPlan(spec.R.Region.N, spec.S.Region.N, res)
 	}
 	if err != nil {
 		t.Fatal(err)
