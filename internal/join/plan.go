@@ -373,13 +373,13 @@ func (x *executor) stepII(p *sim.Proc) error {
 		queue, producer = "db-chunks", "s-stager"
 		x.ahead = x.newDoubleBuffer("s-dbuf", x.sChunk).ChunkCapacity()
 	default:
-		// The S buckets take the disk R leaves: the configured D less R's
-		// disk buckets, or all of the surviving D when R is on tape
-		// (|S_i| = d = D). Chunks leave one block of slack per partition
-		// for partial-block spill.
+		// The S buckets take the disk R leaves: the surviving D less R's
+		// disk buckets, or all of it when R is on tape (|S_i| = d = D).
+		// Chunks leave one block of slack per partition for
+		// partial-block spill.
 		d := x.effectiveD()
 		if x.r == rDiskBuckets {
-			d = x.res.DiskBlocks - totalLen(x.fRB)
+			d -= totalLen(x.fRB)
 		}
 		if x.ahead = x.newDoubleBuffer("s-buckets", d).ChunkCapacity() - int64(x.sLay.parts); x.ahead < 1 {
 			if x.r == rDiskBuckets {

@@ -717,3 +717,33 @@ func TestGHLateDiskLossCompletes(t *testing.T) {
 		}
 	}
 }
+
+// TestCDTGHSizesSBufferFromSurvivingDisk loses disk 1 before CDT-GH
+// starts. Its S double buffer must be sized from the surviving D less
+// R's buckets: sized from the configured D (367 blocks on a 200-block
+// array here), the hasher overflows on its first chunk and the whole of
+// S runs in the sequential tail, which stages S on the join proc.
+func TestCDTGHSizesSBufferFromSurvivingDisk(t *testing.T) {
+	run := func(faults *fault.Schedule) (*Result, *CountSink, *obs.Tracker) {
+		res := fastRes(12, 400)
+		res.Faults = faults
+		res.Spans = obs.NewTracker()
+		sink := &CountSink{}
+		r, err := Run(mustMethod(t, "CDT-GH"), specWithSizes(t, 32, 320, 4), res, sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r, sink, res.Spans
+	}
+	_, want, _ := run(nil)
+	r, got, tr := run(mustFaults("diskfail=1@0s"))
+	if r.Stats.DisksLost != 1 || got.Matches != want.Matches || got.Hash() != want.Hash() {
+		t.Fatalf("%d disks lost, %d matches %x (clean %d %x)",
+			r.Stats.DisksLost, got.Matches, got.Hash(), want.Matches, want.Hash())
+	}
+	for _, sp := range tr.Spans() {
+		if sp.Name == "stage-S" && sp.Proc != "s-hasher" {
+			t.Fatalf("S staged by %s at %v: Step II fell back to the sequential tail", sp.Proc, sp.Start)
+		}
+	}
+}

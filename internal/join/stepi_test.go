@@ -199,13 +199,13 @@ func TestStepIPartitionPin(t *testing.T) {
 		"DT-GH/zipf99/skew=true/diskloss":    "resp=67063265409 stepI=11739752130 rscans=6 iter=5 tape=362/0 disk=625/395 seeks=0 mem=10 dhw=123 heavy=1 parts=9 restarts=1 out=5492/5931/3867e82836a6c318 events=1080:003e5ee99fdba284 spans=98:daa5eadb78868225 err=\"\"",
 		"DT-GH/zipf99/skew=true/filters":     "resp=43580149677 stepI=6880488897 rscans=3 iter=2 tape=320/0 disk=337/280 seeks=0 mem=10 dhw=209 heavy=1 parts=9 restarts=0 out=5174/4ab3/f4da6db750655f3a events=849:2787ad4d03fa7580 spans=40:b6c10e7c55f29c98 err=\"\"",
 		"CDT-GH/uniform/skew=false":          "resp=43177337789 stepI=6341282006 rscans=3 iter=2 tape=320/0 disk=397/330 seeks=0 mem=21 dhw=256 heavy=0 parts=0 restarts=0 out=69/2371d/42da7699e15b9765 events=945:08f754bcceeaa783 spans=23:c234366247cb19b7 err=\"\"",
-		"CDT-GH/uniform/skew=false/diskloss": "resp=70567713604 stepI=9679325826 rscans=6 iter=5 tape=421/0 disk=606/432 seeks=0 mem=12 dhw=128 heavy=0 parts=0 restarts=1 out=69/2371d/42da7699e15b9765 events=1166:c1202174c999b9da spans=88:2ed0c3dfe443d33c err=\"\"",
+		"CDT-GH/uniform/skew=false/diskloss": "resp=56611908276 stepI=9679325826 rscans=6 iter=5 tape=357/0 disk=606/371 seeks=0 mem=21 dhw=128 heavy=0 parts=0 restarts=1 out=69/2371d/42da7699e15b9765 events=1041:9cbbe54de040ac57 spans=57:ab87bc76d7c87534 err=\"\"",
 		"CDT-GH/uniform/skew=true":           "resp=43177337789 stepI=6341282006 rscans=3 iter=2 tape=320/0 disk=397/330 seeks=0 mem=21 dhw=256 heavy=0 parts=0 restarts=0 out=69/2371d/42da7699e15b9765 events=945:08f754bcceeaa783 spans=23:c234366247cb19b7 err=\"\"",
-		"CDT-GH/uniform/skew=true/diskloss":  "resp=70567713604 stepI=9679325826 rscans=6 iter=5 tape=421/0 disk=606/432 seeks=0 mem=12 dhw=128 heavy=0 parts=0 restarts=1 out=69/2371d/42da7699e15b9765 events=1166:c1202174c999b9da spans=88:2ed0c3dfe443d33c err=\"\"",
+		"CDT-GH/uniform/skew=true/diskloss":  "resp=56611908276 stepI=9679325826 rscans=6 iter=5 tape=357/0 disk=606/371 seeks=0 mem=21 dhw=128 heavy=0 parts=0 restarts=1 out=69/2371d/42da7699e15b9765 events=1041:9cbbe54de040ac57 spans=57:ab87bc76d7c87534 err=\"\"",
 		"CDT-GH/zipf99/skew=false":           "resp=46323372216 stepI=6341282006 rscans=3 iter=2 tape=320/0 disk=450/329 seeks=0 mem=18 dhw=256 heavy=0 parts=0 restarts=0 out=5492/5931/3867e82836a6c318 events=1001:82988e7fd2a3cdcc spans=23:3433ad12b3948fe5 err=\"\"",
-		"CDT-GH/zipf99/skew=false/diskloss":  "resp=73764547403 stepI=9543723948 rscans=6 iter=5 tape=420/0 disk=662/431 seeks=0 mem=12 dhw=128 heavy=0 parts=0 restarts=1 out=5492/5931/3867e82836a6c318 events=1225:90fec136643f4006 spans=88:92a186f636954476 err=\"\"",
+		"CDT-GH/zipf99/skew=false/diskloss":  "resp=59887143327 stepI=9543723948 rscans=6 iter=5 tape=355/0 disk=662/370 seeks=0 mem=21 dhw=128 heavy=0 parts=0 restarts=1 out=5492/5931/3867e82836a6c318 events=1099:4c2c9b71e08c72a6 spans=57:7abaf53caa09f40d err=\"\"",
 		"CDT-GH/zipf99/skew=true":            "resp=44430554068 stepI=7606097036 rscans=3 iter=2 tape=320/0 disk=412/345 seeks=0 mem=19 dhw=256 heavy=1 parts=9 restarts=0 out=5492/5931/3867e82836a6c318 events=967:7617f11f708eee6f spans=26:48a6194d7c61aa1a err=\"\"",
-		"CDT-GH/zipf99/skew=true/diskloss":   "resp=73100544285 stepI=11739752130 rscans=6 iter=5 tape=427/0 disk=625/456 seeks=0 mem=10 dhw=128 heavy=1 parts=9 restarts=1 out=5492/5931/3867e82836a6c318 events=1206:93ddef9f56efbd39 spans=99:a129e4d1dcba7b86 err=\"\"",
+		"CDT-GH/zipf99/skew=true/diskloss":   "resp=59066337705 stepI=11739752130 rscans=6 iter=5 tape=362/0 disk=625/395 seeks=0 mem=20 dhw=128 heavy=1 parts=9 restarts=1 out=5492/5931/3867e82836a6c318 events=1080:6dc727925e22de93 spans=63:39ac9a8e704e405d err=\"\"",
 		"CDT-GH/zipf99/skew=true/filters":    "resp=38459284572 stepI=6880488897 rscans=3 iter=2 tape=320/0 disk=337/280 seeks=0 mem=19 dhw=217 heavy=1 parts=9 restarts=0 out=5174/4ab3/f4da6db750655f3a events=849:379c76a393402be8 spans=26:d6717e5bcfe05a46 err=\"\"",
 		"CTT-GH/uniform/skew=false":          "resp=45382585461 stepI=10287742799 rscans=4 iter=3 tape=521/67 disk=332/332 seeks=0 mem=21 dhw=96 heavy=0 parts=0 restarts=0 out=69/2371d/42da7699e15b9765 events=977:44e4ca6d6718f74e spans=42:f251210257c7862c err=\"\"",
 		"CTT-GH/uniform/skew=false/diskloss": "resp=62726823497 stepI=20091482427 rscans=10 iter=7 tape=917/75 disk=352/402 seeks=0 mem=21 dhw=67 heavy=0 parts=0 restarts=1 out=69/2371d/42da7699e15b9765 events=1215:61e4d2ea7b937231 spans=89:eb6cd2d0b22aa28a err=\"\"",
