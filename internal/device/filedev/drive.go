@@ -41,7 +41,8 @@ func (b *Backend) newSpool(name string) (*spool, error) {
 // authoritative medium at mount time. The respool runs inline — a
 // mount is not a transfer and charges no time — which is safe because
 // the worker has no in-flight operations when the token holder can
-// mount.
+// mount. It is written in frame-sized chunks and fsynced only under
+// SyncAlways (recFile.respool).
 func (s *spool) Mount(m tape.Medium) error {
 	if s.rf != nil {
 		s.rf.close()
@@ -57,7 +58,7 @@ func (s *spool) Mount(m tape.Medium) error {
 	if eod := int64(m.EOD()); eod > 0 {
 		blks, err := m.ReadSetup(device.Region{Start: 0, N: eod})
 		if err == nil {
-			err = rf.appendRecords(0, blks)
+			err = rf.respool(blks)
 		}
 		if err != nil {
 			rf.close()
@@ -84,11 +85,15 @@ func (s *spool) Read(p *sim.Proc, _ tape.Medium, addr device.Addr, n int64, mode
 	if err != nil {
 		return nil, 0, err
 	}
-	t, err := s.do(p, model, func() error { return s.rf.execReads(plan) })
+	var blks []block.Block
+	t, err := s.do(p, model, func() (err error) {
+		blks, err = s.rf.execReads(plan)
+		return err
+	})
 	if err != nil {
 		return nil, 0, err
 	}
-	return assemble(plan), t, nil
+	return blks, t, nil
 }
 
 // Write implements tape.Mover: the records land in the spool file and
@@ -101,7 +106,11 @@ func (s *spool) Write(p *sim.Proc, addr device.Addr, blks []block.Block, model s
 	if err != nil {
 		return 0, err
 	}
-	return s.do(p, model, func() error { return s.rf.execWrites(plan) })
+	t, err := s.do(p, model, func() error { return s.rf.execWrites(plan.ops) })
+	if err == nil {
+		plan.release()
+	}
+	return t, err
 }
 
 // do runs one planned spool operation on the worker, paced to the

@@ -243,7 +243,10 @@ func TestStallTimeoutsTripBreaker(t *testing.T) {
 // TestStallRecoveredByRetry is the flip side of the breaker test: with
 // the default retry policy, one stalled attempt times out, the retry
 // re-runs the planned syscalls clean (the armed decision was consumed),
-// and the operation — and the device's health — recover.
+// and the operation — and the device's health — recover. Further
+// appends follow before the read: had the retried append's pooled
+// frame been recycled while an attempt could still write from it, a
+// record would read back with another append's key.
 func TestStallRecoveredByRetry(t *testing.T) {
 	b := New(t.TempDir())
 	b.OpTimeout = 5 * time.Millisecond
@@ -258,9 +261,21 @@ func TestStallRecoveredByRetry(t *testing.T) {
 		if err := f.Append(p, mkBlocks(1, 2, 0)); err != nil {
 			t.Fatalf("append with one stalled attempt: %v", err)
 		}
-		blks, err := f.ReadAt(p, 0, 2)
-		if err != nil || len(blks) != 2 {
+		want := []uint64{0, 1}
+		for i := uint64(1); i <= 3; i++ {
+			if err := f.Append(p, mkBlocks(1, 2, 100*i)); err != nil {
+				t.Fatalf("append %d after recovered stall: %v", i, err)
+			}
+			want = append(want, 100*i, 100*i+1)
+		}
+		blks, err := f.ReadAt(p, 0, int64(len(want)))
+		if err != nil || len(blks) != len(want) {
 			t.Fatalf("read after recovered stall: %v", err)
+		}
+		for i, w := range want {
+			if got := keyOf(t, blks[i]); got != w {
+				t.Errorf("block %d key = %d, want %d", i, got, w)
+			}
 		}
 	})
 }

@@ -94,7 +94,11 @@ func (f *scratchFile) Write(p *sim.Proc, off int64, blks []block.Block) error {
 	if err != nil {
 		return err
 	}
-	return f.s.transfer(p, int64(len(blks)), true, func() error { return f.rf.execWrites(plan) })
+	err = f.s.transfer(p, int64(len(blks)), true, func() error { return f.rf.execWrites(plan.ops) })
+	if err == nil {
+		plan.release()
+	}
+	return err
 }
 
 // Read implements disk.Extent.
@@ -103,10 +107,15 @@ func (f *scratchFile) Read(p *sim.Proc, off, n int64) ([]block.Block, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := f.s.transfer(p, n, false, func() error { return f.rf.execReads(plan) }); err != nil {
+	var blks []block.Block
+	err = f.s.transfer(p, n, false, func() (err error) {
+		blks, err = f.rf.execReads(plan)
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
-	return assemble(plan), nil
+	return blks, nil
 }
 
 // Free implements disk.Extent.
