@@ -205,9 +205,11 @@ func (blk Block) Decode() (tag byte, tuples []Tuple, err error) {
 func (blk Block) Each(fn func(Tuple)) error { return blk.each(true, fn) }
 
 // EachVerified is Each for a block whose checksum is already vouched
-// for — checked by Verify on delivery, or just encoded by a Builder. It
-// validates the header and tuple framing, before the first call, but
-// skips the checksum.
+// for: just encoded by a Builder, or delivered by a device that
+// vouches for it — a sim device's stored bytes, a file read that
+// passed its frame CRC, or a read checked by Verify because a fault
+// injector could have corrupted it. It validates the header and tuple
+// framing, before the first call, but skips the checksum.
 func (blk Block) EachVerified(fn func(Tuple)) error { return blk.each(false, fn) }
 
 func (blk Block) each(sum bool, fn func(Tuple)) error {

@@ -46,8 +46,8 @@ type Decision struct {
 	Err error
 	// Corrupt asks the device to flip bits in the *delivered* copy of
 	// the data. The stored data stays intact, so a re-read recovers —
-	// this models transient ECC misses, unlike Media.Corrupt which
-	// damages the medium itself.
+	// this models transient ECC misses, unlike an OS flip decision,
+	// which damages the stored record itself.
 	Corrupt bool
 	// Stall adds a device hiccup of the given virtual duration before
 	// the operation proceeds (charged while the device is held).

@@ -747,3 +747,79 @@ func TestCDTGHSizesSBufferFromSurvivingDisk(t *testing.T) {
 		}
 	}
 }
+
+// nopInjector is a fault injector that never decides a fault: its
+// presence alone marks a run whose deliveries could be corrupted.
+type nopInjector struct{}
+
+func (nopInjector) Decide(fault.Op) fault.Decision { return fault.Decision{} }
+
+// TestReadDevVerifiesOnlyUnderInjector pins where a delivery's CRC is
+// checked. A stub read returns a well-framed block whose checksum is
+// wrong. Under a fault injector readDev verifies every delivery: the
+// read fails typed with recovery off and is re-read with recovery on.
+// Without one it delivers the block unchecked, because the device
+// vouches for it — every corrupting effect is decided by the injector,
+// so a sim device returns the bytes it stored and a file read has
+// passed its frame CRC.
+func TestReadDevVerifiesOnlyUnderInjector(t *testing.T) {
+	bld := block.NewBuilder(1)
+	bld.Append(block.Tuple{Key: 7, Payload: []byte("payload")})
+	good := bld.Finish()
+	bad := append(block.Block(nil), good...)
+	bad[8] ^= 0xff // the CRC field: header and framing stay valid
+	if err := bad.EachVerified(func(block.Tuple) {}); err != nil {
+		t.Fatalf("stub block is not well framed: %v", err)
+	}
+	if err := bad.Verify(); !errors.Is(err, block.ErrBadChecksum) {
+		t.Fatalf("stub block Verify = %v, want ErrBadChecksum", err)
+	}
+
+	for _, c := range []struct {
+		name      string
+		inj       fault.Injector
+		noRecover bool
+		wantErr   error
+		wantBlk   block.Block
+		wantReads int
+	}{
+		{"injector/no-recover", nopInjector{}, true, block.ErrBadChecksum, nil, 1},
+		{"injector/recover", nopInjector{}, false, nil, good, 2},
+		{"no-injector", nil, false, nil, bad, 1},
+		{"no-injector/no-recover", nil, true, nil, bad, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			k := sim.NewKernel()
+			e := &env{
+				k: k, res: Resources{DisableRecovery: c.noRecover},
+				stats: &Stats{}, inj: c.inj,
+			}
+			reads := 0
+			read := func() ([]block.Block, error) {
+				reads++
+				if reads == 1 {
+					return []block.Block{bad}, nil
+				}
+				return []block.Block{good}, nil
+			}
+			var got []block.Block
+			var err error
+			k.Spawn("reader", func(p *sim.Proc) { got, err = e.readDev(p, "stub", read) })
+			if rerr := k.Run(); rerr != nil {
+				t.Fatal(rerr)
+			}
+			if c.wantErr != nil {
+				if !errors.Is(err, c.wantErr) {
+					t.Fatalf("err = %v, want %v", err, c.wantErr)
+				}
+			} else if err != nil {
+				t.Fatalf("err = %v", err)
+			} else if len(got) != 1 || !reflect.DeepEqual(got[0], c.wantBlk) {
+				t.Fatalf("delivered %x, want %x", got, c.wantBlk)
+			}
+			if reads != c.wantReads || e.stats.Retries != int64(c.wantReads-1) {
+				t.Fatalf("reads=%d retries=%d, want %d reads", reads, e.stats.Retries, c.wantReads)
+			}
+		})
+	}
+}

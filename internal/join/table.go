@@ -192,12 +192,15 @@ func (h *hashTable) len() int { return len(h.tuples) - 1 }
 // with the decoder's typed error: corruption is an input condition,
 // never a panic.
 //
-// Each block is checksummed once, where it is delivered: blks must come
-// from readDev (directly, or via scan, tapeRead or readSrc — including
-// through a reader proc's queue or a spool transform), whose
-// verifyBlocks already checked every CRC, or from a Builder. So
-// forEachTuple checks only header and framing. Blocks of any other
-// provenance go through block.Each, which checks everything.
+// Each block's checksum is vouched for once, where it is delivered:
+// blks must come from readDev (directly, or via scan, tapeRead or
+// readSrc — including through a reader proc's queue or a spool
+// transform) or from a Builder. readDev re-verifies every CRC when the
+// run has a fault injector, the only source of corruption; without one
+// the device vouches — a sim device returns the bytes it stored, and a
+// file read has passed its frame CRC. So forEachTuple checks only
+// header and framing. Blocks of any other provenance go through
+// block.Each, which checks everything.
 func forEachTuple(blks []block.Block, fn func(block.Tuple)) error {
 	for _, blk := range blks {
 		if err := blk.EachVerified(fn); err != nil {
@@ -434,8 +437,16 @@ func (pt *partitioner) add(p *sim.Proc, t block.Tuple) error {
 	if bld.Len() < pt.tuplesPerBlock {
 		return nil
 	}
-	pt.pending[bkt] = append(pt.pending[bkt], bld.Finish())
-	if int64(len(pt.pending[bkt])) >= pt.writeBuf {
+	run := pt.pending[bkt]
+	if run == nil {
+		// A flush run is allocated once, at the flush threshold the
+		// memory ledger charges; each flush takes it whole, so the
+		// next block starts a fresh one.
+		run = make([]block.Block, 0, pt.writeBuf)
+	}
+	run = append(run, bld.Finish())
+	pt.pending[bkt] = run
+	if int64(len(run)) >= pt.writeBuf {
 		return pt.drain(p, bkt)
 	}
 	return nil

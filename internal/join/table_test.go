@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/block"
+	"repro/internal/sim"
 )
 
 // mapTable is the build side as it was before the flat table: a map
@@ -325,6 +326,84 @@ func BenchmarkHashTableProbe(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/probe")
+		})
+	}
+}
+
+// partitionTuples returns n tuples with keys drawn from [0, keySpace)
+// and 8-byte payloads, the batch workloads' tuple shape.
+func partitionTuples(n int, keySpace uint64) []block.Tuple {
+	rng := rand.New(rand.NewSource(1))
+	tuples := make([]block.Tuple, n)
+	for i := range tuples {
+		var p [8]byte
+		binary.LittleEndian.PutUint64(p[:], uint64(i))
+		tuples[i] = block.Tuple{Key: rng.Uint64() % keySpace, Payload: p[:]}
+	}
+	return tuples
+}
+
+// TestPartitionFlushAllocatesRunOnce feeds one bucket k·writeBuf
+// blocks' worth of tuples: each block costs its encoding and each
+// flush one run, allocated at writeBuf capacity. A run regrown by
+// doubling from nil costs about log2(writeBuf) more per flush.
+func TestPartitionFlushAllocatesRunOnce(t *testing.T) {
+	const writeBuf, perBlock, flushes = 8, 4, 4
+	const blocks = flushes * writeBuf
+	tuples := partitionTuples(blocks*perBlock, 1<<20)
+	var flushed, runs int
+	pt := newPartitioner(1, writeBuf, perBlock, 1, func(_ *sim.Proc, _ int, blks []block.Block) error {
+		flushed += len(blks)
+		runs++
+		return nil
+	})
+	allocs := testing.AllocsPerRun(10, func() {
+		for _, tp := range tuples {
+			if err := pt.add(nil, tp); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if flushed != 11*blocks || runs != 11*flushes {
+		t.Fatalf("flushed %d blocks in %d runs, want %d in %d", flushed, runs, 11*blocks, 11*flushes)
+	}
+	if limit := float64(blocks + flushes + 2); allocs > limit {
+		t.Fatalf("%v allocs per %d blocks in %d flushes, want <= %v", allocs, blocks, flushes, limit)
+	}
+}
+
+// BenchmarkPartition routes a relation through a partitioner into 16
+// buckets, flushing every writeBuf blocks to a sink that drops them:
+// sparse is batch-sched's 4-tuple blocks, dense 1024-tuple blocks. It
+// reports ns/tuple.
+func BenchmarkPartition(b *testing.B) {
+	for _, g := range []struct {
+		name     string
+		tuples   int
+		perBlock int
+		writeBuf int64
+	}{
+		{"sparse", 1 << 14, 4, 8},
+		{"dense", 1 << 17, 1024, 2},
+	} {
+		b.Run(g.name, func(b *testing.B) {
+			const parts = 16
+			tuples := partitionTuples(g.tuples, 1<<30)
+			drop := func(*sim.Proc, int, []block.Block) error { return nil }
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pt := newPartitioner(parts, g.writeBuf, g.perBlock, 1, drop)
+				for _, tp := range tuples {
+					if err := pt.add(nil, tp); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := pt.finish(nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*g.tuples), "ns/tuple")
 		})
 	}
 }
