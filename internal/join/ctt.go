@@ -8,6 +8,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/hashutil"
 	"repro/internal/obs"
+	"repro/internal/relation"
 	"repro/internal/sim"
 )
 
@@ -27,7 +28,7 @@ func estBucketBlocks(n int64, b int) int64 {
 func assemblableBucket(d int64) int64 {
 	// Buckets are bounded to half the assembly area: the window keeps
 	// one estimated bucket of headroom so that hash-variance outliers
-	// never overflow the disk (see hashRelationToTape).
+	// never overflow the disk (see hashToTape).
 	v := (d/2 - 2) * 8 / 9
 	if v < 1 {
 		v = 1
@@ -133,53 +134,34 @@ func appendFileToTape(e *env, p *sim.Proc, f device.File, dst device.Drive, pipe
 // has failed; the pipeline drops it, reporting the write's error.
 var errSpoolStopped = errors.New("join: spool stopped")
 
-// hashRelationToTape implements Step I of the tape–tape methods: the
-// source relation is hash-partitioned into plan.B buckets, a disk-load
-// of buckets at a time. Each scan reads the source end to end, keeps
-// the tuples of the current bucket window, assembles those buckets in
-// full on disk, and appends them to dst's scratch space. Returns the
-// per-partition tape regions, stored contiguously in spool order.
-//
-// skew, when non-nil, is the in/out skew-refinement handle. On the
-// build-side pass (sketch true, *skew nil) the first full scan
-// sketches key frequencies and counts exact bucket sizes, then builds
-// a SkewPlan before anything is spooled; with sketch false the
-// handle's plan — R's, possibly nil — is applied as-is, so TT-GH's S
-// pass lands on exactly R's partition map and never invents its own
-// (an oversized S bucket is harmless: only R partitions must fit
-// memory). A refined bucket is still assembled whole on disk, but
-// spooled one partition at a time: each sub-partition or isolated key
+// hashToTape is a tape row's Step I for one relation: rel, read from
+// src, is hashed into B buckets a disk-load of buckets at a time. Each
+// window is one hashPass over the whole relation that keeps the
+// window's buckets, assembles them in full on disk and appends them to
+// dst's scratch space in bucket order. A bucket that R's map refines is
+// spooled one partition at a time through partFilter, so each partition
 // becomes its own tape region, read back by the join phase as an
-// ordinary (now memory-sized) bucket. Sketch, counts and plan are
-// deterministic, so a recovery replay lands on the same tape layout.
-func hashRelationToTape(e *env, p *sim.Proc, src device.Drive, region device.Region,
-	tuplesPerBlock int, tag byte, plan hashutil.Plan, dst device.Drive,
-	pipelined bool, keep keepFn, scans *int, skew **hashutil.SkewPlan, sketch bool) ([]device.Region, error) {
-
-	b := plan.B
-	est := estBucketBlocks(region.N, b)
-
-	cur := func() *hashutil.SkewPlan {
-		if skew == nil {
-			return nil
-		}
-		return *skew
-	}
+// ordinary (now memory-sized) bucket; S's pass lands on exactly R's map
+// (an oversized S bucket is harmless: only R partitions must fit
+// memory). R's scans count in RScans. Returns the per-partition tape
+// regions, stored contiguously in spool order.
+func (x *executor) hashToTape(p *sim.Proc, src device.Drive, rel *relation.Relation, keep keepFn, dst device.Drive) ([]device.Region, error) {
+	b := x.bp.B
+	est := estBucketBlocks(rel.Region.N, b)
 	partsOf := func(bkt int) []int {
-		if sp := cur(); sp != nil {
-			return sp.PartsOf(bkt)
+		if x.skp != nil {
+			return x.skp.PartsOf(bkt)
 		}
 		return []int{bkt}
 	}
-	nparts := b
-	if sp := cur(); sp != nil {
-		nparts = sp.NParts
+	nparts := func() int {
+		if x.skp != nil {
+			return x.skp.NParts
+		}
+		return b
 	}
-	regions := make([]device.Region, nparts)
-	// Sketch only while the plan is still open: the build-side pass.
-	sketched := !sketch || skew == nil || *skew != nil
-	done := 0
-	for done < b {
+	regions := make([]device.Region, nparts())
+	for done := 0; done < b; {
 		lo := done
 		hi := lo // set inside the unit; a restart may shrink the window
 
@@ -188,24 +170,20 @@ func hashRelationToTape(e *env, p *sim.Proc, src device.Drive, region device.Reg
 		// re-scans the source for the missing buckets only. A partially
 		// appended bucket leaves garbage at the scratch EOD, which is
 		// simply abandoned — tape appends are monotonic.
-		err := e.runUnit(p, fmt.Sprintf("hash-window@%d", lo), func(up *sim.Proc) error {
-			sp := e.span(up, "hash-window", obs.AInt("lo", int64(lo)))
+		err := x.runUnit(p, fmt.Sprintf("hash-window@%d", lo), func(up *sim.Proc) error {
+			sp := x.span(up, "hash-window", obs.AInt("lo", int64(lo)))
 			defer sp.Close(up)
 			// Window sizing happens per attempt against the surviving
 			// array, so a disk lost mid-run shrinks subsequent windows
 			// (costing extra scans) instead of overflowing the disks.
-			g := windowBuckets(e.effectiveD(), est)
+			g := windowBuckets(x.effectiveD(), est)
 			if g < 1 {
 				return fmt.Errorf("%w: D=%d cannot assemble one %d-block bucket with headroom",
-					ErrNeedDisk, e.effectiveD(), est)
+					ErrNeedDisk, x.effectiveD(), est)
 			}
-			if g > int64(b-lo) {
-				g = int64(b - lo)
-			}
-			hi = lo + int(g)
+			hi = lo + int(min(g, int64(b-lo)))
 			// A bucket is outstanding while any of its partitions lacks a
-			// tape region (all of them, before a skew plan); only those
-			// are partitioned again.
+			// tape region; only those are partitioned again.
 			var parts []int
 			for bkt := lo; bkt < hi; bkt++ {
 				for _, part := range partsOf(bkt) {
@@ -218,60 +196,35 @@ func hashRelationToTape(e *env, p *sim.Proc, src device.Drive, region device.Reg
 			if len(parts) == 0 {
 				return nil
 			}
-			var sk *hashutil.FreqSketch
-			var census []int64
-			if !sketched {
-				if sk = e.newSketch(); sk == nil {
-					sketched = true
-				} else {
-					census = make([]int64, b)
-				}
-			}
-			files, err := e.partition(up, partPass{
-				src: tapeBucket{drive: src, region: region}, lay: layoutOf(plan), parts: parts, prefix: "hb",
-				perBlk: tuplesPerBlock, tag: tag, keep: keep, sketch: sk, census: census,
-			})
+			files, err := x.hashPass(up, src, rel, keep, parts, "hb")
 			if err != nil {
 				return err
 			}
 			defer freeAll(files)
-			*scans++
-
-			// The full scan just completed the sketch and the exact
-			// bucket census; refine the plan before anything spools so
-			// every region lands at its final partition index.
-			if sk != nil {
-				sketched = true
-				if nsp := e.refine(plan, census, sk, tuplesPerBlock); nsp != nil {
-					*skew = nsp
-					regions = append(regions, make([]device.Region, nsp.NParts-len(regions))...)
-				}
+			if rel == x.spec.R {
+				x.stats.RScans++
 			}
-
-			// Append the completed buckets to the destination tape in
-			// bucket order, refined buckets one partition at a time.
+			// R's first scan may just have fixed the map: size the
+			// regions to it before anything spools, so every region
+			// lands at its final partition index.
+			regions = append(regions, make([]device.Region, nparts()-len(regions))...)
 			for _, bkt := range parts {
-				f := files[bkt]
-				if refined := partsOf(bkt); len(refined) == 1 {
-					reg, err := appendFileToTape(e, up, f, dst, pipelined, nil)
+				refined := partsOf(bkt)
+				for _, part := range refined {
+					if regions[part].N != 0 {
+						continue // spooled by an attempt this restart superseded
+					}
+					var xform func([]block.Block, bool) ([]block.Block, error)
+					if len(refined) > 1 {
+						xform = partFilter(x.skp, part, rel.TuplesPerBlock, rel.Tag)
+					}
+					reg, err := appendFileToTape(x.env, up, files[bkt], dst, x.overlap, xform)
 					if err != nil {
 						return err
 					}
-					regions[bkt] = reg
-				} else {
-					for _, part := range refined {
-						if regions[part].N != 0 {
-							continue // spooled by an attempt this restart superseded
-						}
-						reg, err := appendFileToTape(e, up, f, dst, pipelined,
-							partFilter(cur(), part, tuplesPerBlock, tag))
-						if err != nil {
-							return err
-						}
-						regions[part] = reg
-					}
+					regions[part] = reg
 				}
-				f.Free()
+				files[bkt].Free()
 				files[bkt] = nil
 			}
 			return nil

@@ -141,46 +141,6 @@ func freeAll(files []device.File) {
 	}
 }
 
-// ensureRBuckets (re)partitions R into disk bucket files when they are
-// absent or lost extents to a failed disk. Re-entry pays a fresh tape
-// scan of R, counted in RScans. When skew-aware partitioning is on,
-// the pass sketches key frequencies while partitioning and then
-// repairs oversized buckets on disk, publishing the refined plan
-// through skp; both the sketch and the repair are deterministic, so a
-// recovery replay rebuilds the identical layout.
-func (e *env) ensureRBuckets(p *sim.Proc, plan hashutil.Plan, fRB *[]device.File, skp **hashutil.SkewPlan) error {
-	if *fRB != nil && !anyLost(*fRB) {
-		return nil
-	}
-	if *fRB != nil {
-		freeAll(*fRB)
-		*fRB = nil
-	}
-	pass := partPass{
-		src: tapeBucket{drive: e.driveR, region: e.spec.R.Region}, lay: layoutOf(plan), prefix: "rb",
-		perBlk: e.spec.R.TuplesPerBlock, tag: e.spec.R.Tag, keep: e.filterR(), sketch: e.newSketch(),
-	}
-	if pass.sketch != nil {
-		pass.census = make([]int64, plan.B)
-	}
-	sp := e.span(p, "hash-R", obs.AInt("buckets", int64(plan.B)))
-	files, err := e.partition(p, pass)
-	sp.Close(p)
-	if err != nil {
-		return err
-	}
-	if pass.sketch != nil {
-		files, *skp, err = e.repairRSkew(p, plan, files, pass)
-		if err != nil {
-			// repairRSkew freed every partition file already.
-			return err
-		}
-	}
-	*fRB = files
-	e.stats.RScans++
-	return nil
-}
-
 // stageS hash-partitions S's chunk [off, off+n) into disk bucket files
 // following sLay; reserve is partPass's double-buffer hook.
 func (e *env) stageS(p *sim.Proc, sLay layout, off, n int64, reserve func(*sim.Proc, int64)) ([]device.File, error) {

@@ -67,13 +67,15 @@ type Resources struct {
 	// Discipline selects the double-buffering scheme.
 	Discipline Discipline
 	// SkewAware enables skew-aware partitioning in the Grace-Hash
-	// methods: a key-frequency sketch is built while R streams through
-	// the partitioner, and buckets the uniform plan left oversized are
-	// repaired on disk — heavy-hitter keys get dedicated partitions,
-	// residual collision pileups are split by a secondary hash — so
-	// every partition fits a single memory load where the key
-	// distribution allows it. Off by default: the uniform path is
-	// byte-for-byte the paper's plan.
+	// methods: a key-frequency sketch is built while R first streams
+	// through the partitioner, and buckets the uniform plan left
+	// oversized are refined — heavy-hitter keys get dedicated
+	// partitions, residual collision pileups are split by a secondary
+	// hash — so every partition fits a single memory load where the key
+	// distribution allows it. The disk rows (DT-GH, CDT-GH) repair the
+	// oversized buckets on disk; the tape rows (CTT-GH, TT-GH) spool
+	// each refined partition to tape as its own region. Off by default:
+	// the uniform path is byte-for-byte the paper's plan.
 	SkewAware bool
 	// ProbeNarrow enables CDF-model probe-range narrowing in the
 	// sort-merge path: sparse (first key, block) samples collected

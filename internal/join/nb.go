@@ -53,24 +53,6 @@ func copyRToDisk(e *env, p *sim.Proc) (device.File, error) {
 	return f, nil
 }
 
-// ensureRFile (re)copies R to disk when it is absent or lost extents to
-// a failed disk, paying a fresh tape scan of R.
-func (e *env) ensureRFile(p *sim.Proc, fR *device.File) error {
-	if *fR != nil && !(*fR).Lost() {
-		return nil
-	}
-	if *fR != nil {
-		e.freeR(*fR)
-		*fR = nil
-	}
-	f, err := copyRToDisk(e, p)
-	if err != nil {
-		return err
-	}
-	*fR = f
-	return nil
-}
-
 // freeR releases a method-owned R copy; a caller-owned staged file
 // (ExecOptions.StagedR) is kept for future runs.
 func (e *env) freeR(f device.File) {

@@ -3,7 +3,6 @@ package join
 import (
 	"repro/internal/block"
 	"repro/internal/device"
-	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -75,9 +74,7 @@ func (e *env) pipeline(p *sim.Proc, queue, producer string,
 		return nil
 	}
 	// The tail takes over on the errors runUnit restarts on.
-	restart := fault.Acts(fault.Restart, pipeErr) ||
-		len(e.disks.DeadDisks()) > 0 && fault.Acts(fault.RestartAfterLoss, pipeErr)
-	if tail == nil || e.res.DisableRecovery || !restart {
+	if tail == nil || e.res.DisableRecovery || !e.restartable(pipeErr) {
 		return pipeErr
 	}
 	return tail(next)

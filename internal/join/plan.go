@@ -7,6 +7,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/hashutil"
 	"repro/internal/obs"
+	"repro/internal/relation"
 	"repro/internal/sim"
 )
 
@@ -250,7 +251,10 @@ type executor struct {
 	rRegions []device.Region // R's tape buckets (rTapeBuckets, rCrossTape)
 	sRegions []device.Region // S's tape buckets (rCrossTape)
 	bp       hashutil.Plan
-	skp      *hashutil.SkewPlan
+	// skp is R's skew-refined partition map, nil while the uniform plan
+	// stands; fixed says R's first complete scan has decided it.
+	skp   *hashutil.SkewPlan
+	fixed bool
 
 	// Step II sizing: a Nested Block row probes R mr blocks at a time
 	// against sChunk-block S chunks; a Grace Hash row routes S by sLay
@@ -280,7 +284,7 @@ func (pl *plan) run(e *env, p *sim.Proc) error {
 
 // stepI puts R where the row says: a disk copy or disk buckets as one
 // restartable unit (ensureR), tape buckets window by window
-// (hashRelationToTape).
+// (hashToTape).
 func (x *executor) stepI(p *sim.Proc) error {
 	if x.buckets != nil {
 		var err error
@@ -302,28 +306,83 @@ func (x *executor) stepI(p *sim.Proc) error {
 		x.rTape = x.driveS
 	}
 	var err error
-	x.rRegions, err = hashRelationToTape(x.env, p, x.driveR, x.spec.R.Region,
-		x.spec.R.TuplesPerBlock, x.spec.R.Tag, x.bp, x.rTape, x.overlap, x.filterR(), &x.stats.RScans, &x.skp, true)
+	x.rRegions, err = x.hashToTape(p, x.driveR, x.spec.R, x.filterR(), x.rTape)
 	if err != nil || x.r != rCrossTape {
 		return err
 	}
-	sScans := 0
-	x.sRegions, err = hashRelationToTape(x.env, p, x.driveS, x.spec.S.Region,
-		x.spec.S.TuplesPerBlock, x.spec.S.Tag, x.bp, x.driveR, x.overlap, x.filterS(), &sScans, &x.skp, false)
+	x.sRegions, err = x.hashToTape(p, x.driveS, x.spec.S, x.filterS(), x.driveR)
 	return err
 }
 
 // ensureR re-stages R's disk copy or disk buckets when they are absent
-// or lost extents to a failed disk. R's tape buckets survive a disk
-// loss.
+// or lost extents to a failed disk, paying a fresh tape scan of R. Disk
+// buckets come from one hashPass, with the oversized ones of a refined
+// map split on disk (repairRSkew). R's tape buckets survive a disk loss.
 func (x *executor) ensureR(p *sim.Proc) error {
 	switch x.r {
 	case rDiskCopy:
-		return x.ensureRFile(p, &x.fR)
+		if x.fR != nil && !x.fR.Lost() {
+			return nil
+		}
+		x.freeR(x.fR)
+		var err error
+		x.fR, err = copyRToDisk(x.env, p)
+		return err
 	case rDiskBuckets:
-		return x.ensureRBuckets(p, x.bp, &x.fRB, &x.skp)
+		if x.fRB != nil && !anyLost(x.fRB) {
+			return nil
+		}
+		freeAll(x.fRB)
+		x.fRB = nil
+		sp := x.span(p, "hash-R", obs.AInt("buckets", int64(x.bp.B)))
+		files, err := x.hashPass(p, x.driveR, x.spec.R, x.filterR(), nil, "rb")
+		sp.Close(p)
+		if err == nil && x.skp != nil {
+			files, err = x.repairRSkew(p, files)
+		}
+		if err != nil {
+			return err
+		}
+		x.fRB = files
+		x.stats.RScans++
 	}
 	return nil
+}
+
+// hashPass is one Step I scan: it partitions rel, read from src, into
+// disk bucket files named prefix<bucket> under the uniform plan, keeping
+// only the listed buckets (nil: all). R's first complete scan with
+// SkewAware on also sketches every key and counts every bucket, then
+// fixes R's partition map against the single-load budget: whatever
+// memory remains next to the join phase's streaming buffer. Every later
+// scan (a disk row's re-stage, a tape window's restart, TT-GH's S pass)
+// reuses that map. Sketch, census and map are deterministic, so a
+// recovery replay lands on the same layout.
+func (x *executor) hashPass(p *sim.Proc, src device.Drive, rel *relation.Relation, keep keepFn, buckets []int, prefix string) ([]device.File, error) {
+	pass := partPass{
+		src: tapeBucket{drive: src, region: rel.Region}, lay: layoutOf(x.bp), parts: buckets, prefix: prefix,
+		perBlk: rel.TuplesPerBlock, tag: rel.Tag, keep: keep,
+	}
+	sketch := rel == x.spec.R && x.res.SkewAware && !x.fixed
+	if sketch {
+		pass.sketch = hashutil.NewFreqSketch(hashutil.DefaultSketchK)
+		pass.census = make([]int64, x.bp.B)
+	}
+	files, err := x.partition(p, pass)
+	if err != nil || !sketch {
+		return files, err
+	}
+	m, perBlk := x.res.MemoryBlocks, int64(rel.TuplesPerBlock)
+	sizes := make([]int64, x.bp.B)
+	for i, c := range pass.census {
+		sizes[i] = (c + perBlk - 1) / perBlk
+	}
+	x.fixed = true
+	if sp := hashutil.BuildSkewPlan(x.bp, sizes, pass.sketch, rel.TuplesPerBlock, m-scanBufFor(x.bp, m), int(m-1)); !sp.Trivial() {
+		x.skp = sp
+		x.stats.HeavyHitters, x.stats.SkewPartitions = len(sp.Heavy), sp.NParts
+	}
+	return files, nil
 }
 
 // rBucket is R's bucket b where Step I left it, a tape bucket read

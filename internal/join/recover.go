@@ -168,12 +168,7 @@ func (e *env) runUnit(p *sim.Proc, name string, work func(*sim.Proc) error) erro
 		if err == nil || e.res.DisableRecovery {
 			return err
 		}
-		// After a disk loss, allocations sized for the original array may
-		// overflow the shrunken one, and the restart re-derives its sizing
-		// from effectiveD.
-		restart := fault.Acts(fault.Restart, err) ||
-			len(e.disks.DeadDisks()) > 0 && fault.Acts(fault.RestartAfterLoss, err)
-		if !restart || attempt >= maxUnitRestarts {
+		if !e.restartable(err) || attempt >= maxUnitRestarts {
 			return err
 		}
 		e.stats.UnitRestarts++
@@ -184,6 +179,14 @@ func (e *env) runUnit(p *sim.Proc, name string, work func(*sim.Proc) error) erro
 			Note: fmt.Sprintf("restart %s after: %v", name, err),
 		})
 	}
+}
+
+// restartable reports whether restarting a unit may heal err. After a
+// disk loss, allocations sized for the original array may overflow the
+// shrunken one, and the restart re-derives its sizing from effectiveD.
+func (e *env) restartable(err error) bool {
+	return fault.Acts(fault.Restart, err) ||
+		len(e.disks.DeadDisks()) > 0 && fault.Acts(fault.RestartAfterLoss, err)
 }
 
 // effectiveD returns the live disk budget: the configured D shrunk in

@@ -56,35 +56,6 @@ func (l layout) route(key uint64) int {
 	return hashutil.Bucket(key, l.parts)
 }
 
-// newSketch returns a frequency sketch when skew-aware partitioning is
-// on, nil otherwise.
-func (e *env) newSketch() *hashutil.FreqSketch {
-	if !e.res.SkewAware {
-		return nil
-	}
-	return hashutil.NewFreqSketch(hashutil.DefaultSketchK)
-}
-
-// refine builds the skew plan for plan's primary buckets from their
-// census (tuples per bucket) and the key sketch, against the single-load
-// budget: whatever memory remains next to the join phase's streaming
-// buffer. It records the plan's stats and returns it, or nil when the
-// uniform plan needs no repair.
-func (e *env) refine(plan hashutil.Plan, census []int64, sk *hashutil.FreqSketch, perBlk int) *hashutil.SkewPlan {
-	m := e.res.MemoryBlocks
-	sizes := make([]int64, len(census))
-	for i, c := range census {
-		sizes[i] = (c + int64(perBlk) - 1) / int64(perBlk)
-	}
-	sp := hashutil.BuildSkewPlan(plan, sizes, sk, perBlk, m-scanBufFor(plan, m), int(m-1))
-	if sp.Trivial() {
-		return nil
-	}
-	e.stats.HeavyHitters = len(sp.Heavy)
-	e.stats.SkewPartitions = sp.NParts
-	return sp
-}
-
 // partFilter returns an appendFileToTape transform that keeps only the
 // tuples routed to part, repacking survivors at the relation's density.
 // The builder carries across batches, so only the partition's final
@@ -113,20 +84,14 @@ func partFilter(sp *hashutil.SkewPlan, part, tuplesPerBlock int, tag byte) func(
 	}
 }
 
-// repairRSkew refines the uniform R partition pass that produced files
-// and, when any bucket overflows the single-load budget, rewrites each
-// overflowing bucket file into its refined partitions on disk: a
-// partition pass over the file with one-block write buffers. Returns the
-// final partition files (indexed by partition) and the plan; a trivial
-// refinement returns the input files and a nil plan, leaving the uniform
-// path untouched. The rewrite is deterministic, so a recovery replay
-// lands on the same layout.
-func (e *env) repairRSkew(p *sim.Proc, plan hashutil.Plan, files []device.File, pass partPass) ([]device.File, *hashutil.SkewPlan, error) {
-	sp := e.refine(plan, pass.census, pass.sketch, pass.perBlk)
-	if sp == nil {
-		return files, nil, nil
-	}
-	span := e.span(p, "skew-repair",
+// repairRSkew splits each of R's uniform bucket files that R's refined
+// map divides into its partitions on disk: a partition pass over the
+// file with one-block write buffers. Returns the final partition files,
+// indexed by partition. The rewrite is deterministic, so a recovery
+// replay lands on the same layout.
+func (x *executor) repairRSkew(p *sim.Proc, files []device.File) ([]device.File, error) {
+	sp := x.skp
+	span := x.span(p, "skew-repair",
 		obs.AInt("heavy", int64(len(sp.Heavy))), obs.AInt("parts", int64(sp.NParts)))
 	defer span.Close(p)
 
@@ -135,21 +100,21 @@ func (e *env) repairRSkew(p *sim.Proc, plan hashutil.Plan, files []device.File, 
 	// freed, and the caller must not free the input slice again.
 	out := make([]device.File, sp.NParts)
 	copy(out, files)
-	for b := 0; b < plan.B; b++ {
+	for b := 0; b < x.bp.B; b++ {
 		parts := sp.PartsOf(b)
 		if len(parts) == 1 {
 			continue
 		}
 		// One block per target partition plus the read chunk: bounded by
 		// NParts <= M-1 at plan time.
-		chunk := max(1, min(e.res.IOChunk, e.res.MemoryBlocks-int64(len(parts))))
-		split, err := e.partition(p, partPass{
+		chunk := max(1, min(x.res.IOChunk, x.res.MemoryBlocks-int64(len(parts))))
+		split, err := x.partition(p, partPass{
 			src: diskBucket{files[b]}, lay: layout{parts: sp.NParts, writeBuf: 1, inBuf: chunk, sp: sp},
-			parts: parts, prefix: pass.prefix, perBlk: pass.perBlk, tag: pass.tag,
+			parts: parts, prefix: "rb", perBlk: x.spec.R.TuplesPerBlock, tag: x.spec.R.Tag,
 		})
 		if err != nil {
 			freeAll(out)
-			return nil, nil, err
+			return nil, err
 		}
 		// The split replaces every partition of b, index b included.
 		files[b].Free()
@@ -157,5 +122,5 @@ func (e *env) repairRSkew(p *sim.Proc, plan hashutil.Plan, files []device.File, 
 			out[part] = split[part]
 		}
 	}
-	return out, sp, nil
+	return out, nil
 }
