@@ -96,6 +96,10 @@ func (s *spool) Read(p *sim.Proc, _ tape.Medium, addr device.Addr, n int64, mode
 	return blks, t, nil
 }
 
+// Recycle implements tape.Mover: it pools the buffers of blocks this
+// backend's reads delivered, for later reads to fill.
+func (s *spool) Recycle(blks []block.Block) { s.b.bufs.put(blks) }
+
 // Write implements tape.Mover: the records land in the spool file and
 // repoint its index.
 func (s *spool) Write(p *sim.Proc, addr device.Addr, blks []block.Block, model sim.Duration) (sim.Duration, error) {

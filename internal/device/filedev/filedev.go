@@ -143,6 +143,10 @@ type Backend struct {
 
 	mu     sync.Mutex // guards engine
 	engine *ioengine.Engine
+
+	// bufs holds the read buffers a join handed back with Recycle;
+	// every device the backend builds reads into them.
+	bufs bufPool
 }
 
 var _ device.Backend = &Backend{}
@@ -365,7 +369,8 @@ func (s *syncer) flush(f *faultfile.File) error {
 // syscalls on the device worker (positioned I/O is goroutine-safe).
 // Only what a later plan needs is done at plan time: a write's frames
 // and CRCs (a read planned before the write executes must know them),
-// never a read's buffers, which execReads allocates on the worker.
+// never a read's buffers, which execReads takes on the worker from the
+// backend's pool of recycled buffers (bufPool).
 // FIFO submission on one worker orders a write before any read of the
 // same reserved offset. The underlying OS file is wrapped by
 // faultfile.File, so fault decisions made at plan time can strike the
@@ -384,6 +389,7 @@ type recFile struct {
 	crcs  []uint32
 	end   int64 // append offset
 	sync  syncer
+	bufs  *bufPool // the backend's read buffers
 }
 
 // recHeader is the per-record frame overhead: length + payload CRC.
@@ -394,7 +400,7 @@ func (b *Backend) createRecFile(path string) (*recFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &recFile{sync: syncer{policy: b.Sync, every: b.syncBytes()}}
+	r := &recFile{sync: syncer{policy: b.Sync, every: b.syncBytes()}, bufs: &b.bufs}
 	r.f.Store(faultfile.Wrap(f))
 	return r, nil
 }
@@ -527,9 +533,10 @@ func (r *recFile) execWrites(ops []writeOp) error {
 	return r.sync.wrote(f, n)
 }
 
-// readOp is one planned record read: the payload offset and length,
-// and the expected payload CRC.
+// readOp is one planned record read: the logical record number, the
+// payload offset and length, and the expected payload CRC.
 type readOp struct {
+	rec int64
 	off int64
 	n   int32
 	crc uint32
@@ -543,16 +550,19 @@ func (r *recFile) planRead(off, n int64) ([]readOp, error) {
 	}
 	ops := make([]readOp, n)
 	for i := int64(0); i < n; i++ {
-		ops[i] = readOp{off: r.index[off+i] + recHeader, n: r.lens[off+i], crc: r.crcs[off+i]}
+		rec := off + i
+		ops[i] = readOp{rec: rec, off: r.index[rec] + recHeader, n: r.lens[rec], crc: r.crcs[rec]}
 	}
 	return ops, nil
 }
 
-// execReads performs planned reads into fresh buffers, one per record,
+// execReads performs planned reads, one record per buffer from the
+// backend's pool (a recycled one when there is one, else a fresh one),
 // and verifies each record against its stored checksum, converting
-// short reads and payload mismatches into typed fault.ErrCorrupt. Safe
-// to run off the control token: allocation and verification are pure
-// CPU over buffers only this call holds until it returns them.
+// short reads and payload mismatches into typed fault.ErrCorrupt that
+// name the logical record. Safe to run off the control token: the
+// buffers are only this call's until it returns them (a failed call
+// leaves the ones it took to the GC).
 func (r *recFile) execReads(ops []readOp) ([]block.Block, error) {
 	f := r.f.Load()
 	if f == nil {
@@ -560,22 +570,67 @@ func (r *recFile) execReads(ops []readOp) ([]block.Block, error) {
 	}
 	out := make([]block.Block, len(ops))
 	for i, op := range ops {
-		buf := make([]byte, op.n)
+		buf := r.bufs.get(int(op.n))
 		n, err := f.ReadAt(buf, op.off)
 		switch {
 		case errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF):
 			return nil, fmt.Errorf("filedev: record %d truncated (%d of %d bytes): %w",
-				i, n, len(buf), fault.ErrCorrupt)
+				op.rec, n, len(buf), fault.ErrCorrupt)
 		case err != nil:
-			return nil, fmt.Errorf("filedev: record %d: %w", i, err)
+			return nil, fmt.Errorf("filedev: record %d: %w", op.rec, err)
 		}
 		if got := crc32.ChecksumIEEE(buf); got != op.crc {
 			return nil, fmt.Errorf("filedev: record %d: stored crc %08x, read %08x: %w",
-				i, op.crc, got, fault.ErrCorrupt)
+				op.rec, op.crc, got, fault.ErrCorrupt)
 		}
 		out[i] = buf
 	}
 	return out, nil
+}
+
+// bufPool recycles record read buffers. A block a read delivers is the
+// join's until it hands it back with Recycle (tape.Mover, disk.Extent);
+// put then pools it for the next read. Buffers travel in *[]byte boxes,
+// and emptied boxes wait in boxes, so neither a get nor a put allocates
+// once the pools are warm. Under the race detector put first poisons
+// each buffer, so a consumer that kept an alias reads garbage.
+type bufPool struct {
+	bufs  sync.Pool // *[]byte holding a recycled buffer
+	boxes sync.Pool // empty *[]byte
+}
+
+// get returns an n-byte buffer: a recycled one when the pool offers
+// one large enough, else a fresh one. A recycled buffer that is too
+// small is left to the GC.
+func (bp *bufPool) get(n int) []byte {
+	if box, ok := bp.bufs.Get().(*[]byte); ok {
+		b := *box
+		*box = nil
+		bp.boxes.Put(box)
+		if cap(b) >= n {
+			return b[:n]
+		}
+	}
+	return make([]byte, n)
+}
+
+// put pools every block of blks. The caller holds no alias to any of
+// them, and nor may anything else.
+func (bp *bufPool) put(blks []block.Block) {
+	for _, b := range blks {
+		if raceEnabled {
+			b = b[:cap(b)]
+			for i := range b {
+				b[i] = 0xA5
+			}
+		}
+		box, ok := bp.boxes.Get().(*[]byte)
+		if !ok {
+			box = new([]byte)
+		}
+		*box = b
+		bp.bufs.Put(box)
+	}
 }
 
 // respool writes blks as the first records of a fresh file, inline on

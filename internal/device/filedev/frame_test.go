@@ -1,13 +1,15 @@
 package filedev
 
 // The record framing's buffer ownership: write frames come from a pool
-// and go back only after their transfer succeeded, read buffers are
-// allocated by the exec step, and no sequence of appends, overwrites,
-// reads and OS-level damage makes a read return wrong bytes silently.
+// and go back only after their transfer succeeded, read buffers come
+// from the backend's pool of recycled ones, and no sequence of appends,
+// overwrites, reads and OS-level damage makes a read return wrong bytes
+// silently.
 
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -86,10 +88,57 @@ func TestAppendAllocatesNoFrame(t *testing.T) {
 	}
 }
 
+// TestFileReadReusesRecycledBuffers reads a run of records, hands it
+// back and reads the same run again, over and over: once the pool is
+// warm, a read allocates only its bookkeeping, no record buffer.
+func TestFileReadReusesRecycledBuffers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled buffers")
+	}
+	r, err := New(t.TempDir()).createRecFile(filepath.Join(t.TempDir(), "rec.dat"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.close()
+	const n = 16
+	blks := make([]block.Block, n)
+	for i := range blks {
+		blks[i] = payload(byte(i), 4<<10)
+	}
+	w, err := r.planAppend(0, blks)
+	if err == nil {
+		err = r.execWrites(w.ops)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops, err := r.planRead(0, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var readErr error
+	allocs := testing.AllocsPerRun(50, func() {
+		got, err := r.execReads(ops)
+		if err != nil || !bytes.Equal(got[n-1], blks[n-1]) {
+			readErr = fmt.Errorf("read back wrong bytes (%v)", err)
+			return
+		}
+		r.bufs.put(got)
+	})
+	if readErr != nil {
+		t.Fatal(readErr)
+	}
+	// The out slice is the one allocation a read keeps; allow a few
+	// buffers the runtime may take back from the pool mid-run.
+	if allocs > n/4 {
+		t.Fatalf("a recycled %d-record read allocates %.1f times, want at most %d", n, allocs, n/4)
+	}
+}
+
 // BenchmarkRecFileAppendRead writes one 8-block request of full-size
-// blocks through a file-backed store and reads it back: framing, CRC,
-// pool, worker round trips and the positioned syscalls of both
-// directions. Run with -benchmem.
+// blocks through a file-backed store, reads it back and hands the read
+// back with Recycle: framing, CRC, both pools, worker round trips and
+// the positioned syscalls of both directions. Run with -benchmem.
 func BenchmarkRecFileAppendRead(b *testing.B) {
 	blks := make([]block.Block, 8)
 	for i := range blks {
@@ -106,6 +155,7 @@ func BenchmarkRecFileAppendRead(b *testing.B) {
 		if err == nil && !bytes.Equal(got[7], blks[7]) {
 			err = errors.New("read back wrong bytes")
 		}
+		f.Recycle(got)
 		return err
 	})
 }

@@ -4,13 +4,16 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/device"
 	"repro/internal/device/faultfile"
 	"repro/internal/device/simdev"
 	"repro/internal/disk"
+	"repro/internal/fault"
 	"repro/internal/sim"
 	"repro/internal/tape"
 )
@@ -333,5 +336,36 @@ func TestWallStatsExposure(t *testing.T) {
 	}
 	if o := st.Overlap(); o < 0 || o >= 1 {
 		t.Errorf("Overlap() = %v, want [0,1)", o)
+	}
+}
+
+// TestReadErrorNamesRecord truncates a record in the middle of a read
+// that starts past record 0: the error names the record's logical
+// number, not its position inside the request.
+func TestReadErrorNamesRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "rec.dat")
+	r, err := New(t.TempDir()).createRecFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.close()
+	w, err := r.planAppend(0, mkBlocks(1, 40, 0))
+	if err == nil {
+		err = r.execWrites(w.ops)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cut record 33 a few bytes into its payload; 34 on are gone too.
+	if err := os.Truncate(path, r.index[33]+recHeader+3); err != nil {
+		t.Fatal(err)
+	}
+	ops, err := r.planRead(4, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = r.execReads(ops)
+	if !errors.Is(err, fault.ErrCorrupt) || !strings.Contains(err.Error(), "record 33 truncated") {
+		t.Fatalf("read [4,34) of a file cut in record 33: %v, want record 33 truncated", err)
 	}
 }

@@ -118,6 +118,10 @@ func (f *scratchFile) Read(p *sim.Proc, off, n int64) ([]block.Block, error) {
 	return blks, nil
 }
 
+// Recycle implements disk.Extent: it pools the buffers of blocks this
+// backend's reads delivered, for later reads to fill.
+func (f *scratchFile) Recycle(blks []block.Block) { f.s.b.bufs.put(blks) }
+
 // Free implements disk.Extent.
 func (f *scratchFile) Free() {
 	f.rf.close()

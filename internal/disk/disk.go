@@ -112,6 +112,8 @@ type Extent interface {
 	Write(p *sim.Proc, off int64, blks []block.Block) error
 	// Read delivers n blocks at block offset off.
 	Read(p *sim.Proc, off, n int64) ([]block.Block, error)
+	// Recycle takes back blocks a Read delivered (File.Recycle).
+	Recycle(blks []block.Block)
 	// Free releases the bytes.
 	Free()
 }
@@ -398,8 +400,9 @@ type memFile struct {
 	blocks []block.Block
 }
 
-func (m *memFile) Arm(fault.OSDecision) {}
-func (m *memFile) Free()                { m.blocks = nil }
+func (m *memFile) Arm(fault.OSDecision)  {}
+func (m *memFile) Free()                 { m.blocks = nil }
+func (m *memFile) Recycle([]block.Block) {} // the blocks are the file's own
 
 func (m *memFile) Write(p *sim.Proc, off int64, blks []block.Block) error {
 	m.blocks = append(m.blocks, blks...)
@@ -629,6 +632,12 @@ func (f *File) ReadAt(p *sim.Proc, off, n int64) ([]block.Block, error) {
 	}
 	return out, nil
 }
+
+// Recycle hands back blocks this file's reads delivered, once their
+// reader holds no alias to any of them (tape.Drive.Recycle states the
+// rule). It is valid after Free: the bytes go back to the backend, not
+// the file. Costs no virtual time.
+func (f *File) Recycle(blks []block.Block) { f.ext.Recycle(blks) }
 
 // Free releases the file's space. Freeing costs no virtual time.
 func (f *File) Free() {

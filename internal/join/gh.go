@@ -14,11 +14,14 @@ import (
 func addr(n int64) device.Addr { return device.Addr(n) }
 
 // bucketSource abstracts where a hash bucket lives: a disk file or a
-// tape region. Reads charge the owning device.
+// tape region. Reads charge the owning device; recycle hands the blocks
+// a read delivered back to that device once the reader holds no alias
+// to them (tape.Drive.Recycle).
 type bucketSource interface {
 	blocks() int64
 	device() string
 	read(p *sim.Proc, off, n int64) ([]block.Block, error)
+	recycle(blks []block.Block)
 }
 
 type diskBucket struct{ f device.File }
@@ -28,6 +31,7 @@ func (d diskBucket) device() string { return "disk:" + d.f.Name() }
 func (d diskBucket) read(p *sim.Proc, off, n int64) ([]block.Block, error) {
 	return d.f.ReadAt(p, off, n)
 }
+func (d diskBucket) recycle(blks []block.Block) { d.f.Recycle(blks) }
 
 type tapeBucket struct {
 	drive  device.Drive
@@ -47,6 +51,7 @@ func (t tapeBucket) read(p *sim.Proc, off, n int64) ([]block.Block, error) {
 	}
 	return t.drive.ReadAt(p, t.region.Start+addr(off), n)
 }
+func (t tapeBucket) recycle(blks []block.Block) { t.drive.Recycle(blks) }
 
 // scanBufFor sizes the S-side streaming buffer for the join phase:
 // whatever memory remains next to a full R bucket, aiming for the
@@ -84,7 +89,13 @@ func joinBucketPair(e *env, p *sim.Proc, r, s bucketSource, maxLoad, scanBuf int
 				return err
 			}
 			table := newHashTable(n, e.spec.R.TuplesPerBlock)
-			defer table.release()
+			// The table's tuples alias rBlks; once it is released nothing
+			// does, since every emitted pair was copied by its sink or the
+			// staging log.
+			defer func() {
+				table.release()
+				r.recycle(rBlks)
+			}()
 			if err := table.addBlocks(rBlks, nil); err != nil {
 				return err
 			}
@@ -98,6 +109,8 @@ func joinBucketPair(e *env, p *sim.Proc, r, s bucketSource, maxLoad, scanBuf int
 				if err != nil {
 					return err
 				}
+				// A probe keeps no S tuple: each pair it emitted was copied.
+				s.recycle(sBlks)
 				return e.checkStop()
 			})
 		}()

@@ -39,11 +39,19 @@ func copyRToDisk(e *env, p *sim.Proc) (device.File, error) {
 	keep := e.filterR()
 	err = e.scan(p, tapeBucket{drive: e.driveR, region: e.spec.R.Region}, e.res.MemoryBlocks,
 		func(blks []block.Block, _ bool) error {
-			blks, err := filterRepack(blks, keep, e.spec.R.TuplesPerBlock, e.spec.R.Tag)
+			out, err := filterRepack(blks, keep, e.spec.R.TuplesPerBlock, e.spec.R.Tag)
+			if err == nil {
+				err = f.Append(p, out)
+			}
 			if err != nil {
 				return err
 			}
-			return f.Append(p, blks)
+			// filterRepack copied the tuples it kept, and Append has
+			// framed out's bytes into the file, so nothing aliases the
+			// batch. (The simulator's file keeps the blocks themselves,
+			// but its drive ignores the hand-back.)
+			e.driveR.Recycle(blks)
+			return nil
 		})
 	if err != nil {
 		f.Free()
@@ -76,6 +84,8 @@ func scanRAndProbe(e *env, p *sim.Proc, fR device.File, mr int64, table *hashTab
 		if err != nil {
 			return err
 		}
+		// A probe keeps no R tuple: each pair it emitted was copied.
+		fR.Recycle(blks)
 		return e.checkStop()
 	})
 	if err != nil {

@@ -575,11 +575,20 @@ func (x *executor) nbJoin(p *sim.Proc, c chunk) error {
 		defer x.mem.release(c.n)
 	}
 	table := newHashTable(c.n, x.spec.S.TuplesPerBlock)
-	defer table.release()
+	// held is the S chunk the table aliases when it came in one read;
+	// once the table is released nothing does, since every emitted pair
+	// was copied by its sink or the staging log. A chunk read back from
+	// disk in pieces (CDT-NB/DB) is left to the GC.
+	var held []block.Block
+	defer func() {
+		table.release()
+		x.driveS.Recycle(held)
+	}()
 	keepS := x.filterS()
 	var err error
 	switch {
 	case c.blks != nil:
+		held = c.blks
 		err = table.addBlocks(c.blks, keepS)
 	case c.files != nil:
 		var read int64
@@ -594,7 +603,10 @@ func (x *executor) nbJoin(p *sim.Proc, c chunk) error {
 		c.files[0].Free()
 	default:
 		err = x.scan(p, tapeBucket{drive: x.driveS, region: x.spec.S.Region.Sub(c.off, c.n)}, c.n,
-			func(blks []block.Block, _ bool) error { return table.addBlocks(blks, keepS) })
+			func(blks []block.Block, _ bool) error {
+				held = blks
+				return table.addBlocks(blks, keepS)
+			})
 	}
 	if err == nil {
 		err = x.staged(p, func() error { return scanRAndProbe(x.env, p, x.fR, x.mr, table) })

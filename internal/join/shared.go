@@ -154,13 +154,18 @@ func sharedJoinChunk(e *env, p *sim.Proc, blks []block.Block, off int64, queries
 		psp := e.span(p, "probe", obs.AInt("rider", int64(i)))
 		e.mem.acquire(q.MrBlocks)
 		err := e.scan(p, diskBucket{q.StagedR}, q.MrBlocks, func(rBlks []block.Block, _ bool) error {
-			return forEachTuple(rBlks, func(rt block.Tuple) {
+			err := forEachTuple(rBlks, func(rt block.Tuple) {
 				for j := table.first(rt.Key); j != 0; j = table.next[j] {
 					if st := table.tuples[j]; q.FilterS == nil || q.FilterS(st) {
 						log.emit(rt, st)
 					}
 				}
 			})
+			if err == nil {
+				// The held log copied every pair it took.
+				q.StagedR.Recycle(rBlks)
+			}
+			return err
 		})
 		e.mem.release(q.MrBlocks)
 		psp.Close(p)

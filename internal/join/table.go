@@ -272,6 +272,16 @@ func (e *env) filterS() keepFn {
 // and whether it is the last. The stream is strictly sequential, keeping
 // the device streaming when fn is fast. Reads go through the retrying
 // device-read path, so transient faults are absorbed here.
+//
+// A batch is fn's: scan keeps no alias to it. The callers that consume
+// a batch within fn hand it back with src.recycle before returning:
+// partition (the partitioner copies each tuple), the probe sides of
+// joinBucketPair and scanRAndProbe and the shared pass's R scan (a
+// probe emits copies) and copyRToDisk (Append has framed the bytes).
+// A batch that fn keeps past its return is recycled where that keeper
+// ends, or never: nbJoin's build side after its table is released,
+// while appendFileToTape's batches stay with the tape medium they were
+// appended to.
 func (e *env) scan(p *sim.Proc, src bucketSource, chunk int64, fn func(blks []block.Block, last bool) error) error {
 	if chunk < 1 {
 		return fmt.Errorf("join: scan chunk %d", chunk)
@@ -360,10 +370,16 @@ func (e *env) partition(p *sim.Proc, pp partPass) ([]device.File, error) {
 			}
 			addErr = pt.add(p, t)
 		})
+		if err == nil {
+			err = addErr
+		}
 		if err != nil {
 			return err
 		}
-		return addErr
+		// The partitioner's builders copied every tuple they kept, and
+		// the sketch and census keep only keys.
+		pp.src.recycle(blks)
+		return nil
 	})
 	if err != nil {
 		return nil, err

@@ -122,6 +122,9 @@ type Mover interface {
 	Read(p *sim.Proc, m Medium, addr Addr, n int64, model sim.Duration) ([]block.Block, sim.Duration, error)
 	// Write moves blks, which the medium already records at addr.
 	Write(p *sim.Proc, addr Addr, blks []block.Block, model sim.Duration) (sim.Duration, error)
+	// Recycle takes back blocks a Read delivered once their reader
+	// holds no alias to them (Drive.Recycle).
+	Recycle(blks []block.Block)
 	// Close releases the mover's OS resources. Safe to call more than
 	// once.
 	Close() error
@@ -134,6 +137,9 @@ type simMover struct{}
 func (simMover) Mount(Medium) error   { return nil }
 func (simMover) Arm(fault.OSDecision) {}
 func (simMover) Close() error         { return nil }
+
+// Recycle ignores the blocks: they are the medium's stored ones.
+func (simMover) Recycle([]block.Block) {}
 func (simMover) Write(p *sim.Proc, _ Addr, _ []block.Block, model sim.Duration) (sim.Duration, error) {
 	p.Hold(model)
 	return model, nil
@@ -232,6 +238,14 @@ func (d *Drive) Load(m Medium) {
 // Close releases the mover's OS resources (I/O worker, spool file); a
 // no-op on the simulator. Safe to call more than once.
 func (d *Drive) Close() error { return d.mv.Close() }
+
+// Recycle hands back blocks this drive's reads delivered. A delivered
+// block is its reader's until then; a reader calls Recycle only once
+// nothing it keeps (a hash table, a queued chunk, a tape medium it
+// appended the block to) still aliases any of blks. The mover decides
+// what a hand-back means: the simulator's ignores it, a file mover
+// refills the buffers on later reads. Costs no virtual time.
+func (d *Drive) Recycle(blks []block.Block) { d.mv.Recycle(blks) }
 
 // BusyTime returns total virtual time the drive was held.
 func (d *Drive) BusyTime() sim.Duration { return d.res.BusyTime }

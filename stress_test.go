@@ -19,7 +19,8 @@ type stressOutcome struct {
 // system (kernel, device workers, scratch dir) and a seeded fault
 // schedule chosen by faults(i, method), alternating the two
 // concurrent methods. It fails the test on any join or verification
-// error and returns the per-slot outcomes.
+// error, or on an output hash other than a clean sim run's over the
+// same relations, and returns the per-slot outcomes.
 func stressRound(t *testing.T, n int, faults func(i int, m Method) string) []stressOutcome {
 	t.Helper()
 	out := make([]stressOutcome, n)
@@ -33,49 +34,23 @@ func stressRound(t *testing.T, n int, faults func(i int, m Method) string) []str
 			if i%2 == 1 {
 				method = CTTGH
 			}
-			sys, err := NewSystem(Config{
-				Backend:    "file",
-				BackendDir: t.TempDir(),
-				MemoryMB:   1,
-				DiskMB:     4,
-				Profile:    IdealTape,
-				Faults:     faults(i, method),
-			})
+			ref, _, err := stressJoin(Config{}, i, method)
 			if err != nil {
-				t.Error(err)
+				t.Errorf("join %d (%s) sim reference: %v", i, method, err)
 				return
 			}
-			tR, err := sys.NewTape("R-tape", 32)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			tS, err := sys.NewTape("S-tape", 32)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			r, err := sys.CreateRelation(tR, RelationConfig{
-				Name: "R", SizeMB: 2, KeySpace: 4000, Seed: int64(1 + i),
-			})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			s, err := sys.CreateRelation(tS, RelationConfig{
-				Name: "S", SizeMB: 8, KeySpace: 4000, Seed: int64(100 + i),
-			})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			res, err := sys.Join(method, r, s)
+			res, want, err := stressJoin(Config{Backend: "file", BackendDir: t.TempDir(), Faults: faults(i, method)}, i, method)
 			if err != nil {
 				t.Errorf("join %d (%s): %v", i, method, err)
 				return
 			}
-			if want := ExpectedMatches(r, s); res.Stats.Matches != want {
+			if res.Stats.Matches != want {
 				t.Errorf("join %d (%s): matches = %d, want %d", i, method, res.Stats.Matches, want)
+				return
+			}
+			if res.Stats.OutputHash != ref.Stats.OutputHash {
+				t.Errorf("join %d (%s): output hash %#x, sim reference %#x", i, method,
+					res.Stats.OutputHash, ref.Stats.OutputHash)
 				return
 			}
 			out[i] = stressOutcome{
@@ -87,6 +62,40 @@ func stressRound(t *testing.T, n int, faults func(i int, m Method) string) []str
 	}
 	wg.Wait()
 	return out
+}
+
+// stressJoin runs slot i's join on cfg's backend and faults, over
+// relations seeded by i, and returns its result and the expected
+// cardinality.
+func stressJoin(cfg Config, i int, method Method) (*Result, int64, error) {
+	cfg.MemoryMB, cfg.DiskMB, cfg.Profile = 1, 4, IdealTape
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer sys.Close()
+	tR, err := sys.NewTape("R-tape", 32)
+	if err != nil {
+		return nil, 0, err
+	}
+	tS, err := sys.NewTape("S-tape", 32)
+	if err != nil {
+		return nil, 0, err
+	}
+	r, err := sys.CreateRelation(tR, RelationConfig{
+		Name: "R", SizeMB: 2, KeySpace: 4000, Seed: int64(1 + i),
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	s, err := sys.CreateRelation(tS, RelationConfig{
+		Name: "S", SizeMB: 8, KeySpace: 4000, Seed: int64(100 + i),
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	res, err := sys.Join(method, r, s)
+	return res, ExpectedMatches(r, s), err
 }
 
 // TestFileBackendConcurrentJoinStress drives N fault-injected joins
@@ -147,5 +156,40 @@ func TestFileBackendOSFaultStress(t *testing.T) {
 		if first[i].faults == 0 {
 			t.Errorf("join %d: no faults injected — the OS schedule never bit", i)
 		}
+	}
+}
+
+// TestFileBackendMatchesSim runs the seven paper methods and SYM-H on
+// the simulator and on the file backend over the same seeded
+// relations: both must deliver the same pairs (Matches and OutputHash,
+// which digests keys and payload bytes) and move the same tape and disk
+// blocks. The file backend's reads fill recycled buffers, so a join
+// that handed back a block it still aliased would change the hash.
+func TestFileBackendMatchesSim(t *testing.T) {
+	for _, m := range append(Methods(), SYMH) {
+		t.Run(string(m), func(t *testing.T) {
+			ref, err := chaosJoin(Config{}, m)
+			if err != nil {
+				t.Fatalf("sim: %v", err)
+			}
+			got, err := chaosJoin(Config{Backend: "file", BackendDir: t.TempDir()}, m)
+			if err != nil {
+				t.Fatalf("file: %v", err)
+			}
+			r, f := ref.Stats, got.Stats
+			if r.Matches == 0 {
+				t.Fatal("sim produced no matches: the oracle would be vacuous")
+			}
+			if f.Matches != r.Matches || f.OutputHash != r.OutputHash {
+				t.Errorf("file: %d matches, hash %#x; sim: %d matches, hash %#x",
+					f.Matches, f.OutputHash, r.Matches, r.OutputHash)
+			}
+			if f.TapeReadMB != r.TapeReadMB || f.TapeWrittenMB != r.TapeWrittenMB ||
+				f.DiskReadMB != r.DiskReadMB || f.DiskWrittenMB != r.DiskWrittenMB {
+				t.Errorf("file moved tape %v/%v MB, disk %v/%v MB (read/written); sim tape %v/%v, disk %v/%v",
+					f.TapeReadMB, f.TapeWrittenMB, f.DiskReadMB, f.DiskWrittenMB,
+					r.TapeReadMB, r.TapeWrittenMB, r.DiskReadMB, r.DiskWrittenMB)
+			}
+		})
 	}
 }
